@@ -7,9 +7,10 @@ graph into a DAG of conditionals (a solved triangular form); the amount of
 fill-in created depends only on the ordering, which is the whole point:
 classical recursive dynamics algorithms fall out as particular orderings.
 
-Weights scale factor rows, so weight-1 constraints are solved exactly while
-sub-unit weights form a least-squares tier that only resolves whatever null
-space the hard constraints leave.
+Weights scale factor rows, and elimination is plain weighted least squares
+over all rows at once: a soft prior (weight below 1) that conflicts with the
+hard rows (weight 1) pulls them off exact satisfaction instead of acting
+only on the null space they leave.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ from .errors import IncompatibleScheme, RankDeficient
 
 
 class Kind(IntEnum):
-    TWIST = 0
+    # the values fix the (kind, index) sort order of variables, which is
+    # every ordering's tie-break; they are not renumbered when kinds go
     ACCEL = 1
     WRENCH = 2
-    RATE = 3
     JOINT_ACCEL = 4
     TORQUE = 5
 
 
-KIND_DIM = {Kind.TWIST: 6, Kind.ACCEL: 6, Kind.WRENCH: 6,
-            Kind.RATE: 1, Kind.JOINT_ACCEL: 1, Kind.TORQUE: 1}
+KIND_DIM = {Kind.ACCEL: 6, Kind.WRENCH: 6, Kind.JOINT_ACCEL: 1, Kind.TORQUE: 1}
 
-KIND_TAG = {Kind.TWIST: "V", Kind.ACCEL: "Vd", Kind.WRENCH: "F",
-            Kind.RATE: "qd", Kind.JOINT_ACCEL: "qdd", Kind.TORQUE: "tau"}
+KIND_TAG = {Kind.ACCEL: "Vd", Kind.WRENCH: "F", Kind.JOINT_ACCEL: "qdd",
+            Kind.TORQUE: "tau"}
 
 _TAG_KIND = {tag: kind for kind, tag in KIND_TAG.items()}
 
@@ -70,7 +70,8 @@ class VarKey:
 class LinearFactor:
     """One weighted linear constraint: sum_k blocks[k] @ x_k = rhs.
 
-    weight 1 is the hard-constraint tier; smaller weights are soft priors.
+    Weight 1 marks a hard constraint and smaller weights soft priors; both
+    are rows of one least-squares problem, scaled by their weight.
     `knowns` lists labels of quantities folded into the rhs, kept so graph
     drawings can still show them.
     """
@@ -134,13 +135,11 @@ class FactorGraph:
     def total_rows(self) -> int:
         return sum(f.rows for f in self.factors)
 
-    def total_dim(self) -> int:
-        return sum(v.dim for v in self.variables)
-
-    def residual_max(self, values: dict, hard_only: bool = True) -> float:
+    def residual_max(self, values: dict) -> float:
+        """Largest absolute residual over the weight-1 factors."""
         worst = 0.0
         for f in self.factors:
-            if hard_only and f.weight != 1.0:
+            if f.weight != 1.0:
                 continue
             r = f.residual(values)
             if r.size:
@@ -177,14 +176,6 @@ class EliminationDag:
     def edges(self):
         """Directed (frontal, parent) dependency pairs."""
         return [(c.frontal, p) for c in self.conditionals for p in c.parents]
-
-    def stats(self) -> dict:
-        return {
-            "ordering": [str(v) for v in self.ordering],
-            "edgeCount": self.edge_count,
-            "fillIn": self.fill_in,
-            "frontalSizes": [v.dim for v in self.ordering],
-        }
 
 
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
@@ -306,7 +297,7 @@ def solve(graph: FactorGraph, ordering) -> dict:
     return back_substitute(eliminate(graph, ordering))
 
 
-def min_degree_ordering(graph: FactorGraph, defer_last=()) -> list:
+def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
     """Greedy minimum-degree ordering on a symbolic elimination simulation.
 
     Degree counts distinct neighbors in the current factor adjacency; after
@@ -314,63 +305,48 @@ def min_degree_ordering(graph: FactorGraph, defer_last=()) -> list:
     row budget is capped by what an orthogonal reduction can leave behind,
     so merged factors that reduce to nothing drop their connections (this
     happens whenever a variable is fully determined by its factors).
-    Ties break on the lowest (kind, index). Variables in `defer_last` are
-    kept back until only they remain.
+    Ties break on the lowest (kind, index).
+
+    `groups` (default: all variables in one) is an ordered list of disjoint
+    variable sets covering the graph. Every variable of a group is
+    eliminated before any of the next; the greedy pick runs inside the
+    current group, on a simulation that carries over from earlier groups.
     """
-    deferred = set(defer_last)
-    factors = {fid: (frozenset(f.keys()), f.rows)
-               for fid, f in enumerate(graph.factors)}
-    var_to_fids = {v: {fid for fid, (ks, _) in factors.items() if v in ks}
-                   for v in graph.variables}
+    if groups is None:
+        groups = [graph.variables]
+    factors = {}
+    var_to_fids = {v: set() for v in graph.variables}
+    for fid, f in enumerate(graph.factors):
+        factors[fid] = (frozenset(f.blocks), f.rows)
+        for k in f.blocks:
+            var_to_fids[k].add(fid)
     next_fid = len(factors)
-    remaining = set(graph.variables)
     order = []
 
-    while remaining:
-        pool = remaining - deferred
-        if not pool:
-            pool = remaining
-        best = None
-        for v in pool:
-            nbrs = {k for fid in var_to_fids[v] for k in factors[fid][0]} - {v}
-            cand = (len(nbrs), v)
-            if best is None or cand < best:
-                best = cand
-        v = best[1]
-        order.append(v)
-        remaining.discard(v)
+    def degree(v):
+        return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
 
-        fids = list(var_to_fids[v])
-        parents = frozenset(k for fid in fids for k in factors[fid][0]) - {v}
-        rows = sum(factors[fid][1] for fid in fids)
-        for fid in fids:
-            for k in factors[fid][0]:
-                var_to_fids[k].discard(fid)
-            del factors[fid]
-        new_rows = min(rows - v.dim, sum(p.dim for p in parents))
-        if parents and new_rows > 0:
-            factors[next_fid] = (parents, new_rows)
-            for p in parents:
-                var_to_fids[p].add(next_fid)
-            next_fid += 1
+    for group in groups:
+        pool = set(group)
+        while pool:
+            v = min(pool, key=lambda x: (degree(x), x))
+            order.append(v)
+            pool.discard(v)
+
+            fids = list(var_to_fids[v])
+            parents = frozenset(k for fid in fids for k in factors[fid][0]) - {v}
+            rows = sum(factors[fid][1] for fid in fids)
+            for fid in fids:
+                for k in factors[fid][0]:
+                    var_to_fids[k].discard(fid)
+                del factors[fid]
+            new_rows = min(rows - v.dim, sum(p.dim for p in parents))
+            if parents and new_rows > 0:
+                factors[next_fid] = (parents, new_rows)
+                for p in parents:
+                    var_to_fids[p].add(next_fid)
+                next_fid += 1
     return order
-
-
-def _greedy_min_degree(adj, sub, remaining) -> list:
-    """Order `sub` greedily by degree counted over the still-unordered set.
-
-    `remaining` holds every variable not yet placed anywhere in the
-    ordering; counting neighbors there (rather than inside `sub` alone)
-    keeps pendant variables ahead of the hubs they hang off.
-    """
-    sub = set(sub)
-    out = []
-    while sub:
-        v = min(sub, key=lambda x: (len(adj[x] & remaining), x))
-        out.append(v)
-        sub.discard(v)
-        remaining.discard(v)
-    return out
 
 
 def _components(adj, sub):
@@ -408,28 +384,24 @@ def nested_dissection_ordering(graph: FactorGraph) -> list:
     The separator is a breadth-first level from a pseudo-peripheral start
     vertex, chosen to balance the halves and thinned to the vertices that
     actually touch the far half; level vertices with no far-side neighbor
-    drop into the near half. Subsets of three or fewer variables are
-    ordered by min-degree over the still-unordered remainder.
+    drop into the near half. Bisection stops at three or fewer variables;
+    the leaf subsets and separators become the `groups` of
+    `min_degree_ordering`, which orders the variables inside each group.
     """
-    adj = {v: set(graph.adjacency[v]) for v in graph.variables}
-    remaining = set(graph.variables)
+    adj = graph.adjacency
 
     def dissect(sub) -> list:
         if len(sub) <= 3:
-            return _greedy_min_degree(adj, sub, remaining)
+            return [sub]
         comps = _components(adj, sub)
         if len(comps) > 1:
-            out = []
-            for comp in comps:
-                out.extend(dissect(comp))
-            return out
-        # double-BFS pseudo-peripheral start: go far, then level-partition
+            return [group for comp in comps for group in dissect(comp)]
+        # double-BFS pseudo-peripheral start: go far, then level-partition;
+        # a connected subset of four or more variables has at least two levels
         start = min(sub)
         levels = _bfs_levels(adj, sub, start)
         start = min(levels[-1])
         levels = _bfs_levels(adj, sub, start)
-        if len(levels) < 2:
-            return _greedy_min_degree(adj, sub, remaining)
         best = None
         for t in range(1, len(levels)):
             after = {v for l in levels[t + 1:] for v in l}
@@ -440,13 +412,9 @@ def nested_dissection_ordering(graph: FactorGraph) -> list:
             if best is None or cand < best[0]:
                 best = (cand, sep, before, after)
         _, separator, before, after = best
-        out = dissect(before)
-        if after:
-            out.extend(dissect(after))
-        out.extend(_greedy_min_degree(adj, separator, remaining))
-        return out
+        return dissect(before) + dissect(after) + [separator]
 
-    return dissect(set(graph.variables))
+    return min_degree_ordering(graph, dissect(set(graph.variables)))
 
 
 def classic_ordering(graph: FactorGraph, scheme) -> list:

@@ -195,11 +195,6 @@ class RobotModel:
     def n_links(self) -> int:
         return len(self.links)
 
-    def state_joints(self):
-        """Joints that carry a state entry (every non-fixed joint), in
-        declaration order. JointState vectors follow this order."""
-        return self.movable_joints
-
     def to_json(self) -> str:
         def pose(T: Pose):
             return {"xyz": list(T.translation), "rpy": list(rotation_to_rpy(T.rotation))}

@@ -119,29 +119,28 @@ class ProblemSpec:
         return cls(designations=tuple(order), **kw)
 
     @classmethod
+    def _all_actuated(cls, model, given, what, values, **kw):
+        """Every actuated joint gets `given(value)`, one value per actuated
+        joint in declaration order; free joints get zero torque."""
+        des = cls._free_designations(model)
+        actuated = [j for j in model.movable_joints if j.actuated]
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if values.shape != (len(actuated),):
+            raise ValueError(f"expected {len(actuated)} {what}, got {values.shape}")
+        for j, x in zip(actuated, values):
+            des[j.name] = given(float(x))
+        return cls._assemble(model, des, **kw)
+
+    @classmethod
     def inverse(cls, model: RobotModel, qdd, **kw) -> "ProblemSpec":
         """All actuated joints have given accelerations (one per actuated
         joint, declaration order); free joints get zero torque."""
-        des = cls._free_designations(model)
-        actuated = [j for j in model.movable_joints if j.actuated]
-        qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
-        if qdd.shape != (len(actuated),):
-            raise ValueError(f"expected {len(actuated)} accelerations, got {qdd.shape}")
-        for j, a in zip(actuated, qdd):
-            des[j.name] = GivenAccel(float(a))
-        return cls._assemble(model, des, **kw)
+        return cls._all_actuated(model, GivenAccel, "accelerations", qdd, **kw)
 
     @classmethod
     def forward(cls, model: RobotModel, tau, **kw) -> "ProblemSpec":
         """All actuated joints have given torques; free joints get zero."""
-        des = cls._free_designations(model)
-        actuated = [j for j in model.movable_joints if j.actuated]
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        if tau.shape != (len(actuated),):
-            raise ValueError(f"expected {len(actuated)} torques, got {tau.shape}")
-        for j, t in zip(actuated, tau):
-            des[j.name] = GivenTorque(float(t))
-        return cls._assemble(model, des, **kw)
+        return cls._all_actuated(model, GivenTorque, "torques", tau, **kw)
 
     @classmethod
     def hybrid(cls, model: RobotModel, mapping, **kw) -> "ProblemSpec":
@@ -185,49 +184,54 @@ def _state_maps(model: RobotModel, state: JointState):
 def _kinematics(model: RobotModel, state: JointState):
     """Propagate poses and twists outward; verify loop closure.
 
-    Returns (q_map, qd_map, poses, twists) with poses as base-from-link
-    transforms of the body frames and twists as 6-vectors.
+    Returns (qd_map, poses, twists, adjoints) with poses as base-from-link
+    transforms of the body frames, twists as 6-vectors, and adjoints as the
+    6x6 child-from-parent adjoint of every joint, tree and loop alike, keyed
+    by joint name. This is the only place a joint transform is evaluated.
     """
     q, qd = _state_maps(model, state)
     poses = {model.base: Pose.identity()}
     twists = {model.base: np.zeros(6)}
+    adjoints = {}
     for name in model.topo_order[1:]:
         j = model.parent_joint[name]
         th = q.get(j.name, 0.0)
         t_cp = j.transform(th)
+        ad = adjoints[j.name] = big_adjoint(t_cp)
         poses[name] = poses[j.parent] @ t_cp.inverse()
-        v = big_adjoint(t_cp) @ twists[j.parent]
+        v = ad @ twists[j.parent]
         if j.axis is not None:
             v = v + j.axis.vector * qd.get(j.name, 0.0)
         twists[name] = v
 
     for l in model.loop_joints:
         t_cp = l.transform(q[l.name])
+        adjoints[l.name] = big_adjoint(t_cp)
         tree_cp = poses[l.child].inverse() @ poses[l.parent]
         pos_res = float(np.max(np.abs(tree_cp.matrix() - t_cp.matrix())))
         if pos_res > _LOOP_TOL:
             raise InconsistentLoopState(
                 f"loop joint {l.name}: closure violated at position level "
                 f"(residual {pos_res:.3e})")
-        vel = twists[l.child] - big_adjoint(t_cp) @ twists[l.parent] \
+        vel = twists[l.child] - adjoints[l.name] @ twists[l.parent] \
             - l.axis.vector * qd[l.name]
         vel_res = float(np.max(np.abs(vel)))
         if vel_res > _LOOP_TOL:
             raise InconsistentLoopState(
                 f"loop joint {l.name}: rates violate the loop constraint "
                 f"(residual {vel_res:.3e})")
-    return q, qd, poses, twists
+    return qd, poses, twists, adjoints
 
 
 def compute_twists(model: RobotModel, state: JointState) -> dict:
     """Body twist of every link at the given state (base twist is zero)."""
-    _, _, _, twists = _kinematics(model, state)
+    _, _, twists, _ = _kinematics(model, state)
     return {name: Twist.from_vector(v) for name, v in twists.items()}
 
 
 def link_poses(model: RobotModel, state: JointState) -> dict:
     """Base-from-link pose of every body frame at the given state."""
-    _, _, poses, _ = _kinematics(model, state)
+    _, poses, _, _ = _kinematics(model, state)
     return poses
 
 
@@ -257,20 +261,18 @@ def _wrench_key(model: RobotModel, joint) -> VarKey:
 
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
-    kin = _kinematics(model, state)
-    return _build_graph(model, kin, spec)
+    return _build_graph(model, _kinematics(model, state), spec)
 
 
 def _build_graph(model: RobotModel, kin, spec: ProblemSpec) -> FactorGraph:
-    q, qd, poses, twists = kin
+    qd, poses, twists, adjoints = kin
     des = spec.by_joint(model)
     base_acc = spec.base_accel.as_vector()
     factors = []
 
     # acceleration factor per joint: Vd_child - Ad Vd_parent - A qdd = bias
     for j in model.joints:
-        t_cp = j.transform(q.get(j.name, 0.0))
-        ad = big_adjoint(t_cp)
+        ad = adjoints[j.name]
         blocks = {}
         knowns = []
         rhs = np.zeros(6)
@@ -319,13 +321,11 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec) -> FactorGraph:
             g_body = poses[link.name].rotation.T @ spec.gravity
             rhs = rhs + link.inertia.mass * np.concatenate([np.zeros(3), g_body])
         for jc in model.child_joints[link.name]:
-            t_cp = jc.transform(q.get(jc.name, 0.0))
             add(VarKey(Kind.WRENCH, model.link_map[jc.child].index),
-                big_adjoint(t_cp).T)
+                adjoints[jc.name].T)
         for l in model.loop_joints:
             if l.parent == link.name:
-                add(VarKey(Kind.WRENCH, l.index),
-                    big_adjoint(l.transform(q[l.name])).T)
+                add(VarKey(Kind.WRENCH, l.index), adjoints[l.name].T)
             if l.child == link.name:
                 add(VarKey(Kind.WRENCH, l.index), -np.eye(6))
         if link.name == model.tool_link:
@@ -400,9 +400,9 @@ def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel = None):
     if isinstance(ordering, str):
         name = ordering.lower()
         if name == "auto":
-            defer = [VarKey(Kind.WRENCH, l.index) for l in model.loop_joints] \
-                if model is not None else []
-            return min_degree_ordering(graph, defer_last=defer)
+            loops = {VarKey(Kind.WRENCH, l.index)
+                     for l in (model.loop_joints if model is not None else ())}
+            return min_degree_ordering(graph, [set(graph.variables) - loops, loops])
         if name == "md":
             return min_degree_ordering(graph)
         if name == "nd":
@@ -424,7 +424,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
-    q, qd, poses, twists = kin
+    _, _, twists, _ = kin
     graph = _build_graph(model, kin, spec)
     t1 = perf_counter()
     keys = resolve_ordering(graph, ordering, model)
@@ -445,15 +445,10 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
             torques[j.name] = float(values[VarKey(Kind.TORQUE, j.index)][0])
             accels[j.name] = d.value
     link_accels = {model.base: spec.base_accel.as_vector()}
-    wrenches = {}
     for link in model.links:
         if link.index > 0:
             link_accels[link.name] = values[VarKey(Kind.ACCEL, link.index)]
-    for j in model.joints:
-        if j.loop:
-            wrenches[j.name] = values[VarKey(Kind.WRENCH, j.index)]
-        else:
-            wrenches[j.name] = values[VarKey(Kind.WRENCH, model.link_map[j.child].index)]
+    wrenches = {j.name: values[_wrench_key(model, j)] for j in model.joints}
 
     return DynamicsResult(
         values=values,

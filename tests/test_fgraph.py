@@ -27,8 +27,8 @@ Y = VarKey(Kind.ACCEL, 2)
 
 
 def key(s):
-    kinds = {"V": Kind.TWIST, "Vd": Kind.ACCEL, "F": Kind.WRENCH,
-             "qd": Kind.RATE, "qdd": Kind.JOINT_ACCEL, "tau": Kind.TORQUE}
+    kinds = {"Vd": Kind.ACCEL, "F": Kind.WRENCH,
+             "qdd": Kind.JOINT_ACCEL, "tau": Kind.TORQUE}
     prefix = s.rstrip("0123456789")
     return VarKey(kinds[prefix], int(s[len(prefix):]))
 
@@ -199,9 +199,9 @@ class TestMinDegree:
 
     def test_star_leaves_before_hub(self):
         # leaves stay at degree 1 while the hub starts at 3; the final
-        # degree-1 tie resolves by the (kind, index) rule, twists first
+        # degree-1 tie resolves by the (kind, index) rule, accelerations first
         hub = VarKey(Kind.WRENCH, 0)
-        leaves = [VarKey(Kind.TWIST, i) for i in (1, 2, 3)]
+        leaves = [VarKey(Kind.ACCEL, i) for i in (1, 2, 3)]
         factors = [
             LinearFactor({hub: np.ones((1, 6)), leaf: np.ones((1, 6))}, np.zeros(1))
             for leaf in leaves
@@ -223,6 +223,19 @@ class TestMinDegree:
     def test_deterministic(self, three_r):
         gi, _, _ = three_r_graphs(three_r)
         assert min_degree_ordering(gi) == min_degree_ordering(gi)
+
+    def test_groups_eliminated_in_order(self, three_r):
+        # a crba-shaped constraint: every wrench, then every link
+        # acceleration, then every joint acceleration
+        _, gf, _ = three_r_graphs(three_r)
+        groups = [{v for v in gf.variables if v.kind is kind}
+                  for kind in (Kind.WRENCH, Kind.ACCEL, Kind.JOINT_ACCEL)]
+        order = min_degree_ordering(gf, groups)
+        assert [set(order[:3]), set(order[3:6]), set(order[6:])] == groups
+        assert min_degree_ordering(gf, [set(gf.variables)]) == min_degree_ordering(gf)
+        ref = solve(gf, min_degree_ordering(gf))
+        for v, x in solve(gf, order).items():
+            np.testing.assert_allclose(x, ref[v], atol=1e-10)
 
 
 class TestNestedDissection:

@@ -112,7 +112,7 @@ class TestParse:
         fixed = MINIMAL.replace('type="revolute"', 'type="fixed"')
         m = parse_urdf(fixed)
         assert m.joints[0].kind is JointKind.FIXED
-        assert m.state_joints() == ()
+        assert m.movable_joints == ()
 
 
 class TestLoopJoints:

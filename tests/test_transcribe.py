@@ -5,6 +5,7 @@ import pytest
 
 from dyngraph.errors import InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import Kind, VarKey
+from dyngraph.model import Joint
 from dyngraph.spatial import Accel, Wrench
 from dyngraph.oracle import rnea_full, rnea_torques
 from dyngraph.transcribe import (
@@ -14,6 +15,7 @@ from dyngraph.transcribe import (
     compute_twists,
     link_poses,
     planar_factor,
+    resolve_ordering,
     solve_dynamics,
 )
 
@@ -108,8 +110,6 @@ class TestBuildGraph:
         g = build_graph(three_r, st, ProblemSpec.inverse(three_r, np.ones(3)))
         kinds = {v.kind for v in g.variables}
         assert Kind.JOINT_ACCEL not in kinds
-        assert Kind.TWIST not in kinds
-        assert Kind.RATE not in kinds
 
     def test_gravity_static_torques(self, three_r):
         st = JointState(np.array([0.4, -0.9, 0.3]), np.zeros(3))
@@ -250,6 +250,14 @@ class TestFiveBar:
         planar = [f for f in unary if f.blocks[f5].shape[0] == 3]
         assert len(planar) == 1
 
+    def test_auto_orders_loop_wrench_last(self, five_bar, five_bar_kin):
+        # plain min-degree eliminates F5 mid-sequence; "auto" defers it
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        g = build_graph(five_bar, st, self.forward_spec(five_bar))
+        f5 = VarKey(Kind.WRENCH, 5)
+        assert resolve_ordering(g, "md", five_bar)[-1] != f5
+        assert resolve_ordering(g, "auto", five_bar)[-1] == f5
+
     def test_forward_accels_satisfy_closure(self, five_bar, five_bar_kin):
         # solved accelerations must be differentiations of the loop closure
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -335,3 +343,24 @@ class TestSolveDynamics:
         keys = ["tau3", "tau2", "tau1", "F1", "F2", "F3", "Vd3", "Vd2", "Vd1"]
         res = solve_dynamics(three_r, st, spec, ordering=keys)
         assert [str(v) for v in res.ordering] == keys
+
+    def test_one_joint_transform_per_joint(self, six_r, five_bar, five_bar_kin,
+                                           monkeypatch):
+        # kinematics evaluates each joint once, loop joints included, and
+        # graph construction reuses its adjoints
+        calls = []
+        transform = Joint.transform
+
+        def counted(joint, angle):
+            calls.append(joint.name)
+            return transform(joint, angle)
+
+        monkeypatch.setattr(Joint, "transform", counted)
+        st = JointState(np.full(6, 0.2), np.full(6, 0.1))
+        solve_dynamics(six_r, st, ProblemSpec.inverse(six_r, np.zeros(6)))
+        assert sorted(calls) == sorted(j.name for j in six_r.joints)
+        calls.clear()
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        solve_dynamics(five_bar, st, ProblemSpec.forward(
+            five_bar, np.array([1.0, 0.5]), planar_loops=(("j5", (0.0, 0.0, 1.0)),)))
+        assert sorted(calls) == sorted(j.name for j in five_bar.joints)
