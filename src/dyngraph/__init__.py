@@ -42,12 +42,9 @@ from .oracle import (
     rnea_torques,
 )
 from .spatial import (
-    Accel,
     Pose,
     ScrewAxis,
     SpatialInertia,
-    Twist,
-    Wrench,
     big_adjoint,
     exp_screw,
     joint_transform,

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DynamicsError
 from .fgraph import back_substitute, eliminate, export_dot
 from .model import parse_urdf
-from .spatial import Wrench
 from .transcribe import (
     JointState,
     ProblemSpec,
@@ -94,7 +93,7 @@ def _make_spec(model, args) -> ProblemSpec:
         "min_torque_prior": args.min_torque_prior,
     }
     if args.tool_wrench:
-        kw["tool_wrench"] = Wrench.from_vector(_csv(args.tool_wrench, "--tool-wrench"))
+        kw["tool_wrench"] = _csv(args.tool_wrench, "--tool-wrench")
     planar = {}
     for entry in args.planar_loop:
         name, _, rest = entry.partition(":")

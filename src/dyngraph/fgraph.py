@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -41,8 +42,7 @@ KIND_TAG = {Kind.ACCEL: "Vd", Kind.WRENCH: "F", Kind.JOINT_ACCEL: "qdd",
 _TAG_KIND = {tag: kind for kind, tag in KIND_TAG.items()}
 
 
-@dataclass(frozen=True, order=True)
-class VarKey:
+class VarKey(NamedTuple):
     """(kind, index) handle for one block variable, e.g. F3 or qdd1."""
 
     kind: Kind
@@ -326,10 +326,11 @@ def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
     def degree(v):
         return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
 
+    deg = {v: degree(v) for v in graph.variables}
     for group in groups:
         pool = set(group)
         while pool:
-            v = min(pool, key=lambda x: (degree(x), x))
+            v = min(pool, key=lambda x: (deg[x], x))
             order.append(v)
             pool.discard(v)
 
@@ -346,6 +347,9 @@ def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
                 for p in parents:
                     var_to_fids[p].add(next_fid)
                 next_fid += 1
+            # a pick changes only its parents' factor sets, so only their degrees move
+            for p in parents:
+                deg[p] = degree(p)
     return order
 
 

@@ -21,11 +21,7 @@ from .transcribe import GivenAccel, GivenTorque, JointState, ProblemSpec, _state
 
 
 def _as6(w) -> np.ndarray:
-    if w is None:
-        return np.zeros(6)
-    if hasattr(w, "as_vector"):
-        return w.as_vector()
-    return np.asarray(w, dtype=float).reshape(6)
+    return np.zeros(6) if w is None else np.asarray(w, dtype=float).reshape(6)
 
 
 def _check_tree(model: RobotModel):

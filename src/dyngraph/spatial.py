@@ -1,7 +1,8 @@
-"""Spatial algebra on SE(3): poses, twists, wrenches, inertias, adjoints.
+"""Spatial algebra on SE(3): poses, screw axes, inertias, adjoints.
 
-Six-vectors stack angular on top of linear. All values here are immutable
-and every operation is a pure function, so instances can be shared freely.
+Twists, accelerations and wrenches are plain float 6-vectors that stack
+angular on top of linear. All values here are immutable and every
+operation is a pure function, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -106,53 +107,6 @@ class Pose:
         return t
 
 
-class _Vec6:
-    """Shared behaviour of the (angular; linear) six-vector value types."""
-
-    angular: np.ndarray
-    linear: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angular", _freeze(self.angular, (3,)))
-        object.__setattr__(self, "linear", _freeze(self.linear, (3,)))
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_vector(cls, v):
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.angular, self.linear])
-
-
-@dataclass(frozen=True, eq=False)
-class Twist(_Vec6):
-    """Body velocity (omega; v) of a frame, expressed in that frame."""
-
-    angular: np.ndarray
-    linear: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Accel(_Vec6):
-    """Time derivative of a body twist, expressed in the body frame."""
-
-    angular: np.ndarray
-    linear: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Wrench(_Vec6):
-    """Moment and force (m; f), expressed in the frame that carries it."""
-
-    angular: np.ndarray
-    linear: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ScrewAxis:
     """Unit joint screw (omega_hat; v), expressed in the child body frame."""
@@ -218,7 +172,7 @@ def big_adjoint(pose: Pose) -> np.ndarray:
 
 def little_adjoint(twist) -> np.ndarray:
     """6x6 Lie bracket matrix [ad_V]: little_adjoint(V) @ W = [V, W]."""
-    v = twist.as_vector() if isinstance(twist, _Vec6) else np.asarray(twist, dtype=float)
+    v = np.asarray(twist, dtype=float)
     ad = np.zeros((6, 6))
     ad[:3, :3] = skew(v[:3])
     ad[3:, 3:] = skew(v[:3])

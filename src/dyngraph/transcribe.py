@@ -16,7 +16,7 @@ a planar mechanism cannot transmit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -34,9 +34,24 @@ from .fgraph import (
     nested_dissection_ordering,
 )
 from .model import JointKind, RobotModel
-from .spatial import Accel, Pose, Twist, Wrench, big_adjoint, little_adjoint
+from .spatial import Pose, big_adjoint, little_adjoint
 
 _LOOP_TOL = 1e-6
+
+
+def _finite(value, what: str, n: int | None = None) -> np.ndarray:
+    """`value` as a read-only float array of at least one dimension,
+    reshaped to (n,) when `n` is given. The ValueError for a wrong size or
+    a non-finite entry names `what`."""
+    a = np.atleast_1d(np.array(value, dtype=float))
+    if n is not None:
+        if a.size != n:
+            raise ValueError(f"{what} must have {n} entries, got shape {a.shape}")
+        a = a.reshape(n)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite, got {a}")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +62,10 @@ class JointState:
     qd: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        qd = np.atleast_1d(np.asarray(self.qd, dtype=float))
+        q = _finite(self.q, "q")
+        qd = _finite(self.qd, "qd")
         if q.shape != qd.shape or q.ndim != 1:
             raise ValueError("q and qd must be 1-d arrays of equal length")
-        q.setflags(write=False)
-        qd.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "qd", qd)
 
@@ -77,24 +90,28 @@ class ProblemSpec:
 
     `designations` aligns with the model's movable joints in declaration
     order. Unactuated joints (including loop joints) move freely, so the
-    factories designate them GivenTorque(0). `planar_loops` maps loop joint
-    names to plane normals expressed in the base body frame.
+    factories designate them GivenTorque(0). `base_accel` (in the base
+    frame) and `tool_wrench` (in the tool link's URDF frame) are 6-vectors
+    (angular; linear). `planar_loops` maps loop joint names to plane normals
+    expressed in the base body frame. Every value must be finite.
     """
 
     designations: tuple
-    base_accel: Accel = field(default_factory=Accel.zero)
-    tool_wrench: Wrench = field(default_factory=Wrench.zero)
+    base_accel: np.ndarray = (0.0,) * 6
+    tool_wrench: np.ndarray = (0.0,) * 6
     gravity: np.ndarray = (0.0, 0.0, -9.81)
     min_torque_prior: bool = False
     planar_loops: tuple = ()
 
     def __post_init__(self):
-        g = np.asarray(self.gravity, dtype=float).reshape(3)
-        g.setflags(write=False)
-        object.__setattr__(self, "gravity", g)
+        for what, n in (("gravity", 3), ("base_accel", 6), ("tool_wrench", 6)):
+            object.__setattr__(self, what, _finite(getattr(self, what), what, n))
+        for i, d in enumerate(self.designations):
+            if not np.isfinite(d.value):
+                raise ValueError(f"designations[{i}].value must be finite, got {d.value}")
         loops = []
         for name, normal in dict(self.planar_loops).items():
-            n = np.asarray(normal, dtype=float).reshape(3)
+            n = _finite(normal, f"planar loop {name} normal", 3)
             norm = np.linalg.norm(n)
             if norm < 1e-12:
                 raise ValueError(f"planar loop {name}: zero normal")
@@ -224,9 +241,10 @@ def _kinematics(model: RobotModel, state: JointState):
 
 
 def compute_twists(model: RobotModel, state: JointState) -> dict:
-    """Body twist of every link at the given state (base twist is zero)."""
+    """Body twist (angular; linear) of every link at the given state; the
+    base's is zero. These are the arrays `DynamicsResult.twists` holds."""
     _, _, twists, _ = _kinematics(model, state)
-    return {name: Twist.from_vector(v) for name, v in twists.items()}
+    return twists
 
 
 def link_poses(model: RobotModel, state: JointState) -> dict:
@@ -261,13 +279,11 @@ def _wrench_key(model: RobotModel, joint) -> VarKey:
 
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
-    return _build_graph(model, _kinematics(model, state), spec)
+    return _build_graph(model, _kinematics(model, state), spec, spec.by_joint(model))
 
 
-def _build_graph(model: RobotModel, kin, spec: ProblemSpec) -> FactorGraph:
+def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> FactorGraph:
     qd, poses, twists, adjoints = kin
-    des = spec.by_joint(model)
-    base_acc = spec.base_accel.as_vector()
     factors = []
 
     # acceleration factor per joint: Vd_child - Ad Vd_parent - A qdd = bias
@@ -281,12 +297,12 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec) -> FactorGraph:
         child_idx = model.link_map[j.child].index
         parent_idx = model.link_map[j.parent].index
         if child_idx == 0:
-            rhs = rhs - base_acc
+            rhs = rhs - spec.base_accel
             knowns.append("Vd0")
         else:
             blocks[VarKey(Kind.ACCEL, child_idx)] = np.eye(6)
         if parent_idx == 0:
-            rhs = rhs + ad @ base_acc
+            rhs = rhs + ad @ spec.base_accel
             knowns.append("Vd0")
         else:
             blocks[VarKey(Kind.ACCEL, parent_idx)] = -ad
@@ -329,9 +345,8 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec) -> FactorGraph:
             if l.child == link.name:
                 add(VarKey(Kind.WRENCH, l.index), -np.eye(6))
         if link.name == model.tool_link:
-            ft = spec.tool_wrench.as_vector()
-            if np.any(ft):
-                rhs = rhs - big_adjoint(link.com_offset).T @ ft
+            if np.any(spec.tool_wrench):
+                rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
                 knowns.append("Ft")
         factors.append(LinearFactor(blocks, rhs, name=f"balance[{link.name}]",
                                     knowns=tuple(knowns)))
@@ -425,14 +440,14 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     t0 = perf_counter()
     kin = _kinematics(model, state)
     _, _, twists, _ = kin
-    graph = _build_graph(model, kin, spec)
+    des = spec.by_joint(model)
+    graph = _build_graph(model, kin, spec, des)
     t1 = perf_counter()
     keys = resolve_ordering(graph, ordering, model)
     t2 = perf_counter()
     dag = eliminate(graph, keys)
     values = back_substitute(dag)
     t3 = perf_counter()
-    des = spec.by_joint(model)
 
     torques = {}
     accels = {}
@@ -444,7 +459,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         else:
             torques[j.name] = float(values[VarKey(Kind.TORQUE, j.index)][0])
             accels[j.name] = d.value
-    link_accels = {model.base: spec.base_accel.as_vector()}
+    link_accels = {model.base: spec.base_accel}
     for link in model.links:
         if link.index > 0:
             link_accels[link.name] = values[VarKey(Kind.ACCEL, link.index)]

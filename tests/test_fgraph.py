@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from dyngraph.errors import IncompatibleScheme, RankDeficient
 from dyngraph.fgraph import (
@@ -18,7 +20,7 @@ from dyngraph.fgraph import (
     solve,
 )
 from dyngraph.oracle import dense_solve, rnea_torques
-from dyngraph.transcribe import JointState, ProblemSpec, build_graph
+from dyngraph.transcribe import JointState, ProblemSpec, build_graph, resolve_ordering
 
 from conftest import random_state
 
@@ -263,6 +265,50 @@ class TestNestedDissection:
     def test_deterministic(self, three_r):
         _, gf, _ = three_r_graphs(three_r)
         assert nested_dissection_ordering(gf) == nested_dissection_ordering(gf)
+
+
+# full key sequences of the fill-reducing orderings: a change in degree
+# bookkeeping or tie-breaks shows here even when edge counts stay the same
+PINNED_SEQUENCES = {
+    ("six_r", "md"): "qdd1 F1 qdd2 Vd1 F2 qdd3 Vd2 F3 qdd4 Vd3 F4 qdd5 Vd4 F5 F6 Vd5 Vd6 qdd6",
+    ("six_r", "auto"): "qdd1 F1 qdd2 Vd1 F2 qdd3 Vd2 F3 qdd4 Vd3 F4 qdd5 Vd4 F5 F6 Vd5 Vd6 qdd6",
+    ("six_r", "nd"): "qdd6 Vd6 F5 qdd4 qdd5 Vd4 Vd5 F6 F3 F1 qdd1 qdd2 Vd1 qdd3 Vd2 F2 Vd3 F4",
+    ("five_bar", "md"): "qdd1 qdd3 F1 F3 qdd2 Vd1 F2 qdd4 Vd3 F4 F5 Vd2 Vd4 qdd5",
+    ("five_bar", "auto"): "qdd1 qdd3 F1 F3 qdd2 Vd1 F2 qdd4 Vd3 F4 qdd5 Vd2 Vd4 F5",
+    ("five_bar", "nd"): "F3 F4 qdd3 qdd4 Vd3 qdd2 qdd5 Vd2 qdd1 F1 Vd1 F2 Vd4 F5",
+}
+
+
+@pytest.mark.parametrize("fixture,ordering", sorted(PINNED_SEQUENCES))
+def test_forward_ordering_sequence_pinned(request, five_bar_kin, fixture, ordering):
+    model = request.getfixturevalue(fixture)
+    if fixture == "five_bar":
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        spec = ProblemSpec.forward(model, np.array([0.5, -0.3]),
+                                   planar_loops={"j5": (0.0, 0.0, 1.0)})
+    else:
+        st = JointState(np.full(6, 0.2), np.full(6, 0.1))
+        spec = ProblemSpec.forward(model, np.zeros(6))
+    keys = resolve_ordering(build_graph(model, st, spec), ordering, model)
+    assert " ".join(map(str, keys)) == PINNED_SEQUENCES[fixture, ordering]
+
+
+class TestVarKeyProperties:
+    keys = hs.builds(VarKey, hs.sampled_from(list(Kind)), hs.integers(0, 10**6))
+
+    @given(keys)
+    def test_parse_inverts_str(self, k):
+        assert VarKey.parse(str(k)) == k
+
+    @given(hs.lists(keys))
+    def test_sorted_by_kind_then_index(self, ks):
+        assert sorted(ks) == sorted(ks, key=lambda k: (int(k.kind), k.index))
+
+    @given(keys)
+    def test_equal_keys_hash_equal(self, k):
+        twin = VarKey(Kind(int(k.kind)), int(k.index))
+        assert twin == k and twin is not k
+        assert hash(twin) == hash(k) == hash((k.kind, k.index))
 
 
 class TestClassicOrdering:

@@ -1,14 +1,17 @@
-"""The README's code and numbers: the quick start runs as printed, and the
-edge-count table is what the orderings produce."""
+"""The README's code and numbers: the quick start runs as printed, the
+quoted closed-loop error is what the CLI prints, and the edge-count table
+is what the orderings produce."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
 
+from dyngraph.cli import main
 from dyngraph.fgraph import eliminate
 from dyngraph.transcribe import JointState, ProblemSpec, build_graph, resolve_ordering
 
@@ -35,6 +38,21 @@ def test_quick_start_prints_documented_torques(monkeypatch):
     printed = out.getvalue().splitlines()[0]
     for name, prefix in documented:
         assert re.search(rf"'{name}': {re.escape(prefix)}", printed), printed
+
+
+def test_loop_without_planar_factor_prints_quoted_error(monkeypatch, capsys):
+    section = README[README.index("### Closed loops"):]
+    command = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    quoted = re.search(r"Without `--planar-loop` the same command exits 1 with\s+`([^`]+)`",
+                       section).group(1)
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert argv[:3] == ["python3", "-m", "dyngraph"]
+    argv = argv[3:]
+    cut = argv.index("--planar-loop")
+    del argv[cut:cut + 2]
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"error: {quoted}"
 
 
 @pytest.mark.parametrize("fixture,kind,ordering,edges", [

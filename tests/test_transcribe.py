@@ -1,12 +1,13 @@
 """Graph construction from robot state: twists, factors, loops, priors."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dyngraph.errors import InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import Kind, VarKey
 from dyngraph.model import Joint
-from dyngraph.spatial import Accel, Wrench
 from dyngraph.oracle import rnea_full, rnea_torques
 from dyngraph.transcribe import (
     JointState,
@@ -28,13 +29,13 @@ class TestComputeTwists:
     def test_zero_rates_zero_twists(self, three_r):
         st = JointState(np.array([0.4, -1.1, 0.2]), np.zeros(3))
         for tw in compute_twists(three_r, st).values():
-            assert np.abs(tw.as_vector()).max() == 0.0
+            assert np.abs(tw).max() == 0.0
 
     def test_single_joint_scales_axis(self, pendulum):
         st = JointState(np.array([0.7]), np.array([2.0]))
         tw = compute_twists(pendulum, st)["bob"]
         axis = pendulum.tree_joints[0].axis.vector
-        np.testing.assert_allclose(tw.as_vector(), 2.0 * axis, atol=1e-14)
+        np.testing.assert_allclose(tw, 2.0 * axis, atol=1e-14)
 
     def test_matches_differentiated_kinematics(self, three_r):
         # body-frame linear velocity equals R^T d/dt(origin), with the
@@ -52,8 +53,18 @@ class TestComputeTwists:
                 pose = link_poses(three_r, st)[link]
                 tw = compute_twists(three_r, st)[link]
                 np.testing.assert_allclose(
-                    pose.rotation.T @ v_world, tw.linear, atol=1e-5
+                    pose.rotation.T @ v_world, tw[3:], atol=1e-5
                 )
+
+    def test_same_arrays_as_solve(self, three_r):
+        rng = np.random.default_rng(205)
+        st = random_state(rng, 3)
+        twists = compute_twists(three_r, st)
+        solved = solve_dynamics(three_r, st, ProblemSpec.inverse(three_r, np.zeros(3))).twists
+        assert twists.keys() == solved.keys()
+        for name, tw in twists.items():
+            assert tw.shape == (6,)
+            np.testing.assert_array_equal(tw, solved[name])
 
     def test_consistent_loop_rates_accepted(self, five_bar, five_bar_kin):
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -65,6 +76,34 @@ class TestComputeTwists:
         qd[1] += 1e-3
         with pytest.raises(InconsistentLoopState):
             compute_twists(five_bar, JointState(st.q, qd))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("field,make", [
+        ("q", lambda m: JointState([0.1, NAN, 0.3], np.zeros(3))),
+        ("q", lambda m: JointState([0.1, INF, 0.3], np.zeros(3))),
+        ("qd", lambda m: JointState(np.zeros(3), [0.0, 0.0, -INF])),
+        ("gravity", lambda m: ProblemSpec.inverse(m, np.zeros(3), gravity=(0.0, NAN, 0.0))),
+        ("base_accel", lambda m: ProblemSpec.inverse(
+            m, np.zeros(3), base_accel=[0.0, 0.0, 0.0, 0.0, 0.0, INF])),
+        ("tool_wrench", lambda m: ProblemSpec.inverse(
+            m, np.zeros(3), tool_wrench=[NAN, 0.0, 0.0, 0.0, 0.0, 0.0])),
+        ("planar loop j5 normal", lambda m: ProblemSpec.forward(
+            m, np.zeros(3), planar_loops={"j5": (0.0, 0.0, NAN)})),
+        ("designations", lambda m: ProblemSpec.forward(m, [0.0, NAN, 0.0])),
+        ("designations", lambda m: ProblemSpec.hybrid(
+            m, {"j1": {"torque": 0.0}, "j2": {"accel": INF}, "j3": {"torque": 0.0}})),
+    ])
+    def test_non_finite_input_names_field(self, three_r, field, make):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b.*finite"):
+            make(three_r)
+
+    def test_short_base_accel_names_field(self, three_r):
+        with pytest.raises(ValueError, match=r"^base_accel must have 6 entries"):
+            ProblemSpec.inverse(three_r, np.zeros(3), base_accel=np.zeros(5))
 
 
 class TestBuildGraph:
@@ -143,7 +182,7 @@ class TestBuildGraph:
         st = random_state(rng, 3)
         wrench = rng.uniform(-2, 2, 6)
         spec = ProblemSpec.inverse(
-            three_r, np.zeros(3), gravity=GRAVITY_Y, tool_wrench=Wrench.from_vector(wrench)
+            three_r, np.zeros(3), gravity=GRAVITY_Y, tool_wrench=wrench
         )
         res = solve_dynamics(three_r, st, spec)
         tau = np.array([res.torques[j.name] for j in three_r.tree_joints])
@@ -157,7 +196,7 @@ class TestBuildGraph:
         st = random_state(rng, 3)
         base = rng.uniform(-1, 1, 6)
         spec = ProblemSpec.inverse(
-            three_r, np.zeros(3), gravity=GRAVITY_Y, base_accel=Accel.from_vector(base)
+            three_r, np.zeros(3), gravity=GRAVITY_Y, base_accel=base
         )
         res = solve_dynamics(three_r, st, spec)
         tau = np.array([res.torques[j.name] for j in three_r.tree_joints])
