@@ -7,6 +7,12 @@ graph into a DAG of conditionals (a solved triangular form); the amount of
 fill-in created depends only on the ordering, which is the whole point:
 classical recursive dynamics algorithms fall out as particular orderings.
 
+Elimination runs in two phases. The symbolic one (`plan_elimination`)
+reads only each factor's keys and row count plus the ordering, and fixes
+every step's factors, parents and column layout; it is memoised by the
+graph's structure, so graphs that differ only in their numbers share it.
+The numeric one (`eliminate`) stacks the blocks and reduces them.
+
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
 hard rows (weight 1) pulls them off exact satisfaction instead of acting
@@ -15,12 +21,16 @@ only on the null space they leave.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property, lru_cache
+from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from .errors import IncompatibleScheme, RankDeficient
 
@@ -115,11 +125,23 @@ class LinearFactor:
 
 
 class FactorGraph:
-    """Immutable collection of factors over a variable set."""
+    """Immutable collection of factors over a variable set.
+
+    `structure` is the factor sequence reduced to each factor's keys and row
+    count: the only input an elimination plan depends on besides the
+    ordering. `variables`, `adjacency` and `structure` are computed on first
+    use.
+    """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
-        self.variables = tuple(sorted({k for f in self.factors for k in f.blocks}))
+
+    @cached_property
+    def variables(self) -> tuple:
+        return tuple(sorted({k for f in self.factors for k in f.blocks}))
+
+    @cached_property
+    def adjacency(self) -> dict:
         adj = {v: set() for v in self.variables}
         for f in self.factors:
             ks = f.keys()
@@ -127,7 +149,11 @@ class FactorGraph:
                 for b in ks:
                     if a != b:
                         adj[a].add(b)
-        self.adjacency = {v: frozenset(s) for v, s in adj.items()}
+        return {v: frozenset(s) for v, s in adj.items()}
+
+    @cached_property
+    def structure(self) -> tuple:
+        return tuple((f.keys(), f.rows) for f in self.factors)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -178,108 +204,260 @@ class EliminationDag:
         return [(c.frontal, p) for c in self.conditionals for p in c.parents]
 
 
+class PlanStep(NamedTuple):
+    """One elimination step, fixed by the graph's structure and the ordering.
+
+    The stack for `var` holds the graph factors `factors`, then the product
+    factors `products` left by earlier steps (both ascending), in columns
+    `var`, `parents` (by elimination position) and the rhs last; `offsets`
+    maps each variable to its first column. `scatter[i]` lists the stack
+    column of each column of `products[i]`. `rows` counts the graph factors'
+    rows. `budget` is min(stacked rows - dim, parent dims) with the
+    products at their budgets: the most rows an orthogonal reduction leaves
+    on the parents. `product` is the id of the factor it leaves, -1 when it
+    leaves none.
+    """
+
+    var: VarKey
+    factors: tuple
+    products: tuple
+    scatter: tuple
+    parents: tuple
+    offsets: dict
+    width: int
+    rows: int
+    budget: int
+    product: int
+
+
+class EliminationPlan(NamedTuple):
+    """Symbolic elimination: the ordering and every step's bookkeeping.
+
+    It depends only on each factor's keys and row count (the graph's
+    `structure`) and on the ordering, so one plan serves every graph of the
+    same structure, whatever its numbers.
+    """
+
+    ordering: tuple
+    steps: tuple
+    edge_count: int
+    fill_in: int
+
+
+def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
+    """Simulate elimination on the factors' key sets and row counts.
+
+    `groups` (default: all variables in one) is an ordered list of disjoint
+    variable sets covering the graph (ValueError otherwise). Every variable
+    of a group is eliminated before any of the next; inside a group the
+    pick is greedy minimum degree, ties broken on the lowest (kind, index),
+    so a sequence of one-variable groups is a fixed ordering. Degree counts
+    distinct neighbors in the current factor adjacency. After each pick the
+    touched factors merge into one product factor whose row budget is
+    capped by what an orthogonal reduction can leave behind, so merged
+    factors that reduce to nothing drop their connections (this happens
+    whenever a variable is fully determined by its factors).
+    """
+    if groups is None:
+        groups = [graph.variables]
+    elif sorted(v for g in groups for v in g) != list(graph.variables):
+        raise ValueError("ordering is not a permutation of the graph's variables")
+    n_graph = len(graph.factors)
+    factors = {}
+    var_to_fids = {v: set() for v in graph.variables}
+    for fid, (keys, rows) in enumerate(graph.structure):
+        factors[fid] = (frozenset(keys), rows)
+        for k in keys:
+            var_to_fids[k].add(fid)
+    next_fid = n_graph
+    order = []
+    picked = []
+
+    def degree(v):
+        return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
+
+    greedy = any(len(g) > 1 for g in groups)
+    deg = {v: degree(v) for v in graph.variables} if greedy else None
+    for group in groups:
+        pool = set(group)
+        while pool:
+            v = min(pool, key=lambda x: (deg[x], x)) if len(pool) > 1 else next(iter(pool))
+            order.append(v)
+            pool.discard(v)
+
+            fids = sorted(var_to_fids[v])
+            parents = frozenset(k for fid in fids for k in factors[fid][0]) - {v}
+            rows = sum(factors[fid][1] for fid in fids)
+            for fid in fids:
+                for k in factors[fid][0]:
+                    var_to_fids[k].discard(fid)
+                del factors[fid]
+            budget = min(rows - v.dim, sum(p.dim for p in parents))
+            product = -1
+            if parents and budget > 0:
+                product = next_fid
+                factors[product] = (parents, budget)
+                for p in parents:
+                    var_to_fids[p].add(product)
+                next_fid += 1
+            picked.append((v, fids, parents, budget, product))
+            # a pick changes only its parents' factor sets, so only their degrees move
+            if greedy:
+                for p in parents:
+                    deg[p] = degree(p)
+
+    # parents are ordered by elimination position, known once every pick is
+    position = {v: i for i, v in enumerate(order)}
+    graph_rows = [rows for _, rows in graph.structure]
+    product_parents = {}
+    steps = []
+    edge_count = fill_in = 0
+    for v, fids, parent_set, budget, product in picked:
+        parents = tuple(sorted(parent_set, key=position.__getitem__))
+        offsets = {v: 0}
+        c = v.dim
+        for p in parents:
+            offsets[p] = c
+            c += p.dim
+        own = tuple(fid for fid in fids if fid < n_graph)
+        made = tuple(fid for fid in fids if fid >= n_graph)
+        scatter = tuple(
+            np.array([col for p in product_parents.pop(fid)
+                      for col in range(offsets[p], offsets[p] + p.dim)] + [c])
+            for fid in made)
+        if product >= 0:
+            product_parents[product] = parents
+        steps.append(PlanStep(v, own, made, scatter, parents, offsets, c + 1,
+                              sum(graph_rows[fid] for fid in own), budget, product))
+        edge_count += len(parents)
+        fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
+    return EliminationPlan(tuple(order), tuple(steps), edge_count, fill_in)
+
+
+_PLAN_MEMO_SIZE = 64
+_plans: OrderedDict = OrderedDict()
+_plans_lock = Lock()
+
+
+def memo_plan(graph: FactorGraph, request, make) -> EliminationPlan:
+    """The plan memoised for (graph.structure, request), or make() on a miss.
+
+    `request` is any hashable description of the ordering. A plan made here
+    is also memoised under its own key sequence, so eliminating with the
+    ordering it resolved to reuses it. The memo keeps the most recently
+    used _PLAN_MEMO_SIZE entries.
+    """
+    key = (graph.structure, request)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    plan = make()
+    with _plans_lock:
+        for k in (key, (graph.structure, plan.ordering)):
+            _plans[k] = plan
+            _plans.move_to_end(k)
+        while len(_plans) > _PLAN_MEMO_SIZE:
+            _plans.popitem(last=False)
+    return plan
+
+
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     """Eliminate every variable in the given order, producing a DAG.
 
-    Per frontal variable, the rows of every factor touching it are stacked
-    and orthogonally reduced; the leading block rows become the variable's
-    conditional and the remainder becomes a new factor over the parents.
+    The plan for the ordering (memoised by the graph's structure) fixes
+    which factors each step stacks and where their columns go; per frontal
+    variable the stacked rows are orthogonally reduced, the leading block
+    rows become the variable's conditional and the remainder, less rows
+    left with no parent coefficient, becomes a new factor over the parents.
     Raises RankDeficient if a frontal block does not determine its variable.
     """
     ordering = tuple(ordering)
-    if sorted(ordering) != sorted(graph.variables):
-        raise ValueError("ordering is not a permutation of the graph's variables")
-    position = {v: i for i, v in enumerate(ordering)}
-
-    # mutable working copies, rows pre-scaled by weight
-    work = {}
-    var_to_fids = {v: set() for v in ordering}
-    for fid, f in enumerate(graph.factors):
-        work[fid] = ({k: f.weight * a for k, a in f.blocks.items()},
-                     f.weight * f.rhs)
-        for k in f.blocks:
-            var_to_fids[k].add(fid)
-    next_fid = len(graph.factors)
-
+    plan = memo_plan(graph, ordering,
+                     lambda: plan_elimination(graph, [(v,) for v in ordering]))
+    factors = graph.factors
+    made = {}
     conditionals = []
-    fill_in = 0
     leftover = []
-
-    for v in ordering:
+    for st in plan.steps:
+        v = st.var
         dv = v.dim
-        fids = sorted(var_to_fids[v])
-        if not fids:
+        products = [made.pop(fid) for fid in st.products]
+        m = st.rows + sum(a.shape[0] for a in products)
+        if m == 0:
             raise RankDeficient(v, "no factor constrains this variable")
-        parents = sorted({k for fid in fids for k in work[fid][0] if k != v},
-                         key=lambda k: position[k])
-        m = sum(work[fid][1].shape[0] for fid in fids)
         if m < dv:
             raise RankDeficient(v, f"{m} constraint rows for {dv} dimensions")
 
-        cols = dv + sum(p.dim for p in parents) + 1
-        stacked = np.zeros((m, cols))
-        offs = {}
-        c = dv
-        for p in parents:
-            offs[p] = c
-            c += p.dim
+        # rows pre-scaled by weight
+        stacked = np.zeros((m, st.width))
         r = 0
-        for fid in fids:
-            blocks, rhs = work[fid]
-            n = rhs.shape[0]
-            for k, a in blocks.items():
-                c0 = 0 if k == v else offs[k]
-                stacked[r:r + n, c0:c0 + (dv if k == v else k.dim)] = a
-            stacked[r:r + n, -1] = rhs
+        for fid in st.factors:
+            f = factors[fid]
+            n = f.rows
+            rows = stacked[r:r + n]
+            for k, a in f.blocks.items():
+                c0 = st.offsets[k]
+                rows[:, c0:c0 + a.shape[1]] = a
+            rows[:, -1] = f.rhs
+            if f.weight != 1.0:
+                rows *= f.weight
             r += n
+        for a, cols in zip(products, st.scatter):
+            stacked[r:r + a.shape[0], cols] = a
+            r += a.shape[0]
 
-        rmat = np.linalg.qr(stacked, mode="r")
+        rmat = _r_factor(stacked)
         diag = rmat[:dv, :dv]
-        sv = np.linalg.svd(diag, compute_uv=False)
+        # a 1x1 block's one singular value is its entry's magnitude
+        sv = (abs(diag[0, 0]),) if dv == 1 else dgesdd(diag, compute_uv=0)[1]
         if sv[0] == 0.0 or sv[-1] <= 1e-9 * sv[0]:
             raise RankDeficient(v, f"frontal block rank below {dv}")
         conditionals.append(Conditional(
             frontal=v,
-            parents=tuple(parents),
+            parents=st.parents,
             diag=diag,
-            parent_blocks={p: rmat[:dv, offs[p]:offs[p] + p.dim] for p in parents},
+            parent_blocks={p: rmat[:dv, st.offsets[p]:st.offsets[p] + p.dim]
+                           for p in st.parents},
             rhs=rmat[:dv, -1].copy(),
         ))
-        fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
-
-        for fid in fids:
-            for k in work[fid][0]:
-                if k != v:
-                    var_to_fids[k].discard(fid)
-            del work[fid]
 
         rest = rmat[dv:]
-        if rest.shape[0]:
-            coef = rest[:, dv:-1]
-            scale = max(1.0, float(np.max(np.abs(rmat))))
-            if coef.size:
-                live = np.max(np.abs(coef), axis=1) > 1e-12 * scale
-            else:
-                live = np.zeros(rest.shape[0], dtype=bool)
-            leftover.extend(rest[~live, -1])
-            if parents and np.any(live):
-                kept = rest[live]
-                work[next_fid] = (
-                    {p: kept[:, offs[p]:offs[p] + p.dim] for p in parents},
-                    kept[:, -1].copy(),
-                )
-                for p in parents:
-                    var_to_fids[p].add(next_fid)
-                next_fid += 1
+        coef = rest[:, dv:-1]
+        if coef.size:
+            scale = max(1.0, float(np.abs(rmat).max()))
+            live = np.abs(coef).max(axis=1) > 1e-12 * scale
+        else:
+            live = np.zeros(rest.shape[0], dtype=bool)
+        leftover.extend(rest[~live, -1])
+        if st.product >= 0:
+            # empty when every row died numerically: the plan's structure
+            # stands, and the parents' columns from it stay zero
+            made[st.product] = rest[live, dv:]
 
     return EliminationDag(
         conditionals=tuple(conditionals),
-        ordering=ordering,
-        edge_count=sum(len(c.parents) for c in conditionals),
-        fill_in=fill_in,
+        ordering=plan.ordering,
+        edge_count=plan.edge_count,
+        fill_in=plan.fill_in,
         leftover=np.array(leftover, dtype=float),
         graph=graph,
     )
+
+
+@lru_cache(maxsize=256)
+def _strict_lower(rows: int, cols: int) -> np.ndarray:
+    return np.tri(rows, cols, -1, dtype=bool)
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """The R of a = QR, min(rows, cols) rows: LAPACK's Householder QR, as
+    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost."""
+    qr = dgeqrf(a)[0]
+    r = np.array(qr[:min(a.shape)], order="C")
+    r[_strict_lower(*r.shape)] = 0.0
+    return r
 
 
 def back_substitute(dag: EliminationDag) -> dict:
@@ -298,59 +476,9 @@ def solve(graph: FactorGraph, ordering) -> dict:
 
 
 def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
-    """Greedy minimum-degree ordering on a symbolic elimination simulation.
-
-    Degree counts distinct neighbors in the current factor adjacency; after
-    each pick the touched factors are merged into one product factor whose
-    row budget is capped by what an orthogonal reduction can leave behind,
-    so merged factors that reduce to nothing drop their connections (this
-    happens whenever a variable is fully determined by its factors).
-    Ties break on the lowest (kind, index).
-
-    `groups` (default: all variables in one) is an ordered list of disjoint
-    variable sets covering the graph. Every variable of a group is
-    eliminated before any of the next; the greedy pick runs inside the
-    current group, on a simulation that carries over from earlier groups.
-    """
-    if groups is None:
-        groups = [graph.variables]
-    factors = {}
-    var_to_fids = {v: set() for v in graph.variables}
-    for fid, f in enumerate(graph.factors):
-        factors[fid] = (frozenset(f.blocks), f.rows)
-        for k in f.blocks:
-            var_to_fids[k].add(fid)
-    next_fid = len(factors)
-    order = []
-
-    def degree(v):
-        return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
-
-    deg = {v: degree(v) for v in graph.variables}
-    for group in groups:
-        pool = set(group)
-        while pool:
-            v = min(pool, key=lambda x: (deg[x], x))
-            order.append(v)
-            pool.discard(v)
-
-            fids = list(var_to_fids[v])
-            parents = frozenset(k for fid in fids for k in factors[fid][0]) - {v}
-            rows = sum(factors[fid][1] for fid in fids)
-            for fid in fids:
-                for k in factors[fid][0]:
-                    var_to_fids[k].discard(fid)
-                del factors[fid]
-            new_rows = min(rows - v.dim, sum(p.dim for p in parents))
-            if parents and new_rows > 0:
-                factors[next_fid] = (parents, new_rows)
-                for p in parents:
-                    var_to_fids[p].add(next_fid)
-                next_fid += 1
-            # a pick changes only its parents' factor sets, so only their degrees move
-            for p in parents:
-                deg[p] = degree(p)
-    return order
+    """Greedy minimum-degree ordering: the ordering `plan_elimination`
+    picks for `groups` (see there)."""
+    return list(plan_elimination(graph, groups).ordering)
 
 
 def _components(adj, sub):
@@ -382,15 +510,15 @@ def _bfs_levels(adj, sub, start):
         levels.append(nxt)
 
 
-def nested_dissection_ordering(graph: FactorGraph) -> list:
-    """Recursive bisection ordering: both halves first, separator last.
+def nested_dissection_groups(graph: FactorGraph) -> list:
+    """Recursive bisection: both halves first, separator last.
 
     The separator is a breadth-first level from a pseudo-peripheral start
     vertex, chosen to balance the halves and thinned to the vertices that
     actually touch the far half; level vertices with no far-side neighbor
-    drop into the near half. Bisection stops at three or fewer variables;
-    the leaf subsets and separators become the `groups` of
-    `min_degree_ordering`, which orders the variables inside each group.
+    drop into the near half. Bisection stops at three or fewer variables.
+    Returns the leaf subsets and separators in elimination order, the
+    `groups` of `plan_elimination`.
     """
     adj = graph.adjacency
 
@@ -418,7 +546,13 @@ def nested_dissection_ordering(graph: FactorGraph) -> list:
         _, separator, before, after = best
         return dissect(before) + dissect(after) + [separator]
 
-    return min_degree_ordering(graph, dissect(set(graph.variables)))
+    return dissect(set(graph.variables))
+
+
+def nested_dissection_ordering(graph: FactorGraph) -> list:
+    """Nested dissection ordering: min-degree inside the groups of
+    `nested_dissection_groups`."""
+    return min_degree_ordering(graph, nested_dissection_groups(graph))
 
 
 def classic_ordering(graph: FactorGraph, scheme) -> list:

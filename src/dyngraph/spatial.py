@@ -57,7 +57,10 @@ class Pose:
     """Rigid transform: ``rotation`` in SO(3) plus ``translation``.
 
     A Pose written T_ab is the pose of frame b expressed in frame a; it maps
-    b-coordinates into a-coordinates.
+    b-coordinates into a-coordinates. Construction checks that the rotation
+    is orthonormal with determinant +1 and that both parts are finite;
+    composing and inverting validated poses, and `exp_screw` of a unit
+    screw, yield rotations in SO(3) by construction and skip the check.
     """
 
     rotation: np.ndarray
@@ -66,16 +69,30 @@ class Pose:
     def __post_init__(self):
         r = _freeze(self.rotation, (3, 3))
         p = _freeze(self.translation, (3,))
-        if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
+        # written as not (x <= tol) so that a NaN fails
+        if not np.max(np.abs(r.T @ r - np.eye(3))) <= _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal")
-        if np.linalg.det(r) < 0.0:
+        if not np.linalg.det(r) > 0.0:
             raise ValueError("rotation is a reflection, det must be +1")
+        if not np.isfinite(p).all():
+            raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", p)
 
     @classmethod
+    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """A pose from freshly computed arrays whose rotation is in SO(3) by
+        construction (a product of validated rotations); skips the check."""
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
+
+    @classmethod
     def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
+        return cls._unchecked(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_xyz_rpy(cls, xyz=(0.0, 0.0, 0.0), rpy=(0.0, 0.0, 0.0)) -> "Pose":
@@ -87,15 +104,15 @@ class Pose:
         return cls(t[:3, :3], t[:3, 3])
 
     def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
+        return Pose._unchecked(self.rotation @ other.rotation,
+                           self.rotation @ other.translation + self.translation)
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return self.compose(other)
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
-        return Pose(rt, -rt @ self.translation)
+        return Pose._unchecked(rt, -rt @ self.translation)
 
     def transform_point(self, p) -> np.ndarray:
         return self.rotation @ np.asarray(p, dtype=float) + self.translation
@@ -109,12 +126,20 @@ class Pose:
 
 @dataclass(frozen=True, eq=False)
 class ScrewAxis:
-    """Unit joint screw (omega_hat; v), expressed in the child body frame."""
+    """Unit joint screw (omega_hat; v), expressed in the child body frame.
+
+    The angular part has unit length, or is zero for a pure translation.
+    """
 
     vector: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", _freeze(self.vector, (6,)))
+        v = _freeze(self.vector, (6,))
+        norm = np.linalg.norm(v[:3])
+        unit_or_zero = norm < 1e-12 or abs(norm - 1.0) <= _ORTHO_TOL
+        if not (unit_or_zero and np.isfinite(v).all()):
+            raise ValueError(f"screw axis needs a unit or zero angular part, got {v}")
+        object.__setattr__(self, "vector", v)
 
     @property
     def angular(self) -> np.ndarray:
@@ -182,16 +207,18 @@ def little_adjoint(twist) -> np.ndarray:
 
 def exp_screw(axis: ScrewAxis, angle: float) -> Pose:
     """Exponential of a screw: the pose reached after ``angle`` along ``axis``."""
+    if not math.isfinite(angle):
+        raise ValueError(f"screw angle must be finite, got {angle}")
     w = axis.angular
     v = axis.linear
     if np.linalg.norm(w) < 1e-12:
-        return Pose(np.eye(3), v * angle)
+        return Pose._unchecked(np.eye(3), v * angle)
     k = skew(w)
     r = rotation_about(w, angle)
     g = (np.eye(3) * angle
          + (1.0 - math.cos(angle)) * k
          + (angle - math.sin(angle)) * (k @ k))
-    return Pose(r, g @ v)
+    return Pose._unchecked(r, g @ v)
 
 
 def joint_transform(rest_offset: Pose, axis: ScrewAxis | None, angle: float) -> Pose:

@@ -17,6 +17,7 @@ a planar mechanism cannot transmit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -30,8 +31,9 @@ from .fgraph import (
     back_substitute,
     classic_ordering,
     eliminate,
-    min_degree_ordering,
-    nested_dissection_ordering,
+    memo_plan,
+    nested_dissection_groups,
+    plan_elimination,
 )
 from .model import JointKind, RobotModel
 from .spatial import Pose, big_adjoint, little_adjoint
@@ -107,6 +109,9 @@ class ProblemSpec:
         for what, n in (("gravity", 3), ("base_accel", 6), ("tool_wrench", 6)):
             object.__setattr__(self, what, _finite(getattr(self, what), what, n))
         for i, d in enumerate(self.designations):
+            if not isinstance(d, (GivenAccel, GivenTorque)):
+                raise ValueError(f"designations[{i}] must be GivenAccel or "
+                                 f"GivenTorque, got {d!r}")
             if not np.isfinite(d.value):
                 raise ValueError(f"designations[{i}].value must be finite, got {d.value}")
         loops = []
@@ -226,14 +231,15 @@ def _kinematics(model: RobotModel, state: JointState):
         adjoints[l.name] = big_adjoint(t_cp)
         tree_cp = poses[l.child].inverse() @ poses[l.parent]
         pos_res = float(np.max(np.abs(tree_cp.matrix() - t_cp.matrix())))
-        if pos_res > _LOOP_TOL:
+        # written as not (res <= tol) so that a NaN residual fails
+        if not pos_res <= _LOOP_TOL:
             raise InconsistentLoopState(
                 f"loop joint {l.name}: closure violated at position level "
                 f"(residual {pos_res:.3e})")
         vel = twists[l.child] - adjoints[l.name] @ twists[l.parent] \
             - l.axis.vector * qd[l.name]
         vel_res = float(np.max(np.abs(vel)))
-        if vel_res > _LOOP_TOL:
+        if not vel_res <= _LOOP_TOL:
             raise InconsistentLoopState(
                 f"loop joint {l.name}: rates violate the loop constraint "
                 f"(residual {vel_res:.3e})")
@@ -282,8 +288,33 @@ def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> Fact
     return _build_graph(model, _kinematics(model, state), spec, spec.by_joint(model))
 
 
+def _frozen(a) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# blocks shared by every graph; factors only read them
+_EYE6 = _frozen(np.eye(6))
+_NEG_EYE6 = _frozen(-np.eye(6))
+_EYE1 = _frozen(np.eye(1))
+_NEG_EYE1 = _frozen(-np.eye(1))
+
+
+@lru_cache(maxsize=16)
+def _model_blocks(model: RobotModel):
+    """State-independent blocks of a model's graphs: each link's 6x6
+    spatial inertia by link name, each joint's negated screw axis as a
+    6x1 column by joint name."""
+    inertia = {l.name: _frozen(l.inertia.matrix()) for l in model.links
+               if l.inertia is not None}
+    neg_axis = {j.name: _frozen(-j.axis.vector.reshape(6, 1)) for j in model.joints
+                if j.axis is not None}
+    return inertia, neg_axis
+
+
 def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> FactorGraph:
     qd, poses, twists, adjoints = kin
+    inertia, neg_axis = _model_blocks(model)
     factors = []
 
     # acceleration factor per joint: Vd_child - Ad Vd_parent - A qdd = bias
@@ -300,7 +331,7 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
             rhs = rhs - spec.base_accel
             knowns.append("Vd0")
         else:
-            blocks[VarKey(Kind.ACCEL, child_idx)] = np.eye(6)
+            blocks[VarKey(Kind.ACCEL, child_idx)] = _EYE6
         if parent_idx == 0:
             rhs = rhs + ad @ spec.base_accel
             knowns.append("Vd0")
@@ -312,8 +343,7 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
                 rhs = rhs + j.axis.vector * d.value
                 knowns.append(f"qdd{j.index}")
             else:
-                blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = \
-                    -j.axis.vector.reshape(6, 1)
+                blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = neg_axis[j.name]
         factors.append(LinearFactor(blocks, rhs, name=f"accel[{j.name}]",
                                     knowns=tuple(knowns)))
 
@@ -327,10 +357,10 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
         def add(key, mat):
             blocks[key] = blocks.get(key, 0.0) + mat
 
-        add(VarKey(Kind.WRENCH, link.index), -np.eye(6))
+        add(VarKey(Kind.WRENCH, link.index), _NEG_EYE6)
         rhs = np.zeros(6)
         if link.inertia is not None:
-            g_mat = link.inertia.matrix()
+            g_mat = inertia[link.name]
             add(VarKey(Kind.ACCEL, link.index), g_mat)
             v = twists[link.name]
             rhs = little_adjoint(v).T @ (g_mat @ v)
@@ -343,7 +373,7 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
             if l.parent == link.name:
                 add(VarKey(Kind.WRENCH, l.index), adjoints[l.name].T)
             if l.child == link.name:
-                add(VarKey(Kind.WRENCH, l.index), -np.eye(6))
+                add(VarKey(Kind.WRENCH, l.index), _NEG_EYE6)
         if link.name == model.tool_link:
             if np.any(spec.tool_wrench):
                 rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
@@ -362,14 +392,14 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
                                         knowns=(f"tau{j.index}",)))
         else:
             factors.append(LinearFactor(
-                {fkey: row, VarKey(Kind.TORQUE, j.index): np.array([[-1.0]])},
+                {fkey: row, VarKey(Kind.TORQUE, j.index): _NEG_EYE1},
                 rhs=np.zeros(1), name=f"torque[{j.name}]"))
 
     if spec.min_torque_prior:
         for j in model.movable_joints:
             if isinstance(des[j.name], GivenAccel):
                 factors.append(LinearFactor(
-                    {VarKey(Kind.TORQUE, j.index): np.eye(1)}, rhs=np.zeros(1),
+                    {VarKey(Kind.TORQUE, j.index): _EYE1}, rhs=np.zeros(1),
                     weight=1e-3, name=f"prior[{j.name}]"))
 
     planar_names = {name for name, _ in spec.planar_loops}
@@ -390,8 +420,9 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
 class DynamicsResult:
     """Solved dynamics at one state: per-joint and per-link quantities,
     plus the graph and DAG they came from. Build time covers kinematics
-    and factor construction; solve time covers elimination and
-    back-substitution only."""
+    and factor construction; solve time covers resolving the ordering
+    (a memo lookup when the problem structure repeats), elimination and
+    back-substitution."""
 
     values: dict
     torques: dict
@@ -409,22 +440,32 @@ class DynamicsResult:
 
 def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel = None):
     """Turn an ordering request (scheme name, "auto", "md", "nd", or an
-    explicit key sequence) into a list of VarKeys."""
+    explicit key sequence) into a list of VarKeys.
+
+    The elimination plan behind it is memoised by the graph's structure and
+    the request, so a repeated problem structure skips the ordering and
+    the symbolic work of elimination.
+    """
     if ordering is None:
         ordering = "auto"
-    if isinstance(ordering, str):
-        name = ordering.lower()
-        if name == "auto":
-            loops = {VarKey(Kind.WRENCH, l.index)
-                     for l in (model.loop_joints if model is not None else ())}
-            return min_degree_ordering(graph, [set(graph.variables) - loops, loops])
+    if not isinstance(ordering, str):
+        request = tuple(k if isinstance(k, VarKey) else VarKey.parse(k) for k in ordering)
+        groups = lambda: [(v,) for v in request]
+    elif ordering.lower() == "auto":
+        loops = tuple(VarKey(Kind.WRENCH, l.index)
+                      for l in (model.loop_joints if model is not None else ()))
+        request = ("auto", loops)
+        groups = lambda: [set(graph.variables) - set(loops), set(loops)]
+    else:
+        request = name = ordering.lower()
         if name == "md":
-            return min_degree_ordering(graph)
-        if name == "nd":
-            return nested_dissection_ordering(graph)
-        return classic_ordering(graph, name)
-    keys = [k if isinstance(k, VarKey) else VarKey.parse(k) for k in ordering]
-    return classic_ordering(graph, keys)
+            groups = lambda: None
+        elif name == "nd":
+            groups = lambda: nested_dissection_groups(graph)
+        else:
+            groups = lambda: [(v,) for v in classic_ordering(graph, name)]
+    plan = memo_plan(graph, request, lambda: plan_elimination(graph, groups()))
+    return list(plan.ordering)
 
 
 def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
@@ -444,10 +485,9 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     graph = _build_graph(model, kin, spec, des)
     t1 = perf_counter()
     keys = resolve_ordering(graph, ordering, model)
-    t2 = perf_counter()
     dag = eliminate(graph, keys)
     values = back_substitute(dag)
-    t3 = perf_counter()
+    t2 = perf_counter()
 
     torques = {}
     accels = {}
@@ -477,5 +517,5 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         ordering=tuple(keys),
         residual_max=graph.residual_max(values),
         build_micros=(t1 - t0) * 1e6,
-        solve_micros=(t3 - t2) * 1e6,
+        solve_micros=(t2 - t1) * 1e6,
     )

@@ -17,6 +17,7 @@ from dyngraph.fgraph import (
     export_dot,
     min_degree_ordering,
     nested_dissection_ordering,
+    plan_elimination,
     solve,
 )
 from dyngraph.oracle import dense_solve, rnea_torques
@@ -192,6 +193,52 @@ class TestSolve:
             assert dag.fill_in >= 0
             assert dag.edge_count == sum(len(c.parents) for c in dag.conditionals)
             assert dag.edge_count == len(dag.edges())
+
+
+class TestPlan:
+    def test_fixed_ordering_reproduces_greedy_plan(self, six_r, five_bar, five_bar_kin):
+        # one simulation serves both: replaying min-degree's picks as a
+        # fixed ordering gives the very same steps
+        st = JointState(np.full(6, 0.2), np.full(6, 0.1))
+        graphs = [build_graph(six_r, st, ProblemSpec.forward(six_r, np.zeros(6))),
+                  build_graph(five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2),
+                              ProblemSpec.forward(five_bar, np.array([0.5, -0.3]),
+                                                  planar_loops={"j5": (0, 0, 1)}))]
+        for g in graphs:
+            greedy = plan_elimination(g)
+            fixed = plan_elimination(g, [(v,) for v in greedy.ordering])
+            assert fixed.ordering == greedy.ordering
+            assert (fixed.edge_count, fixed.fill_in) == (greedy.edge_count, greedy.fill_in)
+            for a, b in zip(fixed.steps, greedy.steps):
+                assert a._replace(scatter=()) == b._replace(scatter=())
+                assert all(np.array_equal(x, y) for x, y in zip(a.scatter, b.scatter))
+
+    def test_one_by_one_rank_check(self):
+        q = VarKey(Kind.JOINT_ACCEL, 1)
+        with pytest.raises(RankDeficient, match="qdd1: frontal block rank below 1"):
+            eliminate(FactorGraph([LinearFactor({q: [[0.0]]}, [1.0])]), [q])
+        sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
+        np.testing.assert_allclose(sol[q], [3.0])
+
+    def test_numerically_dead_product_keeps_plan(self):
+        # x's two factors are proportional, so the product that eliminating
+        # x leaves on (y, z) has one structural row and it reduces to zero;
+        # the plan still stacks it, z stays a parent of y with a zero block,
+        # and the values are those of the full solve
+        x, y, z = (VarKey(Kind.JOINT_ACCEL, i) for i in (1, 2, 3))
+        g = FactorGraph([
+            LinearFactor({x: [[1.0]], y: [[0.0]], z: [[0.0]]}, [1.0]),
+            LinearFactor({x: [[2.0]]}, [2.0]),
+            LinearFactor({y: [[1.0]]}, [2.0]),
+            LinearFactor({z: [[1.0]]}, [3.0]),
+        ])
+        dag = eliminate(g, [x, y, z])
+        assert dag.edges() == [(x, y), (x, z), (y, z)]
+        assert not dag.conditionals[1].parent_blocks[z].any()
+        assert dag.leftover.shape == (1,)
+        sol = back_substitute(dag)
+        for v, want in ((x, 1.0), (y, 2.0), (z, 3.0)):
+            np.testing.assert_allclose(sol[v], [want], atol=1e-14)
 
 
 class TestMinDegree:

@@ -236,3 +236,44 @@ class TestScrewAxis:
         np.testing.assert_allclose(
             a.transformed(t).vector, big_adjoint(t) @ a.vector, atol=1e-14
         )
+
+    @pytest.mark.parametrize("vector", [
+        [2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0 + 1e-9, 0.0, 0.0, 0.0],
+        [0.0, 0.0, np.nan, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, np.inf, 0.0, 0.0],
+    ])
+    def test_non_unit_or_non_finite_rejected(self, vector):
+        with pytest.raises(ValueError, match="screw axis"):
+            ScrewAxis(np.array(vector))
+
+    def test_pure_translation_accepted(self):
+        t = exp_screw(ScrewAxis(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])), 0.5)
+        np.testing.assert_allclose(t.translation, [0.5, 0.0, 0.0], atol=1e-15)
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(ValueError, match="angle"):
+            exp_screw(ScrewAxis(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])), np.nan)
+
+
+class TestPose:
+    @pytest.mark.parametrize("rotation,translation,message", [
+        (np.diag([1.0, 1.0, 1.1]), np.zeros(3), "orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "reflection"),
+        (np.full((3, 3), np.nan), np.zeros(3), "orthonormal"),
+        (np.diag([1.0, np.nan, 1.0]), np.zeros(3), "orthonormal"),
+        (np.eye(3), np.array([np.nan, 0.0, 0.0]), "finite"),
+        (np.eye(3), np.array([0.0, -np.inf, 0.0]), "finite"),
+    ])
+    def test_invalid_pose_rejected(self, rotation, translation, message):
+        with pytest.raises(ValueError, match=message):
+            Pose(rotation, translation)
+
+    def test_derived_poses_frozen_and_orthonormal(self):
+        rng = np.random.default_rng(81)
+        for _ in range(10):
+            a, b = random_pose(rng), random_pose(rng)
+            for t in (a @ b, a.inverse(), Pose.identity()):
+                assert not t.rotation.flags.writeable
+                assert not t.translation.flags.writeable
+                Pose(t.rotation, t.translation)   # passes the full check

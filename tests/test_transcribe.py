@@ -5,11 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from dyngraph import fgraph
 from dyngraph.errors import InconsistentLoopState, RankDeficient
-from dyngraph.fgraph import Kind, VarKey
-from dyngraph.model import Joint
+from dyngraph.fgraph import Kind, VarKey, back_substitute, eliminate
+from dyngraph.model import Joint, parse_urdf
 from dyngraph.oracle import rnea_full, rnea_torques
+from dyngraph.spatial import Pose
 from dyngraph.transcribe import (
+    GivenAccel,
+    GivenTorque,
     JointState,
     ProblemSpec,
     build_graph,
@@ -104,6 +108,11 @@ class TestInputValidation:
     def test_short_base_accel_names_field(self, three_r):
         with pytest.raises(ValueError, match=r"^base_accel must have 6 entries"):
             ProblemSpec.inverse(three_r, np.zeros(3), base_accel=np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [{"accel": 1.0}, 0.5, None])
+    def test_designation_type_names_entry(self, bad):
+        with pytest.raises(ValueError, match=r"^designations\[1\] must be GivenAccel"):
+            ProblemSpec(designations=(GivenTorque(0.0), bad))
 
 
 class TestBuildGraph:
@@ -274,6 +283,24 @@ class TestFiveBar:
             solve_dynamics(five_bar, st, self.forward_spec(five_bar, planar=False))
         assert "F5" in str(err.value)
 
+    @pytest.mark.parametrize("field,error", [("q", ValueError),
+                                             ("qd", InconsistentLoopState)])
+    def test_nan_state_fails_in_kinematics(self, five_bar, five_bar_kin, field, error):
+        # a NaN planted past JointState's check stops at the joint transform
+        # or the loop-closure test, never as a RankDeficient downstream
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        bad = getattr(st, field).copy()
+        bad[1] = NAN
+        object.__setattr__(st, field, bad)
+        with pytest.raises(error):
+            solve_dynamics(five_bar, st, self.forward_spec(five_bar))
+
+    def test_unreachable_state_rejected(self, five_bar, five_bar_kin):
+        # bar tips 0.7 apart cannot meet with 0.25 bars: no real closure
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match=r"^q must be finite"):
+            five_bar_kin.state(np.pi, 0.0, 0.0, 0.0)
+
     def test_forward_with_planar_factor_solves(self, five_bar, five_bar_kin):
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
         res = solve_dynamics(five_bar, st, self.forward_spec(five_bar))
@@ -403,3 +430,159 @@ class TestSolveDynamics:
         solve_dynamics(five_bar, st, ProblemSpec.forward(
             five_bar, np.array([1.0, 0.5]), planar_loops=(("j5", (0.0, 0.0, 1.0)),)))
         assert sorted(calls) == sorted(j.name for j in five_bar.joints)
+
+    def test_no_pose_validation_inside_a_solve(self, six_r, monkeypatch):
+        # poses composed, inverted and exponentiated from validated ones
+        # skip the orthonormality check
+        checks = []
+        check = Pose.__post_init__
+
+        def counted(pose):
+            checks.append(pose)
+            check(pose)
+
+        monkeypatch.setattr(Pose, "__post_init__", counted)
+        st = JointState(np.full(6, 0.2), np.full(6, 0.1))
+        solve_dynamics(six_r, st, ProblemSpec.inverse(six_r, np.zeros(6)))
+        assert checks == []
+
+
+def chain_model(n):
+    """Serial chain of n revolute joints with alternating axes."""
+    inertial = ('<inertial><mass value="1.0"/><inertia ixx="0.02" ixy="0" ixz="0" '
+                'iyy="0.02" iyz="0" izz="0.01"/></inertial>')
+    links = "".join(f'<link name="l{i}">{inertial if i else ""}</link>'
+                    for i in range(n + 1))
+    joints = "".join(
+        f'<joint name="j{i}" type="revolute"><parent link="l{i - 1}"/>'
+        f'<child link="l{i}"/><origin xyz="0 0 0.1"/>'
+        f'<axis xyz="0 {i % 2} {1 - i % 2}"/></joint>' for i in range(1, n + 1))
+    return parse_urdf(f'<robot name="chain">{links}{joints}</robot>')
+
+
+@pytest.fixture
+def fresh_plans():
+    """Empty plan memo before and after the test."""
+    fgraph._plans.clear()
+    yield
+    fgraph._plans.clear()
+
+
+def fresh_solution(model, state, spec, ordering):
+    """The public pipeline with no memoised plan: ordering, plan and
+    elimination all computed afresh."""
+    fgraph._plans.clear()
+    graph = build_graph(model, state, spec)
+    dag = eliminate(graph, resolve_ordering(graph, ordering, model))
+    return dag, back_substitute(dag)
+
+
+def assert_same_solution(res, dag, values):
+    assert res.ordering == dag.ordering
+    assert (res.dag.edge_count, res.dag.fill_in) == (dag.edge_count, dag.fill_in)
+    assert res.values.keys() == values.keys()
+    for k, v in values.items():
+        np.testing.assert_allclose(res.values[k], v, rtol=0, atol=1e-12)
+
+
+def fixture_cases(three_r, six_r, five_bar, five_bar_kin):
+    """(model, spec maker, orderings) for the fixtures; specs are made per
+    state so that the values change while the structure repeats."""
+    planar = {"planar_loops": (("j5", (0.0, 0.0, 1.0)),)}
+    yield three_r, lambda r: ProblemSpec.inverse(three_r, r.uniform(-1, 1, 3)), \
+        ("auto", "md", "nd", "rnea", ["tau1", "tau2", "tau3", "F1", "F2", "F3",
+                                      "Vd3", "Vd2", "Vd1"])
+    yield three_r, lambda r: ProblemSpec.forward(three_r, r.uniform(-1, 1, 3)), \
+        ("auto", "md", "nd", "crba", "aba")
+    for pattern in ((True, False, True), (False, True, False), (False, False, True)):
+        yield three_r, lambda r, p=pattern: ProblemSpec.hybrid(three_r, {
+            f"j{i + 1}": {"accel" if a else "torque": x}
+            for i, (a, x) in enumerate(zip(p, r.uniform(-1, 1, 3)))}), ("auto", "md", "nd")
+    yield six_r, lambda r: ProblemSpec.inverse(six_r, r.uniform(-1, 1, 6)), \
+        ("auto", "md", "nd", "rnea")
+    yield six_r, lambda r: ProblemSpec.forward(six_r, r.uniform(-1, 1, 6)), \
+        ("auto", "md", "nd", "crba", "aba")
+    yield five_bar, lambda r: ProblemSpec.forward(five_bar, r.uniform(-1, 1, 2), **planar), \
+        ("auto", "md", "nd")
+    for prior in (False, True):
+        yield five_bar, lambda r, p=prior: ProblemSpec.hybrid(five_bar, {
+            "j1": {"accel": r.uniform(-1, 1)}, "j3": {"accel": r.uniform(-1, 1)}},
+            min_torque_prior=p, **planar), ("auto", "md", "nd")
+
+
+class TestPlanMemo:
+    def states(self, model, five_bar_kin, rng, count):
+        if model.loop_joints:
+            return [five_bar_kin.state(rng.uniform(1.7, 2.1), rng.uniform(1.0, 1.4),
+                                       *rng.uniform(-0.5, 0.5, 2)) for _ in range(count)]
+        return [random_state(rng, len(model.movable_joints)) for _ in range(count)]
+
+    def test_memoised_solve_matches_fresh_pipeline(self, three_r, six_r, five_bar,
+                                                   five_bar_kin, fresh_plans):
+        rng = np.random.default_rng(404)
+        for model, make_spec, orderings in fixture_cases(three_r, six_r, five_bar,
+                                                         five_bar_kin):
+            warm, st = self.states(model, five_bar_kin, rng, 2)
+            for ordering in orderings:
+                solve_dynamics(model, warm, make_spec(rng), ordering)
+                spec = make_spec(rng)
+                res = solve_dynamics(model, st, spec, ordering)
+                assert_same_solution(res, *fresh_solution(model, st, spec, ordering))
+
+    def test_changed_structure_input_gets_its_own_plan(self, five_bar, five_bar_kin,
+                                                       fresh_plans):
+        # each variant changes one input that fixes the structure; solved
+        # right after the base filled the memo, it must match a fresh solve
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        planar = (("j5", (0.0, 0.0, 1.0)),)
+        base = ({"j1": {"accel": 0.7}, "j3": {"accel": -0.4}}, False, planar, "auto")
+        variants = [
+            ({"j1": {"torque": 0.7}, "j3": {"accel": -0.4}}, False, planar, "auto"),
+            (base[0], True, planar, "auto"),
+            (base[0], False, planar, "md"),
+            (base[0], False, (), "auto"),
+        ]
+        def problem(mapping, prior, loops, ordering):
+            return ProblemSpec.hybrid(five_bar, mapping, min_torque_prior=prior,
+                                      planar_loops=loops), ordering
+
+        spec, ordering = problem(*base)
+        before = solve_dynamics(five_bar, st, spec, ordering)
+        for variant in variants:
+            fgraph._plans.clear()
+            solve_dynamics(five_bar, st, spec, ordering)
+            vspec, vordering = problem(*variant)
+            if not variant[2]:
+                # no planar factor: the loop wrench is underdetermined
+                with pytest.raises(RankDeficient) as err:
+                    solve_dynamics(five_bar, st, vspec, vordering)
+                assert err.value.key == VarKey(Kind.WRENCH, 5)
+                continue
+            res = solve_dynamics(five_bar, st, vspec, vordering)
+            assert (res.graph.structure, res.ordering) != \
+                (before.graph.structure, before.ordering)
+            assert_same_solution(res, *fresh_solution(five_bar, st, vspec, vordering))
+
+    def test_memo_stays_bounded(self, fresh_plans):
+        model = chain_model(10)
+        st = JointState(np.full(10, 0.3), np.full(10, -0.2))
+        for pattern in range(1000):
+            spec = ProblemSpec.hybrid(model, {
+                f"j{i + 1}": GivenAccel(0.1) if pattern >> i & 1 else GivenTorque(0.1)
+                for i in range(10)})
+            resolve_ordering(build_graph(model, st, spec), "auto", model)
+            assert len(fgraph._plans) <= fgraph._PLAN_MEMO_SIZE
+
+    def test_rank_deficient_names_loop_wrench_on_every_solve(self, five_bar,
+                                                             five_bar_kin, fresh_plans):
+        # the first solve makes the plan, the second reuses it; the row
+        # counts are those of elimination without a plan
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        for spec, rows in (
+                (ProblemSpec.forward(five_bar, np.array([1.0, 0.5])), 3),
+                (ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7},
+                                               "j3": {"accel": -0.4}}), 5)):
+            for _ in range(2):
+                with pytest.raises(RankDeficient,
+                                   match=f"F5: {rows} constraint rows for 6 dim"):
+                    solve_dynamics(five_bar, st, spec)
