@@ -145,6 +145,7 @@ def cmd_solve(args) -> int:
         "edgeCount": res.dag.edge_count,
         "fillIn": res.dag.fill_in,
         "residualMax": res.residual_max,
+        "leftoverMax": float(np.abs(res.dag.leftover).max(initial=0.0)),
         "elapsedMicros": res.solve_micros,
         "buildMicros": res.build_micros,
     }

@@ -9,9 +9,14 @@ classical recursive dynamics algorithms fall out as particular orderings.
 
 Elimination runs in two phases. The symbolic one (`plan_elimination`)
 reads only each factor's keys and row count plus the ordering, and fixes
-every step's factors, parents and column layout; it is memoised by the
-graph's structure, so graphs that differ only in their numbers share it.
-The numeric one (`eliminate`) stacks the blocks and reduces them.
+every step's factors, parents and column layout, and the numeric layout of
+the solution: one flat vector with a slice per variable, in elimination
+order, and per step the index array that gathers its parents' entries. It
+is memoised by the graph's structure, so graphs that differ only in their
+numbers share it. The numeric phase (`eliminate`) stacks the blocks and
+reduces them; each conditional is the step's raw R row block
+`[R_ff | R_fp | d]`. `back_substitute` fills the flat vector from the last
+step to the first.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -21,6 +26,7 @@ only on the null space they leave.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -29,8 +35,7 @@ from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dgesdd
+from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
 
 from .errors import IncompatibleScheme, RankDeficient
 
@@ -163,41 +168,65 @@ class FactorGraph:
 
     def residual_max(self, values: dict) -> float:
         """Largest absolute residual over the weight-1 factors."""
-        worst = 0.0
-        for f in self.factors:
-            if f.weight != 1.0:
-                continue
-            r = f.residual(values)
-            if r.size:
-                worst = max(worst, float(np.max(np.abs(r))))
-        return worst
+        hard = [f.residual(values) for f in self.factors if f.weight == 1.0]
+        r = np.concatenate(hard) if hard else np.empty(0)
+        return float(np.abs(r).max()) if r.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Conditional:
+class Conditional(NamedTuple):
     """Solved form of one variable: diag @ x = rhs - sum parent_blocks @ x_p.
 
-    `diag` is upper triangular and invertible; parents are ordered by their
-    position in the elimination ordering (all eliminated later).
+    `block` is the step's `dim x width` R row block `[diag | parents | rhs]`
+    and `diag`, `parent_blocks` and `rhs` are views into it. `diag` is upper
+    triangular and invertible; parents are ordered by their position in the
+    elimination ordering (all eliminated later), which is also their column
+    order in `block`.
     """
 
     frontal: VarKey
     parents: tuple
-    diag: np.ndarray
-    parent_blocks: dict
-    rhs: np.ndarray
+    block: np.ndarray
+
+    @property
+    def diag(self) -> np.ndarray:
+        return self.block[:, :self.frontal.dim]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.block[:, -1]
+
+    @property
+    def parent_blocks(self) -> dict:
+        blocks = {}
+        c = self.frontal.dim
+        for p in self.parents:
+            blocks[p] = self.block[:, c:c + p.dim]
+            c += p.dim
+        return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class EliminationDag:
-    """Result of eliminating every variable of a graph in a given order."""
+    """Result of eliminating every variable of a graph in a given order:
+    one conditional per step of `plan`, and the right-hand sides of the
+    rows that elimination left with no coefficient (`leftover`)."""
 
     conditionals: tuple
-    ordering: tuple
-    edge_count: int
-    fill_in: int
     leftover: np.ndarray
+    plan: "EliminationPlan" = field(repr=False)
     graph: FactorGraph = field(repr=False)
+
+    @property
+    def ordering(self) -> tuple:
+        return self.plan.ordering
+
+    @property
+    def edge_count(self) -> int:
+        return self.plan.edge_count
+
+    @property
+    def fill_in(self) -> int:
+        return self.plan.fill_in
 
     def edges(self):
         """Directed (frontal, parent) dependency pairs."""
@@ -215,7 +244,8 @@ class PlanStep(NamedTuple):
     rows. `budget` is min(stacked rows - dim, parent dims) with the
     products at their budgets: the most rows an orthogonal reduction leaves
     on the parents. `product` is the id of the factor it leaves, -1 when it
-    leaves none.
+    leaves none. `gather` indexes the parents' entries of the flat solution
+    vector in the stack's column order.
     """
 
     var: VarKey
@@ -228,6 +258,7 @@ class PlanStep(NamedTuple):
     rows: int
     budget: int
     product: int
+    gather: np.ndarray
 
 
 class EliminationPlan(NamedTuple):
@@ -235,13 +266,17 @@ class EliminationPlan(NamedTuple):
 
     It depends only on each factor's keys and row count (the graph's
     `structure`) and on the ordering, so one plan serves every graph of the
-    same structure, whatever its numbers.
+    same structure, whatever its numbers. `slices` maps each variable to
+    its entries of the flat solution vector of length `size`, laid out in
+    elimination order.
     """
 
     ordering: tuple
     steps: tuple
     edge_count: int
     fill_in: int
+    size: int
+    slices: dict
 
 
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
@@ -277,11 +312,21 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
 
     greedy = any(len(g) > 1 for g in groups)
-    deg = {v: degree(v) for v in graph.variables} if greedy else None
+    # before any pick, a variable's degree is its number of graph neighbors
+    deg = {v: len(n) for v, n in graph.adjacency.items()} if greedy else None
     for group in groups:
         pool = set(group)
+        # the least (degree, key) of the pool; an entry is stale once its
+        # variable is picked or its degree has moved, and is then skipped
+        heap = [(deg[x], x) for x in pool] if len(pool) > 1 else []
+        heapq.heapify(heap)
         while pool:
-            v = min(pool, key=lambda x: (deg[x], x)) if len(pool) > 1 else next(iter(pool))
+            if heap:
+                d, v = heapq.heappop(heap)
+                if v not in pool or d != deg[v]:
+                    continue
+            else:
+                v = next(iter(pool))
             order.append(v)
             pool.discard(v)
 
@@ -304,10 +349,20 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             # a pick changes only its parents' factor sets, so only their degrees move
             if greedy:
                 for p in parents:
-                    deg[p] = degree(p)
+                    d = degree(p)
+                    if d != deg[p]:
+                        deg[p] = d
+                        if heap and p in pool:
+                            heapq.heappush(heap, (d, p))
 
     # parents are ordered by elimination position, known once every pick is
     position = {v: i for i, v in enumerate(order)}
+    slices = {}
+    size = 0
+    for v in order:
+        slices[v] = slice(size, size + v.dim)
+        size += v.dim
+    entries = np.arange(size)
     graph_rows = [rows for _, rows in graph.structure]
     product_parents = {}
     steps = []
@@ -327,11 +382,13 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             for fid in made)
         if product >= 0:
             product_parents[product] = parents
+        gather = np.concatenate([entries[slices[p]] for p in parents]) if parents else entries[:0]
         steps.append(PlanStep(v, own, made, scatter, parents, offsets, c + 1,
-                              sum(graph_rows[fid] for fid in own), budget, product))
+                              sum(graph_rows[fid] for fid in own), budget, product,
+                              gather))
         edge_count += len(parents)
         fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
-    return EliminationPlan(tuple(order), tuple(steps), edge_count, fill_in)
+    return EliminationPlan(tuple(order), tuple(steps), edge_count, fill_in, size, slices)
 
 
 _PLAN_MEMO_SIZE = 64
@@ -369,9 +426,11 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     The plan for the ordering (memoised by the graph's structure) fixes
     which factors each step stacks and where their columns go; per frontal
     variable the stacked rows are orthogonally reduced, the leading block
-    rows become the variable's conditional and the remainder, less rows
-    left with no parent coefficient, becomes a new factor over the parents.
-    Raises RankDeficient if a frontal block does not determine its variable.
+    rows, kept as they are (`[R_ff | R_fp | d]`), become the variable's
+    conditional and the remainder, less rows left with no parent
+    coefficient (their right-hand sides go to `leftover`), becomes a new
+    factor over the parents. Raises RankDeficient if a frontal block does
+    not determine its variable.
     """
     ordering = tuple(ordering)
     plan = memo_plan(graph, ordering,
@@ -409,25 +468,18 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
             r += a.shape[0]
 
         rmat = _r_factor(stacked)
-        diag = rmat[:dv, :dv]
-        # a 1x1 block's one singular value is its entry's magnitude
-        sv = (abs(diag[0, 0]),) if dv == 1 else dgesdd(diag, compute_uv=0)[1]
-        if sv[0] == 0.0 or sv[-1] <= 1e-9 * sv[0]:
+        # a 1x1 block's one singular value is its entry's magnitude; the
+        # test is written so that a NaN fails it
+        sv = (abs(rmat[0, 0]),) if dv == 1 else dgesdd(rmat[:dv, :dv], compute_uv=0)[1]
+        if not sv[-1] > 1e-9 * sv[0]:
             raise RankDeficient(v, f"frontal block rank below {dv}")
-        conditionals.append(Conditional(
-            frontal=v,
-            parents=st.parents,
-            diag=diag,
-            parent_blocks={p: rmat[:dv, st.offsets[p]:st.offsets[p] + p.dim]
-                           for p in st.parents},
-            rhs=rmat[:dv, -1].copy(),
-        ))
+        conditionals.append(Conditional(v, st.parents, rmat[:dv]))
 
         rest = rmat[dv:]
-        coef = rest[:, dv:-1]
-        if coef.size:
-            scale = max(1.0, float(np.abs(rmat).max()))
-            live = np.abs(coef).max(axis=1) > 1e-12 * scale
+        if rest.shape[0] and st.parents:
+            mag = np.abs(rmat)
+            scale = max(1.0, float(mag.max()))
+            live = mag[dv:, dv:-1].max(axis=1) > 1e-12 * scale
         else:
             live = np.zeros(rest.shape[0], dtype=bool)
         leftover.extend(rest[~live, -1])
@@ -436,14 +488,7 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
             # stands, and the parents' columns from it stay zero
             made[st.product] = rest[live, dv:]
 
-    return EliminationDag(
-        conditionals=tuple(conditionals),
-        ordering=plan.ordering,
-        edge_count=plan.edge_count,
-        fill_in=plan.fill_in,
-        leftover=np.array(leftover, dtype=float),
-        graph=graph,
-    )
+    return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), plan, graph)
 
 
 @lru_cache(maxsize=256)
@@ -461,14 +506,29 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
 
 
 def back_substitute(dag: EliminationDag) -> dict:
-    """Solve for every variable by walking the DAG in reverse order."""
-    values: dict = {}
-    for cond in reversed(dag.conditionals):
-        rhs = cond.rhs.copy()
-        for p, a in cond.parent_blocks.items():
-            rhs -= a @ values[p]
-        values[cond.frontal] = solve_triangular(cond.diag, rhs)
-    return values
+    """Solve for every variable by walking the DAG in reverse order.
+
+    The plan fixes the layout: one flat solution vector with a slice per
+    variable, filled from the last conditional to the first; each step
+    gathers its parents' entries, forms `d - R_fp @ x_parents` and solves
+    the triangular `R_ff` with LAPACK. Returns {key: view into that vector}.
+    Raises ValueError if the solution is not finite (an infinite or NaN
+    input that the frontal rank test cannot see, such as an infinite rhs).
+    """
+    plan = dag.plan
+    x = np.empty(plan.size)
+    for cond, st in zip(reversed(dag.conditionals), reversed(plan.steps)):
+        block = cond.block
+        dv = block.shape[0]
+        rhs = block[:, -1] - block[:, dv:-1] @ x[st.gather] if st.parents else block[:, -1]
+        sol, info = dtrtrs(block[:, :dv], rhs)
+        if info:
+            raise RankDeficient(st.var, f"triangular solve failed (LAPACK info {info})")
+        x[plan.slices[st.var]] = sol
+    if not np.isfinite(x).all():
+        bad = next(v for v, s in plan.slices.items() if not np.isfinite(x[s]).all())
+        raise ValueError(f"non-finite solution at variable {bad}")
+    return {v: x[s] for v, s in plan.slices.items()}
 
 
 def solve(graph: FactorGraph, ordering) -> dict:

@@ -18,7 +18,7 @@ FIVE_BAR = str(FIXTURES / "five_bar.urdf")
 
 SOLVE_KEYS = {
     "solution", "ordering", "fillIn", "edgeCount",
-    "residualMax", "elapsedMicros", "buildMicros",
+    "residualMax", "leftoverMax", "elapsedMicros", "buildMicros",
 }
 
 FIVE_BAR_STATE = [
@@ -137,6 +137,23 @@ class TestSolve:
         # passive joints echo their zero designation; the drive pair is solved
         assert torques["j2"] == torques["j4"] == torques["j5"] == 0.0
         assert abs(torques["j1"]) > 0.1 and abs(torques["j3"]) > 0.1
+
+    def test_leftover_max_shows_prior_conflict(self, capsys):
+        # the redundantly driven five-bar leaves dead rows; they are
+        # consistent without the prior and carry its conflict with it
+        leftover = {}
+        for extra in ((), ("--min-torque-prior",)):
+            code, out, _ = run(
+                capsys, "solve", "--urdf", FIVE_BAR, "--type", "inverse",
+                *FIVE_BAR_STATE, "--qdd", "0.7,-0.4", "--gravity", "0 -9.81 0",
+                "--planar-loop", "j5:0 0 1", *extra,
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert set(doc) == SOLVE_KEYS
+            leftover[extra] = doc["leftoverMax"]
+        assert 0.0 <= leftover[()] < 1e-12
+        assert 1e-4 < leftover[("--min-torque-prior",)] < 1e-1
 
     def test_missing_file(self, capsys):
         code, _, err = run(

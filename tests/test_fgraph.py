@@ -105,6 +105,23 @@ class TestEliminate:
             eliminate(g, [f5])
         assert "F5" in str(err.value)
 
+    def test_non_finite_input_fails(self):
+        # a NaN in a frontal block fails the rank test; an infinite rhs
+        # leaves the blocks finite and shows only in the solution, here in
+        # X's value and, through back-substitution, in Y's
+        a = np.eye(6)
+        a[2, 3] = np.nan
+        with pytest.raises(RankDeficient, match="Vd1: frontal block rank below 6"):
+            solve(FactorGraph([LinearFactor({X: a}, np.ones(6))]), [X])
+        rhs = np.array([1.0, 2.0, np.inf, 0.0, 0.0, 0.0])
+        chain = FactorGraph([LinearFactor({X: np.eye(6)}, rhs),
+                             LinearFactor({X: np.eye(6), Y: np.eye(6)}, np.zeros(6))])
+        q = VarKey(Kind.JOINT_ACCEL, 1)
+        for g, order in ((chain, [X, Y]), (chain, [Y, X]),
+                         (FactorGraph([LinearFactor({q: [[2.0]]}, [np.inf])]), [q])):
+            with pytest.raises(ValueError):
+                solve(g, order)
+
     def test_rejects_non_permutation(self, three_r):
         gi, _, _ = three_r_graphs(three_r)
         with pytest.raises(Exception):
@@ -209,14 +226,17 @@ class TestPlan:
             fixed = plan_elimination(g, [(v,) for v in greedy.ordering])
             assert fixed.ordering == greedy.ordering
             assert (fixed.edge_count, fixed.fill_in) == (greedy.edge_count, greedy.fill_in)
+            assert (fixed.size, fixed.slices) == (greedy.size, greedy.slices)
             for a, b in zip(fixed.steps, greedy.steps):
-                assert a._replace(scatter=()) == b._replace(scatter=())
+                assert a._replace(scatter=(), gather=()) == b._replace(scatter=(), gather=())
                 assert all(np.array_equal(x, y) for x, y in zip(a.scatter, b.scatter))
+                assert np.array_equal(a.gather, b.gather)
 
     def test_one_by_one_rank_check(self):
         q = VarKey(Kind.JOINT_ACCEL, 1)
-        with pytest.raises(RankDeficient, match="qdd1: frontal block rank below 1"):
-            eliminate(FactorGraph([LinearFactor({q: [[0.0]]}, [1.0])]), [q])
+        for entry in (0.0, np.nan):
+            with pytest.raises(RankDeficient, match="qdd1: frontal block rank below 1"):
+                eliminate(FactorGraph([LinearFactor({q: [[entry]]}, [1.0])]), [q])
         sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
         np.testing.assert_allclose(sol[q], [3.0])
 

@@ -586,3 +586,37 @@ class TestPlanMemo:
                 with pytest.raises(RankDeficient,
                                    match=f"F5: {rows} constraint rows for 6 dim"):
                     solve_dynamics(five_bar, st, spec)
+
+
+class TestBackSubstitute:
+    @staticmethod
+    def reference(dag):
+        """Per-conditional back-substitution: a general solve on each
+        `diag`, walking `parent_blocks` from the last conditional back."""
+        values = {}
+        for cond in reversed(dag.conditionals):
+            rhs = cond.rhs.copy()
+            for p, a in cond.parent_blocks.items():
+                rhs -= a @ values[p]
+            values[cond.frontal] = np.linalg.solve(cond.diag, rhs)
+        return values
+
+    def test_flat_vector_matches_per_conditional_reference(self, three_r, six_r, five_bar,
+                                                           five_bar_kin):
+        rng = np.random.default_rng(505)
+        for model, make_spec, orderings in fixture_cases(three_r, six_r, five_bar,
+                                                         five_bar_kin):
+            st = (five_bar_kin.state(1.9, 1.2, 0.3, -0.2) if model.loop_joints
+                  else random_state(rng, len(model.movable_joints)))
+            graph = build_graph(model, st, make_spec(rng))
+            for ordering in orderings:
+                dag = eliminate(graph, resolve_ordering(graph, ordering, model))
+                values = back_substitute(dag)
+                want = self.reference(dag)
+                assert values.keys() == want.keys() == set(graph.variables)
+                # both sum in floating point in their own order: 1e-12
+                # relative to the solve's largest entry (wrenches reach 1e3)
+                tol = 1e-12 * max(1.0, max(np.abs(w).max() for w in want.values()))
+                for k, v in values.items():
+                    assert v.shape == (k.dim,)
+                    np.testing.assert_allclose(v, want[k], rtol=0, atol=tol)
