@@ -1,20 +1,23 @@
 """Block-sparse linear factor graph with variable elimination.
 
 Variables are keyed by (kind, index) with a block dimension fixed by the
-kind. Factors are weighted linear constraints over a few variables.
-Eliminating the variables one at a time against a chosen ordering turns the
-graph into a DAG of conditionals (a solved triangular form); the amount of
-fill-in created depends only on the ordering, which is the whole point:
-classical recursive dynamics algorithms fall out as particular orderings.
+kind. Every factor is one keyed `[A | b]` row block: a weighted linear
+constraint over a few variables, or the product factor an elimination
+step leaves over its parents. Eliminating the variables one at a time
+against a chosen ordering turns the graph into a DAG of conditionals (a
+solved triangular form); the amount of fill-in created depends only on the
+ordering, which is the whole point: classical recursive dynamics
+algorithms fall out as particular orderings.
 
 Elimination runs in two phases. The symbolic one (`plan_elimination`)
 reads only each factor's keys and row count plus the ordering, and fixes
-every step's factors, parents and column layout, and the numeric layout of
-the solution: one flat vector with a slice per variable, in elimination
-order, and per step the index array that gathers its parents' entries. It
-is memoised by the graph's structure, so graphs that differ only in their
-numbers share it. The numeric phase (`eliminate`) stacks the blocks and
-reduces them; each conditional is the step's raw R row block
+every step's input factors, parents and the stack column of each of their
+columns, and the numeric layout of the solution: one flat vector with a
+slice per variable, in elimination order, and per step the index array
+that gathers its parents' entries. It is memoised by the graph's
+structure, so graphs that differ only in their numbers share it. The
+numeric phase (`eliminate`) copies the input row blocks into each step's
+stack and reduces it; each conditional is the step's raw R row block
 `[R_ff | R_fp | d]`. `back_substitute` fills the flat vector from the last
 step to the first.
 
@@ -81,52 +84,69 @@ class VarKey(NamedTuple):
         raise ValueError(f"cannot parse variable key {text!r}")
 
 
-@dataclass(frozen=True, eq=False)
+def _split(block: np.ndarray, keys, start: int = 0) -> dict:
+    """Per-key column views of a keyed row block whose columns hold `keys`
+    in order from column `start`."""
+    views = {}
+    c = start
+    for k in keys:
+        views[k] = block[:, c:c + k.dim]
+        c += k.dim
+    return views
+
+
 class LinearFactor:
     """One weighted linear constraint: sum_k blocks[k] @ x_k = rhs.
 
+    It is held as one read-only row block `ab = [A_1 | ... | A_k | b]`
+    over `keys()`, copied from its inputs; `blocks` and `rhs` are views.
     Weight 1 marks a hard constraint and smaller weights soft priors; both
     are rows of one least-squares problem, scaled by their weight.
     `knowns` lists labels of quantities folded into the rhs, kept so graph
     drawings can still show them.
     """
 
-    blocks: dict
-    rhs: np.ndarray
-    weight: float = 1.0
-    name: str = ""
-    knowns: tuple = ()
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError(f"factor {self.name!r} has no variable blocks")
-        rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+    def __init__(self, blocks, rhs, weight=1.0, name: str = "", knowns: tuple = ()):
+        if not blocks:
+            raise ValueError(f"factor {name!r} has no variable blocks")
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
         rows = rhs.shape[0]
-        blocks = {}
-        for key, a in self.blocks.items():
+        columns = []
+        for key, a in blocks.items():
             a = np.asarray(a, dtype=float)
             if a.shape != (rows, key.dim):
                 raise ValueError(
-                    f"factor {self.name!r}: block for {key} has shape {a.shape}, "
+                    f"factor {name!r}: block for {key} has shape {a.shape}, "
                     f"expected {(rows, key.dim)}")
-            blocks[key] = a
-        if not self.weight >= 0.0:
-            raise ValueError(f"factor {self.name!r}: weight must be >= 0")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "rhs", rhs)
+            columns.append(a)
+        if not weight >= 0.0:
+            raise ValueError(f"factor {name!r}: weight must be >= 0")
+        columns.append(rhs[:, None])
+        self.ab = np.concatenate(columns, axis=1)
+        self.ab.setflags(write=False)
+        self.weight = weight
+        self.name = name
+        self.knowns = knowns
+        self._keys = tuple(blocks)
+
+    @property
+    def blocks(self) -> dict:
+        return _split(self.ab, self._keys)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.ab[:, -1]
 
     @property
     def rows(self) -> int:
-        return self.rhs.shape[0]
+        return self.ab.shape[0]
 
-    def keys(self):
-        return tuple(self.blocks.keys())
+    def keys(self) -> tuple:
+        return self._keys
 
     def residual(self, values: dict) -> np.ndarray:
-        r = -self.rhs.copy()
-        for key, a in self.blocks.items():
-            r += a @ values[key]
-        return r
+        x = np.concatenate([values[k] for k in self._keys])
+        return self.ab[:, :-1] @ x - self.ab[:, -1]
 
 
 class FactorGraph:
@@ -143,7 +163,7 @@ class FactorGraph:
 
     @cached_property
     def variables(self) -> tuple:
-        return tuple(sorted({k for f in self.factors for k in f.blocks}))
+        return tuple(sorted({k for f in self.factors for k in f.keys()}))
 
     @cached_property
     def adjacency(self) -> dict:
@@ -197,12 +217,7 @@ class Conditional(NamedTuple):
 
     @property
     def parent_blocks(self) -> dict:
-        blocks = {}
-        c = self.frontal.dim
-        for p in self.parents:
-            blocks[p] = self.block[:, c:c + p.dim]
-            c += p.dim
-        return blocks
+        return _split(self.block, self.parents, self.frontal.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +229,6 @@ class EliminationDag:
     conditionals: tuple
     leftover: np.ndarray
     plan: "EliminationPlan" = field(repr=False)
-    graph: FactorGraph = field(repr=False)
 
     @property
     def ordering(self) -> tuple:
@@ -236,26 +250,23 @@ class EliminationDag:
 class PlanStep(NamedTuple):
     """One elimination step, fixed by the graph's structure and the ordering.
 
-    The stack for `var` holds the graph factors `factors`, then the product
-    factors `products` left by earlier steps (both ascending), in columns
-    `var`, `parents` (by elimination position) and the rhs last; `offsets`
-    maps each variable to its first column. `scatter[i]` lists the stack
-    column of each column of `products[i]`. `rows` counts the graph factors'
-    rows. `budget` is min(stacked rows - dim, parent dims) with the
-    products at their budgets: the most rows an orthogonal reduction leaves
-    on the parents. `product` is the id of the factor it leaves, -1 when it
-    leaves none. `gather` indexes the parents' entries of the flat solution
-    vector in the stack's column order.
+    Factor ids number the graph's factors from 0, then the product factors
+    in the order the steps leave them. The stack for `var` holds the rows
+    of the factors `inputs` (ascending, so graph factors before products)
+    in columns `var`, `parents` (by elimination position) and the rhs last,
+    `width` in all; `scatter[i]` lists the stack column of each column of
+    input `i`'s `[A | b]` row block. `budget` is min(stacked rows - dim,
+    parent dims) with the products at their budgets: the most rows an
+    orthogonal reduction leaves on the parents. `product` is the id of the
+    factor it leaves, -1 when it leaves none. `gather` indexes the parents'
+    entries of the flat solution vector in the stack's column order.
     """
 
     var: VarKey
-    factors: tuple
-    products: tuple
+    inputs: tuple
     scatter: tuple
     parents: tuple
-    offsets: dict
     width: int
-    rows: int
     budget: int
     product: int
     gather: np.ndarray
@@ -297,14 +308,13 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         groups = [graph.variables]
     elif sorted(v for g in groups for v in g) != list(graph.variables):
         raise ValueError("ordering is not a permutation of the graph's variables")
-    n_graph = len(graph.factors)
     factors = {}
     var_to_fids = {v: set() for v in graph.variables}
     for fid, (keys, rows) in enumerate(graph.structure):
         factors[fid] = (frozenset(keys), rows)
         for k in keys:
             var_to_fids[k].add(fid)
-    next_fid = n_graph
+    next_fid = len(graph.factors)
     order = []
     picked = []
 
@@ -363,8 +373,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         slices[v] = slice(size, size + v.dim)
         size += v.dim
     entries = np.arange(size)
-    graph_rows = [rows for _, rows in graph.structure]
-    product_parents = {}
+    # the keys of every factor id: the graph's, then each product's parents
+    keys_of = [keys for keys, _ in graph.structure]
     steps = []
     edge_count = fill_in = 0
     for v, fids, parent_set, budget, product in picked:
@@ -374,17 +384,14 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         for p in parents:
             offsets[p] = c
             c += p.dim
-        own = tuple(fid for fid in fids if fid < n_graph)
-        made = tuple(fid for fid in fids if fid >= n_graph)
         scatter = tuple(
-            np.array([col for p in product_parents.pop(fid)
-                      for col in range(offsets[p], offsets[p] + p.dim)] + [c])
-            for fid in made)
+            np.array([col for k in keys_of[fid]
+                      for col in range(offsets[k], offsets[k] + k.dim)] + [c])
+            for fid in fids)
         if product >= 0:
-            product_parents[product] = parents
+            keys_of.append(parents)
         gather = np.concatenate([entries[slices[p]] for p in parents]) if parents else entries[:0]
-        steps.append(PlanStep(v, own, made, scatter, parents, offsets, c + 1,
-                              sum(graph_rows[fid] for fid in own), budget, product,
+        steps.append(PlanStep(v, tuple(fids), scatter, parents, c + 1, budget, product,
                               gather))
         edge_count += len(parents)
         fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
@@ -424,46 +431,35 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     """Eliminate every variable in the given order, producing a DAG.
 
     The plan for the ordering (memoised by the graph's structure) fixes
-    which factors each step stacks and where their columns go; per frontal
-    variable the stacked rows are orthogonally reduced, the leading block
-    rows, kept as they are (`[R_ff | R_fp | d]`), become the variable's
-    conditional and the remainder, less rows left with no parent
-    coefficient (their right-hand sides go to `leftover`), becomes a new
-    factor over the parents. Raises RankDeficient if a frontal block does
+    which factors each step stacks and where their columns go; each input
+    is a weighted `[A | b]` row block, copied into the step's stack in one
+    indexed assignment. Per frontal variable the stacked rows are
+    orthogonally reduced, the leading block rows, kept as they are
+    (`[R_ff | R_fp | d]`), become the variable's conditional and the
+    remainder, less rows left with no parent coefficient (their right-hand
+    sides go to `leftover`), becomes a new factor over the parents. Raises RankDeficient if a frontal block does
     not determine its variable.
     """
     ordering = tuple(ordering)
     plan = memo_plan(graph, ordering,
                      lambda: plan_elimination(graph, [(v,) for v in ordering]))
-    factors = graph.factors
-    made = {}
+    # every factor's weighted [A | b], by id; products are appended as made
+    ab = [f.ab if f.weight == 1.0 else f.weight * f.ab for f in graph.factors]
     conditionals = []
     leftover = []
     for st in plan.steps:
         v = st.var
         dv = v.dim
-        products = [made.pop(fid) for fid in st.products]
-        m = st.rows + sum(a.shape[0] for a in products)
+        inputs = [ab[fid] for fid in st.inputs]
+        m = sum(a.shape[0] for a in inputs)
         if m == 0:
             raise RankDeficient(v, "no factor constrains this variable")
         if m < dv:
             raise RankDeficient(v, f"{m} constraint rows for {dv} dimensions")
 
-        # rows pre-scaled by weight
         stacked = np.zeros((m, st.width))
         r = 0
-        for fid in st.factors:
-            f = factors[fid]
-            n = f.rows
-            rows = stacked[r:r + n]
-            for k, a in f.blocks.items():
-                c0 = st.offsets[k]
-                rows[:, c0:c0 + a.shape[1]] = a
-            rows[:, -1] = f.rhs
-            if f.weight != 1.0:
-                rows *= f.weight
-            r += n
-        for a, cols in zip(products, st.scatter):
+        for a, cols in zip(inputs, st.scatter):
             stacked[r:r + a.shape[0], cols] = a
             r += a.shape[0]
 
@@ -486,9 +482,9 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
         if st.product >= 0:
             # empty when every row died numerically: the plan's structure
             # stands, and the parents' columns from it stay zero
-            made[st.product] = rest[live, dv:]
+            ab.append(rest[live, dv:])
 
-    return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), plan, graph)
+    return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), plan)
 
 
 @lru_cache(maxsize=256)
@@ -683,7 +679,7 @@ def export_dot(obj) -> str:
         for i, f in enumerate(obj.factors):
             label = f' // {f.name}' if f.name else ""
             lines.append(f'  "f{i}" [shape=point];{label}')
-            for v in f.blocks:
+            for v in f.keys():
                 lines.append(f'  "f{i}" -- "{v}";')
             for k in f.knowns:
                 if k not in knowns:

@@ -288,16 +288,11 @@ def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> Fact
     return _build_graph(model, _kinematics(model, state), spec, spec.by_joint(model))
 
 
-def _frozen(a) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-# blocks shared by every graph; factors only read them
-_EYE6 = _frozen(np.eye(6))
-_NEG_EYE6 = _frozen(-np.eye(6))
-_EYE1 = _frozen(np.eye(1))
-_NEG_EYE1 = _frozen(-np.eye(1))
+# blocks shared by every graph; a factor copies what it is given
+_EYE6 = np.eye(6)
+_NEG_EYE6 = -np.eye(6)
+_EYE1 = np.eye(1)
+_NEG_EYE1 = -np.eye(1)
 
 
 @lru_cache(maxsize=16)
@@ -305,9 +300,9 @@ def _model_blocks(model: RobotModel):
     """State-independent blocks of a model's graphs: each link's 6x6
     spatial inertia by link name, each joint's negated screw axis as a
     6x1 column by joint name."""
-    inertia = {l.name: _frozen(l.inertia.matrix()) for l in model.links
+    inertia = {l.name: l.inertia.matrix() for l in model.links
                if l.inertia is not None}
-    neg_axis = {j.name: _frozen(-j.axis.vector.reshape(6, 1)) for j in model.joints
+    neg_axis = {j.name: -j.axis.vector.reshape(6, 1) for j in model.joints
                 if j.axis is not None}
     return inertia, neg_axis
 

@@ -124,7 +124,7 @@ class TestEliminate:
 
     def test_rejects_non_permutation(self, three_r):
         gi, _, _ = three_r_graphs(three_r)
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="not a permutation"):
             eliminate(gi, [key("tau3")])
 
     def test_single_block_factor_variable_no_fill(self, three_r):
@@ -136,6 +136,22 @@ class TestEliminate:
         dag = eliminate(gi, order)
         assert dag.conditionals[0].frontal == key("tau3")
         assert dag.conditionals[0].parents == (key("F3"),)
+
+
+class TestLinearFactor:
+    def test_copies_its_inputs_read_only(self):
+        a = np.eye(6)
+        b = np.ones(6)
+        f = LinearFactor({X: a}, b)
+        a[0, 0] = 5.0
+        b[0] = 7.0
+        np.testing.assert_array_equal(f.blocks[X], np.eye(6))
+        np.testing.assert_array_equal(f.rhs, np.ones(6))
+        np.testing.assert_array_equal(solve(FactorGraph([f]), [X])[X], np.ones(6))
+        assert not f.ab.flags.writeable
+        assert not f.blocks[X].flags.writeable
+        with pytest.raises(ValueError):
+            f.blocks[X][0, 0] = 5.0
 
 
 class TestSolve:
