@@ -109,13 +109,16 @@ def _make_spec(model, args) -> ProblemSpec:
         if args.tau is None:
             raise ValueError("--type forward requires --tau")
         return ProblemSpec.forward(model, _csv(args.tau, "--tau"), **kw)
+    return ProblemSpec.hybrid(model, _mixed(args), **kw)
+
+
+def _mixed(args):
     if args.mixed is None:
         raise ValueError("--type hybrid requires --mixed")
     try:
-        mapping = json.loads(args.mixed)
+        return json.loads(args.mixed)
     except json.JSONDecodeError as e:
         raise ValueError(f"--mixed is not valid JSON: {e}") from None
-    return ProblemSpec.hybrid(model, mapping, **kw)
 
 
 def _ordering_arg(text: str):
@@ -163,13 +166,11 @@ def _random_problem(model, args, rng):
     elif args.type == "forward":
         spec = ProblemSpec.forward(model, rng.uniform(-1, 1, n_act), gravity=gravity)
     else:
-        if args.mixed is None:
-            raise ValueError("--type hybrid requires --mixed for the accel/torque split")
-        mapping = {}
-        for name, d in json.loads(args.mixed).items():
-            kind = "accel" if "accel" in d else "torque"
-            mapping[name] = {kind: float(rng.uniform(-1, 1))}
-        spec = ProblemSpec.hybrid(model, mapping, gravity=gravity)
+        # --mixed fixes the accel/torque split; actuated joints get random values
+        split = ProblemSpec.hybrid(model, _mixed(args)).by_joint(model)
+        spec = ProblemSpec.hybrid(model, {
+            j.name: type(split[j.name])(float(rng.uniform(-1, 1))) if j.actuated
+            else split[j.name] for j in model.movable_joints}, gravity=gravity)
     return state, spec
 
 
@@ -178,6 +179,8 @@ def cmd_benchmark(args) -> int:
     if model.loop_joints:
         raise ValueError("benchmark generates random states and needs a tree "
                          "(loop closures would be violated)")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     names = [t.strip() for t in args.orderings.split(",") if t.strip()]
     if not names:

@@ -14,10 +14,11 @@ reads only each factor's keys and row count plus the ordering, and fixes
 every step's input factors, parents and the stack column of each of their
 columns, and the numeric layout of the solution: one flat vector with a
 slice per variable, in elimination order, and per step the index array
-that gathers its parents' entries. It is memoised by the graph's
-structure, so graphs that differ only in their numbers share it. The
-numeric phase (`eliminate`) copies the input row blocks into each step's
-stack and reduces it; each conditional is the step's raw R row block
+that gathers its parents' entries. `plan_for` is the one way from an
+ordering request to a plan, memoised by the graph's structure, so graphs
+that differ only in their numbers share it. The numeric phase
+(`eliminate`) copies the input row blocks into each step's stack and
+reduces it; each conditional is the step's raw R row block
 `[R_ff | R_fp | d]`. `back_substitute` fills the flat vector from the last
 step to the first.
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from threading import Lock
@@ -220,15 +220,14 @@ class Conditional(NamedTuple):
         return _split(self.block, self.parents, self.frontal.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class EliminationDag:
-    """Result of eliminating every variable of a graph in a given order:
+class EliminationDag(NamedTuple):
+    """Result of eliminating every variable of a graph under one plan:
     one conditional per step of `plan`, and the right-hand sides of the
     rows that elimination left with no coefficient (`leftover`)."""
 
     conditionals: tuple
     leftover: np.ndarray
-    plan: "EliminationPlan" = field(repr=False)
+    plan: EliminationPlan
 
     @property
     def ordering(self) -> tuple:
@@ -255,11 +254,10 @@ class PlanStep(NamedTuple):
     of the factors `inputs` (ascending, so graph factors before products)
     in columns `var`, `parents` (by elimination position) and the rhs last,
     `width` in all; `scatter[i]` lists the stack column of each column of
-    input `i`'s `[A | b]` row block. `budget` is min(stacked rows - dim,
-    parent dims) with the products at their budgets: the most rows an
-    orthogonal reduction leaves on the parents. `product` is the id of the
-    factor it leaves, -1 when it leaves none. `gather` indexes the parents'
-    entries of the flat solution vector in the stack's column order.
+    input `i`'s `[A | b]` row block. `product` is the id of the factor it
+    leaves over the parents, -1 when the planner's row budget leaves none
+    (see `plan_elimination`). `gather` indexes the parents' entries of the
+    flat solution vector in the stack's column order.
     """
 
     var: VarKey
@@ -267,7 +265,6 @@ class PlanStep(NamedTuple):
     scatter: tuple
     parents: tuple
     width: int
-    budget: int
     product: int
     gather: np.ndarray
 
@@ -315,29 +312,25 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         for k in keys:
             var_to_fids[k].add(fid)
     next_fid = len(graph.factors)
-    order = []
     picked = []
 
     def degree(v):
         return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
 
-    greedy = any(len(g) > 1 for g in groups)
-    # before any pick, a variable's degree is its number of graph neighbors
-    deg = {v: len(n) for v, n in graph.adjacency.items()} if greedy else None
+    # before any pick, a variable's degree is its number of graph neighbors;
+    # one dropped from `deg` has moved since and is recounted with its group
+    deg = {v: len(n) for v, n in graph.adjacency.items()}
     for group in groups:
         pool = set(group)
+        deg.update((x, degree(x)) for x in pool - deg.keys())
         # the least (degree, key) of the pool; an entry is stale once its
         # variable is picked or its degree has moved, and is then skipped
-        heap = [(deg[x], x) for x in pool] if len(pool) > 1 else []
+        heap = [(deg[x], x) for x in pool]
         heapq.heapify(heap)
         while pool:
-            if heap:
-                d, v = heapq.heappop(heap)
-                if v not in pool or d != deg[v]:
-                    continue
-            else:
-                v = next(iter(pool))
-            order.append(v)
+            d, v = heapq.heappop(heap)
+            if v not in pool or d != deg[v]:
+                continue
             pool.discard(v)
 
             fids = sorted(var_to_fids[v])
@@ -347,6 +340,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 for k in factors[fid][0]:
                     var_to_fids[k].discard(fid)
                 del factors[fid]
+            # the most rows an orthogonal reduction leaves on the parents
             budget = min(rows - v.dim, sum(p.dim for p in parents))
             product = -1
             if parents and budget > 0:
@@ -355,17 +349,19 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 for p in parents:
                     var_to_fids[p].add(product)
                 next_fid += 1
-            picked.append((v, fids, parents, budget, product))
+            picked.append((v, fids, parents, product))
             # a pick changes only its parents' factor sets, so only their degrees move
-            if greedy:
-                for p in parents:
-                    d = degree(p)
-                    if d != deg[p]:
-                        deg[p] = d
-                        if heap and p in pool:
-                            heapq.heappush(heap, (d, p))
+            for p in parents:
+                if p not in pool:
+                    deg.pop(p, None)
+                    continue
+                d = degree(p)
+                if d != deg[p]:
+                    deg[p] = d
+                    heapq.heappush(heap, (d, p))
 
     # parents are ordered by elimination position, known once every pick is
+    order = tuple(v for v, *_ in picked)
     position = {v: i for i, v in enumerate(order)}
     slices = {}
     size = 0
@@ -377,7 +373,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     keys_of = [keys for keys, _ in graph.structure]
     steps = []
     edge_count = fill_in = 0
-    for v, fids, parent_set, budget, product in picked:
+    for v, fids, parent_set, product in picked:
         parents = tuple(sorted(parent_set, key=position.__getitem__))
         offsets = {v: 0}
         c = v.dim
@@ -391,11 +387,10 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         if product >= 0:
             keys_of.append(parents)
         gather = np.concatenate([entries[slices[p]] for p in parents]) if parents else entries[:0]
-        steps.append(PlanStep(v, tuple(fids), scatter, parents, c + 1, budget, product,
-                              gather))
+        steps.append(PlanStep(v, tuple(fids), scatter, parents, c + 1, product, gather))
         edge_count += len(parents)
         fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
-    return EliminationPlan(tuple(order), tuple(steps), edge_count, fill_in, size, slices)
+    return EliminationPlan(order, tuple(steps), edge_count, fill_in, size, slices)
 
 
 _PLAN_MEMO_SIZE = 64
@@ -403,23 +398,37 @@ _plans: OrderedDict = OrderedDict()
 _plans_lock = Lock()
 
 
-def memo_plan(graph: FactorGraph, request, make) -> EliminationPlan:
-    """The plan memoised for (graph.structure, request), or make() on a miss.
-
-    `request` is any hashable description of the ordering. A plan made here
-    is also memoised under its own key sequence, so eliminating with the
-    ordering it resolved to reuses it. The memo keeps the most recently
-    used _PLAN_MEMO_SIZE entries.
+def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
+    """The plan for an ordering request: a scheme name in any case, or a
+    sequence of VarKeys or their text (e.g. "qdd1"). "md" is minimum
+    degree over every variable but `deferred`, then over `deferred`; "nd"
+    is minimum degree inside `nested_dissection_groups`; any other name or
+    a key sequence is the fixed ordering of `classic_ordering`. The plan
+    is memoised under (graph.structure, request, deferred) and under its
+    own key sequence, so eliminating with the ordering it resolved to
+    reuses it; the memo keeps the most recently used _PLAN_MEMO_SIZE
+    entries.
     """
-    key = (graph.structure, request)
+    if isinstance(ordering, str):
+        request = ordering.lower()
+    else:
+        request = tuple(k if isinstance(k, VarKey) else VarKey.parse(k) for k in ordering)
+    deferred = tuple(deferred)
+    key = (graph.structure, request, deferred)
     with _plans_lock:
         plan = _plans.get(key)
         if plan is not None:
             _plans.move_to_end(key)
             return plan
-    plan = make()
+    if request == "md":
+        groups = [set(graph.variables) - set(deferred), deferred]
+    elif request == "nd":
+        groups = nested_dissection_groups(graph)
+    else:
+        groups = [(v,) for v in classic_ordering(graph, request)]
+    plan = plan_elimination(graph, groups)
     with _plans_lock:
-        for k in (key, (graph.structure, plan.ordering)):
+        for k in (key, (graph.structure, plan.ordering, ())):
             _plans[k] = plan
             _plans.move_to_end(k)
         while len(_plans) > _PLAN_MEMO_SIZE:
@@ -428,21 +437,20 @@ def memo_plan(graph: FactorGraph, request, make) -> EliminationPlan:
 
 
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
-    """Eliminate every variable in the given order, producing a DAG.
+    """Eliminate every variable under the plan for `ordering`, producing a DAG.
 
-    The plan for the ordering (memoised by the graph's structure) fixes
-    which factors each step stacks and where their columns go; each input
-    is a weighted `[A | b]` row block, copied into the step's stack in one
-    indexed assignment. Per frontal variable the stacked rows are
-    orthogonally reduced, the leading block rows, kept as they are
-    (`[R_ff | R_fp | d]`), become the variable's conditional and the
-    remainder, less rows left with no parent coefficient (their right-hand
-    sides go to `leftover`), becomes a new factor over the parents. Raises RankDeficient if a frontal block does
-    not determine its variable.
+    `ordering` is any request `plan_for` takes, usually a key sequence.
+    The plan fixes which factors each step stacks and where their columns
+    go; each input is a weighted `[A | b]` row block, copied into the
+    step's stack in one indexed assignment. Per frontal variable the
+    stacked rows are orthogonally reduced, the leading block rows, kept as
+    they are (`[R_ff | R_fp | d]`), become the variable's conditional and
+    the remainder, less rows left with no parent coefficient (their
+    right-hand sides go to `leftover`), becomes a new factor over the
+    parents. Raises RankDeficient if a frontal block does not determine
+    its variable.
     """
-    ordering = tuple(ordering)
-    plan = memo_plan(graph, ordering,
-                     lambda: plan_elimination(graph, [(v,) for v in ordering]))
+    plan = plan_for(graph, ordering)
     # every factor's weighted [A | b], by id; products are appended as made
     ab = [f.ab if f.weight == 1.0 else f.weight * f.ab for f in graph.factors]
     conditionals = []
@@ -501,6 +509,8 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return r
 
 
+# a non-finite solution raises below, so numpy's warnings about it would only repeat it
+@np.errstate(invalid="ignore", over="ignore")
 def back_substitute(dag: EliminationDag) -> dict:
     """Solve for every variable by walking the DAG in reverse order.
 
@@ -607,8 +617,8 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
 
 def nested_dissection_ordering(graph: FactorGraph) -> list:
     """Nested dissection ordering: min-degree inside the groups of
-    `nested_dissection_groups`."""
-    return min_degree_ordering(graph, nested_dissection_groups(graph))
+    `nested_dissection_groups`, as `plan_for(graph, "nd")` plans it."""
+    return list(plan_for(graph, "nd").ordering)
 
 
 def classic_ordering(graph: FactorGraph, scheme) -> list:

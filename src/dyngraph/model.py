@@ -284,6 +284,8 @@ def _floats(text: str, n: int, what: str) -> np.ndarray:
         raise MalformedDescription(f"{what}: cannot parse numbers from {text!r}") from None
     if vals.shape != (n,):
         raise MalformedDescription(f"{what}: expected {n} numbers, got {text!r}")
+    if not np.isfinite(vals).all():
+        raise MalformedDescription(f"{what}: numbers must be finite, got {text!r}")
     return vals
 
 

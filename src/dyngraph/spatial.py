@@ -167,8 +167,10 @@ class SpatialInertia:
 
     def __post_init__(self):
         i = _freeze(self.rotational_inertia, (3, 3))
-        if not self.mass > 0.0:
-            raise InvalidInertia(f"mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < math.inf:
+            raise InvalidInertia(f"mass must be positive and finite, got {self.mass}")
+        if not np.isfinite(i).all():
+            raise InvalidInertia(f"rotational inertia must be finite, got {i.tolist()}")
         if np.max(np.abs(i - i.T)) > 1e-12:
             raise InvalidInertia("rotational inertia must be symmetric")
         if np.linalg.eigvalsh(i)[0] <= 0.0:

@@ -16,6 +16,7 @@ a planar mechanism cannot transmit.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -29,11 +30,8 @@ from .fgraph import (
     LinearFactor,
     VarKey,
     back_substitute,
-    classic_ordering,
     eliminate,
-    memo_plan,
-    nested_dissection_groups,
-    plan_elimination,
+    plan_for,
 )
 from .model import JointKind, RobotModel
 from .spatial import Pose, big_adjoint, little_adjoint
@@ -168,18 +166,21 @@ class ProblemSpec:
     def hybrid(cls, model: RobotModel, mapping, **kw) -> "ProblemSpec":
         """Mixed problem: `mapping` gives each actuated joint either an
         acceleration or a torque, as GivenAccel/GivenTorque values or
-        {"accel": x} / {"torque": x} dicts. Free joints default to zero
-        torque but may be overridden."""
+        {"accel": x} / {"torque": x} dicts with a number x. Free joints
+        default to zero torque but may be overridden."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"designations must map joint names, got {mapping!r}")
         des = cls._free_designations(model)
         for name, d in mapping.items():
             if isinstance(d, dict):
-                if set(d) == {"accel"}:
-                    d = GivenAccel(float(d["accel"]))
-                elif set(d) == {"torque"}:
-                    d = GivenTorque(float(d["torque"]))
-                else:
+                if set(d) not in ({"accel"}, {"torque"}):
                     raise ValueError(f"joint {name}: designation must be "
                                      f"{{'accel': x}} or {{'torque': x}}, got {d}")
+                (what, x), = d.items()
+                try:
+                    d = (GivenAccel if what == "accel" else GivenTorque)(float(x))
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"joint {name}: {what} must be a number, got {x!r}") from None
             if not isinstance(d, (GivenAccel, GivenTorque)):
                 raise ValueError(f"joint {name}: bad designation {d!r}")
             des[name] = d
@@ -433,34 +434,15 @@ class DynamicsResult:
     solve_micros: float = 0.0
 
 
-def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel = None):
-    """Turn an ordering request (scheme name, "auto", "md", "nd", or an
-    explicit key sequence) into a list of VarKeys.
-
-    The elimination plan behind it is memoised by the graph's structure and
-    the request, so a repeated problem structure skips the ordering and
-    the symbolic work of elimination.
-    """
-    if ordering is None:
-        ordering = "auto"
-    if not isinstance(ordering, str):
-        request = tuple(k if isinstance(k, VarKey) else VarKey.parse(k) for k in ordering)
-        groups = lambda: [(v,) for v in request]
-    elif ordering.lower() == "auto":
-        loops = tuple(VarKey(Kind.WRENCH, l.index)
-                      for l in (model.loop_joints if model is not None else ()))
-        request = ("auto", loops)
-        groups = lambda: [set(graph.variables) - set(loops), set(loops)]
-    else:
-        request = name = ordering.lower()
-        if name == "md":
-            groups = lambda: None
-        elif name == "nd":
-            groups = lambda: nested_dissection_groups(graph)
-        else:
-            groups = lambda: [(v,) for v in classic_ordering(graph, name)]
-    plan = memo_plan(graph, request, lambda: plan_elimination(graph, groups()))
-    return list(plan.ordering)
+def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
+    """The VarKey list `fgraph.plan_for` resolves an ordering request to,
+    with the one rule that needs the model: "auto" is "md" with the model's
+    loop wrenches deferred to the end."""
+    deferred = ()
+    if isinstance(ordering, str) and ordering.lower() == "auto":
+        ordering = "md"
+        deferred = tuple(VarKey(Kind.WRENCH, l.index) for l in model.loop_joints)
+    return list(plan_for(graph, ordering, deferred).ordering)
 
 
 def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,

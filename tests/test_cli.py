@@ -223,6 +223,49 @@ class TestBenchmark:
         assert snapshot() == snapshot()
 
 
+    def test_hybrid_random_problems(self, capsys):
+        mixed = json.dumps({"j1": {"accel": 0.0}, "j2": {"torque": 0.0},
+                            "j3": {"accel": 0.0}})
+        code, out, _ = run(
+            capsys, "benchmark", "--urdf", THREE_R, "--type", "hybrid",
+            "--mixed", mixed, "--orderings", "auto,md,nd", "--trials", "3",
+            "--seed", "4", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["ordering"] for r in doc["rows"]] == ["auto", "md", "nd"]
+        assert all(r["edgeCount"] > 0 for r in doc["rows"])
+
+
+THREE_TORQUES = '"j2": {"torque": 0}, "j3": {"torque": 0}'
+HOSTILE = {
+    "solve-list": ("solve", "[1,2]"),
+    "solve-null": ("solve", '{"j1": {"accel": null}}'),
+    "solve-huge-int": ("solve", '{"j1": {"accel": 1%s}}' % ("0" * 400)),
+    "benchmark-number": ("benchmark", '{"j1": 1}'),
+    "benchmark-list": ("benchmark", "[1]"),
+    "benchmark-unknown-kind": ("benchmark", '{"j1": {"foo": 1}, %s}' % THREE_TORQUES),
+}
+
+
+@pytest.mark.parametrize("command,mixed", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_mixed_is_a_usage_error(capsys, command, mixed):
+    extra = ["--orderings", "md", "--trials", "1"] if command == "benchmark" else []
+    code, out, err = run(capsys, command, "--urdf", THREE_R, "--type", "hybrid",
+                         "--mixed", mixed, *extra)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_benchmark_zero_trials_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",
+                       "--orderings", "rnea", "--trials", "0")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "--trials" in err
+
+
 class TestExport:
     def test_graph_node_counts(self, capsys, tmp_path):
         out_path = tmp_path / "g.dot"

@@ -256,6 +256,15 @@ class TestPlan:
         sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
         np.testing.assert_allclose(sol[q], [3.0])
 
+    def test_variable_left_without_factor_is_named(self):
+        # eliminating x uses up the one row, so no product reaches y
+        x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
+        g = FactorGraph([LinearFactor({x: [[1.0]], y: [[1.0]]}, [1.0])])
+        with pytest.raises(RankDeficient,
+                           match="qdd2: no factor constrains this variable") as err:
+            eliminate(g, [x, y])
+        assert err.value.key == y
+
     def test_numerically_dead_product_keeps_plan(self):
         # x's two factors are proportional, so the product that eliminating
         # x leaves on (y, z) has one structural row and it reduces to zero;

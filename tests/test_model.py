@@ -217,3 +217,22 @@ class TestImmutability:
             three_r.joints[0].axis.vector[0] = 99.0
         with pytest.raises(Exception):
             three_r.links[1].inertia.rotational_inertia[0, 0] = 99.0
+
+
+JOINT_ORIGIN = '<origin xyz="0 0 0"/>\n    <axis xyz="0 0 1"/>'
+NON_FINITE = {
+    "mass-inf": ('<mass value="1.0"/>', '<mass value="inf"/>', InvalidInertia, "link arm"),
+    "ixx-inf": ('ixx="1"', 'ixx="inf"', InvalidInertia, "link arm"),
+    "iyy-overflow": ('iyy="1"', 'iyy="1e400"', InvalidInertia, "link arm"),
+    "origin-nan": (JOINT_ORIGIN, JOINT_ORIGIN.replace('xyz="0 0 0"', 'xyz="0 nan 0"'),
+                   MalformedDescription, "joint j origin"),
+    "axis-nan": ('<axis xyz="0 0 1"/>', '<axis xyz="0 0 nan"/>', MalformedDescription,
+                 "joint j axis"),
+}
+
+
+@pytest.mark.parametrize("old,new,error,where", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_number_fails_at_parse_naming_element(old, new, error, where):
+    assert MINIMAL.count(old) == 1
+    with pytest.raises(error, match=where):
+        parse_urdf(MINIMAL.replace(old, new))

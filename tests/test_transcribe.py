@@ -9,7 +9,7 @@ from dyngraph import fgraph
 from dyngraph.errors import InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import Kind, VarKey, back_substitute, eliminate
 from dyngraph.model import Joint, parse_urdf
-from dyngraph.oracle import rnea_full, rnea_torques
+from dyngraph.oracle import dense_solve, rnea_full, rnea_torques
 from dyngraph.spatial import Pose
 from dyngraph.transcribe import (
     GivenAccel,
@@ -447,6 +447,62 @@ class TestSolveDynamics:
         assert checks == []
 
 
+# a parallelogram four-bar: crank j1 from the base, coupler j2, rocker j3
+# back down, and the loop joint j4 from the rocker's tip to a base anchor
+PARALLELOGRAM = """
+<robot name="parallelogram">
+  <link name="base"/>
+  <link name="crank"><inertial><origin xyz="0.15 0 0"/><mass value="0.5"/>
+    <inertia ixx="1e-5" ixy="0" ixz="0" iyy="0.00375" iyz="0" izz="0.00375"/>
+  </inertial></link>
+  <link name="coupler"><inertial><origin xyz="0.2 0 0"/><mass value="0.5"/>
+    <inertia ixx="1e-5" ixy="0" ixz="0" iyy="0.0066667" iyz="0" izz="0.0066667"/>
+  </inertial></link>
+  <link name="rocker"><inertial><origin xyz="0.15 0 0"/><mass value="0.5"/>
+    <inertia ixx="1e-5" ixy="0" ixz="0" iyy="0.00375" iyz="0" izz="0.00375"/>
+  </inertial></link>
+  <joint name="j1" type="revolute">
+    <parent link="base"/><child link="crank"/><axis xyz="0 0 1"/>
+  </joint>
+  <joint name="j2" type="revolute" actuated="false">
+    <parent link="crank"/><child link="coupler"/>
+    <origin xyz="0.3 0 0"/><axis xyz="0 0 1"/>
+  </joint>
+  <joint name="j3" type="revolute" actuated="false">
+    <parent link="coupler"/><child link="rocker"/>
+    <origin xyz="0.4 0 0"/><axis xyz="0 0 1"/>
+  </joint>
+  <joint name="j4" type="revolute" loop="true">
+    <parent link="rocker"/><child link="base"/>
+    <origin xyz="0.3 0 0"/><axis xyz="0 0 1"/><child_origin xyz="0.4 0 0"/>
+  </joint>
+</robot>
+"""
+
+
+class TestLoopClosingOnBase:
+    @pytest.mark.parametrize("ordering", ["auto", "md", "nd"])
+    def test_parallelogram_with_base_acceleration(self, ordering):
+        # the coupler stays parallel to the base, so whatever the dynamics
+        # the joint accelerations obey qdd2 = -qdd1, qdd3 = qdd1, qdd4 = -qdd1;
+        # the loop joint's child is the base, so base_accel enters there too
+        model = parse_urdf(PARALLELOGRAM)
+        theta, rate = 0.7, -0.4
+        st = JointState([theta, -theta, theta + np.pi, -theta - np.pi],
+                        [rate, -rate, rate, -rate])
+        spec = ProblemSpec.forward(model, [0.8], gravity=GRAVITY_Y,
+                                   base_accel=[0.3, -0.2, 0.5, 1.5, -0.7, 0.4],
+                                   planar_loops={"j4": (0.0, 0.0, 1.0)})
+        res = solve_dynamics(model, st, spec, ordering)
+        qdd = res.accels
+        assert abs(qdd["j1"]) > 1e-3
+        for name, sign in (("j2", -1), ("j3", 1), ("j4", -1)):
+            assert abs(qdd[name] - sign * qdd["j1"]) < 1e-9
+        dense = dense_solve(res.graph)
+        for k, v in dense.items():
+            np.testing.assert_allclose(res.values[k], v, rtol=0, atol=1e-8)
+
+
 def chain_model(n):
     """Serial chain of n revolute joints with alternating axes."""
     inertial = ('<inertial><mass value="1.0"/><inertia ixx="0.02" ixy="0" ixz="0" '
@@ -562,6 +618,28 @@ class TestPlanMemo:
             assert (res.graph.structure, res.ordering) != \
                 (before.graph.structure, before.ordering)
             assert_same_solution(res, *fresh_solution(five_bar, st, vspec, vordering))
+
+    def test_one_plan_per_request(self, three_r, five_bar, five_bar_kin, fresh_plans):
+        # on a tree "auto" is "md" with nothing deferred; the plan is filed
+        # under the request and under its own key sequence, which a key
+        # sequence request, given as VarKeys or as text, finds again
+        st = JointState(np.full(3, 0.2), np.full(3, 0.1))
+        graph = build_graph(three_r, st, ProblemSpec.forward(three_r, np.zeros(3)))
+        keys = resolve_ordering(graph, "auto", three_r)
+        plan = fgraph.plan_for(graph, "md")
+        assert len(fgraph._plans) == 2
+        assert resolve_ordering(graph, "MD", three_r) == keys
+        assert fgraph.plan_for(graph, keys) is plan
+        assert fgraph.plan_for(graph, [str(k) for k in keys]) is plan
+        assert eliminate(graph, keys).plan is plan
+        assert len(fgraph._plans) == 2
+        # on a loop, "auto" defers the loop wrench and gets its own entry
+        loop = build_graph(five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2),
+                           ProblemSpec.forward(five_bar, np.zeros(2),
+                                               planar_loops={"j5": (0.0, 0.0, 1.0)}))
+        f5 = VarKey(Kind.WRENCH, 5)
+        assert fgraph.plan_for(loop, "md", (f5,)).ordering[-1] == f5
+        assert fgraph.plan_for(loop, "md", (f5,)) is not fgraph.plan_for(loop, "md")
 
     def test_memo_stays_bounded(self, fresh_plans):
         model = chain_model(10)
