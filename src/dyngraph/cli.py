@@ -31,15 +31,18 @@ from .transcribe import (
 )
 
 
-def _csv(text: str, what: str) -> np.ndarray:
+def _csv(text: str, what: str, sep: str | None = ",") -> np.ndarray:
+    """The numbers in `text` split at `sep` (None: whitespace); the
+    ValueError for one that does not parse names the flag `what`."""
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        return np.array([float(t) for t in text.split(sep) if t.strip() != ""])
     except ValueError:
-        raise ValueError(f"{what}: cannot parse {text!r} as comma-separated numbers") from None
+        raise ValueError(f"{what}: cannot parse {text!r} as "
+                         f"{'comma' if sep else 'space'}-separated numbers") from None
 
 
 def _vec(text: str, n: int, what: str) -> np.ndarray:
-    v = np.array([float(t) for t in text.split()])
+    v = _csv(text, what, sep=None)
     if v.shape != (n,):
         raise ValueError(f"{what}: expected {n} space-separated numbers, got {text!r}")
     return v

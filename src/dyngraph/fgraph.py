@@ -393,6 +393,12 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     return EliminationPlan(order, tuple(steps), edge_count, fill_in, size, slices)
 
 
+def _parse_item(item, i: int) -> VarKey:
+    if not isinstance(item, str):
+        raise ValueError(f"ordering[{i}] must be a VarKey or its text, got {item!r}")
+    return VarKey.parse(item)
+
+
 _PLAN_MEMO_SIZE = 64
 _plans: OrderedDict = OrderedDict()
 _plans_lock = Lock()
@@ -403,8 +409,9 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     sequence of VarKeys or their text (e.g. "qdd1"). "md" is minimum
     degree over every variable but `deferred`, then over `deferred`; "nd"
     is minimum degree inside `nested_dissection_groups`; any other name or
-    a key sequence is the fixed ordering of `classic_ordering`. The plan
-    is memoised under (graph.structure, request, deferred) and under its
+    a key sequence is the fixed ordering of `classic_ordering`. Anything
+    else raises ValueError naming the request or its first bad item. The
+    plan is memoised under (graph.structure, request, deferred) and under its
     own key sequence, so eliminating with the ordering it resolved to
     reuses it; the memo keeps the most recently used _PLAN_MEMO_SIZE
     entries.
@@ -412,7 +419,12 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     if isinstance(ordering, str):
         request = ordering.lower()
     else:
-        request = tuple(k if isinstance(k, VarKey) else VarKey.parse(k) for k in ordering)
+        try:
+            items = enumerate(ordering)
+        except TypeError:
+            raise ValueError(f"ordering must be a scheme name or a sequence of "
+                             f"variable keys, got {ordering!r}") from None
+        request = tuple(k if isinstance(k, VarKey) else _parse_item(k, i) for i, k in items)
     deferred = tuple(deferred)
     key = (graph.structure, request, deferred)
     with _plans_lock:
@@ -547,24 +559,6 @@ def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
     return list(plan_elimination(graph, groups).ordering)
 
 
-def _components(adj, sub):
-    sub = set(sub)
-    comps = []
-    while sub:
-        seed = min(sub)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            at = frontier.pop()
-            for n in adj[at] & sub:
-                if n not in comp:
-                    comp.add(n)
-                    frontier.append(n)
-        comps.append(comp)
-        sub -= comp
-    return sorted(comps, key=min)
-
-
 def _bfs_levels(adj, sub, start):
     levels = [[start]]
     seen = {start}
@@ -591,7 +585,11 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
     def dissect(sub) -> list:
         if len(sub) <= 3:
             return [sub]
-        comps = _components(adj, sub)
+        comps = []
+        rest = set(sub)
+        while rest:
+            comps.append({v for level in _bfs_levels(adj, rest, min(rest)) for v in level})
+            rest -= comps[-1]
         if len(comps) > 1:
             return [group for comp in comps for group in dissect(comp)]
         # double-BFS pseudo-peripheral start: go far, then level-partition;

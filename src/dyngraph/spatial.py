@@ -176,12 +176,16 @@ class SpatialInertia:
         if np.linalg.eigvalsh(i)[0] <= 0.0:
             raise InvalidInertia("rotational inertia must be positive definite")
         object.__setattr__(self, "rotational_inertia", i)
+        g = np.zeros((6, 6))
+        g[:3, :3] = i
+        g[3:, 3:] = self.mass * np.eye(3)
+        g.setflags(write=False)
+        object.__setattr__(self, "_matrix", g)
 
     def matrix(self) -> np.ndarray:
-        g = np.zeros((6, 6))
-        g[:3, :3] = self.rotational_inertia
-        g[3:, 3:] = self.mass * np.eye(3)
-        return g
+        """The 6x6 spatial inertia, computed once at construction; the
+        same read-only array on every call."""
+        return self._matrix
 
 
 def big_adjoint(pose: Pose) -> np.ndarray:

@@ -6,19 +6,21 @@ accelerations, torques) is linear and becomes the variables of the graph.
 Quantities designated known in the problem spec never become variables:
 they are folded into factor right-hand sides.
 
-Per joint: an acceleration factor and a torque factor. Per link: a wrench
-balance factor carrying the inertia terms, the gravity wrench and, for the
-tool link, the external tool wrench. Loop joints add their own acceleration
-and torque factors plus a wrench that enters both endpoint balances; a
+Per joint, tree or loop alike: an acceleration factor, a torque factor if
+it moves, and one wrench F_j, which enters its child link's balance as -F_j
+and its parent link's as Ad_j^T F_j (a tree joint shares its index with its
+child link). Per link: a wrench balance factor carrying the inertia terms,
+the gravity wrench and, for the tool link, the external tool wrench. A
 planar loop additionally gets a unary factor zeroing the wrench components
 a planar mechanism cannot transmit.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from numbers import Real
 from time import perf_counter
 
 import numpy as np
@@ -41,9 +43,12 @@ _LOOP_TOL = 1e-6
 
 def _finite(value, what: str, n: int | None = None) -> np.ndarray:
     """`value` as a read-only float array of at least one dimension,
-    reshaped to (n,) when `n` is given. The ValueError for a wrong size or
-    a non-finite entry names `what`."""
-    a = np.atleast_1d(np.array(value, dtype=float))
+    reshaped to (n,) when `n` is given. The ValueError for a wrong size, a
+    non-number or a non-finite entry names `what`."""
+    try:
+        a = np.atleast_1d(np.array(value, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be finite numbers, got {value!r}") from None
     if n is not None:
         if a.size != n:
             raise ValueError(f"{what} must have {n} entries, got shape {a.shape}")
@@ -110,10 +115,17 @@ class ProblemSpec:
             if not isinstance(d, (GivenAccel, GivenTorque)):
                 raise ValueError(f"designations[{i}] must be GivenAccel or "
                                  f"GivenTorque, got {d!r}")
-            if not np.isfinite(d.value):
-                raise ValueError(f"designations[{i}].value must be finite, got {d.value}")
+            # an exact comparison, so NaN and ints too large for a float fail
+            if not (isinstance(d.value, Real) and abs(d.value) <= sys.float_info.max):
+                raise ValueError(f"designations[{i}].value must be a finite real "
+                                 f"number, got {d.value!r}")
+        try:
+            planar = dict(self.planar_loops)
+        except (TypeError, ValueError):
+            raise ValueError(f"planar_loops must map loop joint names to normals, "
+                             f"got {self.planar_loops!r}") from None
         loops = []
-        for name, normal in dict(self.planar_loops).items():
+        for name, normal in planar.items():
             n = _finite(normal, f"planar loop {name} normal", 3)
             norm = np.linalg.norm(n)
             if norm < 1e-12:
@@ -276,14 +288,6 @@ def planar_factor(key: VarKey, normal, name: str = "planar") -> LinearFactor:
     return LinearFactor({key: rows}, rhs=np.zeros(3), name=name)
 
 
-def _wrench_key(model: RobotModel, joint) -> VarKey:
-    """The wrench variable a joint's torque projects: the child link's
-    wrench for tree joints, the joint's own for loop joints."""
-    if joint.loop:
-        return VarKey(Kind.WRENCH, joint.index)
-    return VarKey(Kind.WRENCH, model.link_map[joint.child].index)
-
-
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
     return _build_graph(model, _kinematics(model, state), spec, spec.by_joint(model))
@@ -296,26 +300,20 @@ _EYE1 = np.eye(1)
 _NEG_EYE1 = -np.eye(1)
 
 
-@lru_cache(maxsize=16)
-def _model_blocks(model: RobotModel):
-    """State-independent blocks of a model's graphs: each link's 6x6
-    spatial inertia by link name, each joint's negated screw axis as a
-    6x1 column by joint name."""
-    inertia = {l.name: l.inertia.matrix() for l in model.links
-               if l.inertia is not None}
-    neg_axis = {j.name: -j.axis.vector.reshape(6, 1) for j in model.joints
-                if j.axis is not None}
-    return inertia, neg_axis
-
-
 def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> FactorGraph:
     qd, poses, twists, adjoints = kin
-    inertia, neg_axis = _model_blocks(model)
     factors = []
+    # each link's wrench balance blocks, filled by the joints touching it
+    balance = {link.name: {} for link in model.links}
 
-    # acceleration factor per joint: Vd_child - Ad Vd_parent - A qdd = bias
+    # acceleration factor per joint: Vd_child - Ad Vd_parent - A qdd = bias;
+    # the joint's wrench F_j enters its child's balance as -I and its
+    # parent's as Ad^T, whether the joint is a tree or a loop joint
     for j in model.joints:
         ad = adjoints[j.name]
+        fkey = VarKey(Kind.WRENCH, j.index)
+        balance[j.child][fkey] = _NEG_EYE6
+        balance[j.parent][fkey] = ad.T
         blocks = {}
         knowns = []
         rhs = np.zeros(6)
@@ -339,7 +337,7 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
                 rhs = rhs + j.axis.vector * d.value
                 knowns.append(f"qdd{j.index}")
             else:
-                blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = neg_axis[j.name]
+                blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = -j.axis.vector.reshape(6, 1)
         factors.append(LinearFactor(blocks, rhs, name=f"accel[{j.name}]",
                                     knowns=tuple(knowns)))
 
@@ -347,29 +345,16 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
     for link in model.links:
         if link.name == model.base:
             continue
-        blocks = {}
+        blocks = balance[link.name]
         knowns = []
-
-        def add(key, mat):
-            blocks[key] = blocks.get(key, 0.0) + mat
-
-        add(VarKey(Kind.WRENCH, link.index), _NEG_EYE6)
         rhs = np.zeros(6)
         if link.inertia is not None:
-            g_mat = inertia[link.name]
-            add(VarKey(Kind.ACCEL, link.index), g_mat)
+            g_mat = link.inertia.matrix()
+            blocks[VarKey(Kind.ACCEL, link.index)] = g_mat
             v = twists[link.name]
             rhs = little_adjoint(v).T @ (g_mat @ v)
             g_body = poses[link.name].rotation.T @ spec.gravity
             rhs = rhs + link.inertia.mass * np.concatenate([np.zeros(3), g_body])
-        for jc in model.child_joints[link.name]:
-            add(VarKey(Kind.WRENCH, model.link_map[jc.child].index),
-                adjoints[jc.name].T)
-        for l in model.loop_joints:
-            if l.parent == link.name:
-                add(VarKey(Kind.WRENCH, l.index), adjoints[l.name].T)
-            if l.child == link.name:
-                add(VarKey(Kind.WRENCH, l.index), _NEG_EYE6)
         if link.name == model.tool_link:
             if np.any(spec.tool_wrench):
                 rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
@@ -379,7 +364,7 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
 
     # torque factor per movable joint: A' F - tau = 0
     for j in model.movable_joints:
-        fkey = _wrench_key(model, j)
+        fkey = VarKey(Kind.WRENCH, j.index)
         row = j.axis.vector.reshape(1, 6)
         d = des[j.name]
         if isinstance(d, GivenTorque):
@@ -480,7 +465,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     for link in model.links:
         if link.index > 0:
             link_accels[link.name] = values[VarKey(Kind.ACCEL, link.index)]
-    wrenches = {j.name: values[_wrench_key(model, j)] for j in model.joints}
+    wrenches = {j.name: values[VarKey(Kind.WRENCH, j.index)] for j in model.joints}
 
     return DynamicsResult(
         values=values,

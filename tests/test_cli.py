@@ -258,6 +258,25 @@ def test_hostile_mixed_is_a_usage_error(capsys, command, mixed):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+UNPARSABLE_VECTOR = {
+    "solve-gravity": ("--gravity", ["solve", "--type", "inverse", "--qdd", "0,0,0",
+                                    "--gravity", "0 0 x"]),
+    "solve-planar-loop": ("--planar-loop", ["solve", "--type", "inverse", "--qdd", "0,0,0",
+                                            "--planar-loop", "j5:0 0 x"]),
+    "benchmark-gravity": ("--gravity", ["benchmark", "--type", "inverse", "--orderings",
+                                        "md", "--trials", "1", "--gravity", "0 0 x"]),
+}
+
+
+@pytest.mark.parametrize("flag,args", UNPARSABLE_VECTOR.values(),
+                         ids=UNPARSABLE_VECTOR.keys())
+def test_unparsable_vector_names_its_flag(capsys, flag, args):
+    code, out, err = run(capsys, *args, "--urdf", THREE_R)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}")
+
+
 def test_benchmark_zero_trials_is_a_usage_error(capsys):
     code, _, err = run(capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",
                        "--orderings", "rnea", "--trials", "0")

@@ -21,7 +21,13 @@ from dyngraph.fgraph import (
     solve,
 )
 from dyngraph.oracle import dense_solve, rnea_torques
-from dyngraph.transcribe import JointState, ProblemSpec, build_graph, resolve_ordering
+from dyngraph.transcribe import (
+    JointState,
+    ProblemSpec,
+    build_graph,
+    resolve_ordering,
+    solve_dynamics,
+)
 
 from conftest import random_state
 
@@ -284,6 +290,21 @@ class TestPlan:
         sol = back_substitute(dag)
         for v, want in ((x, 1.0), (y, 2.0), (z, 3.0)):
             np.testing.assert_allclose(sol[v], [want], atol=1e-14)
+
+    @pytest.mark.parametrize("ordering,message", [
+        ([1, 2], r"^ordering\[0\] must be a VarKey or its text, got 1$"),
+        ([None], r"^ordering\[0\] .* got None$"),
+        ([b"tau1"], r"^ordering\[0\] .* got b'tau1'$"),
+        (["tau1", 3.0], r"^ordering\[1\] .* got 3\.0$"),
+        (5, r"^ordering must be a scheme name or a sequence of variable keys, got 5$"),
+    ], ids=["int-items", "none-item", "bytes-item", "second-item", "int-request"])
+    def test_malformed_ordering_request_names_item(self, three_r, ordering, message):
+        inverse, _, _ = three_r_graphs(three_r)
+        with pytest.raises(ValueError, match=message):
+            eliminate(inverse, ordering)
+        st = JointState(np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match=message):
+            solve_dynamics(three_r, st, ProblemSpec.inverse(three_r, np.zeros(3)), ordering)
 
 
 class TestMinDegree:

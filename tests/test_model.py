@@ -10,6 +10,7 @@ from dyngraph.model import Joint, JointKind, RobotModel, add_loop_joint, parse_u
 from dyngraph.spatial import Pose
 
 from conftest import load_model
+from test_transcribe import PARALLELOGRAM
 
 MINIMAL = """
 <robot name="mini">
@@ -170,6 +171,17 @@ class TestLoopJoints:
         )
         with pytest.raises(GraphError):
             add_loop_joint(three_r, bad)
+
+    @pytest.mark.parametrize("name", ["pendulum", "three_r", "six_r", "five_bar",
+                                      "parallelogram"])
+    def test_tree_joint_shares_its_child_links_index(self, request, name):
+        # transcription keys a tree joint's wrench by the joint's index,
+        # which must be the child link's index
+        model = (parse_urdf(PARALLELOGRAM) if name == "parallelogram"
+                 else request.getfixturevalue(name))
+        assert model.tree_joints
+        for j in model.tree_joints:
+            assert j.index == model.link_map[j.child].index
 
 
 class TestSerialization:

@@ -206,6 +206,14 @@ class TestSpatialInertia:
         assert np.abs(g - g.T).max() < 1e-15
         assert np.linalg.eigvalsh(g).min() > 0
 
+    def test_matrix_is_one_read_only_array(self):
+        inertia = SpatialInertia(2.5, np.diag([0.02, 0.03, 0.01]))
+        g = inertia.matrix()
+        assert inertia.matrix() is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(InvalidInertia):
             SpatialInertia(0.0, np.eye(3))

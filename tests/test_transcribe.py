@@ -10,7 +10,7 @@ from dyngraph.errors import InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import Kind, VarKey, back_substitute, eliminate
 from dyngraph.model import Joint, parse_urdf
 from dyngraph.oracle import dense_solve, rnea_full, rnea_torques
-from dyngraph.spatial import Pose
+from dyngraph.spatial import Pose, big_adjoint
 from dyngraph.transcribe import (
     GivenAccel,
     GivenTorque,
@@ -100,10 +100,27 @@ class TestInputValidation:
         ("designations", lambda m: ProblemSpec.forward(m, [0.0, NAN, 0.0])),
         ("designations", lambda m: ProblemSpec.hybrid(
             m, {"j1": {"torque": 0.0}, "j2": {"accel": INF}, "j3": {"torque": 0.0}})),
+        # values that are not real numbers at all
+        pytest.param("q", lambda m: JointState(["a", 0, 0], np.zeros(3)), id="q-text"),
+        pytest.param("gravity", lambda m: ProblemSpec.inverse(m, np.zeros(3), gravity="abc"),
+                     id="gravity-text"),
+        pytest.param("designations", lambda m: ProblemSpec.hybrid(
+            m, {"j1": GivenAccel("x"), "j2": GivenTorque(0), "j3": GivenTorque(0)}),
+            id="designations-text"),
+        pytest.param("designations", lambda m: ProblemSpec(designations=(GivenTorque(None),)),
+                     id="designations-none"),
+        pytest.param("designations", lambda m: ProblemSpec(designations=(GivenAccel([1, 2]),)),
+                     id="designations-list"),
+        pytest.param("designations", lambda m: ProblemSpec(designations=(GivenAccel(1 + 2j),)),
+                     id="designations-complex"),
     ])
     def test_non_finite_input_names_field(self, three_r, field, make):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b.*finite"):
             make(three_r)
+
+    def test_malformed_planar_loops_names_field(self, three_r):
+        with pytest.raises(ValueError, match=r"^planar_loops must map"):
+            ProblemSpec.forward(three_r, np.zeros(3), planar_loops=[1, 2])
 
     def test_short_base_accel_names_field(self, three_r):
         with pytest.raises(ValueError, match=r"^base_accel must have 6 entries"):
@@ -501,6 +518,33 @@ class TestLoopClosingOnBase:
         dense = dense_solve(res.graph)
         for k, v in dense.items():
             np.testing.assert_allclose(res.values[k], v, rtol=0, atol=1e-8)
+
+
+class TestOneWrenchPerJoint:
+    @pytest.mark.parametrize("which", ["five_bar", "parallelogram"])
+    def test_wrench_enters_its_endpoint_balances(self, which, five_bar, five_bar_kin):
+        # every joint, tree or loop: F_j sits in the balance of each endpoint
+        # that is not the base, as -I in its child's and Ad_j^T in its parent's
+        if which == "five_bar":
+            model, st = five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        else:
+            model = parse_urdf(PARALLELOGRAM)
+            st = JointState([0.7, -0.7, 0.7 + np.pi, -0.7 - np.pi], [-0.4, 0.4, -0.4, 0.4])
+        n_act = sum(1 for j in model.movable_joints if j.actuated)
+        g = build_graph(model, st, ProblemSpec.forward(model, np.ones(n_act)))
+        balance = {f.name[len("balance["):-1]: f for f in g.factors
+                   if f.name.startswith("balance[")}
+        q = dict(zip((j.name for j in model.movable_joints), st.q))
+        for j in model.joints:
+            f = VarKey(Kind.WRENCH, j.index)
+            assert {link for link, b in balance.items() if f in b.keys()} == \
+                {j.child, j.parent} - {model.base}
+            if j.child != model.base:
+                np.testing.assert_array_equal(balance[j.child].blocks[f], -np.eye(6))
+            if j.parent != model.base:
+                np.testing.assert_allclose(balance[j.parent].blocks[f],
+                                           big_adjoint(j.transform(q[j.name])).T,
+                                           rtol=0, atol=1e-15)
 
 
 def chain_model(n):
