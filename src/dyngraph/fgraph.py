@@ -10,17 +10,19 @@ ordering, which is the whole point: classical recursive dynamics
 algorithms fall out as particular orderings.
 
 Elimination runs in two phases. The symbolic one (`plan_elimination`)
-reads only each factor's keys and row count plus the ordering, and fixes
-every step's input factors, parents and the stack column of each of their
-columns, and the numeric layout of the solution: one flat vector with a
-slice per variable, in elimination order, and per step the index array
-that gathers its parents' entries. `plan_for` is the one way from an
-ordering request to a plan, memoised by the graph's structure, so graphs
-that differ only in their numbers share it. The numeric phase
-(`eliminate`) copies the input row blocks into each step's stack and
-reduces it; each conditional is the step's raw R row block
-`[R_ff | R_fp | d]`. `back_substitute` fills the flat vector from the last
-step to the first.
+reads only the graph's `structure` (each factor's keys, row count and
+weight) plus the ordering, and fixes every step's input factors, parents
+and the stack column of each of their columns, the flat solution vector
+with a slice per variable, and the assembly map: where each graph factor
+entry goes in one flat buffer that holds every step's stack. `plan_for` is
+the one way from an ordering request to a plan, memoised by the structure,
+so graphs that differ only in their numbers share it. The numeric phase
+is one `Assembly` per solve: the factors' blocks and right-hand sides,
+from a `FactorGraph` or listed by `transcribe` without building one, are
+scattered into a fresh buffer; each step reduces its stack, keeps its raw
+R row block `[R_ff | R_fp | d]` as its conditional and copies its product
+rows into the stack that consumes them. `back_substitute` fills the flat
+vector from the last step to the first.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -152,39 +154,39 @@ class LinearFactor:
 class FactorGraph:
     """Immutable collection of factors over a variable set.
 
-    `structure` is the factor sequence reduced to each factor's keys and row
-    count: the only input an elimination plan depends on besides the
-    ordering. `variables`, `adjacency` and `structure` are computed on first
-    use.
+    `structure` is the factor sequence reduced to each factor's keys, row
+    count and weight: the only input an elimination plan depends on besides
+    the ordering. `variables`, `adjacency` and `structure` are computed on
+    first use, the first two from `structure` alone, as are `len` and
+    `total_rows`.
     """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
 
     @cached_property
+    def structure(self) -> tuple:
+        return tuple((f.keys(), f.rows, f.weight) for f in self.factors)
+
+    @cached_property
     def variables(self) -> tuple:
-        return tuple(sorted({k for f in self.factors for k in f.keys()}))
+        return tuple(sorted({k for keys, _, _ in self.structure for k in keys}))
 
     @cached_property
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.variables}
-        for f in self.factors:
-            ks = f.keys()
+        for ks, _, _ in self.structure:
             for a in ks:
                 for b in ks:
                     if a != b:
                         adj[a].add(b)
         return {v: frozenset(s) for v, s in adj.items()}
 
-    @cached_property
-    def structure(self) -> tuple:
-        return tuple((f.keys(), f.rows) for f in self.factors)
-
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self.structure)
 
     def total_rows(self) -> int:
-        return sum(f.rows for f in self.factors)
+        return sum(rows for _, rows, _ in self.structure)
 
     def residual_max(self, values: dict) -> float:
         """Largest absolute residual over the weight-1 factors."""
@@ -254,10 +256,13 @@ class PlanStep(NamedTuple):
     of the factors `inputs` (ascending, so graph factors before products)
     in columns `var`, `parents` (by elimination position) and the rhs last,
     `width` in all; `scatter[i]` lists the stack column of each column of
-    input `i`'s `[A | b]` row block. `product` is the id of the factor it
-    leaves over the parents, -1 when the planner's row budget leaves none
-    (see `plan_elimination`). `gather` indexes the parents' entries of the
-    flat solution vector in the stack's column order.
+    input `i`'s `[A | b]` row block. The stack starts at `offset` in the
+    assembly buffer, its first `rows` rows are the graph factors' and the
+    product rows follow as elimination makes them. `product` is the id of
+    the factor it leaves over the parents, -1 when the planner's row budget
+    leaves none (see `plan_elimination`), and `sink` is the (step, input)
+    that consumes it, () when there is none. `gather` indexes the parents'
+    entries of the flat solution vector in the stack's column order.
     """
 
     var: VarKey
@@ -267,16 +272,26 @@ class PlanStep(NamedTuple):
     width: int
     product: int
     gather: np.ndarray
+    offset: int
+    rows: int
+    sink: tuple
 
 
 class EliminationPlan(NamedTuple):
     """Symbolic elimination: the ordering and every step's bookkeeping.
 
-    It depends only on each factor's keys and row count (the graph's
-    `structure`) and on the ordering, so one plan serves every graph of the
-    same structure, whatever its numbers. `slices` maps each variable to
-    its entries of the flat solution vector of length `size`, laid out in
-    elimination order.
+    It depends only on each factor's keys, row count and weight (the
+    graph's `structure`) and on the ordering, so one plan serves every
+    graph of the same structure, whatever its numbers. `slices` maps each
+    variable to its entries of the flat solution vector of length `size`,
+    laid out in elimination order.
+
+    The assembly map lays every step's stack out in one flat buffer of
+    `buffer_size` floats. `dest` is the buffer position of each entry of
+    the graph factors' parts (see `Assembly`), `scale` the (positions,
+    weights) of soft rows' entries, and `check` the (positions, solution
+    entries, hard row numbers, rhs positions) of the weight-1 rows'
+    coefficients and right-hand sides, for the residual check.
     """
 
     ordering: tuple
@@ -285,6 +300,10 @@ class EliminationPlan(NamedTuple):
     fill_in: int
     size: int
     slices: dict
+    buffer_size: int
+    dest: np.ndarray
+    scale: tuple
+    check: tuple
 
 
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
@@ -299,19 +318,22 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     touched factors merge into one product factor whose row budget is
     capped by what an orthogonal reduction can leave behind, so merged
     factors that reduce to nothing drop their connections (this happens
-    whenever a variable is fully determined by its factors).
+    whenever a variable is fully determined by its factors). The budget is
+    also the product's room in its consumer's stack: a reduction never
+    leaves more live rows than that.
     """
     if groups is None:
         groups = [graph.variables]
     elif sorted(v for g in groups for v in g) != list(graph.variables):
         raise ValueError("ordering is not a permutation of the graph's variables")
+    structure = graph.structure
     factors = {}
     var_to_fids = {v: set() for v in graph.variables}
-    for fid, (keys, rows) in enumerate(graph.structure):
+    for fid, (keys, rows, _) in enumerate(structure):
         factors[fid] = (frozenset(keys), rows)
         for k in keys:
             var_to_fids[k].add(fid)
-    next_fid = len(graph.factors)
+    n_graph = next_fid = len(structure)
     picked = []
 
     def degree(v):
@@ -349,7 +371,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 for p in parents:
                     var_to_fids[p].add(product)
                 next_fid += 1
-            picked.append((v, fids, parents, product))
+            picked.append((v, fids, parents, product, budget))
             # a pick changes only its parents' factor sets, so only their degrees move
             for p in parents:
                 if p not in pool:
@@ -369,28 +391,80 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         slices[v] = slice(size, size + v.dim)
         size += v.dim
     entries = np.arange(size)
-    # the keys of every factor id: the graph's, then each product's parents
-    keys_of = [keys for keys, _ in graph.structure]
+    # the keys and row count of every factor id: the graph's, then each product's
+    keys_of = [keys for keys, _, _ in structure]
+    rows_of = [rows for _, rows, _ in structure]
+    sink_of = {fid: (i, at) for i, (_, fids, *_) in enumerate(picked)
+               for at, fid in enumerate(fids) if fid >= n_graph}
+    # per graph factor id: the flat position of its first stack row, the
+    # stack width and its columns there
+    place = [None] * n_graph
     steps = []
-    edge_count = fill_in = 0
-    for v, fids, parent_set, product in picked:
+    edge_count = fill_in = offset = 0
+    for v, fids, parent_set, product, budget in picked:
         parents = tuple(sorted(parent_set, key=position.__getitem__))
         offsets = {v: 0}
         c = v.dim
         for p in parents:
             offsets[p] = c
             c += p.dim
+        width = c + 1
         scatter = tuple(
             np.array([col for k in keys_of[fid]
                       for col in range(offsets[k], offsets[k] + k.dim)] + [c])
             for fid in fids)
+        row = 0
+        for fid, cols in zip(fids, scatter):
+            if fid < n_graph:
+                place[fid] = (offset + row * width, width, cols)
+                row += rows_of[fid]
         if product >= 0:
             keys_of.append(parents)
+            rows_of.append(budget)
         gather = np.concatenate([entries[slices[p]] for p in parents]) if parents else entries[:0]
-        steps.append(PlanStep(v, tuple(fids), scatter, parents, c + 1, product, gather))
+        steps.append(PlanStep(v, tuple(fids), scatter, parents, width, product, gather,
+                              offset, row, sink_of.get(product, ())))
+        offset += sum(rows_of[fid] for fid in fids) * width
         edge_count += len(parents)
         fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
-    return EliminationPlan(order, tuple(steps), edge_count, fill_in, size, slices)
+
+    # the assembly map, one group per key block and per rhs of each graph
+    # factor: `height` rows of `dim` entries from buffer position `start`,
+    # rows `stride` apart, over solution entries from `first` (-1: the rhs);
+    # weight-1 rows are numbered from 0 in factor order, from `hard_row`
+    start, height, dim, stride, first, weight, hard_row = [], [], [], [], [], [], []
+    hard = 0
+    for (keys, rows, w), (base, wd, cols) in zip(structure, place):
+        c = 0
+        for k in keys:
+            start.append(base + cols[c])
+            dim.append(k.dim)
+            first.append(slices[k].start)
+            c += k.dim
+        start.append(base + wd - 1)
+        dim.append(1)
+        first.append(-1)
+        n = len(keys) + 1
+        height += [rows] * n
+        stride += [wd] * n
+        weight += [w] * n
+        hard_row += [hard] * n
+        if w == 1.0:
+            hard += rows
+    start, height, dim, stride, first, hard_row = (
+        np.array(a, dtype=np.intp) for a in (start, height, dim, stride, first, hard_row))
+    weight = np.array(weight, dtype=float)
+    sizes = height * dim
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_e, col_e = np.divmod(local, np.repeat(dim, sizes))
+    dest = np.repeat(start, sizes) + row_e * np.repeat(stride, sizes) + col_e
+    soft = np.repeat(weight != 1.0, sizes)
+    is_rhs = np.repeat(first < 0, sizes)
+    coef = ~soft & ~is_rhs
+    check = (dest[coef], (np.repeat(first, sizes) + col_e)[coef],
+             (np.repeat(hard_row, sizes) + row_e)[coef], dest[~soft & is_rhs])
+    return EliminationPlan(order, tuple(steps), edge_count, fill_in, size, slices, offset,
+                           dest, (dest[soft], np.repeat(weight, sizes)[soft]), check)
 
 
 def _parse_item(item, i: int) -> VarKey:
@@ -448,63 +522,108 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     return plan
 
 
+class Assembly:
+    """The numbers of one solve in the buffer its plan lays out.
+
+    `parts` are the graph factors' blocks and right-hand sides in the order
+    of `EliminationPlan.dest`: for each factor in id order, its key blocks
+    in key order, then its rhs. They are scattered into a fresh zeroed
+    buffer in one step and soft rows are scaled by their weight; the plan
+    is only read, so any number of assemblies may share it across threads.
+    """
+
+    __slots__ = ("plan", "data")
+
+    def __init__(self, plan: EliminationPlan, parts):
+        self.plan = plan
+        self.data = np.zeros(plan.buffer_size)
+        self.data[plan.dest] = np.concatenate(parts, axis=None) if parts else ()
+        pos, weight = plan.scale
+        if pos.size:
+            self.data[pos] *= weight
+
+    def eliminate(self) -> EliminationDag:
+        """Reduce every step's stack in plan order (see `eliminate`)."""
+        data = self.data
+        steps = self.plan.steps
+        filled = [st.rows for st in steps]
+        conditionals = []
+        leftover = []
+        for i, st in enumerate(steps):
+            v = st.var
+            dv = v.dim
+            m = filled[i]
+            if m == 0:
+                raise RankDeficient(v, "no factor constrains this variable")
+            if m < dv:
+                raise RankDeficient(v, f"{m} constraint rows for {dv} dimensions")
+
+            rmat = _r_factor(data[st.offset:st.offset + m * st.width].reshape(m, st.width))
+            # a 1x1 block's one singular value is its entry's magnitude; the
+            # test is written so that a NaN fails it
+            sv = (abs(rmat[0, 0]),) if dv == 1 else dgesdd(rmat[:dv, :dv], compute_uv=0)[1]
+            if not sv[-1] > 1e-9 * sv[0]:
+                raise RankDeficient(v, f"frontal block rank below {dv}")
+            conditionals.append(Conditional(v, st.parents, rmat[:dv]))
+
+            rest = rmat[dv:]
+            if rest.shape[0] and st.parents:
+                mag = np.abs(rmat)
+                scale = max(1.0, float(mag.max()))
+                live = mag[dv:, dv:-1].max(axis=1) > 1e-12 * scale
+            else:
+                live = np.zeros(rest.shape[0], dtype=bool)
+            leftover.extend(rest[~live, -1])
+            if st.product >= 0:
+                # appended below the consumer's rows so far; empty when every
+                # row died numerically: the plan's structure stands, and the
+                # parents' columns from it stay zero
+                product = rest[live, dv:]
+                at, slot = st.sink
+                to = steps[at]
+                r = filled[at]
+                n = product.shape[0]
+                base = to.offset + r * to.width
+                data[base:base + n * to.width].reshape(n, to.width)[:, to.scatter[slot]] = product
+                filled[at] = r + n
+
+        return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), self.plan)
+
+    def solve(self) -> tuple:
+        """Eliminate, back-substitute and check the hard rows: returns the
+        DAG, {key: value} as `back_substitute` gives it, and the largest
+        absolute residual of the weight-1 rows, one gathered product over
+        the buffer's graph rows (the plan's `check`)."""
+        dag = self.eliminate()
+        x = _solution(dag)
+        pos, entry, row, rhs = self.plan.check
+        residual = 0.0
+        if rhs.size:
+            r = np.bincount(row, self.data[pos] * x[entry], minlength=rhs.size) - self.data[rhs]
+            residual = float(np.abs(r).max())
+        return dag, {v: x[s] for v, s in self.plan.slices.items()}, residual
+
+
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     """Eliminate every variable under the plan for `ordering`, producing a DAG.
 
     `ordering` is any request `plan_for` takes, usually a key sequence.
-    The plan fixes which factors each step stacks and where their columns
-    go; each input is a weighted `[A | b]` row block, copied into the
-    step's stack in one indexed assignment. Per frontal variable the
-    stacked rows are orthogonally reduced, the leading block rows, kept as
-    they are (`[R_ff | R_fp | d]`), become the variable's conditional and
-    the remainder, less rows left with no parent coefficient (their
-    right-hand sides go to `leftover`), becomes a new factor over the
-    parents. Raises RankDeficient if a frontal block does not determine
-    its variable.
+    The graph's factors are assembled into the buffer the plan lays out,
+    weighted, so each step's stack holds its input row blocks in the plan's
+    columns. Per frontal variable the stacked rows are orthogonally
+    reduced, the leading block rows, kept as they are (`[R_ff | R_fp | d]`),
+    become the variable's conditional and the remainder, less rows left
+    with no parent coefficient (their right-hand sides go to `leftover`),
+    becomes a new factor over the parents, copied into the stack of the step
+    that consumes it. Raises RankDeficient if a frontal block does not
+    determine its variable.
     """
     plan = plan_for(graph, ordering)
-    # every factor's weighted [A | b], by id; products are appended as made
-    ab = [f.ab if f.weight == 1.0 else f.weight * f.ab for f in graph.factors]
-    conditionals = []
-    leftover = []
-    for st in plan.steps:
-        v = st.var
-        dv = v.dim
-        inputs = [ab[fid] for fid in st.inputs]
-        m = sum(a.shape[0] for a in inputs)
-        if m == 0:
-            raise RankDeficient(v, "no factor constrains this variable")
-        if m < dv:
-            raise RankDeficient(v, f"{m} constraint rows for {dv} dimensions")
-
-        stacked = np.zeros((m, st.width))
-        r = 0
-        for a, cols in zip(inputs, st.scatter):
-            stacked[r:r + a.shape[0], cols] = a
-            r += a.shape[0]
-
-        rmat = _r_factor(stacked)
-        # a 1x1 block's one singular value is its entry's magnitude; the
-        # test is written so that a NaN fails it
-        sv = (abs(rmat[0, 0]),) if dv == 1 else dgesdd(rmat[:dv, :dv], compute_uv=0)[1]
-        if not sv[-1] > 1e-9 * sv[0]:
-            raise RankDeficient(v, f"frontal block rank below {dv}")
-        conditionals.append(Conditional(v, st.parents, rmat[:dv]))
-
-        rest = rmat[dv:]
-        if rest.shape[0] and st.parents:
-            mag = np.abs(rmat)
-            scale = max(1.0, float(mag.max()))
-            live = mag[dv:, dv:-1].max(axis=1) > 1e-12 * scale
-        else:
-            live = np.zeros(rest.shape[0], dtype=bool)
-        leftover.extend(rest[~live, -1])
-        if st.product >= 0:
-            # empty when every row died numerically: the plan's structure
-            # stands, and the parents' columns from it stay zero
-            ab.append(rest[live, dv:])
-
-    return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), plan)
+    parts = []
+    for f in graph.factors:
+        parts += f.blocks.values()
+        parts.append(f.rhs)
+    return Assembly(plan, parts).eliminate()
 
 
 @lru_cache(maxsize=256)
@@ -521,8 +640,6 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return r
 
 
-# a non-finite solution raises below, so numpy's warnings about it would only repeat it
-@np.errstate(invalid="ignore", over="ignore")
 def back_substitute(dag: EliminationDag) -> dict:
     """Solve for every variable by walking the DAG in reverse order.
 
@@ -533,6 +650,14 @@ def back_substitute(dag: EliminationDag) -> dict:
     Raises ValueError if the solution is not finite (an infinite or NaN
     input that the frontal rank test cannot see, such as an infinite rhs).
     """
+    x = _solution(dag)
+    return {v: x[s] for v, s in dag.plan.slices.items()}
+
+
+# a non-finite solution raises below, so numpy's warnings about it would only repeat it
+@np.errstate(invalid="ignore", over="ignore")
+def _solution(dag: EliminationDag) -> np.ndarray:
+    """The flat solution vector `back_substitute` hands out views of."""
     plan = dag.plan
     x = np.empty(plan.size)
     for cond, st in zip(reversed(dag.conditionals), reversed(plan.steps)):
@@ -546,7 +671,7 @@ def back_substitute(dag: EliminationDag) -> dict:
     if not np.isfinite(x).all():
         bad = next(v for v, s in plan.slices.items() if not np.isfinite(x[s]).all())
         raise ValueError(f"non-finite solution at variable {bad}")
-    return {v: x[s] for v, s in plan.slices.items()}
+    return x
 
 
 def solve(graph: FactorGraph, ordering) -> dict:

@@ -277,14 +277,16 @@ def _fmt(v) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(v, dtype=float).ravel())
 
 
-def _floats(text: str, n: int, what: str) -> np.ndarray:
+def _floats(text: str, n: int, what: str, finite: bool = True) -> np.ndarray:
+    """`n` numbers from text; MalformedDescription naming `what` if they are
+    not, or (with `finite`) if one is not finite."""
     try:
         vals = np.array([float(t) for t in text.split()], dtype=float)
     except ValueError:
         raise MalformedDescription(f"{what}: cannot parse numbers from {text!r}") from None
     if vals.shape != (n,):
         raise MalformedDescription(f"{what}: expected {n} numbers, got {text!r}")
-    if not np.isfinite(vals).all():
+    if finite and not np.isfinite(vals).all():
         raise MalformedDescription(f"{what}: numbers must be finite, got {text!r}")
     return vals
 
@@ -320,8 +322,10 @@ def _parse_inertial(el: ET.Element, link_name: str) -> tuple[SpatialInertia, Pos
     inertia_el = el.find("inertia")
     if mass_el is None or inertia_el is None:
         raise MalformedDescription(f"link {link_name}: inertial block needs mass and inertia")
-    mass = float(_require(mass_el, "value", f"link {link_name} mass"))
-    comp = {k: float(_require(inertia_el, k, f"link {link_name} inertia"))
+    mass = float(_floats(_require(mass_el, "value", f"link {link_name} mass"), 1,
+                         f"link {link_name} mass", finite=False)[0])
+    comp = {k: _floats(_require(inertia_el, k, f"link {link_name} inertia"), 1,
+                       f"link {link_name} inertia {k}", finite=False)[0]
             for k in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")}
     rot = np.array([
         [comp["ixx"], comp["ixy"], comp["ixz"]],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -167,8 +168,8 @@ class SpatialInertia:
 
     def __post_init__(self):
         i = _freeze(self.rotational_inertia, (3, 3))
-        if not 0.0 < self.mass < math.inf:
-            raise InvalidInertia(f"mass must be positive and finite, got {self.mass}")
+        if not (isinstance(self.mass, Real) and 0.0 < self.mass < math.inf):
+            raise InvalidInertia(f"mass must be a positive finite number, got {self.mass!r}")
         if not np.isfinite(i).all():
             raise InvalidInertia(f"rotational inertia must be finite, got {i.tolist()}")
         if np.max(np.abs(i - i.T)) > 1e-12:
@@ -209,6 +210,30 @@ def little_adjoint(twist) -> np.ndarray:
     ad[3:, 3:] = skew(v[:3])
     ad[3:, :3] = skew(v[3:])
     return ad
+
+
+def ad_product(twist, w) -> np.ndarray:
+    """little_adjoint(twist) @ w without forming the matrix: with twist =
+    (a; l) and w = (b; m), it is (a x b; l x b + a x m)."""
+    a1, a2, a3, l1, l2, l3 = np.asarray(twist, dtype=float).tolist()
+    b1, b2, b3, m1, m2, m3 = np.asarray(w, dtype=float).tolist()
+    return np.array([
+        a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1,
+        l2 * b3 - l3 * b2 + a2 * m3 - a3 * m2,
+        l3 * b1 - l1 * b3 + a3 * m1 - a1 * m3,
+        l1 * b2 - l2 * b1 + a1 * m2 - a2 * m1])
+
+
+def ad_transpose_product(twist, h) -> np.ndarray:
+    """little_adjoint(twist).T @ h without forming the matrix: with twist =
+    (a; l) and h = (n; f), it is (n x a + f x l; f x a)."""
+    a1, a2, a3, l1, l2, l3 = np.asarray(twist, dtype=float).tolist()
+    n1, n2, n3, f1, f2, f3 = np.asarray(h, dtype=float).tolist()
+    return np.array([
+        n2 * a3 - n3 * a2 + f2 * l3 - f3 * l2,
+        n3 * a1 - n1 * a3 + f3 * l1 - f1 * l3,
+        n1 * a2 - n2 * a1 + f1 * l2 - f2 * l1,
+        f2 * a3 - f3 * a2, f3 * a1 - f1 * a3, f1 * a2 - f2 * a1])
 
 
 def exp_screw(axis: ScrewAxis, angle: float) -> Pose:

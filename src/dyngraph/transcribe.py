@@ -13,6 +13,12 @@ child link). Per link: a wrench balance factor carrying the inertia terms,
 the gravity wrench and, for the tool link, the external tool wrench. A
 planar loop additionally gets a unary factor zeroing the wrench components
 a planar mechanism cannot transmit.
+
+Transcription lists each factor's keys, row count and weight (the graph's
+structure, which fixes the elimination plan) next to its blocks and
+right-hand side. A solve hands that list to the plan, which scatters the
+numbers straight into its elimination buffer, so no `LinearFactor` is made;
+`build_graph` makes them from the same list.
 """
 
 from __future__ import annotations
@@ -20,23 +26,16 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from time import perf_counter
 
 import numpy as np
 
 from .errors import InconsistentLoopState
-from .fgraph import (
-    FactorGraph,
-    Kind,
-    LinearFactor,
-    VarKey,
-    back_substitute,
-    eliminate,
-    plan_for,
-)
-from .model import JointKind, RobotModel
-from .spatial import Pose, big_adjoint, little_adjoint
+from .fgraph import Assembly, FactorGraph, Kind, LinearFactor, VarKey, plan_for
+from .model import RobotModel
+from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
 _LOOP_TOL = 1e-6
 
@@ -111,6 +110,14 @@ class ProblemSpec:
     def __post_init__(self):
         for what, n in (("gravity", 3), ("base_accel", 6), ("tool_wrench", 6)):
             object.__setattr__(self, what, _finite(getattr(self, what), what, n))
+        if not isinstance(self.min_torque_prior, (bool, np.bool_)):
+            raise ValueError(f"min_torque_prior must be a bool, got {self.min_torque_prior!r}")
+        object.__setattr__(self, "min_torque_prior", bool(self.min_torque_prior))
+        try:
+            object.__setattr__(self, "designations", tuple(self.designations))
+        except TypeError:
+            raise ValueError(f"designations must be a sequence of GivenAccel or "
+                             f"GivenTorque, got {self.designations!r}") from None
         for i, d in enumerate(self.designations):
             if not isinstance(d, (GivenAccel, GivenTorque)):
                 raise ValueError(f"designations[{i}] must be GivenAccel or "
@@ -272,37 +279,55 @@ def link_poses(model: RobotModel, state: JointState) -> dict:
     return poses
 
 
-def planar_factor(key: VarKey, normal, name: str = "planar") -> LinearFactor:
-    """Unary factor zeroing the wrench components a planar loop joint
-    cannot transmit: both in-plane moments and the normal force. The
-    normal is expressed in the same frame as the wrench variable."""
+def _planar_rows(normal) -> np.ndarray:
     n = np.asarray(normal, dtype=float).reshape(3)
     n = n / np.linalg.norm(n)
-    t1 = np.cross(n, np.eye(3)[int(np.argmin(np.abs(n)))])
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
+    # skew(n) @ x is n x x, and its column k is n x e_k
+    cross = skew(n)
+    t1 = cross[:, int(np.argmin(np.abs(n)))]
+    t1 = t1 / np.linalg.norm(t1)
+    t2 = cross @ t1
     rows = np.zeros((3, 6))
     rows[0, :3] = t1
     rows[1, :3] = t2
     rows[2, 3:] = n
-    return LinearFactor({key: rows}, rhs=np.zeros(3), name=name)
+    return rows
 
 
-def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
-    """Factor graph of the dynamics constraints at one state."""
-    return _build_graph(model, _kinematics(model, state), spec, spec.by_joint(model))
+def planar_factor(key: VarKey, normal, name: str = "planar") -> LinearFactor:
+    """Unary factor zeroing the wrench components a planar loop joint
+    cannot transmit: both in-plane moments and the normal force. The
+    normal is expressed in the same frame as the wrench variable."""
+    return LinearFactor({key: _planar_rows(normal)}, rhs=_ZERO3, name=name)
 
 
-# blocks shared by every graph; a factor copies what it is given
+# blocks shared by every transcription; they are only ever read
 _EYE6 = np.eye(6)
 _NEG_EYE6 = -np.eye(6)
 _EYE1 = np.eye(1)
 _NEG_EYE1 = -np.eye(1)
+_ZERO1 = np.zeros(1)
+_ZERO3 = np.zeros(3)
+_ZERO6 = np.zeros(6)
+for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6):
+    _a.setflags(write=False)
 
 
-def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> FactorGraph:
+def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
+    """The factors at one state as (structure, labels, parts): per factor
+    its (keys, rows, weight) as `FactorGraph.structure` lists them and its
+    (name, knowns), and flat in the same order each factor's key blocks,
+    then its rhs, the parts `fgraph.Assembly` scatters. Nothing is copied
+    or validated."""
     qd, poses, twists, adjoints = kin
-    factors = []
+    structure, labels, parts = [], [], []
+
+    def add(blocks, rhs, name, knowns=(), weight=1.0):
+        structure.append((tuple(blocks), rhs.shape[0], weight))
+        labels.append((name, tuple(knowns)))
+        parts.extend(blocks.values())
+        parts.append(rhs)
+
     # each link's wrench balance blocks, filled by the joints touching it
     balance = {link.name: {} for link in model.links}
 
@@ -316,9 +341,9 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
         balance[j.parent][fkey] = ad.T
         blocks = {}
         knowns = []
-        rhs = np.zeros(6)
+        rhs = _ZERO6
         if j.axis is not None:
-            rhs = little_adjoint(twists[j.child]) @ (j.axis.vector * qd[j.name])
+            rhs = ad_product(twists[j.child], j.axis.vector * qd[j.name])
         child_idx = model.link_map[j.child].index
         parent_idx = model.link_map[j.parent].index
         if child_idx == 0:
@@ -338,29 +363,25 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
                 knowns.append(f"qdd{j.index}")
             else:
                 blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = -j.axis.vector.reshape(6, 1)
-        factors.append(LinearFactor(blocks, rhs, name=f"accel[{j.name}]",
-                                    knowns=tuple(knowns)))
+        add(blocks, rhs, f"accel[{j.name}]", knowns)
 
     # wrench balance per link: G Vd - F + sum AdT F_child = bias + gravity
     for link in model.links:
         if link.name == model.base:
             continue
         blocks = balance[link.name]
-        knowns = []
-        rhs = np.zeros(6)
+        knowns = ()
+        rhs = _ZERO6
         if link.inertia is not None:
             g_mat = link.inertia.matrix()
             blocks[VarKey(Kind.ACCEL, link.index)] = g_mat
             v = twists[link.name]
-            rhs = little_adjoint(v).T @ (g_mat @ v)
-            g_body = poses[link.name].rotation.T @ spec.gravity
-            rhs = rhs + link.inertia.mass * np.concatenate([np.zeros(3), g_body])
-        if link.name == model.tool_link:
-            if np.any(spec.tool_wrench):
-                rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
-                knowns.append("Ft")
-        factors.append(LinearFactor(blocks, rhs, name=f"balance[{link.name}]",
-                                    knowns=tuple(knowns)))
+            rhs = ad_transpose_product(v, g_mat @ v)
+            rhs[3:] += link.inertia.mass * (poses[link.name].rotation.T @ spec.gravity)
+        if link.name == model.tool_link and np.any(spec.tool_wrench):
+            rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
+            knowns = ("Ft",)
+        add(blocks, rhs, f"balance[{link.name}]", knowns)
 
     # torque factor per movable joint: A' F - tau = 0
     for j in model.movable_joints:
@@ -368,20 +389,17 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
         row = j.axis.vector.reshape(1, 6)
         d = des[j.name]
         if isinstance(d, GivenTorque):
-            factors.append(LinearFactor({fkey: row}, rhs=np.array([d.value]),
-                                        name=f"torque[{j.name}]",
-                                        knowns=(f"tau{j.index}",)))
+            add({fkey: row}, np.array([d.value], dtype=float), f"torque[{j.name}]",
+                (f"tau{j.index}",))
         else:
-            factors.append(LinearFactor(
-                {fkey: row, VarKey(Kind.TORQUE, j.index): _NEG_EYE1},
-                rhs=np.zeros(1), name=f"torque[{j.name}]"))
+            add({fkey: row, VarKey(Kind.TORQUE, j.index): _NEG_EYE1}, _ZERO1,
+                f"torque[{j.name}]")
 
     if spec.min_torque_prior:
         for j in model.movable_joints:
             if isinstance(des[j.name], GivenAccel):
-                factors.append(LinearFactor(
-                    {VarKey(Kind.TORQUE, j.index): _EYE1}, rhs=np.zeros(1),
-                    weight=1e-3, name=f"prior[{j.name}]"))
+                add({VarKey(Kind.TORQUE, j.index): _EYE1}, _ZERO1, f"prior[{j.name}]",
+                    weight=1e-3)
 
     planar_names = {name for name, _ in spec.planar_loops}
     loop_names = {l.name for l in model.loop_joints}
@@ -390,20 +408,48 @@ def _build_graph(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> Factor
                          f"{sorted(planar_names - loop_names)}")
     for name, normal in spec.planar_loops:
         l = model.joint_map[name]
-        n_body = poses[l.child].rotation.T @ normal
-        factors.append(planar_factor(VarKey(Kind.WRENCH, l.index), n_body,
-                                     name=f"planar[{name}]"))
+        add({VarKey(Kind.WRENCH, l.index): _planar_rows(poses[l.child].rotation.T @ normal)},
+            _ZERO3, f"planar[{name}]")
+    return structure, labels, parts
 
-    return FactorGraph(factors)
+
+def _factors(structure, labels, parts) -> tuple:
+    """The LinearFactors that `_transcribe` listed."""
+    it = iter(parts)
+    return tuple(LinearFactor({k: next(it) for k in keys}, next(it), weight, name, knowns)
+                 for (keys, _, weight), (name, knowns) in zip(structure, labels))
+
+
+def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
+    """Factor graph of the dynamics constraints at one state."""
+    kin = _kinematics(model, state)
+    return FactorGraph(_factors(*_transcribe(model, kin, spec, spec.by_joint(model))))
+
+
+class _SolvedGraph(FactorGraph):
+    """The factor graph of one solve: its structure is known at once, its
+    factors are made from the solve's numbers on first use."""
+
+    def __init__(self, structure, labels, parts):
+        self.structure = tuple(structure)
+        self._listed = (structure, labels, parts)
+
+    @cached_property
+    def factors(self) -> tuple:
+        return _factors(*self._listed)
 
 
 @dataclass(frozen=True, eq=False)
 class DynamicsResult:
     """Solved dynamics at one state: per-joint and per-link quantities,
-    plus the graph and DAG they came from. Build time covers kinematics
-    and factor construction; solve time covers resolving the ordering
-    (a memo lookup when the problem structure repeats), elimination and
-    back-substitution."""
+    plus the graph and DAG they came from. `graph` is the same graph as
+    `build_graph(model, state, spec)`; its structure is known at once, and
+    its factors are made from the solve's numbers only when first read.
+    Build time covers kinematics and listing the factors' structure and
+    numbers; solve time covers resolving the ordering (a memo lookup when
+    the problem structure repeats), scattering the numbers into the plan's
+    buffer, elimination, back-substitution and the hard-row residual
+    check."""
 
     values: dict
     torques: dict
@@ -419,36 +465,42 @@ class DynamicsResult:
     solve_micros: float = 0.0
 
 
-def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
-    """The VarKey list `fgraph.plan_for` resolves an ordering request to,
-    with the one rule that needs the model: "auto" is "md" with the model's
-    loop wrenches deferred to the end."""
+def _plan(graph: FactorGraph, ordering, model: RobotModel):
     deferred = ()
     if isinstance(ordering, str) and ordering.lower() == "auto":
         ordering = "md"
         deferred = tuple(VarKey(Kind.WRENCH, l.index) for l in model.loop_joints)
-    return list(plan_for(graph, ordering, deferred).ordering)
+    return plan_for(graph, ordering, deferred)
+
+
+def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
+    """The VarKey list `fgraph.plan_for` resolves an ordering request to,
+    with the one rule that needs the model: "auto" is "md" with the model's
+    loop wrenches deferred to the end."""
+    return list(_plan(graph, ordering, model).ordering)
 
 
 def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
                    ordering="auto") -> DynamicsResult:
-    """Build the graph at one state, eliminate, back-substitute, and sort
-    the solution into named per-joint / per-link quantities.
+    """Transcribe the dynamics at one state, eliminate, back-substitute, and
+    sort the solution into named per-joint / per-link quantities.
 
-    The default ordering is minimum-degree with loop wrenches deferred to
-    the end, so an underdetermined loop (no planar factor) surfaces as
-    RankDeficient at the loop wrench itself rather than at an arbitrary
-    variable upstream.
+    The plan for the problem's structure places the factors' numbers
+    straight into its elimination buffer; no LinearFactor is made unless
+    the result's `graph` factors are read. The default ordering is
+    minimum-degree with loop wrenches deferred to the end, so an
+    underdetermined loop (no planar factor) surfaces as RankDeficient at
+    the loop wrench itself rather than at an arbitrary variable upstream.
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
     _, _, twists, _ = kin
     des = spec.by_joint(model)
-    graph = _build_graph(model, kin, spec, des)
+    listed = _transcribe(model, kin, spec, des)
     t1 = perf_counter()
-    keys = resolve_ordering(graph, ordering, model)
-    dag = eliminate(graph, keys)
-    values = back_substitute(dag)
+    graph = _SolvedGraph(*listed)
+    plan = _plan(graph, ordering, model)
+    dag, values, residual = Assembly(plan, listed[2]).solve()
     t2 = perf_counter()
 
     torques = {}
@@ -476,8 +528,8 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         wrenches=wrenches,
         graph=graph,
         dag=dag,
-        ordering=tuple(keys),
-        residual_max=graph.residual_max(values),
+        ordering=plan.ordering,
+        residual_max=residual,
         build_micros=(t1 - t0) * 1e6,
         solve_micros=(t2 - t1) * 1e6,
     )

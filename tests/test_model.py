@@ -248,3 +248,14 @@ def test_non_finite_number_fails_at_parse_naming_element(old, new, error, where)
     assert MINIMAL.count(old) == 1
     with pytest.raises(error, match=where):
         parse_urdf(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("old,new,where", [
+    ('<mass value="1.0"/>', '<mass value="abc"/>', "link arm mass"),
+    ('ixx="1"', 'ixx="x"', "link arm inertia ixx"),
+    ('iyz="0"', 'iyz=""', "link arm inertia iyz"),
+], ids=["mass-text", "ixx-text", "iyz-empty"])
+def test_non_number_inertial_fails_at_parse_naming_link(old, new, where):
+    assert MINIMAL.count(old) == 1
+    with pytest.raises(MalformedDescription, match=where):
+        parse_urdf(MINIMAL.replace(old, new))

@@ -11,6 +11,8 @@ from dyngraph.spatial import (
     SpatialInertia,
     big_adjoint,
     exp_screw,
+    ad_product,
+    ad_transpose_product,
     joint_transform,
     little_adjoint,
     rotation_to_rpy,
@@ -285,3 +287,25 @@ class TestPose:
                 assert not t.rotation.flags.writeable
                 assert not t.translation.flags.writeable
                 Pose(t.rotation, t.translation)   # passes the full check
+
+
+class TestAdProducts:
+    def test_match_little_adjoint_products(self):
+        # the cross-product forms agree with the 6x6 matrix to rounding
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            v, w = rng.normal(size=(2, 6)) * rng.uniform(0.1, 100, (2, 1))
+            ad = little_adjoint(v)
+            for got, want in ((ad_product(v, w), ad @ w),
+                              (ad_transpose_product(v, w), ad.T @ w)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+
+    def test_bracket_of_a_twist_with_itself_vanishes(self):
+        v = np.array([0.3, -1.2, 0.7, 2.0, 0.1, -0.4])
+        np.testing.assert_allclose(ad_product(v, v), np.zeros(6), atol=1e-15)
+
+
+def test_non_number_mass_raises_invalid_inertia():
+    with pytest.raises(InvalidInertia, match="mass"):
+        SpatialInertia("2", np.eye(3))

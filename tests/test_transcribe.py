@@ -1,13 +1,15 @@
 """Graph construction from robot state: twists, factors, loops, priors."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dyngraph import fgraph
 from dyngraph.errors import InconsistentLoopState, RankDeficient
-from dyngraph.fgraph import Kind, VarKey, back_substitute, eliminate
+from dyngraph.fgraph import Kind, LinearFactor, VarKey, back_substitute, eliminate
 from dyngraph.model import Joint, parse_urdf
 from dyngraph.oracle import dense_solve, rnea_full, rnea_torques
 from dyngraph.spatial import Pose, big_adjoint
@@ -130,6 +132,23 @@ class TestInputValidation:
     def test_designation_type_names_entry(self, bad):
         with pytest.raises(ValueError, match=r"^designations\[1\] must be GivenAccel"):
             ProblemSpec(designations=(GivenTorque(0.0), bad))
+
+    @pytest.mark.parametrize("bad", [5, None, 1.5])
+    def test_designations_not_a_sequence_names_field(self, bad):
+        with pytest.raises(ValueError, match=r"^designations must be a sequence"):
+            ProblemSpec(designations=bad)
+
+    @pytest.mark.parametrize("bad", ["no", 1, None, np.array([True])])
+    def test_min_torque_prior_must_be_bool(self, three_r, bad):
+        with pytest.raises(ValueError, match=r"^min_torque_prior must be a bool"):
+            ProblemSpec.inverse(three_r, np.zeros(3), min_torque_prior=bad)
+
+    def test_min_torque_prior_accepts_bools(self, three_r):
+        st = JointState(np.zeros(3), np.zeros(3))
+        for flag, count in ((False, 9), (np.False_, 9), (True, 12), (np.True_, 12)):
+            spec = ProblemSpec.inverse(three_r, np.zeros(3), min_torque_prior=flag)
+            assert spec.min_torque_prior is bool(flag)
+            assert len(build_graph(three_r, st, spec).factors) == count
 
 
 class TestBuildGraph:
@@ -742,3 +761,138 @@ class TestBackSubstitute:
                 for k, v in values.items():
                     assert v.shape == (k.dim,)
                     np.testing.assert_allclose(v, want[k], rtol=0, atol=tol)
+
+
+def pipeline_outcome(model, state, spec, ordering):
+    """The public pipeline build_graph -> resolve_ordering -> eliminate ->
+    back_substitute -> residual_max, or the error it raises."""
+    try:
+        graph = build_graph(model, state, spec)
+        dag = eliminate(graph, resolve_ordering(graph, ordering, model))
+        values = back_substitute(dag)
+        return graph, dag, values, graph.residual_max(values)
+    except Exception as e:
+        return e
+
+
+def compiled_cases(pendulum, three_r, six_r, five_bar, five_bar_kin):
+    """(model, state maker, spec maker, orderings) covering the fixtures and
+    the parallelogram: inverse, forward, hybrid, the prior and planar loops."""
+    rng_state = lambda m: (lambda r: random_state(r, len(m.movable_joints)))
+    bar_state = lambda r: five_bar_kin.state(r.uniform(1.7, 2.1), r.uniform(1.0, 1.4),
+                                             *r.uniform(-0.5, 0.5, 2))
+    yield pendulum, rng_state(pendulum), \
+        lambda r: ProblemSpec.inverse(pendulum, r.uniform(-1, 1, 1)), ("auto", "nd", "rnea")
+    yield pendulum, rng_state(pendulum), \
+        lambda r: ProblemSpec.forward(pendulum, r.uniform(-1, 1, 1)), ("md", "crba", "aba")
+    for model, make_spec, orderings in fixture_cases(three_r, six_r, five_bar, five_bar_kin):
+        yield model, bar_state if model.loop_joints else rng_state(model), make_spec, \
+            orderings + (("rnea", "crba") if model.loop_joints else ())
+    para = parse_urdf(PARALLELOGRAM)
+    para_state = lambda r: JointState([0.7, -0.7, 0.7 + np.pi, -0.7 - np.pi],
+                                      np.array([1, -1, 1, -1]) * r.uniform(-1, 1))
+    planar = {"planar_loops": {"j4": (0.0, 0.0, 1.0)}}
+    yield para, para_state, lambda r: ProblemSpec.forward(
+        para, r.uniform(-1, 1, 1), base_accel=r.uniform(-1, 1, 6), gravity=GRAVITY_Y,
+        **planar), ("auto", "md", "nd", "aba")
+    yield para, para_state, lambda r: ProblemSpec.inverse(
+        para, r.uniform(-1, 1, 1), tool_wrench=r.uniform(-1, 1, 6), min_torque_prior=True,
+        **planar), ("auto", "md", "nd")
+
+
+class TestCompiledSolve:
+    """solve_dynamics scatters the numbers it lists straight into the
+    plan's buffer; it must give what the public pipeline gives."""
+
+    def test_matches_public_pipeline(self, pendulum, three_r, six_r, five_bar,
+                                     five_bar_kin, fresh_plans):
+        rng = np.random.default_rng(909)
+        errors = 0
+        for model, make_state, make_spec, orderings in compiled_cases(
+                pendulum, three_r, six_r, five_bar, five_bar_kin):
+            for ordering in orderings:
+                for _ in range(2):
+                    st, spec = make_state(rng), make_spec(rng)
+                    want = pipeline_outcome(model, st, spec, ordering)
+                    if isinstance(want, Exception):
+                        errors += 1
+                        with pytest.raises(type(want), match=re.escape(str(want))):
+                            solve_dynamics(model, st, spec, ordering)
+                        continue
+                    graph, dag, values, residual = want
+                    res = solve_dynamics(model, st, spec, ordering)
+                    assert res.ordering == dag.ordering
+                    assert res.dag.edges() == dag.edges()
+                    assert res.dag.fill_in == dag.fill_in
+                    assert len(res.dag.leftover) == len(dag.leftover)
+                    assert res.values.keys() == values.keys()
+                    for k, v in values.items():
+                        np.testing.assert_allclose(res.values[k], v, rtol=0, atol=1e-12)
+                    assert abs(res.residual_max - residual) <= 1e-12
+                    assert res.graph.structure == graph.structure
+        # the classic schemes that do not fit a problem fail the same way
+        assert errors > 0
+
+    def test_threads_sharing_one_plan_give_serial_answers(self, six_r, fresh_plans):
+        rng = np.random.default_rng(910)
+        problems = [(random_state(rng, 6), ProblemSpec.inverse(six_r, rng.uniform(-1, 1, 6)))
+                    for _ in range(400)]
+        serial = [solve_dynamics(six_r, st, spec) for st, spec in problems]
+        plan = serial[0].dag.plan
+        assert all(res.dag.plan is plan for res in serial)
+        out = [None] * len(problems)
+
+        def work(lo, hi):
+            for i in range(lo, hi):
+                out[i] = solve_dynamics(six_r, *problems[i])
+
+        threads = [threading.Thread(target=work, args=(0, 200)),
+                   threading.Thread(target=work, args=(200, 400))]
+        # switch threads often, so the two interleave inside single solves
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for res, want in zip(out, serial):
+            assert res.dag.plan is plan
+            assert res.torques == want.torques
+            assert res.residual_max == want.residual_max
+
+    def test_no_linear_factor_until_graph_factors_read(self, six_r, five_bar, five_bar_kin,
+                                                       monkeypatch):
+        made = []
+        init = LinearFactor.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearFactor, "__init__", counted)
+        cases = [
+            (six_r, JointState(np.full(6, 0.2), np.full(6, 0.1)),
+             ProblemSpec.inverse(six_r, np.ones(6), tool_wrench=np.ones(6))),
+            (five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2),
+             ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}},
+                                min_torque_prior=True, planar_loops={"j5": (0, 0, 1)})),
+        ]
+        for model, st, spec in cases:
+            res = solve_dynamics(model, st, spec)
+            assert made == []
+            assert len(res.graph) == len(res.graph.structure) > 0
+            assert res.graph.variables and res.graph.total_rows() > 0
+            assert made == []
+            want = build_graph(model, st, spec)
+            made.clear()
+            assert len(res.graph.factors) == len(want.factors)
+            assert len(made) == len(want.factors)
+            for f, g in zip(res.graph.factors, want.factors):
+                assert (f.keys(), f.weight, f.name, f.knowns) == \
+                    (g.keys(), g.weight, g.name, g.knowns)
+                np.testing.assert_array_equal(f.ab, g.ab)
+            made.clear()
