@@ -11,12 +11,13 @@ algorithms fall out as particular orderings.
 
 Elimination runs in two phases. The symbolic one (`plan_elimination`)
 reads only the graph's `structure` (each factor's keys, row count and
-weight) plus the ordering, and fixes every step's input factors, parents
-and the stack column of each of their columns, the flat solution vector
-with a slice per variable, and the assembly map: where each graph factor
-entry goes in one flat buffer that holds every step's stack. `plan_for` is
-the one way from an ordering request to a plan, memoised by the structure,
-so graphs that differ only in their numbers share it. The numeric phase
+weight), as int bitmasks over variable ranks (`FactorGraph.numbering`),
+plus the ordering. It fixes every step's input factors, parents and the
+stack column of each of their columns, the flat solution vector with a
+slice per variable, and the assembly map: where each graph factor entry
+goes in one flat buffer that holds every step's stack. `plan_for` is the
+one way from an ordering request to a plan, memoised by the structure, so
+graphs that differ only in their numbers share it. The numeric phase
 is one `Assembly` per solve: the factors' blocks and right-hand sides,
 from a `FactorGraph` or listed by `transcribe` without building one, are
 scattered into a fresh buffer; each step reduces its stack, keeps its raw
@@ -32,10 +33,11 @@ only on the null space they leave.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from numbers import Real
+from operator import or_
 from threading import Lock
 from typing import NamedTuple
 
@@ -121,8 +123,8 @@ class LinearFactor:
                     f"factor {name!r}: block for {key} has shape {a.shape}, "
                     f"expected {(rows, key.dim)}")
             columns.append(a)
-        if not weight >= 0.0:
-            raise ValueError(f"factor {name!r}: weight must be >= 0")
+        if not (isinstance(weight, Real) and 0.0 <= weight < float("inf")):
+            raise ValueError(f"factor {name!r}: weight must be a finite real >= 0, got {weight!r}")
         columns.append(rhs[:, None])
         self.ab = np.concatenate(columns, axis=1)
         self.ab.setflags(write=False)
@@ -156,7 +158,7 @@ class FactorGraph:
 
     `structure` is the factor sequence reduced to each factor's keys, row
     count and weight: the only input an elimination plan depends on besides
-    the ordering. `variables`, `adjacency` and `structure` are computed on
+    the ordering. `variables`, `numbering` and `structure` are computed on
     first use, the first two from `structure` alone, as are `len` and
     `total_rows`.
     """
@@ -173,14 +175,24 @@ class FactorGraph:
         return tuple(sorted({k for keys, _, _ in self.structure for k in keys}))
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.variables}
-        for ks, _, _ in self.structure:
-            for a in ks:
-                for b in ks:
-                    if a != b:
-                        adj[a].add(b)
-        return {v: frozenset(s) for v, s in adj.items()}
+    def numbering(self) -> tuple:
+        """(rank, keys, masks, neighbors, incidence) over key ranks in
+        `variables`, a set being the int with bit r for rank r: per factor
+        its [A | b] columns as ranks (len(variables) for b) and key set, per
+        variable the set it shares a factor with and the factor ids holding it."""
+        rank = {v: r for r, v in enumerate(self.variables)}
+        keys, masks, neighbors, incidence = [], [], [0] * len(rank), [0] * len(rank)
+        for fid, (ks, _, _) in enumerate(self.structure):
+            ranks = [rank[k] for k in ks]
+            m = 0
+            for r in ranks:
+                m |= 1 << r
+            for r in ranks:
+                neighbors[r] |= m
+                incidence[r] |= 1 << fid
+            keys.append(ranks + [len(rank)])
+            masks.append(m)
+        return rank, keys, masks, [m & ~(1 << r) for r, m in enumerate(neighbors)], incidence
 
     def __len__(self) -> int:
         return len(self.structure)
@@ -306,165 +318,157 @@ class EliminationPlan(NamedTuple):
     check: tuple
 
 
+def _bits(mask: int) -> list:
+    """The members of a set of variable ranks or factor ids, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _runs(starts, lengths) -> np.ndarray:
+    """range(s, s + n) for each pair (s, n), concatenated."""
+    shift = np.asarray(starts, dtype=np.intp) + lengths - np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(shift, lengths)
+
+
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     """Simulate elimination on the factors' key sets and row counts.
 
     `groups` (default: all variables in one) is an ordered list of disjoint
-    variable sets covering the graph (ValueError otherwise). Every variable
-    of a group is eliminated before any of the next; inside a group the
-    pick is greedy minimum degree, ties broken on the lowest (kind, index),
-    so a sequence of one-variable groups is a fixed ordering. Degree counts
-    distinct neighbors in the current factor adjacency. After each pick the
-    touched factors merge into one product factor whose row budget is
-    capped by what an orthogonal reduction can leave behind, so merged
-    factors that reduce to nothing drop their connections (this happens
-    whenever a variable is fully determined by its factors). The budget is
-    also the product's room in its consumer's stack: a reduction never
-    leaves more live rows than that.
+    variable sets covering the graph (ValueError naming the first unknown,
+    repeated or missing key otherwise). Every variable of a group is
+    eliminated before any of the next; inside a group the pick is greedy
+    minimum degree, ties broken on the lowest (kind, index), so a sequence
+    of one-variable groups is a fixed ordering. Degree counts distinct
+    neighbors in the current factor adjacency. After each pick the touched
+    factors merge into one product factor whose row budget is capped by
+    what an orthogonal reduction can leave behind, so merged factors that
+    reduce to nothing drop their connections (this happens whenever a
+    variable is fully determined by its factors). The budget is also the
+    product's room in its consumer's stack: a reduction never leaves more
+    live rows than that. It runs on the rank bitmasks of `graph.numbering`.
     """
-    if groups is None:
-        groups = [graph.variables]
-    elif sorted(v for g in groups for v in g) != list(graph.variables):
-        raise ValueError("ordering is not a permutation of the graph's variables")
-    structure = graph.structure
-    factors = {}
-    var_to_fids = {v: set() for v in graph.variables}
-    for fid, (keys, rows, _) in enumerate(structure):
-        factors[fid] = (frozenset(keys), rows)
-        for k in keys:
-            var_to_fids[k].add(fid)
-    n_graph = next_fid = len(structure)
-    picked = []
-
-    def degree(v):
-        return len({k for fid in var_to_fids[v] for k in factors[fid][0]} - {v})
-
-    # before any pick, a variable's degree is its number of graph neighbors;
-    # one dropped from `deg` has moved since and is recounted with its group
-    deg = {v: len(n) for v, n in graph.adjacency.items()}
-    for group in groups:
-        pool = set(group)
-        deg.update((x, degree(x)) for x in pool - deg.keys())
-        # the least (degree, key) of the pool; an entry is stale once its
-        # variable is picked or its degree has moved, and is then skipped
-        heap = [(deg[x], x) for x in pool]
-        heapq.heapify(heap)
-        while pool:
-            d, v = heapq.heappop(heap)
-            if v not in pool or d != deg[v]:
-                continue
-            pool.discard(v)
-
-            fids = sorted(var_to_fids[v])
-            parents = frozenset(k for fid in fids for k in factors[fid][0]) - {v}
-            rows = sum(factors[fid][1] for fid in fids)
-            for fid in fids:
-                for k in factors[fid][0]:
-                    var_to_fids[k].discard(fid)
-                del factors[fid]
-            # the most rows an orthogonal reduction leaves on the parents
-            budget = min(rows - v.dim, sum(p.dim for p in parents))
-            product = -1
-            if parents and budget > 0:
-                product = next_fid
-                factors[product] = (parents, budget)
-                for p in parents:
-                    var_to_fids[p].add(product)
-                next_fid += 1
-            picked.append((v, fids, parents, product, budget))
-            # a pick changes only its parents' factor sets, so only their degrees move
-            for p in parents:
-                if p not in pool:
-                    deg.pop(p, None)
-                    continue
-                d = degree(p)
-                if d != deg[p]:
-                    deg[p] = d
-                    heapq.heappush(heap, (d, p))
-
-    # parents are ordered by elimination position, known once every pick is
-    order = tuple(v for v, *_ in picked)
-    position = {v: i for i, v in enumerate(order)}
-    slices = {}
-    size = 0
-    for v in order:
-        slices[v] = slice(size, size + v.dim)
-        size += v.dim
-    entries = np.arange(size)
-    # the keys and row count of every factor id: the graph's, then each product's
-    keys_of = [keys for keys, _, _ in structure]
+    variables, structure = graph.variables, graph.structure
+    rank, keys_of, masks, neighbors, live = graph.numbering
+    n, n_graph = len(variables), len(structure)
+    bad = "ordering is not a permutation of the graph's variables: {} {}".format
+    pools, seen = [], 0
+    for group in [variables] if groups is None else groups:
+        pools.append(seen)
+        for v in group:
+            r = rank.get(v)
+            if r is None or seen >> r & 1:
+                raise ValueError(bad(v, "is not one of them" if r is None else "appears twice"))
+            seen |= 1 << r
+        pools[-1] ^= seen
+    if seen != (1 << n) - 1:
+        raise ValueError(bad(variables[(~seen & seen + 1).bit_length() - 1], "is missing"))
+    # per factor id, graph's then products': [A | b] columns (n for b), their count, key set, rows
+    dims = [v.dim for v in variables] + [1]
+    keys_of, masks, nb, live = list(keys_of), list(masks), list(neighbors), list(live)
+    cols_of = [sum(map(dims.__getitem__, ks)) for ks in keys_of]
     rows_of = [rows for _, rows, _ in structure]
-    sink_of = {fid: (i, at) for i, (_, fids, *_) in enumerate(picked)
-               for at, fid in enumerate(fids) if fid >= n_graph}
-    # per graph factor id: the flat position of its first stack row, the
-    # stack width and its columns there
-    place = [None] * n_graph
-    steps = []
-    edge_count = fill_in = offset = 0
-    for v, fids, parent_set, product, budget in picked:
-        parents = tuple(sorted(parent_set, key=position.__getitem__))
-        offsets = {v: 0}
-        c = v.dim
-        for p in parents:
-            offsets[p] = c
-            c += p.dim
-        width = c + 1
-        scatter = tuple(
-            np.array([col for k in keys_of[fid]
-                      for col in range(offsets[k], offsets[k] + k.dim)] + [c])
-            for fid in fids)
-        row = 0
-        for fid, cols in zip(fids, scatter):
-            if fid < n_graph:
-                place[fid] = (offset + row * width, width, cols)
-                row += rows_of[fid]
-        if product >= 0:
-            keys_of.append(parents)
-            rows_of.append(budget)
-        gather = np.concatenate([entries[slices[p]] for p in parents]) if parents else entries[:0]
-        steps.append(PlanStep(v, tuple(fids), scatter, parents, width, product, gather,
-                              offset, row, sink_of.get(product, ())))
-        offset += sum(rows_of[fid] for fid in fids) * width
-        edge_count += len(parents)
-        fill_in += sum(1 for p in parents if p not in graph.adjacency[v])
+    position, first, slices, picked, size, fill_in = [0] * n, [0] * n, {}, [], 0, 0
+    by_degree = [0] * n  # bit r of by_degree[d] is set while pool member r has degree d
+    for pool in pools:
+        for r in _bits(pool):
+            by_degree[nb[r].bit_count()] |= 1 << r
+        d = 0
+        while pool:
+            while not by_degree[d]:
+                d += 1
+            bit = by_degree[d] & -by_degree[d]
+            by_degree[d] ^= bit
+            pool ^= bit
+            v = bit.bit_length() - 1
+            position[v], first[v], size = len(picked), size, size + dims[v]
+            slices[variables[v]] = slice(first[v], size)
+            fids, parents, plist = _bits(live[v]), nb[v], _bits(nb[v])
+            rows, cols = sum(map(rows_of.__getitem__, fids)), sum(map(dims.__getitem__, plist))
+            # the most rows an orthogonal reduction leaves on the parents
+            budget = min(rows - dims[v], cols)
+            product = len(masks) if parents and budget > 0 else -1
+            if product >= 0:
+                masks.append(parents)
+                rows_of.append(budget)
+                cols_of.append(cols + 1)
+            picked.append((v, fids, plist, product, rows, cols))
+            fill_in += (parents & ~neighbors[v]).bit_count()
+            # a pick changes only its parents' factor sets, so only their degrees move
+            for p in plist:
+                old = nb[p]
+                live[p] &= ~live[v]
+                if product >= 0:
+                    live[p] |= 1 << product
+                    nb[p] = (old | parents) & ~(bit | 1 << p)
+                else:
+                    nb[p] = reduce(or_, map(masks.__getitem__, _bits(live[p])), 0) & ~(1 << p)
+                if pool >> p & 1 and old.bit_count() != nb[p].bit_count():
+                    by_degree[old.bit_count()] ^= 1 << p
+                    by_degree[nb[p].bit_count()] |= 1 << p
+                    d = min(d, nb[p].bit_count())
 
-    # the assembly map, one group per key block and per rhs of each graph
-    # factor: `height` rows of `dim` entries from buffer position `start`,
-    # rows `stride` apart, over solution entries from `first` (-1: the rhs);
-    # weight-1 rows are numbered from 0 in factor order, from `hard_row`
-    start, height, dim, stride, first, weight, hard_row = [], [], [], [], [], [], []
-    hard = 0
-    for (keys, rows, w), (base, wd, cols) in zip(structure, place):
-        c = 0
-        for k in keys:
-            start.append(base + cols[c])
-            dim.append(k.dim)
-            first.append(slices[k].start)
-            c += k.dim
-        start.append(base + wd - 1)
-        dim.append(1)
-        first.append(-1)
-        n = len(keys) + 1
-        height += [rows] * n
-        stride += [wd] * n
-        weight += [w] * n
-        hard_row += [hard] * n
-        if w == 1.0:
-            hard += rows
-    start, height, dim, stride, first, hard_row = (
-        np.array(a, dtype=np.intp) for a in (start, height, dim, stride, first, hard_row))
-    weight = np.array(weight, dtype=float)
+    # parents are ordered by elimination position, known once every pick is.
+    # Scatter and gather are views into `columns` and `entries`, filled last
+    # from the inputs' columns as ranks (`flat`) and first stack columns
+    # (`scol`); `place`: per graph factor its first column in `flat`, flat
+    # position of its first stack row and stack width
+    col, place = [0] * (n + 1), [None] * n_graph
+    columns = np.empty(sum(cols_of), dtype=np.intp)
+    entries = np.empty(sum(p[-1] for p in picked), dtype=np.intp)
+    flat, scol, gvar, steps, at_col, at_entry, offset = [], [], [], [], 0, 0, 0
+    for v, fids, plist, product, rows, cols in picked:
+        parents = sorted(plist, key=position.__getitem__)
+        gvar += parents
+        col[v], c = 0, dims[v]
+        for p in parents:
+            col[p], c = c, c + dims[p]
+        col[n], scatter, row, sink = c, [], 0, ()
+        for f in fids:
+            if f < n_graph:
+                place[f] = (len(flat), offset + row * (c + 1), c + 1)
+                row += rows_of[f]
+            flat += keys_of[f]
+            scol += map(col.__getitem__, keys_of[f])
+            scatter.append(columns[at_col:at_col + cols_of[f]])
+            at_col += cols_of[f]
+        if product >= 0:
+            # the first parent eliminated takes the product
+            keys_of.append(parents + [n])
+            sink = (position[parents[0]], picked[position[parents[0]]][1].index(product))
+        steps.append(PlanStep(variables[v], tuple(fids), tuple(scatter),
+                              tuple(map(variables.__getitem__, parents)), c + 1, product,
+                              entries[at_entry:at_entry + cols], offset, row, sink))
+        at_entry, offset = at_entry + cols, offset + rows * (c + 1)
+    dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
+    flat, scol, gvar = (np.array(a, dtype=np.intp) for a in (flat, scol, gvar))
+    columns[:] = _runs(scol, dims[flat])
+    entries[:] = _runs(first[gvar], dims[gvar])
+
+    # the assembly map, a group per key block and rhs of each graph factor:
+    # `height` rows of `dim` entries from buffer position `start`, `stride`
+    # apart, over solution entries from `sol` (-1: the rhs); weight-1 rows
+    # are numbered from 0 in factor order, from `hard_row`
+    run, base, stride = np.array(place, dtype=np.intp).reshape(-1, 3).T
+    groups_of = np.array(list(map(len, keys_of[:n_graph])), dtype=np.intp)
+    at = _runs(run, groups_of)
+    height = np.array(rows_of[:n_graph], dtype=np.intp)
+    weight = np.array([w for *_, w in structure], dtype=float)
+    hard = np.where(weight == 1.0, height, 0)
+    start, dim, sol = np.repeat(base, groups_of) + scol[at], dims[flat[at]], first[flat[at]]
+    stride, height, weight, hard_row = (np.repeat(a, groups_of) for a in
+                                        (stride, height, weight, np.cumsum(hard) - hard))
     sizes = height * dim
-    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    row_e, col_e = np.divmod(local, np.repeat(dim, sizes))
+    row_e, col_e = np.divmod(_runs(np.zeros_like(sizes), sizes), np.repeat(dim, sizes))
     dest = np.repeat(start, sizes) + row_e * np.repeat(stride, sizes) + col_e
-    soft = np.repeat(weight != 1.0, sizes)
-    is_rhs = np.repeat(first < 0, sizes)
+    soft, is_rhs = np.repeat(weight != 1.0, sizes), np.repeat(sol < 0, sizes)
     coef = ~soft & ~is_rhs
-    check = (dest[coef], (np.repeat(first, sizes) + col_e)[coef],
+    check = (dest[coef], (np.repeat(sol, sizes) + col_e)[coef],
              (np.repeat(hard_row, sizes) + row_e)[coef], dest[~soft & is_rhs])
-    return EliminationPlan(order, tuple(steps), edge_count, fill_in, size, slices, offset,
-                           dest, (dest[soft], np.repeat(weight, sizes)[soft]), check)
+    return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
+                           offset, dest, (dest[soft], np.repeat(weight, sizes)[soft]), check)
 
 
 def _parse_item(item, i: int) -> VarKey:
@@ -684,17 +688,6 @@ def min_degree_ordering(graph: FactorGraph, groups=None) -> list:
     return list(plan_elimination(graph, groups).ordering)
 
 
-def _bfs_levels(adj, sub, start):
-    levels = [[start]]
-    seen = {start}
-    while True:
-        nxt = sorted({n for at in levels[-1] for n in adj[at] & sub} - seen)
-        if not nxt:
-            return levels
-        seen.update(nxt)
-        levels.append(nxt)
-
-
 def nested_dissection_groups(graph: FactorGraph) -> list:
     """Recursive bisection: both halves first, separator last.
 
@@ -703,39 +696,45 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
     actually touch the far half; level vertices with no far-side neighbor
     drop into the near half. Bisection stops at three or fewer variables.
     Returns the leaf subsets and separators in elimination order, the
-    `groups` of `plan_elimination`.
+    `groups` of `plan_elimination`, found on the sets of `graph.numbering`.
     """
-    adj = graph.adjacency
+    nb = graph.numbering[3]
 
-    def dissect(sub) -> list:
-        if len(sub) <= 3:
+    def levels_of(sub: int, start: int) -> list:  # breadth-first, from the set `start`
+        levels, seen = [start], start
+        while True:
+            nxt = reduce(or_, map(nb.__getitem__, _bits(levels[-1])), 0) & sub & ~seen
+            if not nxt:
+                return levels
+            seen |= nxt
+            levels.append(nxt)
+
+    def dissect(sub: int) -> list:
+        if sub.bit_count() <= 3:
             return [sub]
-        comps = []
-        rest = set(sub)
+        comps, rest = [], sub
         while rest:
-            comps.append({v for level in _bfs_levels(adj, rest, min(rest)) for v in level})
-            rest -= comps[-1]
+            comps.append(sum(levels_of(rest, rest & -rest)))
+            rest &= ~comps[-1]
         if len(comps) > 1:
             return [group for comp in comps for group in dissect(comp)]
         # double-BFS pseudo-peripheral start: go far, then level-partition;
         # a connected subset of four or more variables has at least two levels
-        start = min(sub)
-        levels = _bfs_levels(adj, sub, start)
-        start = min(levels[-1])
-        levels = _bfs_levels(adj, sub, start)
+        levels = levels_of(sub, sub & -sub)
+        levels = levels_of(sub, levels[-1] & -levels[-1])
         best = None
         for t in range(1, len(levels)):
-            after = {v for l in levels[t + 1:] for v in l}
-            level = set(levels[t])
-            sep = {v for v in level if adj[v] & after} or level
-            before = {v for l in levels[:t] for v in l} | (level - sep)
-            cand = (abs(len(before) - len(after)), len(sep), t)
+            after, level = sum(levels[t + 1:]), levels[t]
+            sep = sum(1 << v for v in _bits(level) if nb[v] & after) or level
+            before = sum(levels[:t]) | level & ~sep
+            cand = (abs(before.bit_count() - after.bit_count()), sep.bit_count(), t)
             if best is None or cand < best[0]:
                 best = (cand, sep, before, after)
         _, separator, before, after = best
         return dissect(before) + dissect(after) + [separator]
 
-    return dissect(set(graph.variables))
+    return [{graph.variables[r] for r in _bits(group)}
+            for group in dissect((1 << len(graph.variables)) - 1)]
 
 
 def nested_dissection_ordering(graph: FactorGraph) -> list:

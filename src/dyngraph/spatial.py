@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InvalidInertia
 
 _ORTHO_TOL = 1e-12
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def _freeze(a, shape) -> np.ndarray:
@@ -33,7 +35,7 @@ def skew(v) -> np.ndarray:
 def rotation_about(axis, angle: float) -> np.ndarray:
     # Euler-Rodrigues, unit axis assumed
     k = skew(axis)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -243,13 +245,11 @@ def exp_screw(axis: ScrewAxis, angle: float) -> Pose:
     w = axis.angular
     v = axis.linear
     if np.linalg.norm(w) < 1e-12:
-        return Pose._unchecked(np.eye(3), v * angle)
-    k = skew(w)
-    r = rotation_about(w, angle)
-    g = (np.eye(3) * angle
-         + (1.0 - math.cos(angle)) * k
-         + (angle - math.sin(angle)) * (k @ k))
-    return Pose._unchecked(r, g @ v)
+        return Pose._unchecked(_EYE3, v * angle)
+    k, s, c = skew(w), math.sin(angle), math.cos(angle)
+    kk = k @ k
+    g = _EYE3 * angle + (1.0 - c) * k + (angle - s) * kk
+    return Pose._unchecked(_EYE3 + s * k + (1.0 - c) * kk, g @ v)
 
 
 def joint_transform(rest_offset: Pose, axis: ScrewAxis | None, angle: float) -> Pose:

@@ -31,6 +31,11 @@ def six_r():
 
 
 @pytest.fixture(scope="session")
+def tree21():
+    return load_model("tree21.urdf")
+
+
+@pytest.fixture(scope="session")
 def five_bar():
     return load_model("five_bar.urdf")
 

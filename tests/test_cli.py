@@ -106,6 +106,20 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["ordering"] == ["F1", "Vd1", "tau1"]
 
+    @pytest.mark.parametrize("keys,detail", [
+        ("tau1,tau2", "Vd1 is missing"),
+        ("tau1,tau1,tau2,tau3,F1,F2,F3,Vd1,Vd2,Vd3", "tau1 appears twice"),
+        ("Vd9,tau1,tau2,tau3,F1,F2,F3,Vd1,Vd2,Vd3", "Vd9 is not one of them"),
+    ], ids=["missing", "duplicated", "unknown"])
+    def test_custom_ordering_error_names_key(self, capsys, keys, detail):
+        code, _, err = run(
+            capsys, "solve", "--urdf", THREE_R, "--type", "inverse",
+            "--qdd", "0,0,0", "--ordering", "custom:" + keys,
+        )
+        assert code == 1
+        assert err.strip() == ("error: ordering is not a permutation of the graph's "
+                               "variables: " + detail)
+
     def test_loop_without_plane_fails_naming_wrench(self, capsys):
         code, _, err = run(
             capsys, "solve", "--urdf", FIVE_BAR, "--type", "forward",

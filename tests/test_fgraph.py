@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from dyngraph.errors import IncompatibleScheme, RankDeficient
@@ -159,6 +159,15 @@ class TestLinearFactor:
         with pytest.raises(ValueError):
             f.blocks[X][0, 0] = 5.0
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan"), -1e-3, "1", None])
+    def test_rejects_bad_weight(self, weight):
+        with pytest.raises(ValueError, match=r"factor 'prior': weight must be a finite real"):
+            LinearFactor({X: np.eye(6)}, np.zeros(6), weight=weight, name="prior")
+
+    def test_accepts_real_weights(self):
+        for weight in (0, 0.0, 1e-3, np.float64(0.5), 1):
+            assert LinearFactor({X: np.eye(6)}, np.zeros(6), weight=weight).weight == weight
+
 
 class TestSolve:
     def test_matches_recursive_inverse(self, three_r):
@@ -253,6 +262,11 @@ class TestPlan:
                 assert a._replace(scatter=(), gather=()) == b._replace(scatter=(), gather=())
                 assert all(np.array_equal(x, y) for x, y in zip(a.scatter, b.scatter))
                 assert np.array_equal(a.gather, b.gather)
+
+    def test_empty_graph_plans_nothing(self):
+        plan = plan_elimination(FactorGraph([]))
+        assert (plan.ordering, plan.steps, plan.edge_count, plan.buffer_size) == ((), (), 0, 0)
+        assert back_substitute(eliminate(FactorGraph([]), [])) == {}
 
     def test_one_by_one_rank_check(self):
         q = VarKey(Kind.JOINT_ACCEL, 1)
@@ -404,6 +418,118 @@ def test_forward_ordering_sequence_pinned(request, five_bar_kin, fixture, orderi
         spec = ProblemSpec.forward(model, np.zeros(6))
     keys = resolve_ordering(build_graph(model, st, spec), ordering, model)
     assert " ".join(map(str, keys)) == PINNED_SEQUENCES[fixture, ordering]
+
+
+def reference_plan(graph, groups):
+    """Minimum degree over frozensets, the planner's rules written plainly:
+    per group, pick the least (distinct-neighbor degree, key); merge the
+    pick's factors into a product over its parents whose row budget is
+    min(rows - dim, parent dims), and leave none when that is <= 0.
+    Returns the ordering, per step (input ids, parent set, product id) and
+    the edge and fill counts."""
+    factors = {fid: (frozenset(keys), rows) for fid, (keys, rows, _) in enumerate(graph.structure)}
+    first_neighbors = {v: set().union(*(ks for ks, _ in factors.values() if v in ks)) - {v}
+                       for v in graph.variables}
+    order, steps, edges, fill = [], [], 0, 0
+
+    def degree(x):
+        return len(set().union(*(ks for ks, _ in factors.values() if x in ks)) - {x})
+
+    for group in groups:
+        pool = set(group)
+        while pool:
+            v = min(pool, key=lambda x: (degree(x), x))
+            pool.remove(v)
+            fids = sorted(fid for fid, (ks, _) in factors.items() if v in ks)
+            parents = frozenset().union(*(factors[f][0] for f in fids)) - {v}
+            budget = min(sum(factors.pop(f)[1] for f in fids) - v.dim,
+                         sum(p.dim for p in parents))
+            product = -1
+            if parents and budget > 0:
+                product = len(graph.structure) + sum(s[2] >= 0 for s in steps)
+                factors[product] = (parents, budget)
+            order.append(v)
+            steps.append((tuple(fids), parents, product))
+            edges += len(parents)
+            fill += len(parents - first_neighbors[v])
+    return order, steps, edges, fill
+
+
+@hs.composite
+def structures(draw):
+    """A small random graph over at most ten 1- and 6-dim variables, and a
+    random split of its variables into ordered groups (or None)."""
+    keys = draw(hs.lists(hs.builds(VarKey, hs.sampled_from(list(Kind)), hs.integers(1, 4)),
+                         min_size=1, max_size=10, unique=True))
+    factors = []
+    for _ in range(draw(hs.integers(1, 12))):
+        ks = draw(hs.lists(hs.sampled_from(keys), min_size=1, max_size=4, unique=True))
+        rows = draw(hs.integers(1, 8))
+        factors.append(LinearFactor({k: np.zeros((rows, k.dim)) for k in ks}, np.zeros(rows),
+                                    weight=draw(hs.sampled_from([1.0, 1e-3]))))
+    graph = FactorGraph(factors)
+    if draw(hs.booleans()):
+        return graph, None
+    perm = draw(hs.permutations(graph.variables))
+    cuts = sorted(draw(hs.sets(hs.integers(1, max(len(perm) - 1, 1)), max_size=3)))
+    return graph, [set(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, len(perm)])]
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures())
+def test_plan_matches_frozenset_reference(case):
+    graph, groups = case
+    plan = plan_elimination(graph, groups)
+    order, steps, edges, fill = reference_plan(graph, groups or [graph.variables])
+    assert list(plan.ordering) == order
+    assert (plan.edge_count, plan.fill_in) == (edges, fill)
+    position = {v: i for i, v in enumerate(order)}
+    for step, (inputs, parents, product) in zip(plan.steps, steps):
+        assert (step.inputs, step.product) == (inputs, product)
+        assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+
+class TestTree21:
+    """A 21-joint branched tree (torso plus four limbs of five): the
+    forward ordering table, the fill-reducing sequences and hybrid edge
+    counts at a size where fill matters."""
+
+    MD = ("qdd1 qdd2 qdd3 qdd4 qdd5 qdd6 Vd6 F6 Vd5 F5 Vd4 F4 Vd3 F3 Vd2 qdd7 qdd8 qdd9 qdd10 "
+          "qdd11 Vd11 F11 Vd10 F10 Vd9 F9 Vd8 F8 Vd7 qdd12 qdd13 qdd14 qdd15 qdd16 Vd16 F16 "
+          "Vd15 F15 Vd14 F14 Vd13 F13 Vd12 qdd17 qdd18 qdd19 qdd20 qdd21 Vd21 F21 Vd20 F20 "
+          "Vd19 F19 Vd18 F18 Vd17 Vd1 F1 F2 F7 F12 F17")
+    ND = ("qdd6 Vd6 F6 qdd5 Vd5 F4 qdd2 qdd3 Vd2 qdd4 Vd3 F3 Vd4 F5 F1 F12 qdd12 qdd13 Vd12 "
+          "qdd7 qdd8 Vd7 qdd17 qdd18 Vd17 F7 F17 qdd1 Vd1 F2 qdd11 Vd11 F9 F10 qdd9 qdd10 Vd9 "
+          "Vd10 F11 qdd16 Vd16 F14 F15 qdd14 qdd15 Vd14 Vd15 F16 qdd21 Vd21 F19 F20 qdd19 "
+          "qdd20 Vd19 Vd20 F21 Vd8 Vd13 Vd18 F8 F13 F18")
+
+    @staticmethod
+    def state(model):
+        rng = np.random.default_rng(0)
+        n = len(model.movable_joints)
+        return JointState(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+
+    def test_forward_ordering_table(self, tree21):
+        st = self.state(tree21)
+        spec = ProblemSpec.forward(tree21, np.zeros(len(tree21.movable_joints)))
+        got = {o: (r.dag.edge_count, r.dag.fill_in) for o in ("crba", "aba", "md", "nd")
+               for r in [solve_dynamics(tree21, st, spec, o)]}
+        assert got == {"crba": (932, 804), "aba": (180, 52), "md": (128, 0), "nd": (197, 69)}
+        graph = build_graph(tree21, st, spec)
+        for ordering, want in (("md", self.MD), ("nd", self.ND)):
+            assert " ".join(map(str, resolve_ordering(graph, ordering, tree21))) == want
+
+    @pytest.mark.parametrize("split,edges", [
+        (lambda i, name: i % 2 == 0, 118),
+        (lambda i, name: name == "torso_yaw" or name.startswith("limb0"), 123),
+        (lambda i, name: name.endswith("j4"), 124),
+    ], ids=["even-joints", "torso-and-limb0", "limb-tips"])
+    def test_hybrid_edge_counts(self, tree21, split, edges):
+        # accelerations given where `split` holds, torques elsewhere; "auto" plans each
+        given = {j.name: {"accel": 0.1} if split(i, j.name) else {"torque": 0.2}
+                 for i, j in enumerate(tree21.movable_joints)}
+        res = solve_dynamics(tree21, self.state(tree21), ProblemSpec.hybrid(tree21, given))
+        assert (res.dag.edge_count, res.dag.fill_in) == (edges, 0)
 
 
 class TestVarKeyProperties:

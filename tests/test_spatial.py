@@ -15,6 +15,7 @@ from dyngraph.spatial import (
     ad_transpose_product,
     joint_transform,
     little_adjoint,
+    rotation_about,
     rotation_to_rpy,
     rpy_matrix,
     skew,
@@ -131,6 +132,16 @@ class TestExpScrew:
             th = rng.uniform(-2 * np.pi, 2 * np.pi)
             got = exp_screw(ScrewAxis(a), th).matrix()
             np.testing.assert_allclose(got, expm(th * twist_hat(a)), atol=1e-12)
+
+    def test_rotation_is_rotation_about_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            w = rng.normal(size=3)
+            w /= np.linalg.norm(w)
+            th = rng.uniform(-2 * np.pi, 2 * np.pi)
+            t = exp_screw(ScrewAxis(np.concatenate([w, rng.normal(size=3)])), th)
+            assert np.array_equal(t.rotation, rotation_about(w, th))
+            assert not t.rotation.flags.writeable
 
     def test_rotation_orthonormal(self):
         rng = np.random.default_rng(42)
