@@ -19,6 +19,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spatial import (
     big_adjoint,
     joint_transform,
     rotation_to_rpy,
+    skew,
 )
 
 
@@ -78,6 +80,44 @@ class Joint:
         return joint_transform(self.rest_offset, self.axis, angle)
 
 
+class JointConstants(NamedTuple):
+    """What a kinematic sweep needs of every joint, derived once per model.
+
+    `joints` are in sweep order: tree joints in `topo_order` of their
+    children, then loop joints. Per joint: [R | p] of
+    `rest_offset.inverse()`, the screw, the cross-product matrix of its
+    angular part and that matrix squared (all zero for a fixed joint), the
+    index of its angle and rate in a JointState (one past the end for a
+    fixed joint), and the `topo_order` positions of its parent and child.
+    """
+
+    joints: tuple
+    rest: np.ndarray
+    screws: np.ndarray
+    w_hat: np.ndarray
+    w_hat2: np.ndarray
+    slots: np.ndarray
+    parents: tuple
+    children: tuple
+
+
+def _joint_constants(model: "RobotModel") -> JointConstants:
+    joints = tuple(model.parent_joint[n] for n in model.topo_order[1:]) + model.loop_joints
+    row = {name: k for k, name in enumerate(model.topo_order)}
+    slot = {j.name: k for k, j in enumerate(model.movable_joints)}
+    rest = [j.rest_offset.inverse() for j in joints]
+    rest = np.array([np.c_[t.rotation, t.translation] for t in rest]).reshape(-1, 3, 4)
+    screws = np.array([np.zeros(6) if j.axis is None else j.axis.vector
+                       for j in joints]).reshape(-1, 6)
+    w_hat = np.array([skew(w) for w in screws[:, :3]]).reshape(-1, 3, 3)
+    arrays = (rest, screws, w_hat, w_hat @ w_hat,
+              np.array([slot.get(j.name, len(slot)) for j in joints], dtype=np.intp))
+    for a in arrays:
+        a.setflags(write=False)
+    return JointConstants(joints, *arrays, tuple(row[j.parent] for j in joints),
+                          tuple(row[j.child] for j in joints))
+
+
 def _unit(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(3)
     n = np.linalg.norm(v)
@@ -92,7 +132,8 @@ class RobotModel:
     Tree joints must form a spanning tree rooted at the base (the unique
     link that is no tree joint's child); loop joints connect two links
     already in the tree and leave the tree structure unchanged. Immutable
-    after construction.
+    after construction; `joint_constants` holds what every kinematic sweep
+    needs of each joint, derived here once.
     """
 
     def __init__(self, links, joints):
@@ -190,6 +231,7 @@ class RobotModel:
         self.depth = depth
         leaves = [n for n in order if not self.child_joints[n]]
         self.tool_link = leaves[0] if len(leaves) == 1 else None
+        self.joint_constants = _joint_constants(self)
 
     @property
     def n_links(self) -> int:

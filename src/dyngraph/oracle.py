@@ -5,7 +5,10 @@ Newton-Euler sweep works link by link, the mass matrix is assembled from
 unit-acceleration sweeps, the hybrid solver runs the classical three-pass
 schedule, and the dense least-squares solver stacks every factor row and
 hands the whole thing to LAPACK. Agreement between these and the
-elimination solver is the core evidence that both are right.
+elimination solver is the core evidence that both are right. The sweeps
+evaluate each joint with `Joint.transform` and `big_adjoint`; their
+kinematics share no code with the solver's, which evaluates every joint
+at once from `RobotModel.joint_constants`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import RankDeficient, SingularMass, UnsupportedTopology
 from .fgraph import FactorGraph
 from .model import RobotModel
 from .spatial import big_adjoint, little_adjoint
-from .transcribe import GivenAccel, GivenTorque, JointState, ProblemSpec, _state_maps
+from .transcribe import GivenAccel, GivenTorque, JointState, ProblemSpec
 
 
 def _as6(w) -> np.ndarray:
@@ -44,7 +47,10 @@ def rnea_full(model: RobotModel, state: JointState, qdd,
     qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
     if qdd.shape != (len(movable),):
         raise ValueError(f"expected {len(movable)} joint accelerations")
-    q, qd = _state_maps(model, state)
+    if state.q.shape != (len(movable),):
+        raise ValueError(f"state has {state.q.shape[0]} entries for {len(movable)} movable joints")
+    q = {j.name: float(a) for j, a in zip(movable, state.q)}
+    qd = {j.name: float(r) for j, r in zip(movable, state.qd)}
     acc_of = {j.name: a for j, a in zip(movable, qdd)}
     gravity = np.asarray(gravity, dtype=float).reshape(3)
     ft = _as6(tool_wrench)

@@ -95,9 +95,10 @@ class ProblemSpec:
     `designations` aligns with the model's movable joints in declaration
     order. Unactuated joints (including loop joints) move freely, so the
     factories designate them GivenTorque(0). `base_accel` (in the base
-    frame) and `tool_wrench` (in the tool link's URDF frame) are 6-vectors
-    (angular; linear). `planar_loops` maps loop joint names to plane normals
-    expressed in the base body frame. Every value must be finite.
+    frame) and `tool_wrench` (in the tool link's URDF frame; nonzero only
+    on a model with a single tool link) are 6-vectors (angular; linear).
+    `planar_loops` maps loop joint names to plane normals expressed in the
+    base body frame. Every value must be finite.
     """
 
     designations: tuple
@@ -210,73 +211,88 @@ class ProblemSpec:
         if len(self.designations) != len(movable):
             raise ValueError(f"spec has {len(self.designations)} designations "
                              f"for {len(movable)} movable joints")
+        if model.tool_link is None and np.any(self.tool_wrench):
+            raise ValueError(f"tool_wrench must be zero: the model has no single tool "
+                             f"link to apply {self.tool_wrench} to")
         return {j.name: d for j, d in zip(movable, self.designations)}
-
-
-def _state_maps(model: RobotModel, state: JointState):
-    movable = model.movable_joints
-    if state.q.shape != (len(movable),):
-        raise ValueError(f"state has {state.q.shape[0]} entries "
-                         f"for {len(movable)} movable joints")
-    q = {j.name: float(a) for j, a in zip(movable, state.q)}
-    qd = {j.name: float(r) for j, r in zip(movable, state.qd)}
-    return q, qd
 
 
 def _kinematics(model: RobotModel, state: JointState):
     """Propagate poses and twists outward; verify loop closure.
 
-    Returns (qd_map, poses, twists, adjoints) with poses as base-from-link
-    transforms of the body frames, twists as 6-vectors, and adjoints as the
-    6x6 child-from-parent adjoint of every joint, tree and loop alike, keyed
-    by joint name. This is the only place a joint transform is evaluated.
+    Returns (frames, twists, adjoints, motions): by link name, the 3x4
+    [R | p] link-from-base transform of each body frame and its twist; by
+    joint name, tree and loop alike, the 6x6 child-from-parent adjoint and
+    the screw times the rate; each a view of one array. The per-joint
+    constants live on the model (`RobotModel.joint_constants`, derived once
+    per model), so all joints are evaluated together in a few array
+    operations; only the chain from link to link is a loop.
     """
-    q, qd = _state_maps(model, state)
-    poses = {model.base: Pose.identity()}
-    twists = {model.base: np.zeros(6)}
-    adjoints = {}
-    for name in model.topo_order[1:]:
-        j = model.parent_joint[name]
-        th = q.get(j.name, 0.0)
-        t_cp = j.transform(th)
-        ad = adjoints[j.name] = big_adjoint(t_cp)
-        poses[name] = poses[j.parent] @ t_cp.inverse()
-        v = ad @ twists[j.parent]
-        if j.axis is not None:
-            v = v + j.axis.vector * qd.get(j.name, 0.0)
-        twists[name] = v
+    c = model.joint_constants
+    n = len(model.movable_joints)
+    if state.q.shape != (n,):
+        raise ValueError(f"state has {state.q.shape[0]} entries for {n} movable joints")
+    if not np.isfinite(state.q).all():
+        raise ValueError(f"q must be finite, got {state.q}")
+    # exp_screw(axis, -q) @ rest_offset.inverse(), term by term in the same
+    # order as there, so the numbers are the same
+    th = -np.concatenate((state.q, _ZERO1))[c.slots, None, None]
+    s, vers = np.sin(th), 1.0 - np.cos(th)
+    ex = _EYE3 + s * c.w_hat + vers * c.w_hat2
+    g = _EYE3 * th + vers * c.w_hat + (th - s) * c.w_hat2
+    rot = ex @ c.rest[:, :, :3]
+    p = ex @ c.rest[:, :, 3:] + g @ c.screws[:, 3:, None]
+    rp = np.concatenate((rot, p), axis=2)
+    ad = np.zeros((len(rp), 6, 6))
+    ad[:, :3, :3] = ad[:, 3:, 3:] = rot
+    ad[:, 3:, :3] = (p[:, :, 0] @ _SKEW).reshape(-1, 3, 3) @ rot
+    motion = c.screws * np.concatenate((state.qd, _ZERO1))[c.slots, None]
 
-    for l in model.loop_joints:
-        t_cp = l.transform(q[l.name])
-        adjoints[l.name] = big_adjoint(t_cp)
-        tree_cp = poses[l.child].inverse() @ poses[l.parent]
-        pos_res = float(np.max(np.abs(tree_cp.matrix() - t_cp.matrix())))
+    # the link at position k of topo_order is the child of sweep joint k - 1
+    links = len(model.topo_order)
+    frames = np.zeros((links, 4, 4))
+    frames[0], frames[:, 3, 3] = _EYE4, 1.0
+    twists = np.zeros((links, 6))
+    for k, parent in enumerate(c.parents[:links - 1], start=1):
+        np.matmul(rp[k - 1], frames[parent], out=frames[k, :3])
+        np.matmul(ad[k - 1], twists[parent], out=twists[k])
+        twists[k] += motion[k - 1]
+    frames = frames[:, :3]
+
+    for k in range(links - 1, len(rp)):
+        name, fc, fp = c.joints[k].name, frames[c.children[k]], frames[c.parents[k]]
+        r = fc[:, :3] @ fp[:, :3].T
+        pos_res = float(max(np.max(np.abs(r - rot[k])),
+                            np.max(np.abs(fc[:, 3] - r @ fp[:, 3] - rp[k, :, 3]))))
         # written as not (res <= tol) so that a NaN residual fails
         if not pos_res <= _LOOP_TOL:
             raise InconsistentLoopState(
-                f"loop joint {l.name}: closure violated at position level "
+                f"loop joint {name}: closure violated at position level "
                 f"(residual {pos_res:.3e})")
-        vel = twists[l.child] - adjoints[l.name] @ twists[l.parent] \
-            - l.axis.vector * qd[l.name]
+        vel = twists[c.children[k]] - ad[k] @ twists[c.parents[k]] - motion[k]
         vel_res = float(np.max(np.abs(vel)))
         if not vel_res <= _LOOP_TOL:
             raise InconsistentLoopState(
-                f"loop joint {l.name}: rates violate the loop constraint "
+                f"loop joint {name}: rates violate the loop constraint "
                 f"(residual {vel_res:.3e})")
-    return qd, poses, twists, adjoints
+    names = [j.name for j in c.joints]
+    return (dict(zip(model.topo_order, frames)), dict(zip(model.topo_order, twists)),
+            dict(zip(names, ad)), dict(zip(names, motion)))
 
 
 def compute_twists(model: RobotModel, state: JointState) -> dict:
     """Body twist (angular; linear) of every link at the given state; the
     base's is zero. These are the arrays `DynamicsResult.twists` holds."""
-    _, _, twists, _ = _kinematics(model, state)
-    return twists
+    return _kinematics(model, state)[1]
 
 
 def link_poses(model: RobotModel, state: JointState) -> dict:
     """Base-from-link pose of every body frame at the given state."""
-    _, poses, _, _ = _kinematics(model, state)
-    return poses
+    frames = _kinematics(model, state)[0]
+    f = np.array(list(frames.values()))
+    rot = f[:, :, :3].transpose(0, 2, 1)
+    p = -(rot @ f[:, :, 3:])[:, :, 0]
+    return {name: Pose._unchecked(r, t) for name, r, t in zip(frames, rot, p)}
 
 
 def _planar_rows(normal) -> np.ndarray:
@@ -309,7 +325,10 @@ _NEG_EYE1 = -np.eye(1)
 _ZERO1 = np.zeros(1)
 _ZERO3 = np.zeros(3)
 _ZERO6 = np.zeros(6)
-for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6):
+_EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
+_SKEW = np.stack([skew(e) for e in np.eye(3)]).reshape(3, 9)   # p @ _SKEW is skew(p)
+for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6, _EYE3, _EYE4, _SKEW):
     _a.setflags(write=False)
 
 
@@ -319,7 +338,7 @@ def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
     (name, knowns), and flat in the same order each factor's key blocks,
     then its rhs, the parts `fgraph.Assembly` scatters. Nothing is copied
     or validated."""
-    qd, poses, twists, adjoints = kin
+    frames, twists, adjoints, motions = kin
     structure, labels, parts = [], [], []
 
     def add(blocks, rhs, name, knowns=(), weight=1.0):
@@ -343,7 +362,7 @@ def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
         knowns = []
         rhs = _ZERO6
         if j.axis is not None:
-            rhs = ad_product(twists[j.child], j.axis.vector * qd[j.name])
+            rhs = ad_product(twists[j.child], motions[j.name])
         child_idx = model.link_map[j.child].index
         parent_idx = model.link_map[j.parent].index
         if child_idx == 0:
@@ -377,7 +396,7 @@ def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
             blocks[VarKey(Kind.ACCEL, link.index)] = g_mat
             v = twists[link.name]
             rhs = ad_transpose_product(v, g_mat @ v)
-            rhs[3:] += link.inertia.mass * (poses[link.name].rotation.T @ spec.gravity)
+            rhs[3:] += link.inertia.mass * (frames[link.name][:, :3] @ spec.gravity)
         if link.name == model.tool_link and np.any(spec.tool_wrench):
             rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
             knowns = ("Ft",)
@@ -408,7 +427,7 @@ def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
                          f"{sorted(planar_names - loop_names)}")
     for name, normal in spec.planar_loops:
         l = model.joint_map[name]
-        add({VarKey(Kind.WRENCH, l.index): _planar_rows(poses[l.child].rotation.T @ normal)},
+        add({VarKey(Kind.WRENCH, l.index): _planar_rows(frames[l.child][:, :3] @ normal)},
             _ZERO3, f"planar[{name}]")
     return structure, labels, parts
 
@@ -494,7 +513,6 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
-    _, _, twists, _ = kin
     des = spec.by_joint(model)
     listed = _transcribe(model, kin, spec, des)
     t1 = perf_counter()
@@ -523,7 +541,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         values=values,
         torques=torques,
         accels=accels,
-        twists=dict(twists),
+        twists=kin[1],
         link_accels=link_accels,
         wrenches=wrenches,
         graph=graph,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dyngraph import fgraph
+from dyngraph import model as model_module
 from dyngraph.errors import InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import Kind, LinearFactor, VarKey, back_substitute, eliminate
 from dyngraph.model import Joint, parse_urdf
@@ -26,7 +27,7 @@ from dyngraph.transcribe import (
     solve_dynamics,
 )
 
-from conftest import random_state
+from conftest import FIXTURES, load_model, random_state
 
 GRAVITY_Y = (0.0, -9.81, 0.0)
 
@@ -71,6 +72,40 @@ class TestComputeTwists:
         for name, tw in twists.items():
             assert tw.shape == (6,)
             np.testing.assert_array_equal(tw, solved[name])
+
+    @pytest.mark.parametrize("which", ["pendulum", "three_r", "three_r_fixed_j2", "six_r",
+                                       "five_bar", "parallelogram", "tree21"])
+    def test_matches_joint_transform_sweep(self, which, request, five_bar_kin):
+        # poses and twists from the per-model constants agree with a sweep
+        # that evaluates Joint.transform joint by joint, as the oracle does
+        if which == "parallelogram":
+            model = parse_urdf(PARALLELOGRAM)
+            st = JointState([0.7, -0.7, 0.7 + np.pi, -0.7 - np.pi], [-0.4, 0.4, -0.4, 0.4])
+        elif which == "three_r_fixed_j2":
+            model = parse_urdf((FIXTURES / "three_r.urdf").read_text().replace(
+                '<joint name="j2" type="revolute">', '<joint name="j2" type="fixed">'))
+            st = random_state(np.random.default_rng(207), 2)
+        elif which == "five_bar":
+            model, st = request.getfixturevalue(which), five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        else:
+            model = request.getfixturevalue(which)
+            st = random_state(np.random.default_rng(207), len(model.movable_joints))
+        q = dict(zip((j.name for j in model.movable_joints), st.q))
+        qd = dict(zip((j.name for j in model.movable_joints), st.qd))
+        poses, twists = {model.base: Pose.identity()}, {model.base: np.zeros(6)}
+        for name in model.topo_order[1:]:
+            j = model.parent_joint[name]
+            t = j.transform(q.get(j.name, 0.0))
+            poses[name] = poses[j.parent] @ t.inverse()
+            twists[name] = big_adjoint(t) @ twists[j.parent]
+            if j.axis is not None:
+                twists[name] = twists[name] + j.axis.vector * qd[j.name]
+        got_poses, got_twists = link_poses(model, st), compute_twists(model, st)
+        assert got_poses.keys() == got_twists.keys() == set(model.topo_order)
+        for name in model.topo_order:
+            np.testing.assert_allclose(got_poses[name].matrix(), poses[name].matrix(),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got_twists[name], twists[name], rtol=0, atol=1e-13)
 
     def test_consistent_loop_rates_accepted(self, five_bar, five_bar_kin):
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -236,6 +271,26 @@ class TestBuildGraph:
         )
         np.testing.assert_allclose(tau, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("which", ["tree21", "five_bar"])
+    def test_tool_wrench_needs_a_single_tool_link(self, which, tree21, five_bar, five_bar_kin):
+        # a branched tree and a closed loop have no single tool link, so a
+        # nonzero tool wrench has no link to act on
+        if which == "tree21":
+            model, st = tree21, random_state(np.random.default_rng(209), 21)
+            make, given, kw = ProblemSpec.inverse, np.zeros(21), {}
+        else:
+            model, st = five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+            make, given = ProblemSpec.forward, np.array([1.0, 0.5])
+            kw = {"planar_loops": {"j5": (0.0, 0.0, 1.0)}}
+        assert model.tool_link is None
+        pushed = make(model, given, tool_wrench=[0, 0, 0, 0, 0, 100], **kw)
+        with pytest.raises(ValueError, match=r"^tool_wrench\b.*single tool link"):
+            solve_dynamics(model, st, pushed)
+        with pytest.raises(ValueError, match=r"^tool_wrench\b.*single tool link"):
+            build_graph(model, st, pushed)
+        res = solve_dynamics(model, st, make(model, given, tool_wrench=np.zeros(6), **kw))
+        assert res.residual_max < 1e-9
+
     def test_base_accel_enters_propagation(self, three_r):
         rng = np.random.default_rng(204)
         st = random_state(rng, 3)
@@ -319,17 +374,27 @@ class TestFiveBar:
             solve_dynamics(five_bar, st, self.forward_spec(five_bar, planar=False))
         assert "F5" in str(err.value)
 
-    @pytest.mark.parametrize("field,error", [("q", ValueError),
-                                             ("qd", InconsistentLoopState)])
-    def test_nan_state_fails_in_kinematics(self, five_bar, five_bar_kin, field, error):
-        # a NaN planted past JointState's check stops at the joint transform
-        # or the loop-closure test, never as a RankDeficient downstream
-        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+    @pytest.mark.parametrize("which,field,error,message", [
+        pytest.param("five_bar", "q", ValueError, "^q must be finite", id="q-ValueError"),
+        pytest.param("five_bar", "qd", InconsistentLoopState, "rates violate",
+                     id="qd-InconsistentLoopState"),
+        pytest.param("six_r", "q", ValueError, "^q must be finite", id="six_r-q-ValueError"),
+    ])
+    def test_nan_state_fails_in_kinematics(self, which, five_bar, five_bar_kin, six_r,
+                                           field, error, message):
+        # a NaN planted past JointState's check stops at kinematics, before
+        # any loop-closure test, never as a RankDeficient or a NaN answer
+        if which == "six_r":
+            model, st = six_r, JointState(np.full(6, 0.2), np.full(6, 0.1))
+            spec = ProblemSpec.inverse(six_r, np.zeros(6))
+        else:
+            model, st = five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+            spec = self.forward_spec(five_bar)
         bad = getattr(st, field).copy()
         bad[1] = NAN
         object.__setattr__(st, field, bad)
-        with pytest.raises(error):
-            solve_dynamics(five_bar, st, self.forward_spec(five_bar))
+        with pytest.raises(error, match=message):
+            solve_dynamics(model, st, spec)
 
     def test_unreachable_state_rejected(self, five_bar, five_bar_kin):
         # bar tips 0.7 apart cannot meet with 0.25 bars: no real closure
@@ -446,26 +511,33 @@ class TestSolveDynamics:
         res = solve_dynamics(three_r, st, spec, ordering=keys)
         assert [str(v) for v in res.ordering] == keys
 
-    def test_one_joint_transform_per_joint(self, six_r, five_bar, five_bar_kin,
-                                           monkeypatch):
-        # kinematics evaluates each joint once, loop joints included, and
-        # graph construction reuses its adjoints
-        calls = []
-        transform = Joint.transform
+    def test_one_joint_transform_per_joint(self, five_bar_kin, monkeypatch):
+        # a solve evaluates every joint from constants its model derives
+        # once, loop joints included, and never calls Joint.transform
+        calls, builds = [], []
+        transform, derive = Joint.transform, model_module._joint_constants
 
         def counted(joint, angle):
             calls.append(joint.name)
             return transform(joint, angle)
 
+        def counted_derive(model):
+            builds.append(model)
+            return derive(model)
+
         monkeypatch.setattr(Joint, "transform", counted)
-        st = JointState(np.full(6, 0.2), np.full(6, 0.1))
-        solve_dynamics(six_r, st, ProblemSpec.inverse(six_r, np.zeros(6)))
-        assert sorted(calls) == sorted(j.name for j in six_r.joints)
-        calls.clear()
-        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
-        solve_dynamics(five_bar, st, ProblemSpec.forward(
-            five_bar, np.array([1.0, 0.5]), planar_loops=(("j5", (0.0, 0.0, 1.0)),)))
-        assert sorted(calls) == sorted(j.name for j in five_bar.joints)
+        monkeypatch.setattr(model_module, "_joint_constants", counted_derive)
+        six_r, five_bar = load_model("six_r.urdf"), load_model("five_bar.urdf")
+        for _ in range(2):
+            st = JointState(np.full(6, 0.2), np.full(6, 0.1))
+            solve_dynamics(six_r, st, ProblemSpec.inverse(six_r, np.zeros(6)))
+            st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+            solve_dynamics(five_bar, st, ProblemSpec.forward(
+                five_bar, np.array([1.0, 0.5]), planar_loops=(("j5", (0.0, 0.0, 1.0)),)))
+        assert calls == []
+        assert builds == [six_r, five_bar]
+        assert [j.name for j in five_bar.joint_constants.joints] == \
+            [five_bar.parent_joint[n].name for n in five_bar.topo_order[1:]] + ["j5"]
 
     def test_no_pose_validation_inside_a_solve(self, six_r, monkeypatch):
         # poses composed, inverted and exponentiated from validated ones
@@ -540,12 +612,14 @@ class TestLoopClosingOnBase:
 
 
 class TestOneWrenchPerJoint:
-    @pytest.mark.parametrize("which", ["five_bar", "parallelogram"])
-    def test_wrench_enters_its_endpoint_balances(self, which, five_bar, five_bar_kin):
+    @pytest.mark.parametrize("which", ["five_bar", "parallelogram", "tree21"])
+    def test_wrench_enters_its_endpoint_balances(self, which, five_bar, five_bar_kin, tree21):
         # every joint, tree or loop: F_j sits in the balance of each endpoint
         # that is not the base, as -I in its child's and Ad_j^T in its parent's
         if which == "five_bar":
             model, st = five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        elif which == "tree21":
+            model, st = tree21, random_state(np.random.default_rng(208), 21)
         else:
             model = parse_urdf(PARALLELOGRAM)
             st = JointState([0.7, -0.7, 0.7 + np.pi, -0.7 - np.pi], [-0.4, 0.4, -0.4, 0.4])
