@@ -18,12 +18,13 @@ slice per variable, and the assembly map: where each graph factor entry
 goes in one flat buffer that holds every step's stack. `plan_for` is the
 one way from an ordering request to a plan, memoised by the structure, so
 graphs that differ only in their numbers share it. The numeric phase
-is one `Assembly` per solve: the factors' blocks and right-hand sides,
-from a `FactorGraph` or listed by `transcribe` without building one, are
-scattered into a fresh buffer; each step reduces its stack, keeps its raw
-R row block `[R_ff | R_fp | d]` as its conditional and copies its product
-rows into the stack that consumes them. `back_substitute` fills the flat
-vector from the last step to the first.
+is one `Assembly` per solve over a buffer of that layout: `scatter` fills
+one from a `FactorGraph`'s factors, and `transcribe` fills one from a
+template it scattered once; each step reduces its stack (a one-row stack
+is its own R), keeps its raw R row block `[R_ff | R_fp | d]` as its
+conditional and copies its product rows into the stack that consumes
+them. `back_substitute` fills the flat vector from the last step to the
+first.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -471,45 +472,70 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                            offset, dest, (dest[soft], np.repeat(weight, sizes)[soft]), check)
 
 
-def _parse_item(item, i: int) -> VarKey:
-    if not isinstance(item, str):
-        raise ValueError(f"ordering[{i}] must be a VarKey or its text, got {item!r}")
-    return VarKey.parse(item)
+class LruMemo(OrderedDict):
+    """A map that keeps its `size` most recently used entries, read with
+    `get` and written with `put` under one lock, so threads may share it."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.lock = Lock()
+
+    def get(self, key):
+        with self.lock:
+            value = super().get(key)
+            if value is not None:
+                self.move_to_end(key)
+            return value
+
+    def put(self, value, *keys):
+        with self.lock:
+            for key in keys:
+                self[key] = value
+                self.move_to_end(key)
+            while len(self) > self.size:
+                self.popitem(last=False)
+
+
+def ordering_request(ordering):
+    """An ordering request as `plan_for` keys it: a scheme name in lower
+    case, or a tuple of VarKeys parsed from VarKeys or their text (e.g.
+    "qdd1"). ValueError names a request that is neither, or its first bad
+    item."""
+    if isinstance(ordering, str):
+        return ordering.lower()
+    try:
+        items = enumerate(ordering)
+    except TypeError:
+        raise ValueError(f"ordering must be a scheme name or a sequence of "
+                         f"variable keys, got {ordering!r}") from None
+    request = []
+    for i, k in items:
+        if not isinstance(k, (VarKey, str)):
+            raise ValueError(f"ordering[{i}] must be a VarKey or its text, got {k!r}")
+        request.append(k if isinstance(k, VarKey) else VarKey.parse(k))
+    return tuple(request)
 
 
 _PLAN_MEMO_SIZE = 64
-_plans: OrderedDict = OrderedDict()
-_plans_lock = Lock()
+_plans = LruMemo(_PLAN_MEMO_SIZE)
 
 
 def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
-    """The plan for an ordering request: a scheme name in any case, or a
-    sequence of VarKeys or their text (e.g. "qdd1"). "md" is minimum
-    degree over every variable but `deferred`, then over `deferred`; "nd"
-    is minimum degree inside `nested_dissection_groups`; any other name or
-    a key sequence is the fixed ordering of `classic_ordering`. Anything
-    else raises ValueError naming the request or its first bad item. The
-    plan is memoised under (graph.structure, request, deferred) and under its
-    own key sequence, so eliminating with the ordering it resolved to
-    reuses it; the memo keeps the most recently used _PLAN_MEMO_SIZE
-    entries.
+    """The plan for an ordering request (see `ordering_request`). "md" is
+    minimum degree over every variable but `deferred`, then over
+    `deferred`; "nd" is minimum degree inside `nested_dissection_groups`;
+    any other name or a key sequence is the fixed ordering of
+    `classic_ordering`. The plan is memoised under (graph.structure,
+    request, deferred) and under its own key sequence, so eliminating with
+    the ordering it resolved to reuses it; the memo keeps the most recently
+    used _PLAN_MEMO_SIZE entries.
     """
-    if isinstance(ordering, str):
-        request = ordering.lower()
-    else:
-        try:
-            items = enumerate(ordering)
-        except TypeError:
-            raise ValueError(f"ordering must be a scheme name or a sequence of "
-                             f"variable keys, got {ordering!r}") from None
-        request = tuple(k if isinstance(k, VarKey) else _parse_item(k, i) for i, k in items)
-    deferred = tuple(deferred)
+    request, deferred = ordering_request(ordering), tuple(deferred)
     key = (graph.structure, request, deferred)
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
+    plan = _plans.get(key)
+    if plan is not None:
+        return plan
     if request == "md":
         groups = [set(graph.variables) - set(deferred), deferred]
     elif request == "nd":
@@ -517,34 +543,35 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     else:
         groups = [(v,) for v in classic_ordering(graph, request)]
     plan = plan_elimination(graph, groups)
-    with _plans_lock:
-        for k in (key, (graph.structure, plan.ordering, ())):
-            _plans[k] = plan
-            _plans.move_to_end(k)
-        while len(_plans) > _PLAN_MEMO_SIZE:
-            _plans.popitem(last=False)
+    _plans.put(plan, key, (graph.structure, plan.ordering, ()))
     return plan
 
 
-class Assembly:
-    """The numbers of one solve in the buffer its plan lays out.
+def scatter(plan: EliminationPlan, parts) -> np.ndarray:
+    """A fresh buffer of the plan's layout holding the graph factors'
+    `parts` in the order of `EliminationPlan.dest`: for each factor in id
+    order, its key blocks in key order, then its rhs. Soft rows are scaled
+    by their weight; every other entry is zero."""
+    data = np.zeros(plan.buffer_size)
+    data[plan.dest] = np.concatenate(parts, axis=None) if parts else ()
+    pos, weight = plan.scale
+    if pos.size:
+        data[pos] *= weight
+    return data
 
-    `parts` are the graph factors' blocks and right-hand sides in the order
-    of `EliminationPlan.dest`: for each factor in id order, its key blocks
-    in key order, then its rhs. They are scattered into a fresh zeroed
-    buffer in one step and soft rows are scaled by their weight; the plan
-    is only read, so any number of assemblies may share it across threads.
+
+class Assembly:
+    """The numbers of one solve in the buffer its plan lays out, as
+    `scatter` fills it. The plan is only read, so any number of assemblies
+    may share it across threads; the buffer belongs to this assembly,
+    which reduces its stacks in place.
     """
 
     __slots__ = ("plan", "data")
 
-    def __init__(self, plan: EliminationPlan, parts):
+    def __init__(self, plan: EliminationPlan, data: np.ndarray):
         self.plan = plan
-        self.data = np.zeros(plan.buffer_size)
-        self.data[plan.dest] = np.concatenate(parts, axis=None) if parts else ()
-        pos, weight = plan.scale
-        if pos.size:
-            self.data[pos] *= weight
+        self.data = data
 
     def eliminate(self) -> EliminationDag:
         """Reduce every step's stack in plan order (see `eliminate`)."""
@@ -595,9 +622,9 @@ class Assembly:
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
-        DAG, {key: value} as `back_substitute` gives it, and the largest
-        absolute residual of the weight-1 rows, one gathered product over
-        the buffer's graph rows (the plan's `check`)."""
+        DAG, the flat solution vector `back_substitute` hands out views of,
+        and the largest absolute residual of the weight-1 rows, one gathered
+        product over the buffer's graph rows (the plan's `check`)."""
         dag = self.eliminate()
         x = _solution(dag)
         pos, entry, row, rhs = self.plan.check
@@ -605,7 +632,7 @@ class Assembly:
         if rhs.size:
             r = np.bincount(row, self.data[pos] * x[entry], minlength=rhs.size) - self.data[rhs]
             residual = float(np.abs(r).max())
-        return dag, {v: x[s] for v, s in self.plan.slices.items()}, residual
+        return dag, x, residual
 
 
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
@@ -627,7 +654,7 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     for f in graph.factors:
         parts += f.blocks.values()
         parts.append(f.rhs)
-    return Assembly(plan, parts).eliminate()
+    return Assembly(plan, scatter(plan, parts)).eliminate()
 
 
 @lru_cache(maxsize=256)
@@ -637,7 +664,11 @@ def _strict_lower(rows: int, cols: int) -> np.ndarray:
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
     """The R of a = QR, min(rows, cols) rows: LAPACK's Householder QR, as
-    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost."""
+    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost.
+    LAPACK leaves one row as it is (its reflector is the identity), so a
+    one-row R is a copy of the row."""
+    if a.shape[0] == 1:
+        return a.copy()
     qr = dgeqrf(a)[0]
     r = np.array(qr[:min(a.shape)], order="C")
     r[_strict_lower(*r.shape)] = 0.0

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphError, InvalidInertia, MalformedDescription
+from .fgraph import LruMemo
 from .spatial import (
     Pose,
     ScrewAxis,
@@ -33,6 +34,9 @@ from .spatial import (
     rotation_to_rpy,
     skew,
 )
+
+
+_SOLVE_TEMPLATES = 16   # problem shapes a model keeps compiled (`solve_templates`)
 
 
 class JointKind(Enum):
@@ -81,7 +85,8 @@ class Joint:
 
 
 class JointConstants(NamedTuple):
-    """What a kinematic sweep needs of every joint, derived once per model.
+    """What a kinematic sweep and a transcription need of every joint and
+    link, derived once per model.
 
     `joints` are in sweep order: tree joints in `topo_order` of their
     children, then loop joints. Per joint: [R | p] of
@@ -89,6 +94,8 @@ class JointConstants(NamedTuple):
     angular part and that matrix squared (all zero for a fixed joint), the
     index of its angle and rate in a JointState (one past the end for a
     fixed joint), and the `topo_order` positions of its parent and child.
+    Per link in `topo_order`: its 6x6 spatial inertia and its mass, both
+    zero for a link without inertia.
     """
 
     joints: tuple
@@ -97,8 +104,10 @@ class JointConstants(NamedTuple):
     w_hat: np.ndarray
     w_hat2: np.ndarray
     slots: np.ndarray
-    parents: tuple
-    children: tuple
+    parents: np.ndarray
+    children: np.ndarray
+    inertias: np.ndarray
+    masses: np.ndarray
 
 
 def _joint_constants(model: "RobotModel") -> JointConstants:
@@ -110,12 +119,16 @@ def _joint_constants(model: "RobotModel") -> JointConstants:
     screws = np.array([np.zeros(6) if j.axis is None else j.axis.vector
                        for j in joints]).reshape(-1, 6)
     w_hat = np.array([skew(w) for w in screws[:, :3]]).reshape(-1, 3, 3)
+    links = [model.link_map[name].inertia for name in model.topo_order]
     arrays = (rest, screws, w_hat, w_hat @ w_hat,
-              np.array([slot.get(j.name, len(slot)) for j in joints], dtype=np.intp))
+              np.array([slot.get(j.name, len(slot)) for j in joints], dtype=np.intp),
+              np.array([row[j.parent] for j in joints], dtype=np.intp),
+              np.array([row[j.child] for j in joints], dtype=np.intp),
+              np.array([np.zeros((6, 6)) if i is None else i.matrix() for i in links]),
+              np.array([0.0 if i is None else float(i.mass) for i in links]))
     for a in arrays:
         a.setflags(write=False)
-    return JointConstants(joints, *arrays, tuple(row[j.parent] for j in joints),
-                          tuple(row[j.child] for j in joints))
+    return JointConstants(joints, *arrays)
 
 
 def _unit(v, what: str) -> np.ndarray:
@@ -133,7 +146,11 @@ class RobotModel:
     link that is no tree joint's child); loop joints connect two links
     already in the tree and leave the tree structure unchanged. Immutable
     after construction; `joint_constants` holds what every kinematic sweep
-    needs of each joint, derived here once.
+    needs of each joint, derived here once. Transcription keeps two things
+    beside the model, neither holding state of any solve: `factor_pieces`,
+    every factor its problems can have (listed on the first
+    transcription), and `solve_templates`, the bounded memo of compiled
+    problem shapes `transcribe.solve_dynamics` reuses.
     """
 
     def __init__(self, links, joints):
@@ -232,6 +249,8 @@ class RobotModel:
         leaves = [n for n in order if not self.child_joints[n]]
         self.tool_link = leaves[0] if len(leaves) == 1 else None
         self.joint_constants = _joint_constants(self)
+        self.factor_pieces = None
+        self.solve_templates = LruMemo(_SOLVE_TEMPLATES)
 
     @property
     def n_links(self) -> int:

@@ -40,7 +40,9 @@ def rnea_full(model: RobotModel, state: JointState, qdd,
     Outward pass propagates twists and accelerations from the base, inward
     pass accumulates wrenches from the leaves; torques are the screw-axis
     projections of the wrenches. `qdd` has one entry per movable joint in
-    declaration order. Returns torques plus all intermediate quantities.
+    declaration order. A nonzero `tool_wrench` needs a model with a single
+    tool link (ValueError otherwise, as for `ProblemSpec`). Returns torques
+    plus all intermediate quantities.
     """
     _check_tree(model)
     movable = model.movable_joints
@@ -54,6 +56,9 @@ def rnea_full(model: RobotModel, state: JointState, qdd,
     acc_of = {j.name: a for j, a in zip(movable, qdd)}
     gravity = np.asarray(gravity, dtype=float).reshape(3)
     ft = _as6(tool_wrench)
+    if model.tool_link is None and np.any(ft):
+        raise ValueError(f"tool_wrench must be zero: the model has no single tool "
+                         f"link to apply {ft} to")
 
     twist = {model.base: np.zeros(6)}
     accel = {model.base: _as6(base_accel)}

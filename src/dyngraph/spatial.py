@@ -214,28 +214,42 @@ def little_adjoint(twist) -> np.ndarray:
     return ad
 
 
+# component i of a x b is a[p] * b[q] - a[q] * b[p] for (p, q) = (_P[i], _Q[i]),
+# and the pairs repeat for the linear half of a 6-vector. From [x | y], _PICK
+# gathers x[_P], x[_Q], y's angular part at _Q and at _P (each twice over) and
+# y's linear part at _Q and at _P
+_P, _Q = [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]
+_PICK = np.array(_P + _Q + [6 + i for i in _Q[:3] * 2 + _P[:3] * 2 + _Q[3:] + _P[3:]])
+_PICK.setflags(write=False)
+
+
+def _picked(x, y) -> tuple:
+    g = np.concatenate((np.asarray(x, dtype=float), np.asarray(y, dtype=float)), axis=-1)
+    g = g[..., _PICK]
+    return g[..., :6], g[..., 6:12], g[..., 12:18], g[..., 18:24], g[..., 24:27], g[..., 27:]
+
+
 def ad_product(twist, w) -> np.ndarray:
     """little_adjoint(twist) @ w without forming the matrix: with twist =
-    (a; l) and w = (b; m), it is (a x b; l x b + a x m)."""
-    a1, a2, a3, l1, l2, l3 = np.asarray(twist, dtype=float).tolist()
-    b1, b2, b3, m1, m2, m3 = np.asarray(w, dtype=float).tolist()
-    return np.array([
-        a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1,
-        l2 * b3 - l3 * b2 + a2 * m3 - a3 * m2,
-        l3 * b1 - l1 * b3 + a3 * m1 - a1 * m3,
-        l1 * b2 - l2 * b1 + a1 * m2 - a2 * m1])
+    (a; l) and w = (b; m), it is (a x b; l x b + a x m), each component
+    summed left to right as written, e.g. l2 b3 - l3 b2 + a2 m3 - a3 m2.
+    Both arguments may be stacks of 6-vectors of one shape."""
+    tp, tq, bq, bp, mq, mp = _picked(twist, w)
+    out = tp * bq - tq * bp
+    out[..., 3:] += tp[..., :3] * mq
+    out[..., 3:] -= tq[..., :3] * mp
+    return out
 
 
 def ad_transpose_product(twist, h) -> np.ndarray:
     """little_adjoint(twist).T @ h without forming the matrix: with twist =
-    (a; l) and h = (n; f), it is (n x a + f x l; f x a)."""
-    a1, a2, a3, l1, l2, l3 = np.asarray(twist, dtype=float).tolist()
-    n1, n2, n3, f1, f2, f3 = np.asarray(h, dtype=float).tolist()
-    return np.array([
-        n2 * a3 - n3 * a2 + f2 * l3 - f3 * l2,
-        n3 * a1 - n1 * a3 + f3 * l1 - f1 * l3,
-        n1 * a2 - n2 * a1 + f1 * l2 - f2 * l1,
-        f2 * a3 - f3 * a2, f3 * a1 - f1 * a3, f1 * a2 - f2 * a1])
+    (a; l) and h = (n; f), it is (n x a + f x l; f x a), summed left to
+    right as written. Both arguments may be stacks, as for `ad_product`."""
+    hp, hq, aq, ap, lq, lp = _picked(h, twist)
+    out = hp * aq - hq * ap
+    out[..., :3] += hp[..., 3:] * lq
+    out[..., :3] -= hq[..., 3:] * lp
+    return out
 
 
 def exp_screw(axis: ScrewAxis, angle: float) -> Pose:

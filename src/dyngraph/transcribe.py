@@ -14,11 +14,13 @@ the gravity wrench and, for the tool link, the external tool wrench. A
 planar loop additionally gets a unary factor zeroing the wrench components
 a planar mechanism cannot transmit.
 
-Transcription lists each factor's keys, row count and weight (the graph's
-structure, which fixes the elimination plan) next to its blocks and
-right-hand side. A solve hands that list to the plan, which scatters the
-numbers straight into its elimination buffer, so no `LinearFactor` is made;
-`build_graph` makes them from the same list.
+Which factors a problem has depends only on its shape (what is known, the
+prior, the planar loops, whether a tool wrench acts). Every factor a
+model's problems can have is listed once per model, each part a constant
+or a state term computed per solve for all joints or links at once, and a
+shape picks its factors from that list. `solve_dynamics` compiles each
+shape and ordering once into a template: the plan, a buffer holding the
+constant parts, and where the state terms go.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InconsistentLoopState
-from .fgraph import Assembly, FactorGraph, Kind, LinearFactor, VarKey, plan_for
+from .fgraph import (Assembly, FactorGraph, Kind, LinearFactor, VarKey, _runs,
+                     ordering_request, plan_for, scatter)
 from .model import RobotModel
 from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
@@ -217,16 +221,18 @@ class ProblemSpec:
         return {j.name: d for j, d in zip(movable, self.designations)}
 
 
-def _kinematics(model: RobotModel, state: JointState):
+def _kinematics(model: RobotModel, state: JointState) -> tuple:
     """Propagate poses and twists outward; verify loop closure.
 
-    Returns (frames, twists, adjoints, motions): by link name, the 3x4
-    [R | p] link-from-base transform of each body frame and its twist; by
-    joint name, tree and loop alike, the 6x6 child-from-parent adjoint and
-    the screw times the rate; each a view of one array. The per-joint
-    constants live on the model (`RobotModel.joint_constants`, derived once
-    per model), so all joints are evaluated together in a few array
-    operations; only the chain from link to link is a loop.
+    Returns (frames, twists, adjoints, motions) as arrays: per link in
+    `topo_order`, the 3x4 [R | p] link-from-base transform of its body
+    frame and its twist; per joint in the sweep order of
+    `RobotModel.joint_constants`, tree and loop alike, the 6x6
+    child-from-parent adjoint and the screw times the rate. The per-joint
+    constants live on the model, so all joints are evaluated together in a
+    few array operations; only the chain from link to link is a loop. A
+    non-finite rate fails after the loop-closure tests, which catch it on a
+    loop first.
     """
     c = model.joint_constants
     n = len(model.movable_joints)
@@ -253,7 +259,7 @@ def _kinematics(model: RobotModel, state: JointState):
     frames = np.zeros((links, 4, 4))
     frames[0], frames[:, 3, 3] = _EYE4, 1.0
     twists = np.zeros((links, 6))
-    for k, parent in enumerate(c.parents[:links - 1], start=1):
+    for k, parent in enumerate(c.parents[:links - 1].tolist(), start=1):
         np.matmul(rp[k - 1], frames[parent], out=frames[k, :3])
         np.matmul(ad[k - 1], twists[parent], out=twists[k])
         twists[k] += motion[k - 1]
@@ -275,24 +281,23 @@ def _kinematics(model: RobotModel, state: JointState):
             raise InconsistentLoopState(
                 f"loop joint {name}: rates violate the loop constraint "
                 f"(residual {vel_res:.3e})")
-    names = [j.name for j in c.joints]
-    return (dict(zip(model.topo_order, frames)), dict(zip(model.topo_order, twists)),
-            dict(zip(names, ad)), dict(zip(names, motion)))
+    if not np.isfinite(state.qd).all():
+        raise ValueError(f"qd must be finite, got {state.qd}")
+    return frames, twists, ad, motion
 
 
 def compute_twists(model: RobotModel, state: JointState) -> dict:
     """Body twist (angular; linear) of every link at the given state; the
     base's is zero. These are the arrays `DynamicsResult.twists` holds."""
-    return _kinematics(model, state)[1]
+    return dict(zip(model.topo_order, _kinematics(model, state)[1]))
 
 
 def link_poses(model: RobotModel, state: JointState) -> dict:
     """Base-from-link pose of every body frame at the given state."""
-    frames = _kinematics(model, state)[0]
-    f = np.array(list(frames.values()))
+    f = _kinematics(model, state)[0]
     rot = f[:, :, :3].transpose(0, 2, 1)
     p = -(rot @ f[:, :, 3:])[:, :, 0]
-    return {name: Pose._unchecked(r, t) for name, r, t in zip(frames, rot, p)}
+    return {name: Pose._unchecked(r, t) for name, r, t in zip(model.topo_order, rot, p)}
 
 
 def _planar_rows(normal) -> np.ndarray:
@@ -318,34 +323,72 @@ def planar_factor(key: VarKey, normal, name: str = "planar") -> LinearFactor:
 
 
 # blocks shared by every transcription; they are only ever read
-_EYE6 = np.eye(6)
-_NEG_EYE6 = -np.eye(6)
-_EYE1 = np.eye(1)
-_NEG_EYE1 = -np.eye(1)
+_EYE6 = np.eye(6).ravel()   # factor parts are listed flattened
+_NEG_EYE6 = -_EYE6
+_EYE1 = np.ones(1)
+_NEG_EYE1 = -_EYE1
 _ZERO1 = np.zeros(1)
 _ZERO3 = np.zeros(3)
-_ZERO6 = np.zeros(6)
 _EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
 _SKEW = np.stack([skew(e) for e in np.eye(3)]).reshape(3, 9)   # p @ _SKEW is skew(p)
-for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6, _EYE3, _EYE4, _SKEW):
+# the sources of state terms (see `_state_terms`), and one row of each as zeros
+_NEG_AD, _AD_T, _ACCEL_RHS, _BALANCE_RHS, _GIVEN, _PLANAR = range(6)
+_ROW_ZEROS = tuple(map(np.zeros, (36, 36, 6, 6, 1, 18)))
+for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SKEW, *_ROW_ZEROS):
     _a.setflags(write=False)
 
 
-def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
-    """The factors at one state as (structure, labels, parts): per factor
-    its (keys, rows, weight) as `FactorGraph.structure` lists them and its
-    (name, knowns), and flat in the same order each factor's key blocks,
-    then its rhs, the parts `fgraph.Assembly` scatters. Nothing is copied
-    or validated."""
-    frames, twists, adjoints, motions = kin
-    structure, labels, parts = [], [], []
+class _Listing(SimpleNamespace):
+    """One problem shape's factors: `structure`, `labels`, their parts
+    flattened (`flat`, zeros where a state term goes), and per state term
+    entry its state vector index (`src`) and place in `flat` (`at`). For
+    `_state_terms`: the sweep rows whose acceleration is given
+    (`accel_given`), the tool wrench's `topo_order` row (`tool_row`, -1:
+    none) and each planar loop's position among the loop joints."""
 
-    def add(blocks, rhs, name, knowns=(), weight=1.0):
-        structure.append((tuple(blocks), rhs.shape[0], weight))
+
+class _Pieces(SimpleNamespace):
+    """Every factor any problem shape of a model can have. Per piece: its
+    `structure` and `labels` entries, its parts flattened in `flat` from
+    `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
+    it; per state term, `term` (piece, start in the state vector, offset
+    in the piece, width); `planar` maps loop joint names to their pieces."""
+
+
+def _list_pieces(model: RobotModel) -> _Pieces:
+    """Where a part comes from fixes whether it is constant: the adjoint
+    blocks, the acceleration, balance and given-torque right-hand sides and
+    the planar rows are state terms, (source, row) pairs of `_state_terms`;
+    every other part is an array."""
+    c = model.joint_constants
+    sweep = {j.name: k for k, j in enumerate(c.joints)}
+    topo = {name: row for row, name in enumerate(model.topo_order)}
+    slot = {j.name: m for m, j in enumerate(model.movable_joints)}
+    # flags: per movable joint its acceleration given, its torque given and
+    # the prior on it; then these
+    n = len(slot)
+    tool, no_tool, always, never = range(3 * n, 3 * n + 4)
+    # where each source of state terms starts in the state vector
+    counts = (len(sweep),) * 3 + (len(topo), n, len(model.loop_joints))
+    first = np.cumsum([0] + [k * len(z) for k, z in zip(counts, _ROW_ZEROS)]).tolist()
+    structure, labels, conds, parts, sizes, terms = [], [], [], [], [], []
+
+    def add(cond, blocks, rhs, name, knowns=(), weight=1.0):
+        rows = len(_ROW_ZEROS[rhs[0]] if type(rhs) is tuple else rhs)
+        structure.append((tuple(blocks), rows, weight))
         labels.append((name, tuple(knowns)))
-        parts.extend(blocks.values())
-        parts.append(rhs)
+        conds.append(cond)
+        offset = 0
+        for p in (*blocks.values(), rhs):
+            if type(p) is tuple:
+                source, row = p
+                width = len(_ROW_ZEROS[source])
+                terms.append((len(conds) - 1, first[source] + row * width, offset, width))
+                p = _ROW_ZEROS[source]
+            parts.append(p)
+            offset += len(p)
+        sizes.append(offset)
 
     # each link's wrench balance blocks, filled by the joints touching it
     balance = {link.name: {} for link in model.links}
@@ -354,104 +397,163 @@ def _transcribe(model: RobotModel, kin, spec: ProblemSpec, des: dict) -> tuple:
     # the joint's wrench F_j enters its child's balance as -I and its
     # parent's as Ad^T, whether the joint is a tree or a loop joint
     for j in model.joints:
-        ad = adjoints[j.name]
+        k = sweep[j.name]
         fkey = VarKey(Kind.WRENCH, j.index)
         balance[j.child][fkey] = _NEG_EYE6
-        balance[j.parent][fkey] = ad.T
+        balance[j.parent][fkey] = (_AD_T, k)
         blocks = {}
         knowns = []
-        rhs = _ZERO6
-        if j.axis is not None:
-            rhs = ad_product(twists[j.child], motions[j.name])
         child_idx = model.link_map[j.child].index
         parent_idx = model.link_map[j.parent].index
         if child_idx == 0:
-            rhs = rhs - spec.base_accel
             knowns.append("Vd0")
         else:
             blocks[VarKey(Kind.ACCEL, child_idx)] = _EYE6
         if parent_idx == 0:
-            rhs = rhs + ad @ spec.base_accel
             knowns.append("Vd0")
         else:
-            blocks[VarKey(Kind.ACCEL, parent_idx)] = -ad
-        if j.axis is not None:
-            d = des[j.name]
-            if isinstance(d, GivenAccel):
-                rhs = rhs + j.axis.vector * d.value
-                knowns.append(f"qdd{j.index}")
-            else:
-                blocks[VarKey(Kind.JOINT_ACCEL, j.index)] = -j.axis.vector.reshape(6, 1)
-        add(blocks, rhs, f"accel[{j.name}]", knowns)
+            blocks[VarKey(Kind.ACCEL, parent_idx)] = (_NEG_AD, k)
+        rhs, name = (_ACCEL_RHS, k), f"accel[{j.name}]"
+        if j.axis is None:
+            add(always, blocks, rhs, name, knowns)
+        else:
+            m = slot[j.name]
+            add(m, blocks, rhs, name, knowns + [f"qdd{j.index}"])
+            add(n + m, {**blocks, VarKey(Kind.JOINT_ACCEL, j.index): -j.axis.vector}, rhs,
+                name, knowns)
 
     # wrench balance per link: G Vd - F + sum AdT F_child = bias + gravity
     for link in model.links:
         if link.name == model.base:
             continue
         blocks = balance[link.name]
-        knowns = ()
-        rhs = _ZERO6
         if link.inertia is not None:
-            g_mat = link.inertia.matrix()
-            blocks[VarKey(Kind.ACCEL, link.index)] = g_mat
-            v = twists[link.name]
-            rhs = ad_transpose_product(v, g_mat @ v)
-            rhs[3:] += link.inertia.mass * (frames[link.name][:, :3] @ spec.gravity)
-        if link.name == model.tool_link and np.any(spec.tool_wrench):
-            rhs = rhs - big_adjoint(link.com_offset).T @ spec.tool_wrench
-            knowns = ("Ft",)
-        add(blocks, rhs, f"balance[{link.name}]", knowns)
+            blocks[VarKey(Kind.ACCEL, link.index)] = link.inertia.matrix().ravel()
+        rhs, name = (_BALANCE_RHS, topo[link.name]), f"balance[{link.name}]"
+        if link.name == model.tool_link:
+            add(tool, blocks, rhs, name, ("Ft",))
+        add(no_tool if link.name == model.tool_link else always, blocks, rhs, name)
 
-    # torque factor per movable joint: A' F - tau = 0
-    for j in model.movable_joints:
-        fkey = VarKey(Kind.WRENCH, j.index)
-        row = j.axis.vector.reshape(1, 6)
-        d = des[j.name]
-        if isinstance(d, GivenTorque):
-            add({fkey: row}, np.array([d.value], dtype=float), f"torque[{j.name}]",
-                (f"tau{j.index}",))
-        else:
-            add({fkey: row, VarKey(Kind.TORQUE, j.index): _NEG_EYE1}, _ZERO1,
-                f"torque[{j.name}]")
+    # torque factor per movable joint: A' F - tau = 0; the soft prior
+    # pulls an unknown torque towards zero
+    for m, j in enumerate(model.movable_joints):
+        fkey, tkey = VarKey(Kind.WRENCH, j.index), VarKey(Kind.TORQUE, j.index)
+        add(m, {fkey: j.axis.vector, tkey: _NEG_EYE1}, _ZERO1, f"torque[{j.name}]")
+        add(n + m, {fkey: j.axis.vector}, (_GIVEN, m), f"torque[{j.name}]", (f"tau{j.index}",))
+    for m, j in enumerate(model.movable_joints):
+        add(2 * n + m, {VarKey(Kind.TORQUE, j.index): _EYE1}, _ZERO1, f"prior[{j.name}]",
+            weight=1e-3)
+    for i, l in enumerate(model.loop_joints):
+        add(never, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
 
-    if spec.min_torque_prior:
-        for j in model.movable_joints:
-            if isinstance(des[j.name], GivenAccel):
-                add({VarKey(Kind.TORQUE, j.index): _EYE1}, _ZERO1, f"prior[{j.name}]",
-                    weight=1e-3)
+    size = np.array(sizes, dtype=np.intp)
+    pieces = _Pieces(
+        structure=structure, labels=labels, cond=np.array(conds, dtype=np.intp),
+        flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
+        size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
+        planar={l.name: len(conds) - len(model.loop_joints) + i
+                for i, l in enumerate(model.loop_joints)})
+    for a in (pieces.cond, pieces.flat, pieces.start, pieces.size, pieces.term):
+        a.setflags(write=False)
+    return pieces
 
-    planar_names = {name for name, _ in spec.planar_loops}
-    loop_names = {l.name for l in model.loop_joints}
-    if not planar_names <= loop_names:
+
+def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
+    """The listing of the shape of `spec`, picked from the model's pieces
+    (listed on its first transcription). ValueError for a spec that does
+    not fit the model or names a planar loop that is no loop joint."""
+    spec.by_joint(model)
+    pc = model.factor_pieces
+    if pc is None:
+        pc = model.factor_pieces = _list_pieces(model)
+    planar = [name for name, _ in spec.planar_loops]
+    if not set(planar) <= set(pc.planar):
         raise ValueError(f"planar factors name non-loop joints: "
-                         f"{sorted(planar_names - loop_names)}")
-    for name, normal in spec.planar_loops:
-        l = model.joint_map[name]
-        add({VarKey(Kind.WRENCH, l.index): _planar_rows(frames[l.child][:, :3] @ normal)},
-            _ZERO3, f"planar[{name}]")
-    return structure, labels, parts
+                         f"{sorted(set(planar) - set(pc.planar))}")
+    given = np.array([isinstance(d, GivenAccel) for d in spec.designations], dtype=np.intp)
+    tool = int(np.any(spec.tool_wrench))
+    # the flags of `_list_pieces`, in its order; planar pieces follow the spec
+    flags = np.concatenate((given, 1 - given, given * spec.min_torque_prior,
+                            (tool, 1 - tool, 1, 0)))
+    picked = np.concatenate((np.flatnonzero(flags[pc.cond]),
+                             np.array([pc.planar[name] for name in planar], dtype=np.intp)))
+    sizes = pc.size[picked]
+    start = np.full(len(pc.size), -1)
+    start[picked] = np.cumsum(sizes) - sizes
+    piece, src, offset, width = pc.term[start[pc.term[:, 0]] >= 0].T
+    loops = list(pc.planar)
+    listing = _Listing(
+        structure=tuple(map(pc.structure.__getitem__, picked.tolist())),
+        labels=tuple(map(pc.labels.__getitem__, picked.tolist())),
+        flat=pc.flat[_runs(pc.start[picked], sizes)],
+        src=_runs(src, width), at=_runs(start[piece] + offset, width),
+        accel_given=np.append(given, 0)[model.joint_constants.slots] > 0,
+        tool_row=model.topo_order.index(model.tool_link) if tool else -1,
+        planar=tuple(map(loops.index, planar)))
+    for a in (listing.flat, listing.src, listing.at, listing.accel_given):
+        a.setflags(write=False)
+    return listing
 
 
-def _factors(structure, labels, parts) -> tuple:
-    """The LinearFactors that `_transcribe` listed."""
-    it = iter(parts)
-    return tuple(LinearFactor({k: next(it) for k in keys}, next(it), weight, name, knowns)
-                 for (keys, _, weight), (name, knowns) in zip(structure, labels))
+def _state_terms(model: RobotModel, kin, spec: ProblemSpec, listing: _Listing) -> np.ndarray:
+    """The state vector: each source of state terms flattened, computed for all
+    joints or links at once by the scalar expressions, in the order, of a
+    factor-by-factor transcription. Per joint -Ad, Ad^T, and the
+    acceleration bias [V_child, A qd] with the base acceleration and given
+    A qdd folded in; per link the balance bias ad_V^T G V plus gravity,
+    less the tool wrench; the given values; per loop its planar rows."""
+    frames, twists, ad, motion = kin
+    c = model.joint_constants
+    given = np.array([d.value for d in spec.designations], dtype=float)
+    accel = ad_product(twists[c.children], motion)
+    if spec.base_accel.any():   # a zero one would leave every value as it is
+        accel[c.children == 0] -= spec.base_accel
+        at_base = c.parents == 0
+        accel[at_base] += ad[at_base] @ spec.base_accel
+    rows = listing.accel_given
+    accel[rows] += c.screws[rows] * given[c.slots[rows], None]
+    bal = ad_transpose_product(twists, (c.inertias @ twists[:, :, None])[:, :, 0])
+    bal[:, 3:] += c.masses[:, None] * (frames[:, :, :3] @ spec.gravity)
+    if listing.tool_row >= 0:
+        com = model.link_map[model.tool_link].com_offset
+        bal[listing.tool_row] = bal[listing.tool_row] - big_adjoint(com).T @ spec.tool_wrench
+    # loop joints close the sweep order, so loop i is sweep joint i - loops
+    loops = len(model.loop_joints)
+    planar = np.zeros((loops, 3, 6))
+    for i, (_, normal) in zip(listing.planar, spec.planar_loops):
+        planar[i] = _planar_rows(frames[c.children[i - loops]][:, :3] @ normal)
+    return np.concatenate((-ad, ad.transpose(0, 2, 1), accel, bal, given, planar), axis=None)
+
+
+def _factors(listing: _Listing, terms: np.ndarray) -> tuple:
+    """The LinearFactors of a listing, its state terms from `terms`."""
+    flat = listing.flat.copy()
+    flat[listing.at] = terms[listing.src]
+    factors, at = [], 0
+    for (keys, rows, weight), (name, knowns) in zip(listing.structure, listing.labels):
+        blocks = {}
+        for k in keys:
+            blocks[k] = flat[at:at + rows * k.dim].reshape(rows, k.dim)
+            at += rows * k.dim
+        factors.append(LinearFactor(blocks, flat[at:at + rows], weight, name, knowns))
+        at += rows
+    return tuple(factors)
 
 
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
     kin = _kinematics(model, state)
-    return FactorGraph(_factors(*_transcribe(model, kin, spec, spec.by_joint(model))))
+    listing = _transcribe(model, spec)
+    return FactorGraph(_factors(listing, _state_terms(model, kin, spec, listing)))
 
 
 class _SolvedGraph(FactorGraph):
     """The factor graph of one solve: its structure is known at once, its
-    factors are made from the solve's numbers on first use."""
+    factors are made from the solve's state terms on first use."""
 
-    def __init__(self, structure, labels, parts):
-        self.structure = tuple(structure)
-        self._listed = (structure, labels, parts)
+    def __init__(self, listing: _Listing, terms=None):
+        self.structure = listing.structure
+        self._listed = (listing, terms)
 
     @cached_property
     def factors(self) -> tuple:
@@ -464,11 +566,10 @@ class DynamicsResult:
     plus the graph and DAG they came from. `graph` is the same graph as
     `build_graph(model, state, spec)`; its structure is known at once, and
     its factors are made from the solve's numbers only when first read.
-    Build time covers kinematics and listing the factors' structure and
-    numbers; solve time covers resolving the ordering (a memo lookup when
-    the problem structure repeats), scattering the numbers into the plan's
-    buffer, elimination, back-substitution and the hard-row residual
-    check."""
+    Build time covers kinematics, finding the shape's template (compiling
+    it, ordering included, on a shape's first solve), the state terms and
+    filling the buffer; solve time covers elimination, back-substitution
+    and the hard-row residual check."""
 
     values: dict
     torques: dict
@@ -499,54 +600,86 @@ def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
     return list(_plan(graph, ordering, model).ordering)
 
 
+class _Template(SimpleNamespace):
+    """A compiled shape: `listing`, `plan`, `base` (the read-only buffer of
+    the weighted constant parts), `dest` (the buffer place of each state
+    term entry); what sorts a result: the movable joints' `names`, the
+    (names, solution entries) of the solved `torques` and `accels`, and
+    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
+
+
+def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
+    """The template of the shape of `spec` under an ordering request. State
+    terms sit in weight-1 factors only (the prior rows are constant), so
+    weighting the base weights every soft entry."""
+    listing = _transcribe(model, spec)
+    plan = _plan(_SolvedGraph(listing), request, model)
+
+    def solved(kind, joints):
+        return (tuple(j.name for j in joints),
+                np.array([plan.slices[VarKey(kind, j.index)].start for j in joints],
+                         dtype=np.intp))
+    des = tuple(zip(model.movable_joints, spec.designations))
+    tpl = _Template(
+        listing=listing, plan=plan, base=scatter(plan, [listing.flat]),
+        dest=plan.dest[listing.at], names=tuple(j.name for j, _ in des),
+        torques=solved(Kind.TORQUE, [j for j, d in des if isinstance(d, GivenAccel)]),
+        accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]),
+        links=tuple((l.name, VarKey(Kind.ACCEL, l.index)) for l in model.links if l.index > 0),
+        wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints))
+    for a in (tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1]):
+        a.setflags(write=False)
+    return tpl
+
+
 def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
                    ordering="auto") -> DynamicsResult:
     """Transcribe the dynamics at one state, eliminate, back-substitute, and
     sort the solution into named per-joint / per-link quantities.
 
-    The plan for the problem's structure places the factors' numbers
-    straight into its elimination buffer; no LinearFactor is made unless
-    the result's `graph` factors are read. The default ordering is
-    minimum-degree with loop wrenches deferred to the end, so an
-    underdetermined loop (no planar factor) surfaces as RankDeficient at
-    the loop wrench itself rather than at an arbitrary variable upstream.
+    The first solve of a problem shape compiles its template; each solve
+    copies the template's buffer and puts its state terms in. No
+    LinearFactor is made unless the result's `graph` factors are read.
+    The default ordering is minimum-degree with
+    loop wrenches deferred to the end, so an underdetermined loop (no
+    planar factor) surfaces as RankDeficient at the loop wrench itself
+    rather than at an arbitrary variable upstream.
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
-    des = spec.by_joint(model)
-    listed = _transcribe(model, kin, spec, des)
+    # the shape: no number in it can change a plan
+    request = ordering_request(ordering)
+    key = (tuple(isinstance(d, GivenAccel) for d in spec.designations),
+           spec.min_torque_prior, tuple(name for name, _ in spec.planar_loops),
+           bool(spec.tool_wrench.any()), request)
+    tpl = model.solve_templates.get(key)
+    if tpl is None:
+        tpl = _compile(model, spec, request)
+        model.solve_templates.put(tpl, key)
+    terms = _state_terms(model, kin, spec, tpl.listing)
+    data = tpl.base.copy()
+    data[tpl.dest] = terms[tpl.listing.src]
     t1 = perf_counter()
-    graph = _SolvedGraph(*listed)
-    plan = _plan(graph, ordering, model)
-    dag, values, residual = Assembly(plan, listed[2]).solve()
+    dag, x, residual = Assembly(tpl.plan, data).solve()
     t2 = perf_counter()
 
-    torques = {}
-    accels = {}
-    for j in model.movable_joints:
-        d = des[j.name]
-        if isinstance(d, GivenTorque):
-            torques[j.name] = d.value
-            accels[j.name] = float(values[VarKey(Kind.JOINT_ACCEL, j.index)][0])
-        else:
-            torques[j.name] = float(values[VarKey(Kind.TORQUE, j.index)][0])
-            accels[j.name] = d.value
+    given = [d.value for d in spec.designations]
+    torques, accels = dict(zip(tpl.names, given)), dict(zip(tpl.names, given))
+    for out, (solved, at) in ((torques, tpl.torques), (accels, tpl.accels)):
+        out.update(zip(solved, x[at].tolist()))
+    values = dict(zip(tpl.plan.slices, map(x.__getitem__, tpl.plan.slices.values())))
     link_accels = {model.base: spec.base_accel}
-    for link in model.links:
-        if link.index > 0:
-            link_accels[link.name] = values[VarKey(Kind.ACCEL, link.index)]
-    wrenches = {j.name: values[VarKey(Kind.WRENCH, j.index)] for j in model.joints}
-
+    link_accels.update((name, values[k]) for name, k in tpl.links)
     return DynamicsResult(
         values=values,
         torques=torques,
         accels=accels,
-        twists=kin[1],
+        twists=dict(zip(model.topo_order, kin[1])),
         link_accels=link_accels,
-        wrenches=wrenches,
-        graph=graph,
+        wrenches={name: values[k] for name, k in tpl.wrenches},
+        graph=_SolvedGraph(tpl.listing, terms),
         dag=dag,
-        ordering=plan.ordering,
+        ordering=tpl.plan.ordering,
         residual_max=residual,
         build_micros=(t1 - t0) * 1e6,
         solve_micros=(t2 - t1) * 1e6,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy.linalg.lapack import dgeqrf
 
+from dyngraph import fgraph
 from dyngraph.errors import IncompatibleScheme, RankDeficient
 from dyngraph.fgraph import (
     FactorGraph,
@@ -262,6 +264,21 @@ class TestPlan:
                 assert a._replace(scatter=(), gather=()) == b._replace(scatter=(), gather=())
                 assert all(np.array_equal(x, y) for x, y in zip(a.scatter, b.scatter))
                 assert np.array_equal(a.gather, b.gather)
+
+    def test_one_row_r_factor_is_the_row_lapack_leaves(self):
+        # Householder QR of one row reflects nothing (tau = 0), so the
+        # one-row R that skips LAPACK is bit for bit what LAPACK returns
+        rng = np.random.default_rng(71)
+        for width in (1, 2, 7, 19):
+            for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+                a = rng.standard_normal((1, width)) * scale
+                a[0, rng.integers(width)] = -0.0
+                got = fgraph._r_factor(a)
+                want = dgeqrf(a)[0]
+                assert got.shape == (1, width) and got.flags.c_contiguous
+                assert not np.shares_memory(got, a)
+                np.testing.assert_array_equal(got, want)
+                assert (np.signbit(got) == np.signbit(want)).all()
 
     def test_empty_graph_plans_nothing(self):
         plan = plan_elimination(FactorGraph([]))

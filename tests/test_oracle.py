@@ -104,6 +104,23 @@ class TestForwardAccel:
         np.testing.assert_allclose(qdd, [-M * 9.81 * L / I_PIVOT], atol=1e-12)
 
 
+class TestToolWrench:
+    @pytest.mark.parametrize("oracle", [rnea_torques, forward_accel],
+                             ids=["rnea_torques", "forward_accel"])
+    def test_needs_a_single_tool_link(self, tree21, oracle):
+        # tree21 has four leaves, so no link takes a tool wrench; a nonzero
+        # one fails as it does in ProblemSpec, a zero one is no wrench
+        st = JointState(np.zeros(21), np.zeros(21))
+        wrench = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 100.0])
+        with pytest.raises(ValueError) as spec_err:
+            ProblemSpec.inverse(tree21, np.zeros(21), tool_wrench=wrench).by_joint(tree21)
+        with pytest.raises(ValueError) as err:
+            oracle(tree21, st, np.zeros(21), tool_wrench=wrench)
+        assert str(err.value) == str(spec_err.value)
+        np.testing.assert_array_equal(oracle(tree21, st, np.zeros(21), tool_wrench=np.zeros(6)),
+                                      oracle(tree21, st, np.zeros(21)))
+
+
 class TestHybridThreePass:
     def test_all_accels_reduces_to_inverse(self, three_r):
         rng = np.random.default_rng(305)

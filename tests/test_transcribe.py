@@ -10,7 +10,15 @@ import pytest
 from dyngraph import fgraph
 from dyngraph import model as model_module
 from dyngraph.errors import InconsistentLoopState, RankDeficient
-from dyngraph.fgraph import Kind, LinearFactor, VarKey, back_substitute, eliminate
+from dyngraph.fgraph import (
+    Assembly,
+    Kind,
+    LinearFactor,
+    VarKey,
+    back_substitute,
+    eliminate,
+    scatter,
+)
 from dyngraph.model import Joint, parse_urdf
 from dyngraph.oracle import dense_solve, rnea_full, rnea_torques
 from dyngraph.spatial import Pose, big_adjoint
@@ -379,11 +387,15 @@ class TestFiveBar:
         pytest.param("five_bar", "qd", InconsistentLoopState, "rates violate",
                      id="qd-InconsistentLoopState"),
         pytest.param("six_r", "q", ValueError, "^q must be finite", id="six_r-q-ValueError"),
+        pytest.param("six_r", "qd", ValueError, "^qd must be finite",
+                     id="six_r-qd-ValueError"),
     ])
     def test_nan_state_fails_in_kinematics(self, which, five_bar, five_bar_kin, six_r,
                                            field, error, message):
-        # a NaN planted past JointState's check stops at kinematics, before
-        # any loop-closure test, never as a RankDeficient or a NaN answer
+        # a NaN planted past JointState's check stops at kinematics: a bad
+        # angle before any loop-closure test, a bad rate at the rate-closure
+        # test on a loop and by name on a tree; never as a RankDeficient or
+        # a NaN answer
         if which == "six_r":
             model, st = six_r, JointState(np.full(6, 0.2), np.full(6, 0.1))
             spec = ProblemSpec.inverse(six_r, np.zeros(6))
@@ -970,3 +982,148 @@ class TestCompiledSolve:
                     (g.keys(), g.weight, g.name, g.knowns)
                 np.testing.assert_array_equal(f.ab, g.ab)
             made.clear()
+
+
+def template_cases(six_r, five_bar, five_bar_kin, tree21):
+    """(model, state maker, spec maker, orderings) for the template tests:
+    inverse, forward, hybrid, the prior, a planar loop, a nonzero base
+    acceleration and a nonzero tool wrench, on a chain, a loop and a tree."""
+    rng_state = lambda m: (lambda r: random_state(r, len(m.movable_joints)))
+    bar_state = lambda r: five_bar_kin.state(r.uniform(1.7, 2.1), r.uniform(1.0, 1.4),
+                                             *r.uniform(-0.5, 0.5, 2))
+    planar = {"planar_loops": (("j5", (0.0, 0.0, 1.0)),)}
+    yield six_r, rng_state(six_r), lambda r: ProblemSpec.inverse(
+        six_r, r.uniform(-1, 1, 6), base_accel=r.uniform(-1, 1, 6),
+        tool_wrench=r.uniform(-1, 1, 6)), ("auto", "rnea", "nd")
+    yield six_r, rng_state(six_r), lambda r: ProblemSpec.forward(
+        six_r, r.uniform(-1, 1, 6), tool_wrench=r.uniform(-1, 1, 6)), ("auto", "crba", "aba")
+    yield six_r, rng_state(six_r), lambda r: ProblemSpec.hybrid(six_r, {
+        f"j{i}": {"accel" if i % 2 else "torque": x}
+        for i, x in enumerate(r.uniform(-1, 1, 6), start=1)},
+        min_torque_prior=True, base_accel=r.uniform(-1, 1, 6)), ("auto", "md")
+    yield five_bar, bar_state, lambda r: ProblemSpec.forward(
+        five_bar, r.uniform(-1, 1, 2), **planar), ("auto", "nd")
+    yield five_bar, bar_state, lambda r: ProblemSpec.hybrid(five_bar, {
+        "j1": {"accel": r.uniform(-1, 1)}, "j3": {"accel": r.uniform(-1, 1)}},
+        min_torque_prior=True, base_accel=r.uniform(-1, 1, 6), **planar), ("auto", "md")
+    names = [j.name for j in tree21.movable_joints]
+    yield tree21, rng_state(tree21), lambda r: ProblemSpec.hybrid(tree21, {
+        name: {"accel" if a else "torque": x}
+        for name, a, x in zip(names, r.random(21) < 0.5, r.uniform(-1, 1, 21))},
+        min_torque_prior=True, base_accel=r.uniform(-1, 1, 6)), ("auto", "nd")
+    yield tree21, rng_state(tree21), lambda r: ProblemSpec.forward(
+        tree21, r.uniform(-1, 1, 21)), ("crba", "aba")
+
+
+class TestSolveTemplate:
+    """The first solve of a problem shape compiles its template; later
+    solves copy its buffer and put their state terms into it."""
+
+    def test_hit_equals_miss_and_public_pipeline(self, six_r, five_bar, five_bar_kin,
+                                                 tree21):
+        rng = np.random.default_rng(1212)
+        for model, make_state, make_spec, orderings in template_cases(
+                six_r, five_bar, five_bar_kin, tree21):
+            for ordering in orderings:
+                st, spec = make_state(rng), make_spec(rng)
+                model.solve_templates.clear()
+                miss = solve_dynamics(model, st, spec, ordering)
+                hit = solve_dynamics(model, st, spec, ordering)
+                assert len(model.solve_templates) == 1
+                assert hit.dag.plan is miss.dag.plan
+                graph = build_graph(model, st, spec)
+                dag = eliminate(graph, resolve_ordering(graph, ordering, model))
+                values = back_substitute(dag)
+                parts = [p for f in graph.factors for p in (*f.blocks.values(), f.rhs)]
+                residual = Assembly(dag.plan, scatter(dag.plan, parts)).solve()[2]
+                for res in (miss, hit):
+                    assert res.ordering == dag.ordering
+                    assert res.graph.structure == graph.structure
+                    assert res.values.keys() == values.keys()
+                    for k, v in values.items():
+                        np.testing.assert_array_equal(res.values[k], v)
+                    np.testing.assert_array_equal(res.dag.leftover, dag.leftover)
+                    assert res.residual_max == residual
+                for f, g in zip(hit.graph.factors, graph.factors):
+                    np.testing.assert_array_equal(f.ab, g.ab)
+
+    def test_model_without_joints_solves_to_nothing(self):
+        model = parse_urdf('<robot name="r"><link name="base"/></robot>')
+        st, spec = JointState(np.zeros(0), np.zeros(0)), ProblemSpec(designations=())
+        res = solve_dynamics(model, st, spec)
+        assert (res.values, res.torques, res.wrenches, res.residual_max) == ({}, {}, {}, 0.0)
+        assert build_graph(model, st, spec).factors == ()
+
+    def test_memo_stays_bounded(self):
+        model = chain_model(10)
+        st = JointState(np.full(10, 0.3), np.full(10, -0.2))
+        memo = model.solve_templates
+        for pattern in range(1000):
+            spec = ProblemSpec.hybrid(model, {
+                f"j{i + 1}": GivenAccel(0.1) if pattern >> i & 1 else GivenTorque(0.1)
+                for i in range(10)})
+            solve_dynamics(model, st, spec)
+            assert len(memo) <= memo.size
+        assert len(memo) == memo.size
+
+    def test_template_is_read_only(self, six_r):
+        rng = np.random.default_rng(1313)
+        six_r.solve_templates.clear()
+        spec = lambda: ProblemSpec.inverse(six_r, rng.uniform(-1, 1, 6),
+                                           tool_wrench=rng.uniform(-1, 1, 6))
+        solve_dynamics(six_r, random_state(rng, 6), spec())
+        (tpl,) = six_r.solve_templates.values()
+        listing, pieces = tpl.listing, six_r.factor_pieces
+        arrays = [tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1], listing.flat,
+                  listing.src, listing.at, listing.accel_given, pieces.cond, pieces.flat,
+                  pieces.start, pieces.size, pieces.term]
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            tpl.base[0] = 1.0
+        before = [a.copy() for a in arrays]
+        for _ in range(3):
+            solve_dynamics(six_r, random_state(rng, 6), spec())
+        assert six_r.solve_templates.get(next(iter(six_r.solve_templates))) is tpl
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_threads_sharing_one_template_give_serial_answers(self, five_bar, five_bar_kin):
+        rng = np.random.default_rng(1414)
+        planar = (("j5", (0.0, 0.0, 1.0)),)
+        problems = [(five_bar_kin.state(rng.uniform(1.7, 2.1), rng.uniform(1.0, 1.4),
+                                        *rng.uniform(-0.5, 0.5, 2)),
+                     ProblemSpec.hybrid(five_bar, {"j1": {"accel": rng.uniform(-1, 1)},
+                                                   "j3": {"accel": rng.uniform(-1, 1)}},
+                                        min_torque_prior=True, planar_loops=planar))
+                    for _ in range(240)]
+        five_bar.solve_templates.clear()
+        serial = [solve_dynamics(five_bar, st, spec) for st, spec in problems]
+        (tpl,) = five_bar.solve_templates.values()
+        base = tpl.base.copy()
+        out = [None] * len(problems)
+
+        def work(lo, hi):
+            for i in range(lo, hi):
+                out[i] = solve_dynamics(five_bar, *problems[i])
+
+        # more threads than cores, switching often, so that they interleave
+        # inside single solves on the one template
+        threads = [threading.Thread(target=work, args=(k, k + 60)) for k in range(0, 240, 60)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert list(five_bar.solve_templates.values()) == [tpl]
+        np.testing.assert_array_equal(tpl.base, base)
+        for res, want in zip(out, serial):
+            assert res.dag.plan is tpl.plan
+            assert (res.torques, res.accels) == (want.torques, want.accels)
+            for k, v in want.values.items():
+                np.testing.assert_array_equal(res.values[k], v)
+            assert res.residual_max == want.residual_max
