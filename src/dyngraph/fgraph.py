@@ -18,13 +18,12 @@ slice per variable, and the assembly map: where each graph factor entry
 goes in one flat buffer that holds every step's stack. `plan_for` is the
 one way from an ordering request to a plan, memoised by the structure, so
 graphs that differ only in their numbers share it. The numeric phase
-is one `Assembly` per solve over a buffer of that layout: `scatter` fills
-one from a `FactorGraph`'s factors, and `transcribe` fills one from a
-template it scattered once; each step reduces its stack (a one-row stack
-is its own R), keeps its raw R row block `[R_ff | R_fp | d]` as its
-conditional and copies its product rows into the stack that consumes
-them. `back_substitute` fills the flat vector from the last step to the
-first.
+is one `Assembly` per solve over a buffer of that layout (`scatter` fills
+one from a graph's factors, `transcribe` from a template): a flat loop
+over the plan's step tables (`PlanStep`) reduces each stack (a one-row
+stack is its own R), keeps its raw R rows `[R_ff | R_fp | d]` as the
+conditional, copies live product rows on and rank-tests the 6-dim
+frontals at once; `back_substitute` then fills the flat vector backwards.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -491,8 +490,10 @@ class LruMemo(OrderedDict):
     def put(self, value, *keys):
         with self.lock:
             for key in keys:
+                size = len(self)
                 self[key] = value
-                self.move_to_end(key)
+                if len(self) == size:  # a fresh key is added last, a held one moves there
+                    self.move_to_end(key)
             while len(self) > self.size:
                 self.popitem(last=False)
 
@@ -526,16 +527,16 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     minimum degree over every variable but `deferred`, then over
     `deferred`; "nd" is minimum degree inside `nested_dissection_groups`;
     any other name or a key sequence is the fixed ordering of
-    `classic_ordering`. The plan is memoised under (graph.structure,
-    request, deferred) and under its own key sequence, so eliminating with
-    the ordering it resolved to reuses it; the memo keeps the most recently
-    used _PLAN_MEMO_SIZE entries.
+    `classic_ordering`. The plan is memoised under (structure hash, request,
+    deferred), the structure hashed once per call and compared on a hit, and
+    under its own key sequence, so eliminating with the ordering it resolved
+    to reuses it; the memo keeps the most recently used _PLAN_MEMO_SIZE entries.
     """
-    request, deferred = ordering_request(ordering), tuple(deferred)
-    key = (graph.structure, request, deferred)
-    plan = _plans.get(key)
-    if plan is not None:
-        return plan
+    structure, request, deferred = graph.structure, ordering_request(ordering), tuple(deferred)
+    key = (hash(structure), request, deferred)
+    hit = _plans.get(key)
+    if hit is not None and hit[0] == structure:
+        return hit[1]
     if request == "md":
         groups = [set(graph.variables) - set(deferred), deferred]
     elif request == "nd":
@@ -543,7 +544,7 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     else:
         groups = [(v,) for v in classic_ordering(graph, request)]
     plan = plan_elimination(graph, groups)
-    _plans.put(plan, key, (graph.structure, plan.ordering, ()))
+    _plans.put((structure, plan), key, (key[0], plan.ordering, ()))
     return plan
 
 
@@ -555,69 +556,61 @@ def scatter(plan: EliminationPlan, parts) -> np.ndarray:
     data = np.zeros(plan.buffer_size)
     data[plan.dest] = np.concatenate(parts, axis=None) if parts else ()
     pos, weight = plan.scale
-    if pos.size:
-        data[pos] *= weight
+    data[pos] *= weight
     return data
 
 
-class Assembly:
+class Assembly(NamedTuple):
     """The numbers of one solve in the buffer its plan lays out, as
-    `scatter` fills it. The plan is only read, so any number of assemblies
-    may share it across threads; the buffer belongs to this assembly,
-    which reduces its stacks in place.
+    `scatter` fills it. The plan's step tables are only read, so any number
+    of assemblies may share it across threads; the buffer, reduced in place,
+    and the 6-dim `R_ff` blocks awaiting the batched rank test are per solve.
     """
 
-    __slots__ = ("plan", "data")
-
-    def __init__(self, plan: EliminationPlan, data: np.ndarray):
-        self.plan = plan
-        self.data = data
+    plan: EliminationPlan
+    data: np.ndarray
 
     def eliminate(self) -> EliminationDag:
         """Reduce every step's stack in plan order (see `eliminate`)."""
-        data = self.data
-        steps = self.plan.steps
+        data, steps, peak = self.data, self.plan.steps, np.maximum.reduce
         filled = [st.rows for st in steps]
-        conditionals = []
-        leftover = []
-        for i, st in enumerate(steps):
-            v = st.var
-            dv = v.dim
-            m = filled[i]
-            if m == 0:
-                raise RankDeficient(v, "no factor constrains this variable")
+        conditionals, leftover, frontal, failed = [], [], [], None
+        for i, (v, _, _, parents, width, _, _, offset, _, sink) in enumerate(steps):
+            m, dv = filled[i], v.dim
             if m < dv:
-                raise RankDeficient(v, f"{m} constraint rows for {dv} dimensions")
-
-            rmat = _r_factor(data[st.offset:st.offset + m * st.width].reshape(m, st.width))
-            # a 1x1 block's one singular value is its entry's magnitude; the
-            # test is written so that a NaN fails it
-            sv = (abs(rmat[0, 0]),) if dv == 1 else dgesdd(rmat[:dv, :dv], compute_uv=0)[1]
-            if not sv[-1] > 1e-9 * sv[0]:
-                raise RankDeficient(v, f"frontal block rank below {dv}")
-            conditionals.append(Conditional(v, st.parents, rmat[:dv]))
-
-            rest = rmat[dv:]
-            if rest.shape[0] and st.parents:
-                mag = np.abs(rmat)
-                scale = max(1.0, float(mag.max()))
-                live = mag[dv:, dv:-1].max(axis=1) > 1e-12 * scale
+                failed = RankDeficient(v, f"{m} constraint rows for {dv} dimensions" if m
+                                       else "no factor constrains this variable")
+                break
+            r = _r_factor(data[offset:offset + m * width].reshape(m, width))
+            if dv > 1:
+                frontal.append(r[:dv, :dv])
+            # a 1x1 block's singular value is |entry|; written so NaN fails
+            elif not (a := abs(r[0, 0])) > 1e-9 * a:
+                failed = RankDeficient(v, "frontal block rank below 1")
+                break
+            conditionals.append(Conditional(v, parents, r[:dv]))
+            rest = r[dv:]
+            if rest.shape[0] and parents:
+                mag = np.abs(r)
+                live = peak(mag[dv:, dv:-1], 1) > 1e-12 * max(1.0, peak(mag, None))
+                if np.count_nonzero(live) < live.size:
+                    # compacted; when every row died the plan's structure
+                    # stands, and the parents' columns from it stay zero
+                    leftover.extend(rest[~live, -1])
+                    rest = rest[live]
+                at, slot = sink
+                to, n, f = steps[at], rest.shape[0], filled[at]
+                stack = data[to.offset + f * to.width:to.offset + (f + n) * to.width]
+                stack.reshape(n, to.width)[:, to.scatter[slot]] = rest[:, dv:]
+                filled[at] = f + n
             else:
-                live = np.zeros(rest.shape[0], dtype=bool)
-            leftover.extend(rest[~live, -1])
-            if st.product >= 0:
-                # appended below the consumer's rows so far; empty when every
-                # row died numerically: the plan's structure stands, and the
-                # parents' columns from it stay zero
-                product = rest[live, dv:]
-                at, slot = st.sink
-                to = steps[at]
-                r = filled[at]
-                n = product.shape[0]
-                base = to.offset + r * to.width
-                data[base:base + n * to.width].reshape(n, to.width)[:, to.scatter[slot]] = product
-                filled[at] = r + n
-
+                leftover.extend(rest[:, -1])
+        ok = _full_rank(np.array(frontal).reshape(-1, 6, 6))
+        if not ok.all():
+            bad = [st.var for st in steps if st.var.dim > 1][np.argmin(ok)]
+            raise RankDeficient(bad, "frontal block rank below 6")
+        if failed:
+            raise failed
         return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), self.plan)
 
     def solve(self) -> tuple:
@@ -628,11 +621,8 @@ class Assembly:
         dag = self.eliminate()
         x = _solution(dag)
         pos, entry, row, rhs = self.plan.check
-        residual = 0.0
-        if rhs.size:
-            r = np.bincount(row, self.data[pos] * x[entry], minlength=rhs.size) - self.data[rhs]
-            residual = float(np.abs(r).max())
-        return dag, x, residual
+        r = np.bincount(row, self.data[pos] * x[entry], minlength=rhs.size) - self.data[rhs]
+        return dag, x, float(np.abs(r).max(initial=0.0))
 
 
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
@@ -646,8 +636,8 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     become the variable's conditional and the remainder, less rows left
     with no parent coefficient (their right-hand sides go to `leftover`),
     becomes a new factor over the parents, copied into the stack of the step
-    that consumes it. Raises RankDeficient if a frontal block does not
-    determine its variable.
+    that consumes it. Raises RankDeficient for the first step in plan order
+    whose frontal block does not determine its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
     parts = []
@@ -659,7 +649,7 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
 
 @lru_cache(maxsize=256)
 def _strict_lower(rows: int, cols: int) -> np.ndarray:
-    return np.tri(rows, cols, -1, dtype=bool)
+    return np.flatnonzero(np.tri(rows, cols, -1, dtype=bool))
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
@@ -671,8 +661,22 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
         return a.copy()
     qr = dgeqrf(a)[0]
     r = np.array(qr[:min(a.shape)], order="C")
-    r[_strict_lower(*r.shape)] = 0.0
+    r.reshape(-1)[_strict_lower(*r.shape)] = 0.0
     return r
+
+
+def _full_rank(blocks: np.ndarray) -> np.ndarray:
+    """Whether each upper triangular 6x6 R has sigma_min > 1e-9 sigma_max (NaN: no).
+    ||R||_F ||R^-1||_F < 1e8, one batched inverse over the finite R with nonzero diagonal,
+    proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max > 1e-8); dgesdd does the rest."""
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(blocks).all(axis=(1, 2)) & np.diagonal(blocks, 0, 1, 2).all(axis=1)
+        r, inv = blocks[ok], np.linalg.inv(blocks[ok])
+        ok[ok] = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", inv, inv) < 1e16
+    for j in np.flatnonzero(~ok):
+        sv = dgesdd(blocks[j], compute_uv=0)[1]
+        ok[j] = sv[-1] > 1e-9 * sv[0]
+    return ok
 
 
 def back_substitute(dag: EliminationDag) -> dict:
@@ -793,8 +797,6 @@ def classic_ordering(graph: FactorGraph, scheme) -> list:
     by_kind = {}
     for v in graph.variables:
         by_kind.setdefault(v.kind, []).append(v)
-    for ks in by_kind.values():
-        ks.sort(key=lambda v: v.index)
     tau = by_kind.get(Kind.TORQUE, [])
     wr = by_kind.get(Kind.WRENCH, [])
     acc = by_kind.get(Kind.ACCEL, [])

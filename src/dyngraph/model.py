@@ -236,7 +236,6 @@ class RobotModel:
         self.links = tuple(replace(l, index=link_index[l.name]) for l in links)
         self.joints = tuple(final_joints)
         self.link_map = {l.name: l for l in self.links}
-        self.joint_map = {j.name: j for j in self.joints}
         self.tree_joints = tuple(j for j in self.joints if not j.loop)
         self.loop_joints = tuple(j for j in self.joints if j.loop)
         self.movable_joints = tuple(j for j in self.joints

@@ -110,8 +110,7 @@ class Pose:
         return Pose._unchecked(self.rotation @ other.rotation,
                            self.rotation @ other.translation + self.translation)
 
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
+    __matmul__ = compose
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T

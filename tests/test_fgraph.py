@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from dyngraph import fgraph
 from dyngraph.errors import IncompatibleScheme, RankDeficient
@@ -293,6 +293,29 @@ class TestPlan:
         sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
         np.testing.assert_allclose(sol[q], [3.0])
 
+    def test_first_singular_frontal_named_before_later_row_shortage(self):
+        # Vd2's block is singular and F3 is left with one row, but 6-dim
+        # blocks are tested after the loop: the row shortage found at F3
+        # waits for them, and Vd2, the first failure in plan order, is the
+        # one named, with the message the rank test gives
+        x, y, f = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.WRENCH, 3)
+        singular = np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0])
+        g = FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
+                         LinearFactor({y: singular, f: np.eye(6)}, np.ones(6)),
+                         LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
+        with pytest.raises(RankDeficient) as err:
+            eliminate(g, [x, y, f])
+        assert str(err.value) == "rank-deficient system at variable Vd2: frontal block rank below 6"
+        assert err.value.key == y
+        # with the shortage first in plan order, the shortage is named
+        apart = FactorGraph([LinearFactor({y: singular}, np.ones(6)),
+                             LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
+        for order, message in (([y, f], "Vd2: frontal block rank below 6"),
+                               ([f, y], "F3: 1 constraint rows for 6 dimensions")):
+            with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
+                                                    f"{message}$"):
+                eliminate(apart, order)
+
     def test_variable_left_without_factor_is_named(self):
         # eliminating x uses up the one row, so no product reaches y
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
@@ -504,6 +527,38 @@ def test_plan_matches_frozenset_reference(case):
     for step, (inputs, parents, product) in zip(plan.steps, steps):
         assert (step.inputs, step.product) == (inputs, product)
         assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+
+def singular_value_rank_test(r) -> bool:
+    """The frontal rank test on the singular values alone."""
+    sv = dgesdd(r, compute_uv=0)[1]
+    return bool(sv[-1] > 1e-9 * sv[0])
+
+
+@hs.composite
+def triangular_blocks(draw):
+    """An upper triangular 6x6 R with condition number 10**c, c in [0, 13],
+    at a scale from 1e-120 to 1e120; sometimes with a zero, NaN or infinite
+    diagonal entry."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    u, v = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
+    sv = np.logspace(0.0, -draw(hs.floats(0.0, 13.0)), 6) * 10.0 ** draw(hs.floats(-120, 120))
+    r = np.linalg.qr((u * sv) @ v.T, mode="r")
+    special = draw(hs.sampled_from([None, None, 0.0, np.nan, np.inf, -np.inf]))
+    if special is not None:
+        i = draw(hs.integers(0, 5))
+        r[i, i] = special
+    return r
+
+
+@settings(deadline=None, max_examples=300)
+@given(hs.lists(triangular_blocks(), min_size=1, max_size=5))
+def test_batched_rank_test_decides_as_singular_values_do(blocks):
+    # the Frobenius bound passes a block only where sigma_min / sigma_max
+    # > 1e-8, and every other block is tested on its singular values, so
+    # the batched decision is the per-block dgesdd decision
+    want = [singular_value_rank_test(r) for r in blocks]
+    assert fgraph._full_rank(np.array(blocks)).tolist() == want
 
 
 class TestTree21:

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesdd
 
 from dyngraph import fgraph
 from dyngraph import model as model_module
@@ -38,6 +39,15 @@ from dyngraph.transcribe import (
 from conftest import FIXTURES, load_model, random_state
 
 GRAVITY_Y = (0.0, -9.81, 0.0)
+
+# known defects near five-bar full extension (see TestFiveBar)
+ILL_CONDITIONED_LOOP = (
+    "the graph's condition number passes 1e8 and then 1e9, where the arbiter finds it "
+    "rank deficient, while every frontal block passes its own rank test: agreement "
+    "falls to 1e-8, then elimination solves what the arbiter refuses")
+DEAD_ROW_CUT_SCALES_WITH_RHS = (
+    "the dead-row cut scales with the largest entry of R, rhs included, so once the "
+    "rhs is large the prior rows (weight 1e-3) are dropped as dead: wrong values")
 
 
 class TestComputeTwists:
@@ -413,6 +423,81 @@ class TestFiveBar:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match=r"^q must be finite"):
             five_bar_kin.state(np.pi, 0.0, 0.0, 0.0)
+
+    @staticmethod
+    def near_extension(five_bar_kin):
+        """States approaching full extension: at alpha = arccos(0.6),
+        q1 = pi - alpha and q3 = alpha put the elbows 2L apart, the distal
+        bars line up and the loop loses rank."""
+        for k in np.arange(1.0, 15.5, 0.5):
+            alpha = np.arccos(0.6) + 10.0 ** -k
+            yield five_bar_kin.state(np.pi - alpha, alpha, 0.3, -0.2)
+
+    @pytest.mark.parametrize("given,prior", [
+        pytest.param(None, False, id="forward"),
+        pytest.param("torque", False, id="hybrid"),
+        pytest.param("accel", False, id="redundant", marks=pytest.mark.xfail(
+            strict=True, reason=ILL_CONDITIONED_LOOP)),
+        pytest.param("torque", True, id="hybrid-prior", marks=pytest.mark.xfail(
+            strict=True, reason=DEAD_ROW_CUT_SCALES_WITH_RHS)),
+        pytest.param("accel", True, id="redundant-prior", marks=pytest.mark.xfail(
+            strict=True, reason=DEAD_ROW_CUT_SCALES_WITH_RHS)),
+    ])
+    def test_near_full_extension_agrees_or_names_a_variable(self, five_bar, five_bar_kin,
+                                                          given, prior):
+        # on the way to full extension every solve, under every ordering,
+        # agrees with the dense arbiter to 1e-8 of its largest entry, or
+        # raises a RankDeficient naming a variable of its graph, as the
+        # arbiter then does too: never a NaN or a wrong answer
+        if given is None:
+            spec = self.forward_spec(five_bar)
+        else:
+            spec = ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.5}, "j3": {given: -0.3}},
+                                      gravity=GRAVITY_Y, planar_loops=(("j5", (0.0, 0.0, 1.0)),),
+                                      min_torque_prior=prior)
+        outcomes = set()
+        for st in self.near_extension(five_bar_kin):
+            graph = build_graph(five_bar, st, spec)
+            try:
+                want = dense_solve(graph)
+            except RankDeficient:
+                want = None
+            for ordering in ("auto", "md", "nd"):
+                try:
+                    res = solve_dynamics(five_bar, st, spec, ordering)
+                except RankDeficient as err:
+                    assert err.key in graph.variables
+                    outcomes.add("rank")
+                    continue
+                assert want is not None, "solved a graph the arbiter finds rank deficient"
+                scale = max(np.abs(v).max() for v in want.values())
+                for key, v in want.items():
+                    np.testing.assert_allclose(res.values[key], v, rtol=0, atol=1e-8 * scale)
+                outcomes.add("solved")
+        assert outcomes == {"solved", "rank"}
+
+    def test_near_full_extension_tests_frontals_on_singular_values(self, five_bar, five_bar_kin,
+                                                                  monkeypatch):
+        # driven at both base joints, the loop wrench's 6-dim frontal block
+        # gets too ill-conditioned for the batched bound, so the rank test
+        # falls back to its singular values: first passing, then failing
+        # and naming the loop wrench
+        outcomes, fallbacks = [], []
+        monkeypatch.setattr(fgraph, "dgesdd", lambda *a, **kw: (fallbacks.append(1),
+                                                                 dgesdd(*a, **kw))[1])
+        spec = ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.5}, "j3": {"accel": -0.3}},
+                                  gravity=GRAVITY_Y, planar_loops=(("j5", (0.0, 0.0, 1.0)),))
+        for st in self.near_extension(five_bar_kin):
+            tested = len(fallbacks)
+            try:
+                solve_dynamics(five_bar, st, spec)
+                outcome = "solved"
+            except RankDeficient as err:
+                outcome = str(err)
+            if len(fallbacks) > tested:
+                outcomes.append(outcome)
+        assert outcomes[0] == "solved"
+        assert outcomes[-1] == "rank-deficient system at variable F5: frontal block rank below 6"
 
     def test_forward_with_planar_factor_solves(self, five_bar, five_bar_kin):
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -948,6 +1033,47 @@ class TestCompiledSolve:
         for res, want in zip(out, serial):
             assert res.dag.plan is plan
             assert res.torques == want.torques
+            assert res.residual_max == want.residual_max
+
+    def test_threads_sharing_a_tree_plan_give_serial_answers_bit_for_bit(self, tree21,
+                                                                        fresh_plans):
+        # the tree's md plan under the prior has products and rows that die
+        # on the way; two threads sharing it must match the serial solves
+        rng = np.random.default_rng(2121)
+        kinds = [(j.name, "accel" if k % 3 else "torque")
+                 for k, j in enumerate(tree21.movable_joints)]
+        problems = [(random_state(rng, 21), ProblemSpec.hybrid(
+            tree21, {name: {kind: float(rng.uniform(-1, 1))} for name, kind in kinds},
+            min_torque_prior=True)) for _ in range(400)]
+        tree21.solve_templates.clear()
+        serial = [solve_dynamics(tree21, st, spec, "md") for st, spec in problems]
+        plan = serial[0].dag.plan
+        assert any(st.product >= 0 for st in plan.steps)
+        assert all(res.dag.plan is plan and len(res.dag.leftover) for res in serial)
+        out = [None] * len(problems)
+
+        def work(lo, hi):
+            for i in range(lo, hi):
+                out[i] = solve_dynamics(tree21, *problems[i], "md")
+
+        threads = [threading.Thread(target=work, args=(0, 200)),
+                   threading.Thread(target=work, args=(200, 400))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for res, want in zip(out, serial):
+            assert res.dag.plan is plan
+            assert res.values.keys() == want.values.keys()
+            for k, v in want.values.items():
+                np.testing.assert_array_equal(res.values[k], v)
+            np.testing.assert_array_equal(res.dag.leftover, want.dag.leftover)
             assert res.residual_max == want.residual_max
 
     def test_no_linear_factor_until_graph_factors_read(self, six_r, five_bar, five_bar_kin,
