@@ -153,6 +153,23 @@ class LinearFactor:
         return self.ab[:, :-1] @ x - self.ab[:, -1]
 
 
+def number_factors(keys: tuple, rank: dict, dims: list, columns: list, sizes: list,
+                   masks: list) -> tuple:
+    """(keys, rank, dims, columns, sizes, masks, neighbors, incidence):
+    factors numbered over the sorted `keys`, the VarKey of each rank, with
+    `rank` its inverse and `dims` the dim of each rank, then 1 (b). A set
+    is the int with bit r for rank r. Per factor: its [A | b] columns as
+    ranks (len(keys) for b), their count and its key set; per rank: the
+    ranks it shares a factor with and the ids of the factors holding it."""
+    neighbors, incidence = [0] * (len(keys) + 1), [0] * (len(keys) + 1)
+    for fid, (ranks, m) in enumerate(zip(columns, masks)):
+        for r in ranks:
+            neighbors[r] |= m
+            incidence[r] |= 1 << fid
+    return (keys, rank, dims, columns, sizes, masks,
+            [m & ~(1 << r) for r, m in enumerate(neighbors[:-1])], incidence)
+
+
 class FactorGraph:
     """Immutable collection of factors over a variable set.
 
@@ -176,23 +193,13 @@ class FactorGraph:
 
     @cached_property
     def numbering(self) -> tuple:
-        """(rank, keys, masks, neighbors, incidence) over key ranks in
-        `variables`, a set being the int with bit r for rank r: per factor
-        its [A | b] columns as ranks (len(variables) for b) and key set, per
-        variable the set it shares a factor with and the factor ids holding it."""
+        """`number_factors` over `variables`."""
         rank = {v: r for r, v in enumerate(self.variables)}
-        keys, masks, neighbors, incidence = [], [], [0] * len(rank), [0] * len(rank)
-        for fid, (ks, _, _) in enumerate(self.structure):
-            ranks = [rank[k] for k in ks]
-            m = 0
-            for r in ranks:
-                m |= 1 << r
-            for r in ranks:
-                neighbors[r] |= m
-                incidence[r] |= 1 << fid
-            keys.append(ranks + [len(rank)])
-            masks.append(m)
-        return rank, keys, masks, [m & ~(1 << r) for r, m in enumerate(neighbors)], incidence
+        dims = [v.dim for v in self.variables] + [1]
+        columns = [[rank[k] for k in ks] + [len(rank)] for ks, _, _ in self.structure]
+        return number_factors(self.variables, rank, dims, columns,
+                              [sum(map(dims.__getitem__, ranks)) for ranks in columns],
+                              [sum(1 << r for r in ranks[:-1]) for ranks in columns])
 
     def __len__(self) -> int:
         return len(self.structure)
@@ -327,10 +334,10 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _runs(starts, lengths) -> np.ndarray:
+def _runs(starts, lengths: np.ndarray) -> np.ndarray:
     """range(s, s + n) for each pair (s, n), concatenated."""
-    shift = np.asarray(starts, dtype=np.intp) + lengths - np.cumsum(lengths)
-    return np.arange(lengths.sum()) + np.repeat(shift, lengths)
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts + lengths - ends).repeat(lengths)
 
 
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
@@ -348,33 +355,36 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     reduce to nothing drop their connections (this happens whenever a
     variable is fully determined by its factors). The budget is also the
     product's room in its consumer's stack: a reduction never leaves more
-    live rows than that. It runs on the rank bitmasks of `graph.numbering`.
+    live rows than that. It runs on the rank bitmasks of `graph.numbering`,
+    whose ranks may number more keys than the graph has.
     """
-    variables, structure = graph.variables, graph.structure
-    rank, keys_of, masks, neighbors, live = graph.numbering
-    n, n_graph = len(variables), len(structure)
+    keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
+    structure = graph.structure
+    n, n_graph, span = len(keys), len(structure), reduce(or_, masks, 0)
     bad = "ordering is not a permutation of the graph's variables: {} {}".format
     pools, seen = [], 0
-    for group in [variables] if groups is None else groups:
+    for group in [graph.variables] if groups is None else groups:
         pools.append(seen)
         for v in group:
-            r = rank.get(v)
-            if r is None or seen >> r & 1:
-                raise ValueError(bad(v, "is not one of them" if r is None else "appears twice"))
+            r = rank.get(v, n)
+            if not (span & ~seen) >> r & 1:
+                raise ValueError(bad(v, "appears twice" if seen >> r & 1 else "is not one of them"))
             seen |= 1 << r
         pools[-1] ^= seen
-    if seen != (1 << n) - 1:
-        raise ValueError(bad(variables[(~seen & seen + 1).bit_length() - 1], "is missing"))
+    if seen != span:
+        missing = span & ~seen
+        raise ValueError(bad(keys[(missing & -missing).bit_length() - 1], "is missing"))
     # per factor id, graph's then products': [A | b] columns (n for b), their count, key set, rows
-    dims = [v.dim for v in variables] + [1]
-    keys_of, masks, nb, live = list(keys_of), list(masks), list(neighbors), list(live)
-    cols_of = [sum(map(dims.__getitem__, ks)) for ks in keys_of]
-    rows_of = [rows for _, rows, _ in structure]
-    position, first, slices, picked, size, fill_in = [0] * n, [0] * n, {}, [], 0, 0
+    keys_of, cols_of, masks = list(keys_of), list(cols_of), list(masks)
+    nb, live, rows_of = list(neighbors), list(live), [rows for _, rows, _ in structure]
+    position, first, slices, picks, size, fill_in = [0] * n, [0] * n, {}, [], 0, 0
     by_degree = [0] * n  # bit r of by_degree[d] is set while pool member r has degree d
     for pool in pools:
-        for r in _bits(pool):
-            by_degree[nb[r].bit_count()] |= 1 << r
+        m = pool
+        while m:
+            low = m & -m
+            by_degree[nb[low.bit_length() - 1].bit_count()] |= low
+            m ^= low
         d = 0
         while pool:
             while not by_degree[d]:
@@ -383,43 +393,63 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             by_degree[d] ^= bit
             pool ^= bit
             v = bit.bit_length() - 1
-            position[v], first[v], size = len(picked), size, size + dims[v]
-            slices[variables[v]] = slice(first[v], size)
-            fids, parents, plist = _bits(live[v]), nb[v], _bits(nb[v])
-            rows, cols = sum(map(rows_of.__getitem__, fids)), sum(map(dims.__getitem__, plist))
-            # the most rows an orthogonal reduction leaves on the parents
-            budget = min(rows - dims[v], cols)
-            product = len(masks) if parents and budget > 0 else -1
-            if product >= 0:
-                masks.append(parents)
-                rows_of.append(budget)
-                cols_of.append(cols + 1)
-            picked.append((v, fids, plist, product, rows, cols))
+            position[v], first[v], size = len(picks), size, size + dims[v]
+            slices[keys[v]] = slice(first[v], size)
+            used, parents = live[v], nb[v]
+            fids, plist, rows, cols, m = [], [], 0, 0, used
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                fids.append(f)
+                rows += rows_of[f]
+                m ^= low
+            # a product is left when there are parents and rows for them
+            product = len(masks) if parents and rows > dims[v] else -1
             fill_in += (parents & ~neighbors[v]).bit_count()
             # a pick changes only its parents' factor sets, so only their degrees move
-            for p in plist:
+            m = parents
+            while m:
+                own = m & -m
+                p = own.bit_length() - 1
+                plist.append(p)
+                cols += dims[p]
+                m ^= own
                 old = nb[p]
-                live[p] &= ~live[v]
                 if product >= 0:
-                    live[p] |= 1 << product
-                    nb[p] = (old | parents) & ~(bit | 1 << p)
+                    live[p] = live[p] & ~used | 1 << product
+                    nb[p] = new = (old | parents) & ~(bit | own)
                 else:
-                    nb[p] = reduce(or_, map(masks.__getitem__, _bits(live[p])), 0) & ~(1 << p)
-                if pool >> p & 1 and old.bit_count() != nb[p].bit_count():
-                    by_degree[old.bit_count()] ^= 1 << p
-                    by_degree[nb[p].bit_count()] |= 1 << p
-                    d = min(d, nb[p].bit_count())
+                    f = live[p] = live[p] & ~used
+                    new = 0
+                    while f:
+                        low = f & -f
+                        new |= masks[low.bit_length() - 1]
+                        f ^= low
+                    nb[p] = new = new & ~own
+                if pool & own:
+                    a, b = old.bit_count(), new.bit_count()
+                    if a != b:
+                        by_degree[a] ^= own
+                        by_degree[b] |= own
+                        if b < d:
+                            d = b
+            if product >= 0:
+                # the most rows an orthogonal reduction leaves on the parents
+                masks.append(parents)
+                rows_of.append(min(rows - dims[v], cols))
+                cols_of.append(cols + 1)
+            picks.append((v, fids, plist, product, rows, cols))
 
     # parents are ordered by elimination position, known once every pick is.
     # Scatter and gather are views into `columns` and `entries`, filled last
     # from the inputs' columns as ranks (`flat`) and first stack columns
-    # (`scol`); `place`: per graph factor its first column in `flat`, flat
-    # position of its first stack row and stack width
-    col, place = [0] * (n + 1), [None] * n_graph
+    # (`scol`); per graph factor: its first column in `flat`, buffer position
+    # of its first row and stride
+    col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of), dtype=np.intp)
-    entries = np.empty(sum(p[-1] for p in picked), dtype=np.intp)
+    entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
     flat, scol, gvar, steps, at_col, at_entry, offset = [], [], [], [], 0, 0, 0
-    for v, fids, plist, product, rows, cols in picked:
+    for v, fids, plist, product, rows, cols in picks:
         parents = sorted(plist, key=position.__getitem__)
         gvar += parents
         col[v], c = 0, dims[v]
@@ -427,19 +457,21 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             col[p], c = c, c + dims[p]
         col[n], scatter, row, sink = c, [], 0, ()
         for f in fids:
+            ks = keys_of[f]
             if f < n_graph:
-                place[f] = (len(flat), offset + row * (c + 1), c + 1)
+                run[f], base[f], stride[f] = len(flat), offset + row * (c + 1), c + 1
                 row += rows_of[f]
-            flat += keys_of[f]
-            scol += map(col.__getitem__, keys_of[f])
+            flat += ks
+            scol += [col[k] for k in ks]
             scatter.append(columns[at_col:at_col + cols_of[f]])
             at_col += cols_of[f]
         if product >= 0:
             # the first parent eliminated takes the product
             keys_of.append(parents + [n])
-            sink = (position[parents[0]], picked[position[parents[0]]][1].index(product))
-        steps.append(PlanStep(variables[v], tuple(fids), tuple(scatter),
-                              tuple(map(variables.__getitem__, parents)), c + 1, product,
+            to = position[parents[0]]
+            sink = (to, picks[to][1].index(product))
+        steps.append(PlanStep(keys[v], tuple(fids), tuple(scatter),
+                              tuple(map(keys.__getitem__, parents)), c + 1, product,
                               entries[at_entry:at_entry + cols], offset, row, sink))
         at_entry, offset = at_entry + cols, offset + rows * (c + 1)
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
@@ -451,24 +483,25 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # `height` rows of `dim` entries from buffer position `start`, `stride`
     # apart, over solution entries from `sol` (-1: the rhs); weight-1 rows
     # are numbered from 0 in factor order, from `hard_row`
-    run, base, stride = np.array(place, dtype=np.intp).reshape(-1, 3).T
+    run, base, stride, height = (np.array(a[:n_graph], dtype=np.intp)
+                                 for a in (run, base, stride, rows_of))
     groups_of = np.array(list(map(len, keys_of[:n_graph])), dtype=np.intp)
-    at = _runs(run, groups_of)
-    height = np.array(rows_of[:n_graph], dtype=np.intp)
     weight = np.array([w for *_, w in structure], dtype=float)
     hard = np.where(weight == 1.0, height, 0)
-    start, dim, sol = np.repeat(base, groups_of) + scol[at], dims[flat[at]], first[flat[at]]
-    stride, height, weight, hard_row = (np.repeat(a, groups_of) for a in
-                                        (stride, height, weight, np.cumsum(hard) - hard))
+    at = _runs(run, groups_of)
+    key = flat[at]
+    start, dim, sol = base.repeat(groups_of) + scol[at], dims[key], first[key]
+    stride, height, weight, hard_row = (a.repeat(groups_of) for a in
+                                        (stride, height, weight, hard.cumsum() - hard))
     sizes = height * dim
-    row_e, col_e = np.divmod(_runs(np.zeros_like(sizes), sizes), np.repeat(dim, sizes))
-    dest = np.repeat(start, sizes) + row_e * np.repeat(stride, sizes) + col_e
-    soft, is_rhs = np.repeat(weight != 1.0, sizes), np.repeat(sol < 0, sizes)
-    coef = ~soft & ~is_rhs
-    check = (dest[coef], (np.repeat(sol, sizes) + col_e)[coef],
-             (np.repeat(hard_row, sizes) + row_e)[coef], dest[~soft & is_rhs])
+    row_e, col_e = np.divmod(_runs(0, sizes), dim.repeat(sizes))
+    dest = start.repeat(sizes) + row_e * stride.repeat(sizes) + col_e
+    soft, is_rhs = (weight != 1.0).repeat(sizes), (sol < 0).repeat(sizes)
+    coef = ~(soft | is_rhs)
+    check = (dest[coef], (sol.repeat(sizes) + col_e)[coef],
+             (hard_row.repeat(sizes) + row_e)[coef], dest[is_rhs & ~soft])
     return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
-                           offset, dest, (dest[soft], np.repeat(weight, sizes)[soft]), check)
+                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check)
 
 
 class LruMemo(OrderedDict):
@@ -667,12 +700,18 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
 
 def _full_rank(blocks: np.ndarray) -> np.ndarray:
     """Whether each upper triangular 6x6 R has sigma_min > 1e-9 sigma_max (NaN: no).
-    ||R||_F ||R^-1||_F < 1e8, one batched inverse over the finite R with nonzero diagonal,
-    proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max > 1e-8); dgesdd does the rest."""
+    ||R||_F ||R^-1||_F < 1e8 proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max
+    > 1e-8), R^-1 back-substituted row by row, from the last, for every finite R with
+    a nonzero diagonal at once (entry-major, so each step acts on whole rows of
+    entries); dgesdd decides the rest."""
     with np.errstate(all="ignore"):
         ok = np.isfinite(blocks).all(axis=(1, 2)) & np.diagonal(blocks, 0, 1, 2).all(axis=1)
-        r, inv = blocks[ok], np.linalg.inv(blocks[ok])
-        ok[ok] = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", inv, inv) < 1e16
+        r = blocks[ok].transpose(1, 2, 0).copy()
+        inv = np.repeat(np.eye(6)[:, :, None], r.shape[2], axis=2)
+        for i in range(5, -1, -1):
+            inv[i] /= r[i, i]
+            inv[:i] -= r[:i, i, None] * inv[i]
+        ok[ok] = np.einsum("ijk,ijk->k", r, r) * np.einsum("ijk,ijk->k", inv, inv) < 1e16
     for j in np.flatnonzero(~ok):
         sv = dgesdd(blocks[j], compute_uv=0)[1]
         ok[j] = sv[-1] > 1e-9 * sv[0]
@@ -733,7 +772,7 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
     Returns the leaf subsets and separators in elimination order, the
     `groups` of `plan_elimination`, found on the sets of `graph.numbering`.
     """
-    nb = graph.numbering[3]
+    keys, *_, masks, nb, _ = graph.numbering
 
     def levels_of(sub: int, start: int) -> list:  # breadth-first, from the set `start`
         levels, seen = [start], start
@@ -768,8 +807,7 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
         _, separator, before, after = best
         return dissect(before) + dissect(after) + [separator]
 
-    return [{graph.variables[r] for r in _bits(group)}
-            for group in dissect((1 << len(graph.variables)) - 1)]
+    return [{keys[r] for r in _bits(group)} for group in dissect(reduce(or_, masks, 0))]
 
 
 def nested_dissection_ordering(graph: FactorGraph) -> list:

@@ -29,6 +29,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from numbers import Real
 from time import perf_counter
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InconsistentLoopState
 from .fgraph import (Assembly, FactorGraph, Kind, LinearFactor, VarKey, _runs,
-                     ordering_request, plan_for, scatter)
+                     number_factors, ordering_request, plan_for, scatter)
 from .model import RobotModel
 from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
@@ -340,7 +341,8 @@ for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SK
 
 
 class _Listing(SimpleNamespace):
-    """One problem shape's factors: `structure`, `labels`, their parts
+    """One problem shape's factors, the model's `pieces` it `picked` in
+    order: `structure`, `labels`, their parts
     flattened (`flat`, zeros where a state term goes), and per state term
     entry its state vector index (`src`) and place in `flat` (`at`). For
     `_state_terms`: the sweep rows whose acceleration is given
@@ -353,7 +355,8 @@ class _Pieces(SimpleNamespace):
     `structure` and `labels` entries, its parts flattened in `flat` from
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
     it; per state term, `term` (piece, start in the state vector, offset
-    in the piece, width); `planar` maps loop joint names to their pieces."""
+    in the piece, width); `planar` maps loop joint names to their pieces;
+    `numbering`, the `FactorGraph.numbering` of all pieces as one graph."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -447,8 +450,11 @@ def _list_pieces(model: RobotModel) -> _Pieces:
         add(never, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
 
     size = np.array(sizes, dtype=np.intp)
+    # every key a shape can have, numbered once: a shape's ranks are these
+    whole = FactorGraph(())
+    whole.structure = tuple(structure)
     pieces = _Pieces(
-        structure=structure, labels=labels, cond=np.array(conds, dtype=np.intp),
+        structure=structure, labels=labels, numbering=whole.numbering, cond=np.array(conds, dtype=np.intp),
         flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
         size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
         planar={l.name: len(conds) - len(model.loop_joints) + i
@@ -483,6 +489,7 @@ def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
     piece, src, offset, width = pc.term[start[pc.term[:, 0]] >= 0].T
     loops = list(pc.planar)
     listing = _Listing(
+        pieces=pc, picked=picked.tolist(),
         structure=tuple(map(pc.structure.__getitem__, picked.tolist())),
         labels=tuple(map(pc.labels.__getitem__, picked.tolist())),
         flat=pc.flat[_runs(pc.start[picked], sizes)],
@@ -558,6 +565,20 @@ class _SolvedGraph(FactorGraph):
     @cached_property
     def factors(self) -> tuple:
         return _factors(*self._listed)
+
+    @cached_property
+    def numbering(self) -> tuple:
+        """The model's numbering of every piece (see `_list_pieces`) kept
+        for this shape's: ranks over every key of the model's shapes."""
+        listing = self._listed[0]
+        keys, rank, dims, *per_piece, _, _ = listing.pieces.numbering
+        return number_factors(keys, rank, dims, *(list(map(a.__getitem__, listing.picked))
+                                                  for a in per_piece))
+
+    @cached_property
+    def variables(self) -> tuple:
+        keys, *_, incidence = self.numbering
+        return tuple(compress(keys, incidence))
 
 
 @dataclass(frozen=True, eq=False)
