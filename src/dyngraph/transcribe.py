@@ -356,7 +356,8 @@ class _Pieces(SimpleNamespace):
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
     it; per state term, `term` (piece, start in the state vector, offset
     in the piece, width); `planar` maps loop joint names to their pieces;
-    `numbering`, the `FactorGraph.numbering` of all pieces as one graph."""
+    `numbering`, the `FactorGraph.numbering` of all pieces as one graph; and
+    the shape-independent parts of a `_Template`: `names`, `links`, `wrenches`."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -454,6 +455,9 @@ def _list_pieces(model: RobotModel) -> _Pieces:
     whole = FactorGraph(())
     whole.structure = tuple(structure)
     pieces = _Pieces(
+        names=tuple(slot), links=tuple((l.name, VarKey(Kind.ACCEL, l.index))
+                                       for l in model.links if l.index > 0),
+        wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints),
         structure=structure, labels=labels, numbering=whole.numbering, cond=np.array(conds, dtype=np.intp),
         flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
         size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
@@ -626,7 +630,8 @@ class _Template(SimpleNamespace):
     the weighted constant parts), `dest` (the buffer place of each state
     term entry); what sorts a result: the movable joints' `names`, the
     (names, solution entries) of the solved `torques` and `accels`, and
-    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
+    (name, variable) per link acceleration (`links`) and joint `wrenches`,
+    the model's own tuples for `names`, `links` and `wrenches`."""
 
 
 def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
@@ -641,13 +646,12 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
                 np.array([plan.slices[VarKey(kind, j.index)].start for j in joints],
                          dtype=np.intp))
     des = tuple(zip(model.movable_joints, spec.designations))
+    pc = listing.pieces
     tpl = _Template(
         listing=listing, plan=plan, base=scatter(plan, [listing.flat]),
-        dest=plan.dest[listing.at], names=tuple(j.name for j, _ in des),
+        dest=plan.dest[listing.at], names=pc.names, links=pc.links, wrenches=pc.wrenches,
         torques=solved(Kind.TORQUE, [j for j, d in des if isinstance(d, GivenAccel)]),
-        accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]),
-        links=tuple((l.name, VarKey(Kind.ACCEL, l.index)) for l in model.links if l.index > 0),
-        wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints))
+        accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]))
     for a in (tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1]):
         a.setflags(write=False)
     return tpl

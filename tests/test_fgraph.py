@@ -604,6 +604,30 @@ class TestTree21:
         assert (res.dag.edge_count, res.dag.fill_in) == (edges, 0)
 
 
+    @pytest.mark.parametrize("ordering", ["md", "nd"])
+    def test_planner_matches_frozenset_reference(self, tree21, ordering):
+        # the reference at the workload's size: 63 variables, where the
+        # hypothesis test draws at most ten; `res.graph` is numbered over
+        # every key of the model's shapes, as solve_dynamics plans it
+        rng = np.random.default_rng(2121)
+        names = [j.name for j in tree21.movable_joints]
+        for _ in range(20):
+            spec = ProblemSpec.hybrid(tree21, {
+                name: {"accel" if a else "torque": x}
+                for name, a, x in zip(names, rng.random(21) < 0.5, rng.uniform(-1, 1, 21))})
+            res = solve_dynamics(tree21, random_state(rng, 21), spec, ordering)
+            groups = [res.graph.variables] if ordering == "md" else \
+                fgraph.nested_dissection_groups(build_graph(tree21, self.state(tree21), spec))
+            order, steps, edges, fill = reference_plan(res.graph, groups)
+            for plan in (res.dag.plan, plan_elimination(res.graph, groups)):
+                assert list(plan.ordering) == order
+                assert (plan.edge_count, plan.fill_in) == (edges, fill)
+                position = {v: i for i, v in enumerate(order)}
+                for step, (inputs, parents, product) in zip(plan.steps, steps):
+                    assert (step.inputs, step.product) == (inputs, product)
+                    assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+
 class TestVarKeyProperties:
     keys = hs.builds(VarKey, hs.sampled_from(list(Kind)), hs.integers(0, 10**6))
 

@@ -1173,6 +1173,43 @@ class TestSolveTemplate:
                 for f, g in zip(hit.graph.factors, graph.factors):
                     np.testing.assert_array_equal(f.ab, g.ab)
 
+    def test_compiled_plan_equals_public_plan(self, tree21, five_bar, five_bar_kin,
+                                              fresh_plans):
+        # solve_dynamics plans from the model's numbering of every piece,
+        # the public path from the graph's own: the plans must be equal
+        rng = np.random.default_rng(1515)
+        names = [j.name for j in tree21.movable_joints]
+        cases = [(tree21, random_state(rng, 21), ProblemSpec.hybrid(tree21, {
+            name: {"accel" if a else "torque": x}
+            for name, a, x in zip(names, rng.random(21) < 0.5, rng.uniform(-1, 1, 21))}))
+            for _ in range(50)]
+        st, planar = five_bar_kin.state(1.9, 1.2, 0.3, -0.2), {"planar_loops": {"j5": (0, 0, 1)}}
+        cases += [(five_bar, st, ProblemSpec.forward(five_bar, [0.5, -0.3], **planar))]
+        cases += [(five_bar, st, ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7},
+                                                              "j3": {"accel": -0.4}},
+                                                    min_torque_prior=prior, **planar))
+                  for prior in (False, True)]
+        for model, st, spec in cases:
+            fgraph._plans.clear()
+            model.solve_templates.clear()
+            compiled = solve_dynamics(model, st, spec).dag.plan
+            fgraph._plans.clear()
+            deferred = tuple(VarKey(Kind.WRENCH, l.index) for l in model.loop_joints)
+            public = fgraph.plan_for(build_graph(model, st, spec), "md", deferred)
+            assert compiled is not public
+            assert compiled.ordering == public.ordering and compiled.slices == public.slices
+            assert compiled[2:5] == public[2:5] and compiled.buffer_size == public.buffer_size
+            assert len(compiled.steps) == len(public.steps)
+            for a, b in zip(compiled.steps, public.steps):
+                assert a._replace(scatter=(), gather=()) == b._replace(scatter=(), gather=())
+                assert len(a.scatter) == len(b.scatter)
+                for x, y in zip((a.gather, *a.scatter), (b.gather, *b.scatter)):
+                    np.testing.assert_array_equal(x, y)
+            for x, y in zip((compiled.dest, *compiled.scale, *compiled.check),
+                            (public.dest, *public.scale, *public.check)):
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+
     def test_model_without_joints_solves_to_nothing(self):
         model = parse_urdf('<robot name="r"><link name="base"/></robot>')
         st, spec = JointState(np.zeros(0), np.zeros(0)), ProblemSpec(designations=())
