@@ -42,7 +42,7 @@ from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtri, dtrtrs
 
 from .errors import IncompatibleScheme, RankDeficient
 
@@ -153,14 +153,11 @@ class LinearFactor:
         return self.ab[:, :-1] @ x - self.ab[:, -1]
 
 
-def number_factors(keys: tuple, rank: dict, dims: list, columns: list, sizes: list,
-                   masks: list) -> tuple:
-    """(keys, rank, dims, columns, sizes, masks, neighbors, incidence):
-    factors numbered over the sorted `keys`, the VarKey of each rank, with
-    `rank` its inverse and `dims` the dim of each rank, then 1 (b). A set
-    is the int with bit r for rank r. Per factor: its [A | b] columns as
-    ranks (len(keys) for b), their count and its key set; per rank: the
-    ranks it shares a factor with and the ids of the factors holding it."""
+def number_factors(keys, rank, dims, columns, sizes, masks) -> tuple:
+    """(keys, rank, dims, columns, sizes, masks, neighbors, incidence) over the sorted
+    `keys` (`rank`: their ranks, `dims`: per rank, then 1 for b), a set being the int with
+    bit r for rank r: per factor its [A | b] columns as ranks (len(keys) for b), their
+    count and key set; per rank the ranks sharing a factor with it and its factor ids."""
     neighbors, incidence = [0] * (len(keys) + 1), [0] * (len(keys) + 1)
     for fid, (ranks, m) in enumerate(zip(columns, masks)):
         for r in ranks:
@@ -359,8 +356,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     whose ranks may number more keys than the graph has.
     """
     keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
-    structure = graph.structure
-    n, n_graph, span = len(keys), len(structure), reduce(or_, masks, 0)
+    n, n_graph, span, structure = len(keys), len(masks), reduce(or_, masks, 0), graph.structure
     bad = "ordering is not a permutation of the graph's variables: {} {}".format
     pools, seen = [], 0
     for group in [graph.variables] if groups is None else groups:
@@ -372,19 +368,15 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             seen |= 1 << r
         pools[-1] ^= seen
     if seen != span:
-        missing = span & ~seen
-        raise ValueError(bad(keys[(missing & -missing).bit_length() - 1], "is missing"))
+        raise ValueError(bad(keys[_bits(span & ~seen)[0]], "is missing"))
     # per factor id, graph's then products': [A | b] columns (n for b), their count, key set, rows
     keys_of, cols_of, masks = list(keys_of), list(cols_of), list(masks)
     nb, live, rows_of = list(neighbors), list(live), [rows for _, rows, _ in structure]
     position, first, slices, picks, size, fill_in = [0] * n, [0] * n, {}, [], 0, 0
     by_degree = [0] * n  # bit r of by_degree[d] is set while pool member r has degree d
     for pool in pools:
-        m = pool
-        while m:
-            low = m & -m
-            by_degree[nb[low.bit_length() - 1].bit_count()] |= low
-            m ^= low
+        for r in _bits(pool):
+            by_degree[nb[r].bit_count()] |= 1 << r
         d = 0
         while pool:
             while not by_degree[d]:
@@ -398,16 +390,15 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             used, parents = live[v], nb[v]
             fids, plist, rows, cols, m = [], [], 0, 0, used
             while m:
-                low = m & -m
-                f = low.bit_length() - 1
+                f = (m & -m).bit_length() - 1
                 fids.append(f)
                 rows += rows_of[f]
-                m ^= low
+                m &= m - 1
             # a product is left when there are parents and rows for them
             product = len(masks) if parents and rows > dims[v] else -1
             fill_in += (parents & ~neighbors[v]).bit_count()
             # a pick changes only its parents' factor sets, so only their degrees move
-            m = parents
+            m, keep, made = parents, ~used, 1 << product if product >= 0 else 0
             while m:
                 own = m & -m
                 p = own.bit_length() - 1
@@ -415,36 +406,31 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 cols += dims[p]
                 m ^= own
                 old = nb[p]
-                if product >= 0:
-                    live[p] = live[p] & ~used | 1 << product
+                if made:
+                    live[p] = live[p] & keep | made
                     nb[p] = new = (old | parents) & ~(bit | own)
                 else:
-                    f = live[p] = live[p] & ~used
+                    f = live[p] = live[p] & keep
                     new = 0
                     while f:
-                        low = f & -f
-                        new |= masks[low.bit_length() - 1]
-                        f ^= low
+                        new |= masks[(f & -f).bit_length() - 1]
+                        f &= f - 1
                     nb[p] = new = new & ~own
-                if pool & own:
-                    a, b = old.bit_count(), new.bit_count()
-                    if a != b:
-                        by_degree[a] ^= own
-                        by_degree[b] |= own
-                        if b < d:
-                            d = b
+                if pool & own and (a := old.bit_count()) != (b := new.bit_count()):
+                    by_degree[a] ^= own
+                    by_degree[b] |= own
+                    d = b if b < d else d
             if product >= 0:
                 # the most rows an orthogonal reduction leaves on the parents
                 masks.append(parents)
-                rows_of.append(min(rows - dims[v], cols))
+                rows_of.append(rows - dims[v] if rows - dims[v] < cols else cols)
                 cols_of.append(cols + 1)
             picks.append((v, fids, plist, product, rows, cols))
 
     # parents are ordered by elimination position, known once every pick is.
     # Scatter and gather are views into `columns` and `entries`, filled last
     # from the inputs' columns as ranks (`flat`) and first stack columns
-    # (`scol`); per graph factor: its first column in `flat`, buffer position
-    # of its first row and stride
+    # (`scol`); per graph factor: its first column in `flat`, first row, stride
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
@@ -476,8 +462,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         at_entry, offset = at_entry + cols, offset + rows * (c + 1)
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
     flat, scol, gvar = (np.array(a, dtype=np.intp) for a in (flat, scol, gvar))
-    columns[:] = _runs(scol, dims[flat])
-    entries[:] = _runs(first[gvar], dims[gvar])
+    columns[:], entries[:] = _runs(scol, dims[flat]), _runs(first[gvar], dims[gvar])
 
     # the assembly map, a group per key block and rhs of each graph factor:
     # `height` rows of `dim` entries from buffer position `start`, `stride`
@@ -673,10 +658,7 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     whose frontal block does not determine its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
-    parts = []
-    for f in graph.factors:
-        parts += f.blocks.values()
-        parts.append(f.rhs)
+    parts = [p for f in graph.factors for p in (*f.blocks.values(), f.rhs)]
     return Assembly(plan, scatter(plan, parts)).eliminate()
 
 
@@ -701,17 +683,13 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
 def _full_rank(blocks: np.ndarray) -> np.ndarray:
     """Whether each upper triangular 6x6 R has sigma_min > 1e-9 sigma_max (NaN: no).
     ||R||_F ||R^-1||_F < 1e8 proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max
-    > 1e-8), R^-1 back-substituted row by row, from the last, for every finite R with
-    a nonzero diagonal at once (entry-major, so each step acts on whole rows of
-    entries); dgesdd decides the rest."""
+    > 1e-8), R^-1 being LAPACK's triangular inverse of each finite R with a nonzero
+    diagonal; dgesdd decides the rest."""
     with np.errstate(all="ignore"):
         ok = np.isfinite(blocks).all(axis=(1, 2)) & np.diagonal(blocks, 0, 1, 2).all(axis=1)
-        r = blocks[ok].transpose(1, 2, 0).copy()
-        inv = np.repeat(np.eye(6)[:, :, None], r.shape[2], axis=2)
-        for i in range(5, -1, -1):
-            inv[i] /= r[i, i]
-            inv[:i] -= r[:i, i, None] * inv[i]
-        ok[ok] = np.einsum("ijk,ijk->k", r, r) * np.einsum("ijk,ijk->k", inv, inv) < 1e16
+        r = blocks[ok]
+        inv = np.array([dtrtri(a)[0] for a in r]).reshape(-1, 6, 6)
+        ok[ok] = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", inv, inv) < 1e16
     for j in np.flatnonzero(~ok):
         sv = dgesdd(blocks[j], compute_uv=0)[1]
         ok[j] = sv[-1] > 1e-9 * sv[0]

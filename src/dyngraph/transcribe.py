@@ -29,7 +29,6 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from numbers import Real
 from time import perf_counter
 from types import SimpleNamespace
@@ -341,23 +340,22 @@ for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SK
 
 
 class _Listing(SimpleNamespace):
-    """One problem shape's factors, the model's `pieces` it `picked` in
-    order: `structure`, `labels`, their parts
-    flattened (`flat`, zeros where a state term goes), and per state term
-    entry its state vector index (`src`) and place in `flat` (`at`). For
-    `_state_terms`: the sweep rows whose acceleration is given
-    (`accel_given`), the tool wrench's `topo_order` row (`tool_row`, -1:
-    none) and each planar loop's position among the loop joints."""
+    """One problem shape's factors, `picked` from the model's `pieces`: `structure`,
+    `labels`, their parts flattened (`flat`, zeros where a state term goes), and per
+    state term entry its state vector index (`src`) and place in `flat` (`at`). For
+    `_state_terms`: the sweep rows whose acceleration is given (`accel_given`), the
+    tool wrench's `topo_order` row (`tool_row`, -1: none) and each planar loop's
+    position among the loop joints."""
 
 
 class _Pieces(SimpleNamespace):
     """Every factor any problem shape of a model can have. Per piece: its
     `structure` and `labels` entries, its parts flattened in `flat` from
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
-    it; per state term, `term` (piece, start in the state vector, offset
-    in the piece, width); `planar` maps loop joint names to their pieces;
-    `numbering`, the `FactorGraph.numbering` of all pieces as one graph; and
-    the shape-independent parts of a `_Template`: `names`, `links`, `wrenches`."""
+    it; per state term, `term` (piece, start in the state vector, offset in
+    the piece, width); `planar` maps loop joint names to their pieces;
+    `numbering` is the `FactorGraph.numbering` of all pieces as one graph,
+    and `names`, `links` and `wrenches` are every `_Template`'s."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -451,14 +449,14 @@ def _list_pieces(model: RobotModel) -> _Pieces:
         add(never, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
 
     size = np.array(sizes, dtype=np.intp)
-    # every key a shape can have, numbered once: a shape's ranks are these
-    whole = FactorGraph(())
+    whole = FactorGraph(())  # every key a shape can have, numbered once
     whole.structure = tuple(structure)
     pieces = _Pieces(
         names=tuple(slot), links=tuple((l.name, VarKey(Kind.ACCEL, l.index))
                                        for l in model.links if l.index > 0),
         wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints),
-        structure=structure, labels=labels, numbering=whole.numbering, cond=np.array(conds, dtype=np.intp),
+        structure=structure, labels=labels, numbering=whole.numbering,
+        cond=np.array(conds, dtype=np.intp),
         flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
         size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
         planar={l.name: len(conds) - len(model.loop_joints) + i
@@ -572,8 +570,7 @@ class _SolvedGraph(FactorGraph):
 
     @cached_property
     def numbering(self) -> tuple:
-        """The model's numbering of every piece (see `_list_pieces`) kept
-        for this shape's: ranks over every key of the model's shapes."""
+        """The model's numbering of all pieces kept for this shape's: ranks of every key."""
         listing = self._listed[0]
         keys, rank, dims, *per_piece, _, _ = listing.pieces.numbering
         return number_factors(keys, rank, dims, *(list(map(a.__getitem__, listing.picked))
@@ -582,7 +579,7 @@ class _SolvedGraph(FactorGraph):
     @cached_property
     def variables(self) -> tuple:
         keys, *_, incidence = self.numbering
-        return tuple(compress(keys, incidence))
+        return tuple(k for k, fids in zip(keys, incidence) if fids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,8 +627,7 @@ class _Template(SimpleNamespace):
     the weighted constant parts), `dest` (the buffer place of each state
     term entry); what sorts a result: the movable joints' `names`, the
     (names, solution entries) of the solved `torques` and `accels`, and
-    (name, variable) per link acceleration (`links`) and joint `wrenches`,
-    the model's own tuples for `names`, `links` and `wrenches`."""
+    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
 
 
 def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
