@@ -358,8 +358,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
     n, n_graph, span, structure = len(keys), len(masks), reduce(or_, masks, 0), graph.structure
     bad = "ordering is not a permutation of the graph's variables: {} {}".format
-    pools, seen = [], 0
-    for group in [graph.variables] if groups is None else groups:
+    pools, seen = ([span], span) if groups is None else ([], 0)
+    for group in groups or ():
         pools.append(seen)
         for v in group:
             r = rank.get(v, n)
@@ -556,7 +556,7 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     if hit is not None and hit[0] == structure:
         return hit[1]
     if request == "md":
-        groups = [set(graph.variables) - set(deferred), deferred]
+        groups = [set(graph.variables) - set(deferred), deferred] if deferred else None
     elif request == "nd":
         groups = nested_dissection_groups(graph)
     else:

@@ -576,11 +576,6 @@ class _SolvedGraph(FactorGraph):
         return number_factors(keys, rank, dims, *(list(map(a.__getitem__, listing.picked))
                                                   for a in per_piece))
 
-    @cached_property
-    def variables(self) -> tuple:
-        keys, *_, incidence = self.numbering
-        return tuple(k for k, fids in zip(keys, incidence) if fids)
-
 
 @dataclass(frozen=True, eq=False)
 class DynamicsResult:
