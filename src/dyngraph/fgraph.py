@@ -421,8 +421,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                     by_degree[b] |= own
                     d = b if b < d else d
             if product >= 0:
-                # the most rows an orthogonal reduction leaves on the parents
                 masks.append(parents)
+                # the most rows an orthogonal reduction leaves on the parents
                 rows_of.append(rows - dims[v] if rows - dims[v] < cols else cols)
                 cols_of.append(cols + 1)
             picks.append((v, fids, plist, product, rows, cols))
@@ -436,16 +436,16 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
     flat, scol, gvar, steps, at_col, at_entry, offset = [], [], [], [], 0, 0, 0
     for v, fids, plist, product, rows, cols in picks:
-        parents = sorted(plist, key=position.__getitem__)
+        parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         gvar += parents
         col[v], c = 0, dims[v]
         for p in parents:
             col[p], c = c, c + dims[p]
-        col[n], scatter, row, sink = c, [], 0, ()
+        col[n], width, scatter, row, sink = c, c + 1, [], 0, ()
         for f in fids:
             ks = keys_of[f]
             if f < n_graph:
-                run[f], base[f], stride[f] = len(flat), offset + row * (c + 1), c + 1
+                run[f], base[f], stride[f] = len(flat), offset + row * width, width
                 row += rows_of[f]
             flat += ks
             scol += [col[k] for k in ks]
@@ -457,9 +457,9 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             to = position[parents[0]]
             sink = (to, picks[to][1].index(product))
         steps.append(PlanStep(keys[v], tuple(fids), tuple(scatter),
-                              tuple(map(keys.__getitem__, parents)), c + 1, product,
+                              tuple(map(keys.__getitem__, parents)), width, product,
                               entries[at_entry:at_entry + cols], offset, row, sink))
-        at_entry, offset = at_entry + cols, offset + rows * (c + 1)
+        at_entry, offset = at_entry + cols, offset + rows * width
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
     flat, scol, gvar = (np.array(a, dtype=np.intp) for a in (flat, scol, gvar))
     columns[:], entries[:] = _runs(scol, dims[flat]), _runs(first[gvar], dims[gvar])
@@ -658,7 +658,10 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     whose frontal block does not determine its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
-    parts = [p for f in graph.factors for p in (*f.blocks.values(), f.rhs)]
+    parts = []
+    for f in graph.factors:
+        parts += f.blocks.values()
+        parts.append(f.rhs)
     return Assembly(plan, scatter(plan, parts)).eliminate()
 
 
