@@ -492,8 +492,8 @@ def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
     loops = list(pc.planar)
     listing = _Listing(
         pieces=pc, picked=picked.tolist(),
-        structure=tuple(map(pc.structure.__getitem__, picked.tolist())),
-        labels=tuple(map(pc.labels.__getitem__, picked.tolist())),
+        structure=tuple(map(pc.structure.__getitem__, picked)),
+        labels=tuple(map(pc.labels.__getitem__, picked)),
         flat=pc.flat[_runs(pc.start[picked], sizes)],
         src=_runs(src, width), at=_runs(start[piece] + offset, width),
         accel_given=np.append(given, 0)[model.joint_constants.slots] > 0,
@@ -570,7 +570,7 @@ class _SolvedGraph(FactorGraph):
 
     @cached_property
     def numbering(self) -> tuple:
-        """The model's numbering of all pieces kept for this shape's: ranks of every key."""
+        """The model's numbering of all pieces, narrowed to the pieces this shape picked."""
         listing = self._listed[0]
         keys, rank, dims, *per_piece, _, _ = listing.pieces.numbering
         return number_factors(keys, rank, dims, *(list(map(a.__getitem__, listing.picked))
