@@ -153,20 +153,6 @@ class LinearFactor:
         return self.ab[:, :-1] @ x - self.ab[:, -1]
 
 
-def number_factors(keys, rank, dims, columns, sizes, masks) -> tuple:
-    """(keys, rank, dims, columns, sizes, masks, neighbors, incidence) over the sorted
-    `keys` (`rank`: their ranks, `dims`: per rank, then 1 for b), a set being the int with
-    bit r for rank r: per factor its [A | b] columns as ranks (len(keys) for b), their
-    count and key set; per rank the ranks sharing a factor with it and its factor ids."""
-    neighbors, incidence = [0] * (len(keys) + 1), [0] * (len(keys) + 1)
-    for fid, (ranks, m) in enumerate(zip(columns, masks)):
-        for r in ranks:
-            neighbors[r] |= m
-            incidence[r] |= 1 << fid
-    return (keys, rank, dims, columns, sizes, masks,
-            [m & ~(1 << r) for r, m in enumerate(neighbors[:-1])], incidence)
-
-
 class FactorGraph:
     """Immutable collection of factors over a variable set.
 
@@ -190,13 +176,31 @@ class FactorGraph:
 
     @cached_property
     def numbering(self) -> tuple:
-        """`number_factors` over `variables`."""
-        rank = {v: r for r, v in enumerate(self.variables)}
-        dims = [v.dim for v in self.variables] + [1]
-        columns = [[rank[k] for k in ks] + [len(rank)] for ks, _, _ in self.structure]
-        return number_factors(self.variables, rank, dims, columns,
-                              [sum(map(dims.__getitem__, ranks)) for ranks in columns],
-                              [sum(1 << r for r in ranks[:-1]) for ranks in columns])
+        """(keys, rank, dims, columns, sizes, masks, neighbors, incidence) over
+        key ranks in `variables`, a set being the int with bit r for rank r:
+        per rank its dim (then 1 for b); per factor its [A | b] columns as
+        ranks (len(variables) for b), their count and key set; per variable
+        the set it shares a factor with and the factor ids holding it."""
+        keys = self.variables
+        n = len(keys)
+        rank, dims = dict(zip(keys, range(n))), [KIND_DIM[kind] for kind, _ in keys] + [1]
+        columns, sizes, masks, neighbors, incidence = [], [], [], [0] * n, [0] * n
+        bit = 1  # the factor's id as a set
+        for ks, _, _ in self.structure:
+            ranks, m, c = list(map(rank.__getitem__, ks)), 0, 1
+            for r in ranks:
+                m |= 1 << r
+                c += dims[r]
+            for r in ranks:
+                neighbors[r] |= m
+                incidence[r] |= bit
+            bit <<= 1
+            ranks.append(n)
+            columns.append(ranks)
+            sizes.append(c)
+            masks.append(m)
+        return (keys, rank, dims, columns, sizes, masks,
+                [m & ~(1 << r) for r, m in enumerate(neighbors)], incidence)
 
     def __len__(self) -> int:
         return len(self.structure)
@@ -352,23 +356,23 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     reduce to nothing drop their connections (this happens whenever a
     variable is fully determined by its factors). The budget is also the
     product's room in its consumer's stack: a reduction never leaves more
-    live rows than that. It runs on the rank bitmasks of `graph.numbering`,
-    whose ranks may number more keys than the graph has.
+    live rows than that. It runs on the rank bitmasks of `graph.numbering`.
     """
     keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
-    n, n_graph, span, structure = len(keys), len(masks), reduce(or_, masks, 0), graph.structure
+    n, n_graph, structure = len(keys), len(masks), graph.structure
+    every = (1 << n) - 1
     bad = "ordering is not a permutation of the graph's variables: {} {}".format
-    pools, seen = ([span], span) if groups is None else ([], 0)
+    pools, seen = ([every], every) if groups is None else ([], 0)
     for group in groups or ():
         pools.append(seen)
         for v in group:
-            r = rank.get(v, n)
-            if not (span & ~seen) >> r & 1:
-                raise ValueError(bad(v, "appears twice" if seen >> r & 1 else "is not one of them"))
+            r = rank.get(v)
+            if r is None or seen >> r & 1:
+                raise ValueError(bad(v, "is not one of them" if r is None else "appears twice"))
             seen |= 1 << r
         pools[-1] ^= seen
-    if seen != span:
-        raise ValueError(bad(keys[_bits(span & ~seen)[0]], "is missing"))
+    if seen != every:
+        raise ValueError(bad(keys[(~seen & seen + 1).bit_length() - 1], "is missing"))
     # per factor id, graph's then products': [A | b] columns (n for b), their count, key set, rows
     keys_of, cols_of, masks = list(keys_of), list(cols_of), list(masks)
     nb, live, rows_of = list(neighbors), list(live), [rows for _, rows, _ in structure]
@@ -753,7 +757,7 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
     Returns the leaf subsets and separators in elimination order, the
     `groups` of `plan_elimination`, found on the sets of `graph.numbering`.
     """
-    keys, *_, masks, nb, _ = graph.numbering
+    keys, *_, nb, _ = graph.numbering
 
     def levels_of(sub: int, start: int) -> list:  # breadth-first, from the set `start`
         levels, seen = [start], start
@@ -788,7 +792,7 @@ def nested_dissection_groups(graph: FactorGraph) -> list:
         _, separator, before, after = best
         return dissect(before) + dissect(after) + [separator]
 
-    return [{keys[r] for r in _bits(group)} for group in dissect(reduce(or_, masks, 0))]
+    return [{keys[r] for r in _bits(group)} for group in dissect((1 << len(keys)) - 1)]
 
 
 def nested_dissection_ordering(graph: FactorGraph) -> list:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InconsistentLoopState
 from .fgraph import (Assembly, FactorGraph, Kind, LinearFactor, VarKey, _runs,
-                     number_factors, ordering_request, plan_for, scatter)
+                     ordering_request, plan_for, scatter)
 from .model import RobotModel
 from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
@@ -340,12 +340,12 @@ for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SK
 
 
 class _Listing(SimpleNamespace):
-    """One problem shape's factors, `picked` from the model's `pieces`: `structure`,
-    `labels`, their parts flattened (`flat`, zeros where a state term goes), and per
-    state term entry its state vector index (`src`) and place in `flat` (`at`). For
-    `_state_terms`: the sweep rows whose acceleration is given (`accel_given`), the
-    tool wrench's `topo_order` row (`tool_row`, -1: none) and each planar loop's
-    position among the loop joints."""
+    """One problem shape's factors: `structure`, `labels`, their parts
+    flattened (`flat`, zeros where a state term goes), and per state term
+    entry its state vector index (`src`) and place in `flat` (`at`). For
+    `_state_terms`: the sweep rows whose acceleration is given
+    (`accel_given`), the tool wrench's `topo_order` row (`tool_row`, -1:
+    none) and each planar loop's position among the loop joints."""
 
 
 class _Pieces(SimpleNamespace):
@@ -354,8 +354,7 @@ class _Pieces(SimpleNamespace):
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
     it; per state term, `term` (piece, start in the state vector, offset in
     the piece, width); `planar` maps loop joint names to their pieces;
-    `numbering` is the `FactorGraph.numbering` of all pieces as one graph,
-    and `names`, `links` and `wrenches` are every `_Template`'s."""
+    `names`, `links` and `wrenches` are every `_Template`'s."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -449,14 +448,11 @@ def _list_pieces(model: RobotModel) -> _Pieces:
         add(never, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
 
     size = np.array(sizes, dtype=np.intp)
-    whole = FactorGraph(())  # every key a shape can have, numbered once
-    whole.structure = tuple(structure)
     pieces = _Pieces(
         names=tuple(slot), links=tuple((l.name, VarKey(Kind.ACCEL, l.index))
                                        for l in model.links if l.index > 0),
         wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints),
-        structure=structure, labels=labels, numbering=whole.numbering,
-        cond=np.array(conds, dtype=np.intp),
+        structure=structure, labels=labels, cond=np.array(conds, dtype=np.intp),
         flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
         size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
         planar={l.name: len(conds) - len(model.loop_joints) + i
@@ -491,9 +487,8 @@ def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
     piece, src, offset, width = pc.term[start[pc.term[:, 0]] >= 0].T
     loops = list(pc.planar)
     listing = _Listing(
-        pieces=pc, picked=picked.tolist(),
-        structure=tuple(map(pc.structure.__getitem__, picked)),
-        labels=tuple(map(pc.labels.__getitem__, picked)),
+        structure=tuple(map(pc.structure.__getitem__, picked.tolist())),
+        labels=tuple(map(pc.labels.__getitem__, picked.tolist())),
         flat=pc.flat[_runs(pc.start[picked], sizes)],
         src=_runs(src, width), at=_runs(start[piece] + offset, width),
         accel_given=np.append(given, 0)[model.joint_constants.slots] > 0,
@@ -568,14 +563,6 @@ class _SolvedGraph(FactorGraph):
     def factors(self) -> tuple:
         return _factors(*self._listed)
 
-    @cached_property
-    def numbering(self) -> tuple:
-        """The model's numbering of all pieces, narrowed to the pieces this shape picked."""
-        listing = self._listed[0]
-        keys, rank, dims, *per_piece, _, _ = listing.pieces.numbering
-        return number_factors(keys, rank, dims, *(list(map(a.__getitem__, listing.picked))
-                                                  for a in per_piece))
-
 
 @dataclass(frozen=True, eq=False)
 class DynamicsResult:
@@ -637,7 +624,7 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
                 np.array([plan.slices[VarKey(kind, j.index)].start for j in joints],
                          dtype=np.intp))
     des = tuple(zip(model.movable_joints, spec.designations))
-    pc = listing.pieces
+    pc = model.factor_pieces
     tpl = _Template(
         listing=listing, plan=plan, base=scatter(plan, [listing.flat]),
         dest=plan.dest[listing.at], names=pc.names, links=pc.links, wrenches=pc.wrenches,

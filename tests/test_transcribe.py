@@ -1175,8 +1175,8 @@ class TestSolveTemplate:
 
     def test_compiled_plan_equals_public_plan(self, tree21, five_bar, five_bar_kin,
                                               fresh_plans):
-        # solve_dynamics plans from the model's numbering of every piece,
-        # the public path from the graph's own: the plans must be equal
+        # solve_dynamics plans the structure it picks from the model's pieces,
+        # the public path the built graph's factors: the plans must be equal
         rng = np.random.default_rng(1515)
         names = [j.name for j in tree21.movable_joints]
         cases = [(tree21, random_state(rng, 21), ProblemSpec.hybrid(tree21, {
