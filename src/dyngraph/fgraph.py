@@ -12,18 +12,19 @@ algorithms fall out as particular orderings.
 Elimination runs in two phases. The symbolic one (`plan_elimination`)
 reads only the graph's `structure` (each factor's keys, row count and
 weight), as int bitmasks over variable ranks (`FactorGraph.numbering`),
-plus the ordering. It fixes every step's input factors, parents and the
-stack column of each of their columns, the flat solution vector with a
-slice per variable, and the assembly map: where each graph factor entry
-goes in one flat buffer that holds every step's stack. `plan_for` is the
-one way from an ordering request to a plan, memoised by the structure, so
-graphs that differ only in their numbers share it. The numeric phase
-is one `Assembly` per solve over a buffer of that layout (`scatter` fills
-one from a graph's factors, `transcribe` from a template): a flat loop
-over the plan's step tables (`PlanStep`) reduces each stack (a one-row
-stack is its own R), keeps its raw R rows `[R_ff | R_fp | d]` as the
-conditional, copies live product rows on and rank-tests the 6-dim
-frontals at once; `back_substitute` then fills the flat vector backwards.
+plus the ordering. It fixes every step's input factors and parents, the
+fronts (runs of steps whose parent sets nest, each reduced as one stack,
+like a supernode), the flat solution vector with a slice per variable, and
+the assembly map: where each graph factor entry goes in one flat buffer
+that holds every front's stack. `plan_for` is the one way from an ordering
+request to a plan, memoised by the structure, so graphs that differ only in
+their numbers share it. The numeric phase is one `Assembly` per solve over
+a buffer of that layout (`scatter` fills one from a graph's factors,
+`transcribe` from a template): a flat loop over the fronts reduces each
+stack with one QR (a one-row stack is its own R), keeps its raw R rows
+`[R_ff | R_fp | d]` (each step's conditional is a view), copies live
+product rows on and rank-tests the 6-dim frontals at once;
+`back_substitute` then fills the flat vector backwards, a front at a time.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -218,8 +219,8 @@ class FactorGraph:
 class Conditional(NamedTuple):
     """Solved form of one variable: diag @ x = rhs - sum parent_blocks @ x_p.
 
-    `block` is the step's `dim x width` R row block `[diag | parents | rhs]`
-    and `diag`, `parent_blocks` and `rhs` are views into it. `diag` is upper
+    `block` is the variable's R rows `[diag | parents | rhs]` in its front's
+    R, and `diag`, `parent_blocks` and `rhs` are views into it. `diag` is upper
     triangular and invertible; parents are ordered by their position in the
     elimination ordering (all eliminated later), which is also their column
     order in `block`.
@@ -243,13 +244,15 @@ class Conditional(NamedTuple):
 
 
 class EliminationDag(NamedTuple):
-    """Result of eliminating every variable of a graph under one plan:
-    one conditional per step of `plan`, and the right-hand sides of the
-    rows that elimination left with no coefficient (`leftover`)."""
+    """Result of eliminating every variable of a graph under one plan: one
+    conditional per step of `plan`, the right-hand sides of the rows that
+    elimination left with no coefficient (`leftover`), and per front of
+    `plan` its R rows `[R_ff | R_fp | d]` (`fronts`)."""
 
     conditionals: tuple
     leftover: np.ndarray
     plan: EliminationPlan
+    fronts: tuple
 
     @property
     def ordering(self) -> tuple:
@@ -272,29 +275,24 @@ class PlanStep(NamedTuple):
     """One elimination step, fixed by the graph's structure and the ordering.
 
     Factor ids number the graph's factors from 0, then the product factors
-    in the order the steps leave them. The stack for `var` holds the rows
-    of the factors `inputs` (ascending, so graph factors before products)
-    in columns `var`, `parents` (by elimination position) and the rhs last,
-    `width` in all; `scatter[i]` lists the stack column of each column of
-    input `i`'s `[A | b]` row block. The stack starts at `offset` in the
-    assembly buffer, its first `rows` rows are the graph factors' and the
-    product rows follow as elimination makes them. `product` is the id of
-    the factor it leaves over the parents, -1 when the planner's row budget
-    leaves none (see `plan_elimination`), and `sink` is the (step, input)
-    that consumes it, () when there is none. `gather` indexes the parents'
-    entries of the flat solution vector in the stack's column order.
+    in the order the steps leave them. The step eliminates `var` from the
+    rows of the factors `inputs` (ascending, so graph factors before
+    products), `rows` of them graph rows, over columns `var`, `parents` (by
+    elimination position) and the rhs. `product` is the id of the factor it
+    leaves over the parents, -1 when the planner's row budget leaves none
+    (see `plan_elimination`). `scatter` lists, per input that is a product
+    from outside the step's front, the front's stack column of each column
+    of its `[A | b]` row block. `gather` indexes the parents' entries of the
+    flat solution vector in column order.
     """
 
     var: VarKey
     inputs: tuple
     scatter: tuple
     parents: tuple
-    width: int
     product: int
     gather: np.ndarray
-    offset: int
     rows: int
-    sink: tuple
 
 
 class EliminationPlan(NamedTuple):
@@ -306,8 +304,14 @@ class EliminationPlan(NamedTuple):
     variable to its entries of the flat solution vector of length `size`,
     laid out in elimination order.
 
-    The assembly map lays every step's stack out in one flat buffer of
-    `buffer_size` floats. `dest` is the buffer position of each entry of
+    A front is a run of steps `steps[start:stop]` reduced as one stack, each
+    step's parents being the next step's variable and parents. `fronts`
+    lists per front (start, stop, stack offset, width, rows, first solution
+    entry, sources): the stack has the first step's columns and, step by
+    step, its graph rows, then a slot per product from outside the front,
+    `sources` giving each slot's (front, buffer position, step, columns).
+    One flat buffer of `buffer_size` floats holds every stack: the assembly
+    map. `dest` is the buffer position of each entry of
     the graph factors' parts (see `Assembly`), `scale` the (positions,
     weights) of soft rows' entries, and `check` the (positions, solution
     entries, hard row numbers, rhs positions) of the weight-1 rows'
@@ -324,6 +328,7 @@ class EliminationPlan(NamedTuple):
     dest: np.ndarray
     scale: tuple
     check: tuple
+    fronts: tuple
 
 
 def _bits(mask: int) -> list:
@@ -429,44 +434,59 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 # the most rows an orthogonal reduction leaves on the parents
                 rows_of.append(rows - dims[v] if rows - dims[v] < cols else cols)
                 cols_of.append(cols + 1)
-            picks.append((v, fids, plist, product, rows, cols))
+            picks.append((v, fids, plist, product, rows, parents, cols))
 
-    # parents are ordered by elimination position, known once every pick is.
-    # Scatter and gather are views into `columns` and `entries`, filled last
-    # from the inputs' columns as ranks (`flat`) and first stack columns
-    # (`scol`); per graph factor: its first column in `flat`, first row, stride
+    # parents are ordered by elimination position, known once every pick is;
+    # a step whose variable and parents are the last step's parents takes its
+    # product (`inner`) and joins its front. Scatter and gather are views into
+    # `columns` and `entries`, filled last from the outside products' columns
+    # as ranks (`pflat`) and stack columns (`pcol`); per graph factor: its
+    # first column in `flat`, first row, stride
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
-    columns = np.empty(sum(cols_of), dtype=np.intp)
+    columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
-    flat, scol, gvar, steps, at_col, at_entry, offset = [], [], [], [], 0, 0, 0
-    for v, fids, plist, product, rows, cols in picks:
+    flat, scol, pflat, pcol, gvar, steps, fronts, made = [], [], [], [], [], [], [], {}
+    at_col, at_entry, offset, inner = 0, 0, 0, -1
+    for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         gvar += parents
-        col[v], c = 0, dims[v]
-        for p in parents:
-            col[p], c = c, c + dims[p]
-        col[n], width, scatter, row, sink = c, c + 1, [], 0, ()
+        if inner < 0:
+            begin, x0, sources = i, first[v], []
+            col[v], c = 0, dims[v]
+            for p in parents:
+                col[p], c = c, c + dims[p]
+            col[n], width, height = c, c + 1, 0
+        scatter, row = [], 0
         for f in fids:
-            ks = keys_of[f]
+            if f == inner:
+                continue
+            ks, at = keys_of[f], offset + height * width
             if f < n_graph:
-                run[f], base[f], stride[f] = len(flat), offset + row * width, width
+                run[f], base[f], stride[f] = len(flat), at, width
                 row += rows_of[f]
-            flat += ks
-            scol += [col[k] for k in ks]
-            scatter.append(columns[at_col:at_col + cols_of[f]])
-            at_col += cols_of[f]
+                flat += ks
+                scol += map(col.__getitem__, ks)
+            else:
+                pflat += ks
+                pcol += map(col.__getitem__, ks)
+                scatter.append(columns[at_col:at_col + cols_of[f]])
+                sources.append((made[f], at, i, scatter[-1]))
+                at_col += cols_of[f]
+            height += rows_of[f]
         if product >= 0:
-            # the first parent eliminated takes the product
             keys_of.append(parents + [n])
-            to = position[parents[0]]
-            sink = (to, picks[to][1].index(product))
+            made[product] = len(fronts)
         steps.append(PlanStep(keys[v], tuple(fids), tuple(scatter),
-                              tuple(map(keys.__getitem__, parents)), width, product,
-                              entries[at_entry:at_entry + cols], offset, row, sink))
-        at_entry, offset = at_entry + cols, offset + rows * width
+                              tuple(map(keys.__getitem__, parents)), product,
+                              entries[at_entry:at_entry + cols], row))
+        at_entry, inner = at_entry + cols, product
+        if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
+            fronts.append((begin, i + 1, offset, width, height, x0, tuple(sources)))
+            offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
-    flat, scol, gvar = (np.array(a, dtype=np.intp) for a in (flat, scol, gvar))
-    columns[:], entries[:] = _runs(scol, dims[flat]), _runs(first[gvar], dims[gvar])
+    flat, scol, pflat, pcol, gvar = (np.array(a, dtype=np.intp)
+                                     for a in (flat, scol, pflat, pcol, gvar))
+    columns[:at_col], entries[:] = _runs(pcol, dims[pflat]), _runs(first[gvar], dims[gvar])
 
     # the assembly map, a group per key block and rhs of each graph factor:
     # `height` rows of `dim` entries from buffer position `start`, `stride`
@@ -490,7 +510,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     check = (dest[coef], (sol.repeat(sizes) + col_e)[coef],
              (hard_row.repeat(sizes) + row_e)[coef], dest[is_rhs & ~soft])
     return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
-                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check)
+                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts)
 
 
 class LruMemo(OrderedDict):
@@ -593,47 +613,57 @@ class Assembly(NamedTuple):
     data: np.ndarray
 
     def eliminate(self) -> EliminationDag:
-        """Reduce every step's stack in plan order (see `eliminate`)."""
-        data, steps, peak = self.data, self.plan.steps, np.maximum.reduce
-        filled = [st.rows for st in steps]
-        conditionals, leftover, frontal, failed = [], [], [], None
-        for i, (v, _, _, parents, width, _, _, offset, _, sink) in enumerate(steps):
-            m, dv = filled[i], v.dim
-            if m < dv:
-                failed = RankDeficient(v, f"{m} constraint rows for {dv} dimensions" if m
-                                       else "no factor constrains this variable")
+        """Reduce every front's stack in plan order (see `eliminate`)."""
+        data, steps, fronts, peak = self.data, self.plan.steps, self.plan.fronts, np.maximum.reduce
+        filled, rests = [st.rows for st in steps], []
+        conditionals, blocks, leftover, frontal, failed = [], [], [], [], None
+        for start, stop, offset, width, m, _, sources in fronts:
+            for at, to, step, cols in sources:
+                rest = rests[at]
+                n = rest.shape[0]
+                data[to:to + n * width].reshape(n, width)[:, cols] = rest
+                filled[step] += n
+            r = _r_factor(data[offset:offset + m * width].reshape(m, width)) if m else None
+            left = c = 0  # rows that reach the step; its first row and column in r
+            for k in range(start, stop):
+                v, _, _, parents = steps[k][:4]
+                dv, left = v.dim, left + filled[k]
+                if left < dv:
+                    failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
+                                           if left else "no factor constrains this variable")
+                    break
+                block = r[c:c + dv, c:]
+                if dv > 1:
+                    frontal.append(block[:, :dv])
+                # a 1x1 block's singular value is |entry|; written so NaN fails
+                elif not (a := abs(block[0, 0])) > 1e-9 * a:
+                    failed = RankDeficient(v, "frontal block rank below 1")
+                    break
+                conditionals.append(Conditional(v, parents, block))
+                left, c = left - dv, c + dv
+            if failed:
                 break
-            r = _r_factor(data[offset:offset + m * width].reshape(m, width))
-            if dv > 1:
-                frontal.append(r[:dv, :dv])
-            # a 1x1 block's singular value is |entry|; written so NaN fails
-            elif not (a := abs(r[0, 0])) > 1e-9 * a:
-                failed = RankDeficient(v, "frontal block rank below 1")
-                break
-            conditionals.append(Conditional(v, parents, r[:dv]))
-            rest = r[dv:]
+            blocks.append(r[:c])
+            rest = r[c:]
             if rest.shape[0] and parents:
                 mag = np.abs(r)
-                live = peak(mag[dv:, dv:-1], 1) > 1e-12 * max(1.0, peak(mag, None))
+                live = peak(mag[c:, c:-1], 1) > 1e-12 * max(1.0, peak(mag, None))
                 if np.count_nonzero(live) < live.size:
                     # compacted; when every row died the plan's structure
                     # stands, and the parents' columns from it stay zero
                     leftover.extend(rest[~live, -1])
                     rest = rest[live]
-                at, slot = sink
-                to, n, f = steps[at], rest.shape[0], filled[at]
-                stack = data[to.offset + f * to.width:to.offset + (f + n) * to.width]
-                stack.reshape(n, to.width)[:, to.scatter[slot]] = rest[:, dv:]
-                filled[at] = f + n
             else:
                 leftover.extend(rest[:, -1])
+            rests.append(rest[:, c:])
         ok = _full_rank(np.array(frontal).reshape(-1, 6, 6))
         if not ok.all():
             bad = [st.var for st in steps if st.var.dim > 1][np.argmin(ok)]
             raise RankDeficient(bad, "frontal block rank below 6")
         if failed:
             raise failed
-        return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), self.plan)
+        return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), self.plan,
+                              tuple(blocks))
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
@@ -723,14 +753,14 @@ def _solution(dag: EliminationDag) -> np.ndarray:
     """The flat solution vector `back_substitute` hands out views of."""
     plan = dag.plan
     x = np.empty(plan.size)
-    for cond, st in zip(reversed(dag.conditionals), reversed(plan.steps)):
-        block = cond.block
-        dv = block.shape[0]
-        rhs = block[:, -1] - block[:, dv:-1] @ x[st.gather] if st.parents else block[:, -1]
-        sol, info = dtrtrs(block[:, :dv], rhs)
+    for (_, stop, _, _, _, at, _), block in zip(reversed(plan.fronts), reversed(dag.fronts)):
+        d, last = block.shape[0], plan.steps[stop - 1]
+        rhs = block[:, -1] - block[:, d:-1] @ x[last.gather] if last.parents else block[:, -1]
+        sol, info = dtrtrs(block[:, :d], rhs)
         if info:
-            raise RankDeficient(st.var, f"triangular solve failed (LAPACK info {info})")
-        x[plan.slices[st.var]] = sol
+            bad = next(v for v, s in plan.slices.items() if s.stop >= at + info)
+            raise RankDeficient(bad, f"triangular solve failed (LAPACK info {info})")
+        x[at:at + d] = sol
     if not np.isfinite(x).all():
         bad = next(v for v, s in plan.slices.items() if not np.isfinite(x[s]).all())
         raise ValueError(f"non-finite solution at variable {bad}")

@@ -316,6 +316,51 @@ class TestPlan:
                                                     f"{message}$"):
                 eliminate(apart, order)
 
+    def test_singular_second_step_of_a_front_named_before_later_row_shortage(self):
+        # x, y and z are one front, reduced by one QR; y's block is singular
+        # and F4, in the next front, is left with one row: the rank test
+        # names y, the first failure in plan order, as step by step
+        x, y, z, f = (VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3),
+                      VarKey(Kind.WRENCH, 4))
+        eye, zero = np.eye(6), np.zeros((6, 6))
+        for diag, message in (([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], "Vd2: frontal block rank below 6"),
+                              ([1.0] * 6, "F4: 1 constraint rows for 6 dimensions")):
+            g = FactorGraph([
+                LinearFactor({x: np.vstack([eye, zero]), y: np.vstack([eye, np.diag(diag)]),
+                              z: np.zeros((12, 6))}, np.ones(12)),
+                LinearFactor({y: zero, z: eye}, np.ones(6)),
+                LinearFactor({z: eye}, np.ones(6)),
+                LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
+            assert [front[:2] for front in fgraph.plan_for(g, [x, y, z, f]).fronts] == \
+                [(0, 3), (3, 4)]
+            with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
+                                                    f"{message}$") as err:
+                eliminate(g, [x, y, z, f])
+            assert err.value.key == (y if diag[2] == 0.0 else f)
+
+    def test_fronts_are_maximal_nesting_runs(self, tree21, six_r):
+        # a front is a maximal run of steps, each leaving its product to the
+        # next step, whose variable and parents are exactly its parents
+        rng = np.random.default_rng(0)
+        st = JointState(rng.uniform(-1, 1, 21), rng.uniform(-1, 1, 21))
+        cases = [(tree21, st, ProblemSpec.forward(tree21, np.zeros(21)), ordering, count)
+                 for ordering, count in (("crba", 42), ("aba", 41), ("md", 58), ("nd", 48))]
+        cases.append((six_r, JointState(np.full(6, 0.2), np.full(6, 0.1)),
+                      ProblemSpec.inverse(six_r, np.zeros(6)), "auto", 16))
+        for model, st, spec, ordering, count in cases:
+            graph = build_graph(model, st, spec)
+            plan = fgraph.plan_for(graph, resolve_ordering(graph, ordering, model))
+            order, steps, _, _ = reference_plan(graph, [(v,) for v in plan.ordering])
+            runs = []
+            for i, (inputs, parents, _) in enumerate(steps):
+                last = steps[i - 1] if i else None
+                if last and 0 <= last[2] in inputs and last[1] == parents | {order[i]}:
+                    runs[-1][1] = i + 1
+                else:
+                    runs.append([i, i + 1])
+            assert [list(front[:2]) for front in plan.fronts] == runs
+            assert (len(plan.fronts), len(plan.steps)) == (count, 63 if model is tree21 else 18)
+
     def test_variable_left_without_factor_is_named(self):
         # eliminating x uses up the one row, so no product reaches y
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
@@ -527,6 +572,31 @@ def test_plan_matches_frozenset_reference(case):
     for step, (inputs, parents, product) in zip(plan.steps, steps):
         assert (step.inputs, step.product) == (inputs, product)
         assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), hs.integers(0, 2**32 - 1))
+def test_fronts_solve_as_the_dense_arbiter(case, seed):
+    # the random structures with random numbers: eliminating front by front
+    # gives the dense least-squares answer wherever the arbiter finds one.
+    # The right-hand sides are consistent, so both answers are as accurate
+    # as the conditioning allows, not its square
+    structure, groups = case
+    rng = np.random.default_rng(seed)
+    x = {k: rng.standard_normal(k.dim) for k in structure.variables}
+    factors = []
+    for keys, rows, weight in structure.structure:
+        blocks = {k: rng.standard_normal((rows, k.dim)) for k in keys}
+        factors.append(LinearFactor(blocks, sum(a @ x[k] for k, a in blocks.items()), weight))
+    graph = FactorGraph(factors)
+    try:
+        want = dense_solve(graph)
+    except RankDeficient:
+        return
+    got = back_substitute(eliminate(graph, plan_elimination(graph, groups).ordering))
+    scale = max(np.abs(v).max() for v in want.values())
+    for k, v in want.items():
+        np.testing.assert_allclose(got[k], v, rtol=0, atol=1e-9 * scale)
 
 
 def singular_value_rank_test(r) -> bool:

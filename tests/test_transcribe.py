@@ -887,16 +887,16 @@ class TestPlanMemo:
 
     def test_rank_deficient_names_loop_wrench_on_every_solve(self, five_bar,
                                                              five_bar_kin, fresh_plans):
-        # the first solve makes the plan, the second reuses it; the row
-        # counts are those of elimination without a plan
+        # the first solve makes the plan, the second reuses it; the loop
+        # wrench is the last step of a front, so the rows that reach it are
+        # not cut on the way and its block fails the rank test
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
-        for spec, rows in (
-                (ProblemSpec.forward(five_bar, np.array([1.0, 0.5])), 3),
-                (ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7},
-                                               "j3": {"accel": -0.4}}), 5)):
+        for spec in (ProblemSpec.forward(five_bar, np.array([1.0, 0.5])),
+                     ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}})):
             for _ in range(2):
                 with pytest.raises(RankDeficient,
-                                   match=f"F5: {rows} constraint rows for 6 dim"):
+                                   match="^rank-deficient system at variable F5: frontal block "
+                                         "rank below 6$"):
                     solve_dynamics(five_bar, st, spec)
 
 
