@@ -604,7 +604,7 @@ def scatter(plan: EliminationPlan, parts) -> np.ndarray:
 
 class Assembly(NamedTuple):
     """The numbers of one solve in the buffer its plan lays out, as
-    `scatter` fills it. The plan's step tables are only read, so any number
+    `scatter` fills it. The plan's tables are only read, so any number
     of assemblies may share it across threads; the buffer, reduced in place,
     and the 6-dim `R_ff` blocks awaiting the batched rank test are per solve.
     """
@@ -682,14 +682,14 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
 
     `ordering` is any request `plan_for` takes, usually a key sequence.
     The graph's factors are assembled into the buffer the plan lays out,
-    weighted, so each step's stack holds its input row blocks in the plan's
-    columns. Per frontal variable the stacked rows are orthogonally
-    reduced, the leading block rows, kept as they are (`[R_ff | R_fp | d]`),
-    become the variable's conditional and the remainder, less rows left
-    with no parent coefficient (their right-hand sides go to `leftover`),
-    becomes a new factor over the parents, copied into the stack of the step
-    that consumes it. Raises RankDeficient for the first step in plan order
-    whose frontal block does not determine its variable (see `_full_rank`).
+    weighted, so each front's stack holds its input row blocks in the plan's
+    columns. Per front the stacked rows are orthogonally reduced at once,
+    each variable's block rows, kept as they are (`[R_ff | R_fp | d]`), are
+    its conditional, and the rows below, less rows left with no parent
+    coefficient (their right-hand sides go to `leftover`), become a factor
+    over the last step's parents, copied into the stack that consumes it.
+    Raises RankDeficient for the first step in plan order whose frontal
+    block does not determine its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
     parts = []
@@ -737,9 +737,9 @@ def back_substitute(dag: EliminationDag) -> dict:
     """Solve for every variable by walking the DAG in reverse order.
 
     The plan fixes the layout: one flat solution vector with a slice per
-    variable, filled from the last conditional to the first; each step
-    gathers its parents' entries, forms `d - R_fp @ x_parents` and solves
-    the triangular `R_ff` with LAPACK. Returns {key: view into that vector}.
+    variable, filled from the last front to the first; each front gathers
+    its last step's parents' entries, forms `d - R_fp @ x_parents` and
+    solves its triangular `R_ff` with LAPACK. Returns {key: view into that vector}.
     Raises ValueError if the solution is not finite (an infinite or NaN
     input that the frontal rank test cannot see, such as an infinite rhs).
     """
