@@ -445,7 +445,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
-    flat, scol, pflat, pcol, gvar, steps, fronts, made = [], [], [], [], [], [], [], {}
+    flat, scol, pflat, pcol, gvar, steps, fronts, maker = [], [], [], [], [], [], [], {}
     at_col, at_entry, offset, inner = 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
@@ -470,12 +470,12 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 pflat += ks
                 pcol += map(col.__getitem__, ks)
                 scatter.append(columns[at_col:at_col + cols_of[f]])
-                sources.append((made[f], at, i, scatter[-1]))
+                sources.append((maker[f], at, i, scatter[-1]))
                 at_col += cols_of[f]
             height += rows_of[f]
         if product >= 0:
             keys_of.append(parents + [n])
-            made[product] = len(fronts)
+            maker[product] = len(fronts)
         steps.append(PlanStep(keys[v], tuple(fids), tuple(scatter),
                               tuple(map(keys.__getitem__, parents)), product,
                               entries[at_entry:at_entry + cols], row))
