@@ -245,9 +245,8 @@ class Conditional(NamedTuple):
 
 class EliminationDag(NamedTuple):
     """Result of eliminating every variable of a graph under one plan: one
-    conditional per step of `plan`, the right-hand sides of the rows that
-    elimination left with no coefficient (`leftover`), and per front of
-    `plan` its R rows `[R_ff | R_fp | d]` (`fronts`)."""
+    conditional per step of `plan`, the rhs of the rows elimination left with
+    no coefficient (`leftover`) and per front its R rows (`fronts`)."""
 
     conditionals: tuple
     leftover: np.ndarray
@@ -304,17 +303,16 @@ class EliminationPlan(NamedTuple):
     variable to its entries of the flat solution vector of length `size`,
     laid out in elimination order.
 
-    A front is a run of steps `steps[start:stop]` reduced as one stack, each
-    step's parents being the next step's variable and parents. `fronts`
-    lists per front (start, stop, stack offset, width, rows, first solution
-    entry, sources): the stack has the first step's columns and, step by
-    step, its graph rows, then a slot per product from outside the front,
-    `sources` giving each slot's (front, buffer position, step, columns).
-    One flat buffer of `buffer_size` floats holds every stack: the assembly
-    map. `dest` is the buffer position of each entry of
-    the graph factors' parts (see `Assembly`), `scale` the (positions,
-    weights) of soft rows' entries, and `check` the (positions, solution
-    entries, hard row numbers, rhs positions) of the weight-1 rows'
+    A front is a run of steps `steps[start:stop]` whose parents are each the
+    next step's variable and parents, reduced as one stack in the first
+    step's columns: per step its graph rows, then a slot per product from
+    outside the run. `fronts` has per front (start, stop, stack offset,
+    width, rows, first solution entry, sources), `sources` per slot (front,
+    buffer position, step, columns). One flat buffer of `buffer_size` floats
+    holds every stack: the assembly map. `dest` is the buffer position of
+    each entry of the graph factors' parts (see `Assembly`), `scale` the
+    (positions, weights) of soft rows' entries, and `check` the (positions,
+    solution entries, hard row numbers, rhs positions) of the weight-1 rows'
     coefficients and right-hand sides, for the residual check.
     """
 
@@ -437,11 +435,11 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             picks.append((v, fids, plist, product, rows, parents, cols))
 
     # parents are ordered by elimination position, known once every pick is;
-    # a step whose variable and parents are the last step's parents takes its
-    # product (`inner`) and joins its front. Scatter and gather are views into
-    # `columns` and `entries`, filled last from the outside products' columns
-    # as ranks (`pflat`) and stack columns (`pcol`); per graph factor: its
-    # first column in `flat`, first row, stride
+    # a step whose variable and parents are the last step's parents joins its
+    # front (taking its product, `inner`). Scatter and gather are views into
+    # `columns` and `entries`, filled last from outside products' columns as
+    # ranks (`pflat`) and stack columns (`pcol`); per graph factor: its first
+    # column in `flat`, first row, stride
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
@@ -619,11 +617,13 @@ class Assembly(NamedTuple):
         conditionals, blocks, leftover, frontal, failed = [], [], [], [], None
         for start, stop, offset, width, m, _, sources in fronts:
             for at, to, step, cols in sources:
-                rest = rests[at]
-                n = rest.shape[0]
-                data[to:to + n * width].reshape(n, width)[:, cols] = rest
+                n = rests[at].shape[0]
+                data[to:to + n * width].reshape(n, width)[:, cols] = rests[at]
                 filled[step] += n
             r = _r_factor(data[offset:offset + m * width].reshape(m, width)) if m else None
+            if m > 1 and (stop - start > 1 or steps[stop - 1].parents):
+                mag = np.abs(r)  # a row with no coefficient above `cut` is dead
+                cut = 1e-12 * max(1.0, peak(mag, None))
             left = c = 0  # rows that reach the step; its first row and column in r
             for k in range(start, stop):
                 v, _, _, parents = steps[k][:4]
@@ -635,8 +635,9 @@ class Assembly(NamedTuple):
                 block = r[c:c + dv, c:]
                 if dv > 1:
                     frontal.append(block[:, :dv])
-                # a 1x1 block's singular value is |entry|; written so NaN fails
-                elif not (a := abs(block[0, 0])) > 1e-9 * a:
+                # a 1x1 block's singular value is |entry|, written so NaN fails;
+                # after a front's first step it must also not be a dead row
+                elif not (a := abs(block[0, 0])) > (cut if c else 1e-9 * a):
                     failed = RankDeficient(v, "frontal block rank below 1")
                     break
                 conditionals.append(Conditional(v, parents, block))
@@ -646,8 +647,7 @@ class Assembly(NamedTuple):
             blocks.append(r[:c])
             rest = r[c:]
             if rest.shape[0] and parents:
-                mag = np.abs(r)
-                live = peak(mag[c:, c:-1], 1) > 1e-12 * max(1.0, peak(mag, None))
+                live = peak(mag[c:, c:-1], 1) > cut
                 if np.count_nonzero(live) < live.size:
                     # compacted; when every row died the plan's structure
                     # stands, and the parents' columns from it stay zero

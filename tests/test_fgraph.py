@@ -390,6 +390,20 @@ class TestPlan:
         for v, want in ((x, 1.0), (y, 2.0), (z, 3.0)):
             np.testing.assert_allclose(sol[v], [want], atol=1e-14)
 
+    def test_row_dead_on_the_way_through_a_front_is_no_pivot(self):
+        # x and y are one front; the row that eliminating x leaves on y has a
+        # rounding-level coefficient, a row that dies on the way: y has
+        # nothing else to constrain it and is named, not solved to 5e13
+        x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
+        g = FactorGraph([LinearFactor({x: [[1.0]], y: [[1e-14]]}, [1.0]),
+                         LinearFactor({x: [[2.0]], y: [[3e-14]]}, [2.5])])
+        assert [front[:2] for front in fgraph.plan_for(g, [x, y]).fronts] == [(0, 2)]
+        with pytest.raises(RankDeficient, match="^rank-deficient system at variable qdd2: "
+                                                "frontal block rank below 1$"):
+            eliminate(g, [x, y])
+        with pytest.raises(RankDeficient, match="qdd2"):
+            dense_solve(g)
+
     @pytest.mark.parametrize("ordering,message", [
         ([1, 2], r"^ordering\[0\] must be a VarKey or its text, got 1$"),
         ([None], r"^ordering\[0\] .* got None$"),
