@@ -621,12 +621,12 @@ class Assembly(NamedTuple):
                 data[to:to + n * width].reshape(n, width)[:, cols] = rests[at]
                 filled[step] += n
             r = _r_factor(data[offset:offset + m * width].reshape(m, width)) if m else None
-            if m > 1 and (stop - start > 1 or steps[stop - 1].parents):
+            if m > 1 and (stop - start > 1 or steps[stop - 1].product >= 0):
                 mag = np.abs(r)  # a row with no coefficient above `cut` is dead
                 cut = 1e-12 * max(1.0, peak(mag, None))
             left = c = 0  # rows that reach the step; its first row and column in r
             for k in range(start, stop):
-                v, _, _, parents = steps[k][:4]
+                v, parents = steps[k][0], steps[k][3]
                 dv, left = v.dim, left + filled[k]
                 if left < dv:
                     failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
