@@ -281,8 +281,9 @@ class PlanStep(NamedTuple):
     leaves over the parents, -1 when the planner's row budget leaves none
     (see `plan_elimination`). `scatter` lists, per input that is a product
     from outside the step's front, the front's stack column of each column
-    of its `[A | b]` row block. `gather` indexes the parents' entries of the
-    flat solution vector in column order.
+    of its `[A | b]` row block: the arrays the front's `sources` hold.
+    `gather` indexes the parents' entries of the flat solution vector in
+    column order.
     """
 
     var: VarKey
@@ -307,13 +308,15 @@ class EliminationPlan(NamedTuple):
     next step's variable and parents, reduced as one stack in the first
     step's columns: per step its graph rows, then a slot per product from
     outside the run. `fronts` has per front (start, stop, stack offset,
-    width, rows, first solution entry, sources), `sources` per slot (front,
-    buffer position, step, columns). One flat buffer of `buffer_size` floats
-    holds every stack: the assembly map. `dest` is the buffer position of
-    each entry of the graph factors' parts (see `Assembly`), `scale` the
-    (positions, weights) of soft rows' entries, and `check` the (positions,
-    solution entries, hard row numbers, rhs positions) of the weight-1 rows'
-    coefficients and right-hand sides, for the residual check.
+    width, rows, first solution entry, sources, ends), `sources` per slot
+    (front, buffer position, step, columns: an array of `PlanStep.scatter`)
+    and `ends` per step the end of its rows. One flat buffer of
+    `buffer_size` floats holds every stack: the assembly map. `dest` is the
+    buffer position of each entry of the graph factors' parts (see
+    `Assembly`), `scale` the (positions, weights) of soft rows' entries, and
+    `check` the (positions, solution entries, hard row numbers, rhs
+    positions) of the weight-1 rows' coefficients and right-hand sides, for
+    the residual check.
     """
 
     ordering: tuple
@@ -449,7 +452,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         gvar += parents
         if inner < 0:
-            begin, x0, sources = i, first[v], []
+            begin, x0, sources, ends = i, first[v], [], []
             col[v], c = 0, dims[v]
             for p in parents:
                 col[p], c = c, c + dims[p]
@@ -471,6 +474,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 sources.append((maker[f], at, i, scatter[-1]))
                 at_col += cols_of[f]
             height += rows_of[f]
+        ends.append(height)
         if product >= 0:
             keys_of.append(parents + [n])
             maker[product] = len(fronts)
@@ -479,7 +483,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                               entries[at_entry:at_entry + cols], row))
         at_entry, inner = at_entry + cols, product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
-            fronts.append((begin, i + 1, offset, width, height, x0, tuple(sources)))
+            fronts.append((begin, i + 1, offset, width, height, x0, tuple(sources), tuple(ends)))
             offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
     flat, scol, pflat, pcol, gvar = (np.array(a, dtype=np.intp)
@@ -615,15 +619,22 @@ class Assembly(NamedTuple):
         data, steps, fronts, peak = self.data, self.plan.steps, self.plan.fronts, np.maximum.reduce
         filled, rests = [st.rows for st in steps], []
         conditionals, blocks, leftover, frontal, failed = [], [], [], [], None
-        for start, stop, offset, width, m, _, sources in fronts:
+        for start, stop, offset, width, m, _, sources, ends in fronts:
             for at, to, step, cols in sources:
                 n = rests[at].shape[0]
                 data[to:to + n * width].reshape(n, width)[:, cols] = rests[at]
                 filled[step] += n
-            r = _r_factor(data[offset:offset + m * width].reshape(m, width)) if m else None
+            stack = data[offset:offset + m * width].reshape(m, width)
+            r = _r_factor(stack) if m else None
             if m > 1 and (stop - start > 1 or steps[stop - 1].product >= 0):
                 mag = np.abs(r)  # a row with no coefficient above `cut` is dead
                 cut = 1e-12 * max(1.0, peak(mag, None))
+                if stop - start > 1:  # a later step's pivot down at the cut may
+                    # rest on rows that die on the way: reduce a step at a time
+                    d = mag.diagonal()[steps[start][0].dim:width - 1 - len(steps[stop - 1].gather)]
+                    if not np.minimum.reduce(d, initial=np.inf) > cut:
+                        r, cut = _by_steps(stack, ends, steps, start, filled, leftover)
+                        mag = np.abs(r)
             left = c = 0  # rows that reach the step; its first row and column in r
             for k in range(start, stop):
                 v, parents = steps[k][0], steps[k][3]
@@ -635,9 +646,8 @@ class Assembly(NamedTuple):
                 block = r[c:c + dv, c:]
                 if dv > 1:
                     frontal.append(block[:, :dv])
-                # a 1x1 block's singular value is |entry|, written so NaN fails;
-                # after a front's first step it must also not be a dead row
-                elif not (a := abs(block[0, 0])) > (cut if c else 1e-9 * a):
+                # a 1x1 block's singular value is |entry|, written so NaN fails
+                elif not (a := abs(block[0, 0])) > 1e-9 * a:
                     failed = RankDeficient(v, "frontal block rank below 1")
                     break
                 conditionals.append(Conditional(v, parents, block))
@@ -688,6 +698,8 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     its conditional, and the rows below, less rows left with no parent
     coefficient (their right-hand sides go to `leftover`), become a factor
     over the last step's parents, copied into the stack that consumes it.
+    A front with a later step's pivot at or below that cut is reduced again
+    a step at a time (`_by_steps`): such a pivot may rest on rows cut there.
     Raises RankDeficient for the first step in plan order whose frontal
     block does not determine its variable (see `_full_rank`).
     """
@@ -715,6 +727,28 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     r = np.array(qr[:min(a.shape)], order="C")
     r.reshape(-1)[_strict_lower(*r.shape)] = 0.0
     return r
+
+
+def _by_steps(a, ends, steps, start, filled, leftover) -> tuple:
+    """Front stack `a` (from `steps[start]`) reduced a step at a time, dead rows
+    cut between steps (rhs to `leftover`): its R rows as one QR lays them out and
+    the last step's cut; `filled` is set so the rows reaching each step count."""
+    out, rest, c, h, prev, cut = np.zeros_like(a), a[:0], 0, 0, 0, 0.0
+    for k, end in enumerate(ends, start):
+        dv, reach = steps[k][0].dim, len(rest) + filled[k]
+        filled[k], prev = reach - prev, reach - dv
+        if reach < dv:  # the step fails on its row count
+            return out, cut
+        s = _r_factor(np.vstack((a[h:end, c:], rest)))
+        mag = np.abs(s)
+        out[c:c + dv, c:], rest, cut = s[:dv], s[dv:], 1e-12 * max(1.0, mag.max())
+        if k + 1 < start + len(ends):
+            live = np.maximum.reduce(mag[dv:, dv:-1], 1) > cut
+            leftover.extend(rest[~live, -1])
+            rest = rest[live, dv:]
+        c, h = c + dv, end
+    out[c:c + len(rest), c - dv:] = rest
+    return out[:c + len(rest)], cut
 
 
 def _full_rank(blocks: np.ndarray) -> np.ndarray:
@@ -753,7 +787,7 @@ def _solution(dag: EliminationDag) -> np.ndarray:
     """The flat solution vector `back_substitute` hands out views of."""
     plan = dag.plan
     x = np.empty(plan.size)
-    for (_, stop, _, _, _, at, _), block in zip(reversed(plan.fronts), reversed(dag.fronts)):
+    for (_, stop, _, _, _, at, *_), block in zip(reversed(plan.fronts), reversed(dag.fronts)):
         d, last = block.shape[0], plan.steps[stop - 1]
         rhs = block[:, -1] - block[:, d:-1] @ x[last.gather] if last.parents else block[:, -1]
         sol, info = dtrtrs(block[:, :d], rhs)

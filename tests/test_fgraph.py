@@ -390,19 +390,40 @@ class TestPlan:
         for v, want in ((x, 1.0), (y, 2.0), (z, 3.0)):
             np.testing.assert_allclose(sol[v], [want], atol=1e-14)
 
-    def test_row_dead_on_the_way_through_a_front_is_no_pivot(self):
-        # x and y are one front; the row that eliminating x leaves on y has a
-        # rounding-level coefficient, a row that dies on the way: y has
-        # nothing else to constrain it and is named, not solved to 5e13
+    @pytest.mark.parametrize("kind", [Kind.JOINT_ACCEL, Kind.ACCEL], ids=["1-dim", "6-dim"])
+    def test_row_dead_on_the_way_through_a_front_is_no_pivot(self, kind):
+        # x and y are one front; the rows that eliminating x leaves on y have
+        # rounding-level coefficients, rows that die on the way: y has
+        # nothing else to constrain it and is named as a step on its own
+        # names it, not solved to 1e14
+        rng = np.random.default_rng(3)
+        x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(kind, 2)
+        rows = y.dim + 1
+        g = FactorGraph([LinearFactor({x: rng.standard_normal((rows, 1)),
+                                       y: 1e-14 * rng.standard_normal((rows, y.dim))},
+                                      rng.standard_normal(rows))])
+        assert [front[:2] for front in fgraph.plan_for(g, [x, y]).fronts] == [(0, 2)]
+        with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable {y}: "
+                                                "no factor constrains this variable$"):
+            eliminate(g, [x, y])
+        with pytest.raises(RankDeficient, match=str(y)):
+            dense_solve(g)
+
+    def test_front_with_pivot_at_the_cut_is_reduced_step_by_step(self):
+        # x and y are one front. The row that eliminating x leaves on y is
+        # dead (coefficient 4e-15, rhs 447), and y's own row (1e-10 y = 1e-10)
+        # is below the cut too, so one QR would solve y to 2e8 off that dead
+        # row; step by step the dead row is cut, as it always was: y = 1 and
+        # the dead row's rhs is the one leftover
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
         g = FactorGraph([LinearFactor({x: [[1.0]], y: [[1e-14]]}, [1.0]),
-                         LinearFactor({x: [[2.0]], y: [[3e-14]]}, [2.5])])
+                         LinearFactor({x: [[2.0]], y: [[3e-14]]}, [1002.0]),
+                         LinearFactor({y: [[1e-10]]}, [1e-10])])
         assert [front[:2] for front in fgraph.plan_for(g, [x, y]).fronts] == [(0, 2)]
-        with pytest.raises(RankDeficient, match="^rank-deficient system at variable qdd2: "
-                                                "frontal block rank below 1$"):
-            eliminate(g, [x, y])
-        with pytest.raises(RankDeficient, match="qdd2"):
-            dense_solve(g)
+        dag = eliminate(g, [x, y])
+        sol = back_substitute(dag)
+        np.testing.assert_allclose([sol[x][0], sol[y][0]], [401.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(np.abs(dag.leftover), [1000.0 / np.sqrt(5.0)], rtol=1e-12)
 
     @pytest.mark.parametrize("ordering,message", [
         ([1, 2], r"^ordering\[0\] must be a VarKey or its text, got 1$"),
