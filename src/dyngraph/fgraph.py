@@ -9,22 +9,23 @@ solved triangular form); the amount of fill-in created depends only on the
 ordering, which is the whole point: classical recursive dynamics
 algorithms fall out as particular orderings.
 
-Elimination runs in two phases. The symbolic one (`plan_elimination`)
-reads only the graph's `structure` (each factor's keys, row count and
-weight), as int bitmasks over variable ranks (`FactorGraph.numbering`),
-plus the ordering. It fixes every step's input factors and parents, the
-fronts (runs of steps whose parent sets nest, each reduced as one stack,
-like a supernode), the flat solution vector with a slice per variable, and
-the assembly map: where each graph factor entry goes in one flat buffer
-that holds every front's stack. `plan_for` is the one way from an ordering
-request to a plan, memoised by the structure, so graphs that differ only in
-their numbers share it. The numeric phase is one `Assembly` per solve over
-a buffer of that layout (`scatter` fills one from a graph's factors,
-`transcribe` from a template): a flat loop over the fronts reduces each
-stack with one QR (a one-row stack is its own R), keeps its raw R rows
-`[R_ff | R_fp | d]` (each step's conditional is a view), copies live
-product rows on and rank-tests the 6-dim frontals at once;
-`back_substitute` then fills the flat vector backwards, a front at a time.
+A graph (`FactorGraph`) lists its factors' keys, row counts and weights
+(`structure`) and their numbers (`flat`). Elimination runs in two phases.
+The symbolic one (`plan_elimination`) reads only the `structure`, as int
+bitmasks over variable ranks (`FactorGraph.numbering`), plus the ordering.
+It fixes every step's input factors and parents, the fronts (runs of steps
+whose parent sets nest, each reduced as one stack, like a supernode), the
+flat solution vector with a slice per variable, and the assembly map: where
+each entry of `flat` goes in one flat buffer that holds every front's
+stack. `plan_for` is the one way from an ordering request to a plan,
+memoised by the structure, so graphs that differ only in their numbers
+share it. The numeric phase is one `Assembly` per solve over a buffer of
+that layout (`scatter` fills one from `flat`, `transcribe` from a
+template): a flat loop over the fronts reduces each stack with one QR (a
+one-row stack is its own R), keeps its raw R rows `[R_ff | R_fp | d]` (each
+step's conditional is a view), copies live product rows on and rank-tests
+the 6-dim frontals at once; `back_substitute` then fills the flat vector
+backwards, a front at a time.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -155,21 +156,41 @@ class LinearFactor:
 
 
 class FactorGraph:
-    """Immutable collection of factors over a variable set.
-
-    `structure` is the factor sequence reduced to each factor's keys, row
-    count and weight: the only input an elimination plan depends on besides
-    the ordering. `variables`, `numbering` and `structure` are computed on
-    first use, the first two from `structure` alone, as are `len` and
-    `total_rows`.
+    """Immutable factors over a variable set, held as one listing:
+    `structure` (per factor its keys, row count and weight: all a plan reads
+    besides the ordering), `labels` (its name and knowns) and `flat`, a
+    read-only vector of each factor's key blocks, row by row, then its rhs.
+    `FactorGraph(factors)` lists LinearFactors and `listed` takes a listing
+    as it is; `factors` are made from the listing on first read, and
+    `variables`, `numbering`, `len` and `total_rows` from `structure`.
     """
 
     def __init__(self, factors):
-        self.factors = tuple(factors)
+        factors = tuple(factors)
+        parts = [p for f in factors for p in (*f.blocks.values(), f.rhs)]
+        self.structure = tuple((f.keys(), f.rows, f.weight) for f in factors)
+        self.labels = tuple((f.name, f.knowns) for f in factors)
+        self.flat = np.concatenate(parts, axis=None) if parts else np.zeros(0)
+        self.flat.setflags(write=False)
+
+    @classmethod
+    def listed(cls, structure: tuple, labels: tuple, flat: np.ndarray) -> FactorGraph:
+        graph = cls.__new__(cls)
+        graph.structure, graph.labels, graph.flat = structure, labels, flat
+        flat.setflags(write=False)
+        return graph
 
     @cached_property
-    def structure(self) -> tuple:
-        return tuple((f.keys(), f.rows, f.weight) for f in self.factors)
+    def factors(self) -> tuple:
+        factors, at = [], 0
+        for (keys, rows, weight), (name, knowns) in zip(self.structure, self.labels):
+            blocks = {}
+            for k in keys:
+                blocks[k] = self.flat[at:at + rows * k.dim].reshape(rows, k.dim)
+                at += rows * k.dim
+            factors.append(LinearFactor(blocks, self.flat[at:at + rows], weight, name, knowns))
+            at += rows
+        return tuple(factors)
 
     @cached_property
     def variables(self) -> tuple:
@@ -279,16 +300,12 @@ class PlanStep(NamedTuple):
     products), `rows` of them graph rows, over columns `var`, `parents` (by
     elimination position) and the rhs. `product` is the id of the factor it
     leaves over the parents, -1 when the planner's row budget leaves none
-    (see `plan_elimination`). `scatter` lists, per input that is a product
-    from outside the step's front, the front's stack column of each column
-    of its `[A | b]` row block: the arrays the front's `sources` hold.
-    `gather` indexes the parents' entries of the flat solution vector in
-    column order.
+    (see `plan_elimination`). `gather` indexes the parents' entries of the
+    flat solution vector in column order.
     """
 
     var: VarKey
     inputs: tuple
-    scatter: tuple
     parents: tuple
     product: int
     gather: np.ndarray
@@ -309,14 +326,14 @@ class EliminationPlan(NamedTuple):
     step's columns: per step its graph rows, then a slot per product from
     outside the run. `fronts` has per front (start, stop, stack offset,
     width, rows, first solution entry, sources, ends), `sources` per slot
-    (front, buffer position, step, columns: an array of `PlanStep.scatter`)
-    and `ends` per step the end of its rows. One flat buffer of
-    `buffer_size` floats holds every stack: the assembly map. `dest` is the
-    buffer position of each entry of the graph factors' parts (see
-    `Assembly`), `scale` the (positions, weights) of soft rows' entries, and
-    `check` the (positions, solution entries, hard row numbers, rhs
-    positions) of the weight-1 rows' coefficients and right-hand sides, for
-    the residual check.
+    (making front, buffer position, step, and the stack column of each
+    column of the product's `[A | b]` row block) and `ends` per step the end
+    of its rows. One flat buffer of `buffer_size` floats holds every stack:
+    the assembly map. `dest` is the buffer position of each entry of the
+    graph's `flat` listing (see `scatter`), `scale` the (positions, weights)
+    of soft rows' entries, and `check` the (positions, solution entries,
+    hard row numbers, rhs positions) of the weight-1 rows' coefficients and
+    right-hand sides, for the residual check.
     """
 
     ordering: tuple
@@ -437,12 +454,12 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 cols_of.append(cols + 1)
             picks.append((v, fids, plist, product, rows, parents, cols))
 
-    # parents are ordered by elimination position, known once every pick is;
-    # a step whose variable and parents are the last step's parents joins its
-    # front (taking its product, `inner`). Scatter and gather are views into
-    # `columns` and `entries`, filled last from outside products' columns as
-    # ranks (`pflat`) and stack columns (`pcol`); per graph factor: its first
-    # column in `flat`, first row, stride
+    # parents are ordered by elimination position, known once every pick is; a
+    # step whose variable and parents are the last step's parents joins its
+    # front (taking its product, `inner`). Sources' columns and gathers are
+    # views into `columns` and `entries`, filled last from outside products'
+    # columns as ranks (`pflat`) and stack columns (`pcol`); per graph factor:
+    # its first column in `flat`, first row, stride
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
@@ -457,7 +474,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             for p in parents:
                 col[p], c = c, c + dims[p]
             col[n], width, height = c, c + 1, 0
-        scatter, row = [], 0
+        row = 0
         for f in fids:
             if f == inner:
                 continue
@@ -470,17 +487,15 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             else:
                 pflat += ks
                 pcol += map(col.__getitem__, ks)
-                scatter.append(columns[at_col:at_col + cols_of[f]])
-                sources.append((maker[f], at, i, scatter[-1]))
+                sources.append((maker[f], at, i, columns[at_col:at_col + cols_of[f]]))
                 at_col += cols_of[f]
             height += rows_of[f]
         ends.append(height)
         if product >= 0:
             keys_of.append(parents + [n])
             maker[product] = len(fronts)
-        steps.append(PlanStep(keys[v], tuple(fids), tuple(scatter),
-                              tuple(map(keys.__getitem__, parents)), product,
-                              entries[at_entry:at_entry + cols], row))
+        steps.append(PlanStep(keys[v], tuple(fids), tuple(map(keys.__getitem__, parents)),
+                              product, entries[at_entry:at_entry + cols], row))
         at_entry, inner = at_entry + cols, product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
             fronts.append((begin, i + 1, offset, width, height, x0, tuple(sources), tuple(ends)))
@@ -592,13 +607,12 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     return plan
 
 
-def scatter(plan: EliminationPlan, parts) -> np.ndarray:
-    """A fresh buffer of the plan's layout holding the graph factors'
-    `parts` in the order of `EliminationPlan.dest`: for each factor in id
-    order, its key blocks in key order, then its rhs. Soft rows are scaled
-    by their weight; every other entry is zero."""
+def scatter(plan: EliminationPlan, flat: np.ndarray) -> np.ndarray:
+    """A fresh buffer of the plan's layout holding a graph's `flat` listing
+    (`FactorGraph.flat`) at `EliminationPlan.dest`. Soft rows are scaled by
+    their weight; every other entry is zero."""
     data = np.zeros(plan.buffer_size)
-    data[plan.dest] = np.concatenate(parts, axis=None) if parts else ()
+    data[plan.dest] = flat
     pos, weight = plan.scale
     data[pos] *= weight
     return data
@@ -631,13 +645,14 @@ class Assembly(NamedTuple):
                 cut = 1e-12 * max(1.0, peak(mag, None))
                 if stop - start > 1:  # a later step's pivot down at the cut may
                     # rest on rows that die on the way: reduce a step at a time
-                    d = mag.diagonal()[steps[start][0].dim:width - 1 - len(steps[stop - 1].gather)]
+                    lo, hi = steps[start].var.dim, width - 1 - len(steps[stop - 1].gather)
+                    d = mag.diagonal()[lo:hi]
                     if not np.minimum.reduce(d, initial=np.inf) > cut:
                         r, cut = _by_steps(stack, ends, steps, start, filled, leftover)
                         mag = np.abs(r)
             left = c = 0  # rows that reach the step; its first row and column in r
             for k in range(start, stop):
-                v, parents = steps[k][0], steps[k][3]
+                v, parents = steps[k].var, steps[k].parents
                 dv, left = v.dim, left + filled[k]
                 if left < dv:
                     failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
@@ -690,25 +705,21 @@ class Assembly(NamedTuple):
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     """Eliminate every variable under the plan for `ordering`, producing a DAG.
 
-    `ordering` is any request `plan_for` takes, usually a key sequence.
-    The graph's factors are assembled into the buffer the plan lays out,
+    `ordering` is any request `plan_for` takes, usually a key sequence. The
+    graph's `flat` listing is scattered into the buffer the plan lays out,
     weighted, so each front's stack holds its input row blocks in the plan's
     columns. Per front the stacked rows are orthogonally reduced at once,
     each variable's block rows, kept as they are (`[R_ff | R_fp | d]`), are
     its conditional, and the rows below, less rows left with no parent
     coefficient (their right-hand sides go to `leftover`), become a factor
-    over the last step's parents, copied into the stack that consumes it.
-    A front with a later step's pivot at or below that cut is reduced again
-    a step at a time (`_by_steps`): such a pivot may rest on rows cut there.
+    over the last step's parents, copied into the stack that consumes it. A
+    front with a later step's pivot at or below that cut is reduced again a
+    step at a time (`_by_steps`): such a pivot may rest on rows cut there.
     Raises RankDeficient for the first step in plan order whose frontal
     block does not determine its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
-    parts = []
-    for f in graph.factors:
-        parts += f.blocks.values()
-        parts.append(f.rhs)
-    return Assembly(plan, scatter(plan, parts)).eliminate()
+    return Assembly(plan, scatter(plan, graph.flat)).eliminate()
 
 
 @lru_cache(maxsize=256)
@@ -735,7 +746,7 @@ def _by_steps(a, ends, steps, start, filled, leftover) -> tuple:
     the last step's cut; `filled` is set so the rows reaching each step count."""
     out, rest, c, h, prev, cut = np.zeros_like(a), a[:0], 0, 0, 0, 0.0
     for k, end in enumerate(ends, start):
-        dv, reach = steps[k][0].dim, len(rest) + filled[k]
+        dv, reach = steps[k].var.dim, len(rest) + filled[k]
         filled[k], prev = reach - prev, reach - dv
         if reach < dv:  # the step fails on its row count
             return out, cut
@@ -928,12 +939,12 @@ def export_dot(obj) -> str:
         for v in obj.variables:
             lines.append(f'  "{v}" [shape=circle];')
         knowns = []
-        for i, f in enumerate(obj.factors):
-            label = f' // {f.name}' if f.name else ""
+        for i, ((keys, _, _), (name, folded)) in enumerate(zip(obj.structure, obj.labels)):
+            label = f' // {name}' if name else ""
             lines.append(f'  "f{i}" [shape=point];{label}')
-            for v in f.keys():
+            for v in keys:
                 lines.append(f'  "f{i}" -- "{v}";')
-            for k in f.knowns:
+            for k in folded:
                 if k not in knowns:
                     knowns.append(k)
                     lines.append(f'  "{k}" [shape=box];')

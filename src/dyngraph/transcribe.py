@@ -28,7 +28,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Real
 from time import perf_counter
 from types import SimpleNamespace
@@ -340,12 +339,18 @@ for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SK
 
 
 class _Listing(SimpleNamespace):
-    """One problem shape's factors: `structure`, `labels`, their parts
-    flattened (`flat`, zeros where a state term goes), and per state term
-    entry its state vector index (`src`) and place in `flat` (`at`). For
+    """One problem shape's factors as a `FactorGraph` lists them
+    (`structure`, `labels`, and `flat` with zeros where a state term goes),
+    and per state term entry its state vector index (`src`) and place in
+    `flat` (`at`); `graph(values)` is its graph with those entries. For
     `_state_terms`: the sweep rows whose acceleration is given
     (`accel_given`), the tool wrench's `topo_order` row (`tool_row`, -1:
     none) and each planar loop's position among the loop joints."""
+
+    def graph(self, values: np.ndarray) -> FactorGraph:
+        flat = self.flat.copy()
+        flat[self.at] = values
+        return FactorGraph.listed(self.structure, self.labels, flat)
 
 
 class _Pieces(SimpleNamespace):
@@ -529,47 +534,19 @@ def _state_terms(model: RobotModel, kin, spec: ProblemSpec, listing: _Listing) -
     return np.concatenate((-ad, ad.transpose(0, 2, 1), accel, bal, given, planar), axis=None)
 
 
-def _factors(listing: _Listing, terms: np.ndarray) -> tuple:
-    """The LinearFactors of a listing, its state terms from `terms`."""
-    flat = listing.flat.copy()
-    flat[listing.at] = terms[listing.src]
-    factors, at = [], 0
-    for (keys, rows, weight), (name, knowns) in zip(listing.structure, listing.labels):
-        blocks = {}
-        for k in keys:
-            blocks[k] = flat[at:at + rows * k.dim].reshape(rows, k.dim)
-            at += rows * k.dim
-        factors.append(LinearFactor(blocks, flat[at:at + rows], weight, name, knowns))
-        at += rows
-    return tuple(factors)
-
-
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
     kin = _kinematics(model, state)
     listing = _transcribe(model, spec)
-    return FactorGraph(_factors(listing, _state_terms(model, kin, spec, listing)))
-
-
-class _SolvedGraph(FactorGraph):
-    """The factor graph of one solve: its structure is known at once, its
-    factors are made from the solve's state terms on first use."""
-
-    def __init__(self, listing: _Listing, terms=None):
-        self.structure = listing.structure
-        self._listed = (listing, terms)
-
-    @cached_property
-    def factors(self) -> tuple:
-        return _factors(*self._listed)
+    return listing.graph(_state_terms(model, kin, spec, listing)[listing.src])
 
 
 @dataclass(frozen=True, eq=False)
 class DynamicsResult:
     """Solved dynamics at one state: per-joint and per-link quantities,
     plus the graph and DAG they came from. `graph` is the same graph as
-    `build_graph(model, state, spec)`; its structure is known at once, and
-    its factors are made from the solve's numbers only when first read.
+    `build_graph(model, state, spec)`, a listing whose factors are made
+    only when first read.
     Build time covers kinematics, finding the shape's template (compiling
     it, ordering included, on a shape's first solve), the state terms and
     filling the buffer; solve time covers elimination, back-substitution
@@ -617,7 +594,8 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
     terms sit in weight-1 factors only (the prior rows are constant), so
     weighting the base weights every soft entry."""
     listing = _transcribe(model, spec)
-    plan = _plan(_SolvedGraph(listing), request, model)
+    plan = _plan(FactorGraph.listed(listing.structure, listing.labels, listing.flat),
+                 request, model)
 
     def solved(kind, joints):
         return (tuple(j.name for j in joints),
@@ -626,7 +604,7 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
     des = tuple(zip(model.movable_joints, spec.designations))
     pc = model.factor_pieces
     tpl = _Template(
-        listing=listing, plan=plan, base=scatter(plan, [listing.flat]),
+        listing=listing, plan=plan, base=scatter(plan, listing.flat),
         dest=plan.dest[listing.at], names=pc.names, links=pc.links, wrenches=pc.wrenches,
         torques=solved(Kind.TORQUE, [j for j, d in des if isinstance(d, GivenAccel)]),
         accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]))
@@ -641,12 +619,12 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     sort the solution into named per-joint / per-link quantities.
 
     The first solve of a problem shape compiles its template; each solve
-    copies the template's buffer and puts its state terms in. No
-    LinearFactor is made unless the result's `graph` factors are read.
-    The default ordering is minimum-degree with
-    loop wrenches deferred to the end, so an underdetermined loop (no
-    planar factor) surfaces as RankDeficient at the loop wrench itself
-    rather than at an arbitrary variable upstream.
+    copies the template's buffer and puts its state terms in it and in a
+    copy of the shape's listing, the result's `graph`. No LinearFactor is
+    made unless that graph's factors are read. The default ordering is
+    minimum-degree with loop wrenches deferred to the end, so an
+    underdetermined loop (no planar factor) surfaces as RankDeficient at the
+    loop wrench itself rather than at an arbitrary variable upstream.
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
@@ -659,9 +637,9 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     if tpl is None:
         tpl = _compile(model, spec, request)
         model.solve_templates.put(tpl, key)
-    terms = _state_terms(model, kin, spec, tpl.listing)
+    terms = _state_terms(model, kin, spec, tpl.listing)[tpl.listing.src]
     data = tpl.base.copy()
-    data[tpl.dest] = terms[tpl.listing.src]
+    data[tpl.dest] = terms
     t1 = perf_counter()
     dag, x, residual = Assembly(tpl.plan, data).solve()
     t2 = perf_counter()
@@ -680,7 +658,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         twists=dict(zip(model.topo_order, kin[1])),
         link_accels=link_accels,
         wrenches={name: values[k] for name, k in tpl.wrenches},
-        graph=_SolvedGraph(tpl.listing, terms),
+        graph=tpl.listing.graph(terms),
         dag=dag,
         ordering=tpl.plan.ordering,
         residual_max=residual,

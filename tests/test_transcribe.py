@@ -18,6 +18,7 @@ from dyngraph.fgraph import (
     VarKey,
     back_substitute,
     eliminate,
+    export_dot,
     scatter,
 )
 from dyngraph.model import Joint, parse_urdf
@@ -1128,7 +1129,13 @@ class TestCompiledSolve:
             assert len(res.graph) == len(res.graph.structure) > 0
             assert res.graph.variables and res.graph.total_rows() > 0
             assert made == []
+            # the public pipeline reads the listing, never the factors
             want = build_graph(model, st, spec)
+            back_substitute(eliminate(want, fgraph.plan_for(want, "md").ordering))
+            export_dot(want)
+            assert made == []
+            assert len(want.factors) == len(want.structure)
+            assert len(made) == len(want.structure)
             made.clear()
             assert len(res.graph.factors) == len(want.factors)
             assert len(made) == len(want.factors)
@@ -1189,11 +1196,12 @@ class TestSolveTemplate:
                 graph = build_graph(model, st, spec)
                 dag = eliminate(graph, resolve_ordering(graph, ordering, model))
                 values = back_substitute(dag)
-                parts = [p for f in graph.factors for p in (*f.blocks.values(), f.rhs)]
-                residual = Assembly(dag.plan, scatter(dag.plan, parts)).solve()[2]
+                residual = Assembly(dag.plan, scatter(dag.plan, graph.flat)).solve()[2]
                 for res in (miss, hit):
                     assert res.ordering == dag.ordering
                     assert res.graph.structure == graph.structure
+                    assert res.graph.labels == graph.labels
+                    assert res.graph.flat.tobytes() == graph.flat.tobytes()
                     assert res.values.keys() == values.keys()
                     for k, v in values.items():
                         np.testing.assert_array_equal(res.values[k], v)
@@ -1230,10 +1238,14 @@ class TestSolveTemplate:
             assert compiled[2:5] == public[2:5] and compiled.buffer_size == public.buffer_size
             assert len(compiled.steps) == len(public.steps)
             for a, b in zip(compiled.steps, public.steps):
-                assert a._replace(scatter=(), gather=()) == b._replace(scatter=(), gather=())
-                assert len(a.scatter) == len(b.scatter)
-                for x, y in zip((a.gather, *a.scatter), (b.gather, *b.scatter)):
-                    np.testing.assert_array_equal(x, y)
+                assert a._replace(gather=()) == b._replace(gather=())
+                np.testing.assert_array_equal(a.gather, b.gather)
+            assert len(compiled.fronts) == len(public.fronts)
+            for a, b in zip(compiled.fronts, public.fronts):
+                assert a[:6] + a[7:] == b[:6] + b[7:]
+                assert [s[:3] for s in a[6]] == [s[:3] for s in b[6]]
+                for x, y in zip(a[6], b[6]):
+                    np.testing.assert_array_equal(x[3], y[3])
             for x, y in zip((compiled.dest, *compiled.scale, *compiled.check),
                             (public.dest, *public.scale, *public.check)):
                 assert x.dtype == y.dtype
