@@ -15,16 +15,17 @@ The symbolic one (`plan_elimination`) reads only the `structure`, as int
 bitmasks over variable ranks (`FactorGraph.numbering`), plus the ordering.
 It fixes every step's input factors and parents, the fronts (runs of steps
 whose parent sets nest, each reduced as one stack, like a supernode), the
-flat solution vector with a slice per variable, and the assembly map: where
+flat solution vector with a slice per variable, the assembly map (where
 each entry of `flat` goes in one flat buffer that holds every front's
-stack. `plan_for` is the one way from an ordering request to a plan,
+stack), where each front hands its product and the tables that prove a
+reduction. `plan_for` is the one way from an ordering request to a plan,
 memoised by the structure, so graphs that differ only in their numbers
 share it. The numeric phase is one `Assembly` per solve over a buffer of
 that layout (`scatter` fills one from `flat`, `transcribe` from a
-template): a flat loop over the fronts reduces each stack with one QR (a
-one-row stack is its own R), keeps its raw R rows `[R_ff | R_fp | d]` (each
-step's conditional is a view), copies live product rows on and rank-tests
-the 6-dim frontals at once; `back_substitute` then fills the flat vector
+template): it reduces every front first, one in-place QR each and one
+gathered copy of its product into the consumer's slot, then proves every
+dead-row cut and pivot at once and redoes by the exact rule only the
+fronts it cannot prove; `back_substitute` then fills the flat vector
 backwards, a front at a time.
 
 Weights scale factor rows, and elimination is plain weighted least squares
@@ -40,7 +41,7 @@ from enum import IntEnum
 from functools import cached_property, lru_cache, reduce
 from numbers import Real
 from operator import or_
-from threading import Lock
+from threading import Lock, local
 from typing import NamedTuple
 
 import numpy as np
@@ -150,10 +151,6 @@ class LinearFactor:
     def keys(self) -> tuple:
         return self._keys
 
-    def residual(self, values: dict) -> np.ndarray:
-        x = np.concatenate([values[k] for k in self._keys])
-        return self.ab[:, :-1] @ x - self.ab[:, -1]
-
 
 class FactorGraph:
     """Immutable factors over a variable set, held as one listing:
@@ -180,17 +177,21 @@ class FactorGraph:
         flat.setflags(write=False)
         return graph
 
-    @cached_property
-    def factors(self) -> tuple:
-        factors, at = [], 0
-        for (keys, rows, weight), (name, knowns) in zip(self.structure, self.labels):
+    def _blocks(self):
+        """Per factor its key blocks by key and its rhs, views into `flat`."""
+        at = 0
+        for keys, rows, _ in self.structure:
             blocks = {}
             for k in keys:
                 blocks[k] = self.flat[at:at + rows * k.dim].reshape(rows, k.dim)
                 at += rows * k.dim
-            factors.append(LinearFactor(blocks, self.flat[at:at + rows], weight, name, knowns))
+            yield blocks, self.flat[at:at + rows]
             at += rows
-        return tuple(factors)
+
+    @cached_property
+    def factors(self) -> tuple:
+        return tuple(LinearFactor(blocks, rhs, weight, name, knowns) for (blocks, rhs), (_, _, weight),
+                     (name, knowns) in zip(self._blocks(), self.structure, self.labels))
 
     @cached_property
     def variables(self) -> tuple:
@@ -231,8 +232,11 @@ class FactorGraph:
         return sum(rows for _, rows, _ in self.structure)
 
     def residual_max(self, values: dict) -> float:
-        """Largest absolute residual over the weight-1 factors."""
-        hard = [f.residual(values) for f in self.factors if f.weight == 1.0]
+        """Largest absolute residual over the weight-1 factors, read from the
+        listing: no factor is made."""
+        hard = [np.concatenate(list(blocks.values()), axis=1) @ np.concatenate(
+            [values[k] for k in blocks]) - rhs for (blocks, rhs), (_, _, weight) in zip(
+                self._blocks(), self.structure) if weight == 1.0]
         r = np.concatenate(hard) if hard else np.empty(0)
         return float(np.abs(r).max()) if r.size else 0.0
 
@@ -264,15 +268,25 @@ class Conditional(NamedTuple):
         return _split(self.block, self.parents, self.frontal.dim)
 
 
-class EliminationDag(NamedTuple):
-    """Result of eliminating every variable of a graph under one plan: one
-    conditional per step of `plan`, the rhs of the rows elimination left with
-    no coefficient (`leftover`) and per front its R rows (`fronts`)."""
+class EliminationDag:
+    """Result of eliminating every variable of a graph under one plan: per
+    front its R rows `[R_ff | R_fp | d]` (`fronts`), the rhs of the rows
+    elimination left with no coefficient (`leftover`) and the `plan`; the
+    `conditionals`, one per step of the plan and views into its front's R
+    rows, are made from the fronts on first read."""
 
-    conditionals: tuple
-    leftover: np.ndarray
-    plan: EliminationPlan
-    fronts: tuple
+    def __init__(self, leftover: np.ndarray, plan: EliminationPlan, fronts: tuple):
+        self.leftover, self.plan, self.fronts = leftover, plan, fronts
+
+    @cached_property
+    def conditionals(self) -> tuple:
+        out = []
+        for (start, stop, *_), block in zip(self.plan.fronts, self.fronts):
+            c = 0
+            for st in self.plan.steps[start:stop]:
+                out.append(Conditional(st.var, st.parents, block[c:c + st.var.dim, c:]))
+                c += st.var.dim
+        return tuple(out)
 
     @property
     def ordering(self) -> tuple:
@@ -297,11 +311,11 @@ class PlanStep(NamedTuple):
     Factor ids number the graph's factors from 0, then the product factors
     in the order the steps leave them. The step eliminates `var` from the
     rows of the factors `inputs` (ascending, so graph factors before
-    products), `rows` of them graph rows, over columns `var`, `parents` (by
-    elimination position) and the rhs. `product` is the id of the factor it
-    leaves over the parents, -1 when the planner's row budget leaves none
-    (see `plan_elimination`). `gather` indexes the parents' entries of the
-    flat solution vector in column order.
+    products), over columns `var`, `parents` (by elimination position) and
+    the rhs. `product` is the id of the factor it leaves over the parents,
+    -1 when the planner's row budget leaves none (see `plan_elimination`).
+    `gather` indexes the parents' entries of the flat solution vector in
+    column order.
     """
 
     var: VarKey
@@ -309,7 +323,33 @@ class PlanStep(NamedTuple):
     parents: tuple
     product: int
     gather: np.ndarray
-    rows: int
+
+
+class Proof(NamedTuple):
+    """The tables that prove one reduction of a plan's fronts. Positions
+    are in the store: every front's dgeqrf output, column-major, laid out
+    as the buffer, then one zero read for entries off a front's R. Per
+    front its `offsets`; the fronts' R rows `[R_ff | R_fp | d]`, row-major
+    and one front after another (`gather`), and in these per solution
+    entry its pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff`
+    and the step (`six`); reduceat pairs over the entries handed off
+    (`src`, row by row) that span each product row's coefficients, and the
+    row's front (`live`); per front whose R has a row width - 1 (rhs only)
+    that rhs and the front (`leftover`); per step the rows its inputs hand
+    it when no row is cut (`filled`), its dim, front and front's first
+    step."""
+
+    offsets: np.ndarray
+    pivots: tuple
+    live: tuple
+    src: np.ndarray
+    six: tuple
+    gather: np.ndarray
+    leftover: tuple
+    filled: np.ndarray
+    dims: np.ndarray
+    front: np.ndarray
+    first: np.ndarray
 
 
 class EliminationPlan(NamedTuple):
@@ -324,16 +364,21 @@ class EliminationPlan(NamedTuple):
     A front is a run of steps `steps[start:stop]` whose parents are each the
     next step's variable and parents, reduced as one stack in the first
     step's columns: per step its graph rows, then a slot per product from
-    outside the run. `fronts` has per front (start, stop, stack offset,
-    width, rows, first solution entry, sources, ends), `sources` per slot
-    (making front, buffer position, step, and the stack column of each
-    column of the product's `[A | b]` row block) and `ends` per step the end
-    of its rows. One flat buffer of `buffer_size` floats holds every stack:
-    the assembly map. `dest` is the buffer position of each entry of the
-    graph's `flat` listing (see `scatter`), `scale` the (positions, weights)
-    of soft rows' entries, and `check` the (positions, solution entries,
-    hard row numbers, rhs positions) of the weight-1 rows' coefficients and
-    right-hand sides, for the residual check.
+    outside the run. One flat buffer of `buffer_size` floats holds every
+    stack: the assembly map. `dest` is the buffer position of each entry of
+    the graph's `flat` listing (see `scatter`), `scale` the (positions,
+    weights) of soft rows' entries, and `check` the (positions, solution
+    entries, hard row numbers, rhs positions) of the weight-1 rows'
+    coefficients and right-hand sides, for the residual check.
+
+    `fronts` has per front (start, stop, stack offset, width, rows, first
+    solution entry, ends, frontal columns c, src, dst, consumer step, R
+    offset): `ends` has per step the end of its rows; the handoff copies
+    the store entries `src` (the upper triangular part of the product
+    rows, R rows c on) to the buffer positions `dst` in the slot of the
+    step that consumes the product (-1: none); the R offset is where the
+    front's R rows start in `proof.gather`. `proof` holds the tables that
+    `Assembly.eliminate` proves its reduction with.
     """
 
     ordering: tuple
@@ -347,6 +392,7 @@ class EliminationPlan(NamedTuple):
     scale: tuple
     check: tuple
     fronts: tuple
+    proof: Proof
 
 
 def _bits(mask: int) -> list:
@@ -456,20 +502,24 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
 
     # parents are ordered by elimination position, known once every pick is; a
     # step whose variable and parents are the last step's parents joins its
-    # front (taking its product, `inner`). Sources' columns and gathers are
-    # views into `columns` and `entries`, filled last from outside products'
-    # columns as ranks (`pflat`) and stack columns (`pcol`); per graph factor:
-    # its first column in `flat`, first row, stride
+    # front (taking its product, `inner`). Gathers are views into `entries`,
+    # and `columns` (stack columns of outside products' columns) is filled
+    # last from those columns as ranks (`pflat`) and stack columns (`pcol`);
+    # per graph factor: its first column in `flat`, first row, stride; per
+    # front (`spans`) its start, stop, offset, width, rows, first solution
+    # entry, frontal columns and its product's slot (buffer position,
+    # consuming step, width, first entry of `columns`), and its `ends`; per
+    # step its graph rows
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
-    flat, scol, pflat, pcol, gvar, steps, fronts, maker = [], [], [], [], [], [], [], {}
-    at_col, at_entry, offset, inner = 0, 0, 0, -1
+    flat, scol, pflat, pcol, gvar, steps, spans, maker = [], [], [], [], [], [], [], {}
+    ends_of, grows, at_col, at_entry, offset, inner = [], [], 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         gvar += parents
         if inner < 0:
-            begin, x0, sources, ends = i, first[v], [], []
+            begin, x0, ends = i, first[v], []
             col[v], c = 0, dims[v]
             for p in parents:
                 col[p], c = c, c + dims[p]
@@ -487,18 +537,20 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             else:
                 pflat += ks
                 pcol += map(col.__getitem__, ks)
-                sources.append((maker[f], at, i, columns[at_col:at_col + cols_of[f]]))
+                spans[maker[f]][7:] = at, i, width, at_col
                 at_col += cols_of[f]
             height += rows_of[f]
         ends.append(height)
+        grows.append(row)
         if product >= 0:
             keys_of.append(parents + [n])
-            maker[product] = len(fronts)
+            maker[product] = len(spans)
         steps.append(PlanStep(keys[v], tuple(fids), tuple(map(keys.__getitem__, parents)),
-                              product, entries[at_entry:at_entry + cols], row))
+                              product, entries[at_entry:at_entry + cols]))
         at_entry, inner = at_entry + cols, product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
-            fronts.append((begin, i + 1, offset, width, height, x0, tuple(sources), tuple(ends)))
+            spans.append([begin, i + 1, offset, width, height, x0, col[n] - cols, 0, -1, 0, 0])
+            ends_of.append(tuple(ends))
             offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
     flat, scol, pflat, pcol, gvar = (np.array(a, dtype=np.intp)
@@ -526,8 +578,48 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     coef = ~(soft | is_rhs)
     check = (dest[coef], (sol.repeat(sizes) + col_e)[coef],
              (hard_row.repeat(sizes) + row_e)[coef], dest[is_rhs & ~soft])
+
+    # the numeric phase's tables over each front's rows m, width w and frontal
+    # columns c, as positions in the store: every front's dgeqrf output,
+    # column-major, laid out as the buffer, then one zero (at `offset`) read
+    # for entries off a front's R. dgeqrf leaves the product in R rows c to
+    # min(m, w - 1) - 1 (the R row w - 1 holds only a rhs, whatever the
+    # numbers, and is always cut); a front that leaves some has a consumer.
+    # The handoff copies the upper triangular entries of each product row to
+    # the consumer's slot, row by row: `live` has reduceat pairs spanning
+    # each row's coefficients among them
+    begin, stop, o, w, m, _, c, to, eat, cw, cat = np.array(
+        spans, dtype=np.intp).reshape(-1, 11).T
+    rows, nf = np.maximum(np.minimum(m, w - 1) - c, 0), len(spans)
+    fr, i = np.arange(nf).repeat(rows), _runs(0, rows)
+    q = (w - c)[fr] - i
+    live = (np.ravel([q.cumsum() - q, q.cumsum() - 1], "F"), fr)
+    er, ie, j = fr.repeat(q), i.repeat(q), _runs(i, q)
+    src = o[er] + (c[er] + j) * m[er] + c[er] + ie
+    dst = to[er] + ie * cw[er] + columns[cat[er] + j]
+    cut, area = [0, *np.bincount(er, minlength=nf).cumsum().tolist()], c * w
+    fronts = tuple((*s[:7], e, src[a:b], dst[a:b], s[8], x) for s, e, a, b, x in zip(
+        spans, ends_of, cut, cut[1:], (area.cumsum() - area).tolist()))
+    # the fronts' R rows, row-major and one front after another (lower
+    # triangles read the zero); in them, per solution entry its pivot
+    # (`fe` its front, `t` its column there), per 6-dim step its R_ff
+    fe, t = np.arange(nf).repeat(c), _runs(0, c)
+    e, i, j = m[fe].repeat(w[fe]), t.repeat(w[fe]), _runs(0, w[fe])
+    gather = np.where((j >= i) & (i < e), (o[fe] + t).repeat(w[fe]) + j * e, offset)
+    sdim, r, d = dims[[pick[0] for pick in picks]], np.arange(6), (area.cumsum() - area)[fe]
+    d += t * (w[fe] + 1)
+    six = np.flatnonzero(sdim == 6)
+    x = (np.cumsum(sdim) - sdim)[six]
+    filled = np.array(grows, dtype=np.intp)
+    np.add.at(filled, eat, rows)
+    front, last = np.arange(nf).repeat(stop - begin), m >= w
+    proof = Proof(o, (d, fe), live, src, (d[x, None, None] + r[:, None] * w[fe[x], None, None] + r,
+                                          six), gather,
+                  ((o + (w - 1) * (m + 1))[last], np.flatnonzero(last)), filled, sdim, front,
+                  begin[front])
     return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
-                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts)
+                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
+                           proof)
 
 
 class LruMemo(OrderedDict):
@@ -618,77 +710,123 @@ def scatter(plan: EliminationPlan, flat: np.ndarray) -> np.ndarray:
     return data
 
 
+# per thread the scratch of its largest solve (the store, then the entries
+# handed off), kept: a fresh one per solve costs more in page faults than
+# its numbers take to write
+_scratch = local()
+
+
 class Assembly(NamedTuple):
     """The numbers of one solve in the buffer its plan lays out, as
     `scatter` fills it. The plan's tables are only read, so any number
-    of assemblies may share it across threads; the buffer, reduced in place,
-    and the 6-dim `R_ff` blocks awaiting the batched rank test are per solve.
+    of assemblies may share it across threads; the buffer, whose slots
+    receive the products, and the store of dgeqrf outputs are per solve.
     """
 
     plan: EliminationPlan
     data: np.ndarray
 
     def eliminate(self) -> EliminationDag:
-        """Reduce every front's stack in plan order (see `eliminate`)."""
-        data, steps, fronts, peak = self.data, self.plan.steps, self.plan.fronts, np.maximum.reduce
-        filled, rests = [st.rows for st in steps], []
-        conditionals, blocks, leftover, frontal, failed = [], [], [], [], None
-        for start, stop, offset, width, m, _, sources, ends in fronts:
-            for at, to, step, cols in sources:
-                n = rests[at].shape[0]
-                data[to:to + n * width].reshape(n, width)[:, cols] = rests[at]
-                filled[step] += n
-            stack = data[offset:offset + m * width].reshape(m, width)
-            r = _r_factor(stack) if m else None
-            if m > 1 and (stop - start > 1 or steps[stop - 1].product >= 0):
-                mag = np.abs(r)  # a row with no coefficient above `cut` is dead
-                cut = 1e-12 * max(1.0, peak(mag, None))
-                if stop - start > 1:  # a later step's pivot down at the cut may
-                    # rest on rows that die on the way: reduce a step at a time
-                    lo, hi = steps[start].var.dim, width - 1 - len(steps[stop - 1].gather)
-                    d = mag.diagonal()[lo:hi]
-                    if not np.minimum.reduce(d, initial=np.inf) > cut:
-                        r, cut = _by_steps(stack, ends, steps, start, filled, leftover)
-                        mag = np.abs(r)
-            left = c = 0  # rows that reach the step; its first row and column in r
-            for k in range(start, stop):
-                v, parents = steps[k].var, steps[k].parents
-                dv, left = v.dim, left + filled[k]
-                if left < dv:
-                    failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
-                                           if left else "no factor constrains this variable")
-                    break
-                block = r[c:c + dv, c:]
-                if dv > 1:
-                    frontal.append(block[:, :dv])
-                # a 1x1 block's singular value is |entry|, written so NaN fails
-                elif not (a := abs(block[0, 0])) > 1e-9 * a:
-                    failed = RankDeficient(v, "frontal block rank below 1")
-                    break
-                conditionals.append(Conditional(v, parents, block))
-                left, c = left - dv, c + dv
-            if failed:
+        """Reduce every front, then prove the reduction (see `eliminate`).
+
+        Per front in plan order: its stack copied into the store, one
+        dgeqrf there (a one-row stack is its own R) and the handoff of its
+        product. Then one pass over the fronts (`_unproven`) proves what
+        the exact rule decides front by front; the first front it does not
+        prove is redone by that rule (`_redo`) and the loop resumes after
+        it. The R rows come out of the store in one gather."""
+        plan, data, k, left = self.plan, self.data, 0, {}
+        proof, n = plan.proof, plan.buffer_size + 1
+        scratch, filled = getattr(_scratch, "buffer", ()), proof.filled.copy()
+        if len(scratch) < n + len(proof.src):
+            scratch = _scratch.buffer = np.empty(n + len(proof.src))
+        store, vals = scratch[:n], scratch[n:n + len(proof.src)]
+        store[-1] = 0.0
+        while True:
+            for _, _, o, w, m, _, _, _, src, dst, _, _ in plan.fronts[k:]:
+                stack = store[o:o + m * w].reshape(w, m).T
+                stack[...] = data[o:o + m * w].reshape(m, w)
+                if m > 1:
+                    dgeqrf(stack, overwrite_a=1)
+                data[dst] = store[src]
+            r = store[proof.gather]
+            k = self._unproven(store, r, vals, filled, k)
+            if k == len(plan.fronts):
                 break
-            blocks.append(r[:c])
-            rest = r[c:]
-            if rest.shape[0] and parents:
-                live = peak(mag[c:, c:-1], 1) > cut
-                if np.count_nonzero(live) < live.size:
-                    # compacted; when every row died the plan's structure
-                    # stands, and the parents' columns from it stay zero
-                    leftover.extend(rest[~live, -1])
-                    rest = rest[live]
-            else:
-                leftover.extend(rest[:, -1])
-            rests.append(rest[:, c:])
-        ok = _full_rank(np.array(frontal).reshape(-1, 6, 6))
-        if not ok.all():
-            bad = [st.var for st in steps if st.var.dim > 1][np.argmin(ok)]
-            raise RankDeficient(bad, "frontal block rank below 6")
-        if failed:
-            raise failed
-        return EliminationDag(tuple(conditionals), np.array(leftover, dtype=float), self.plan,
-                              tuple(blocks))
+            k = self._redo(k, store, filled, left) + 1
+        pos, of = proof.leftover
+        leftover = store[pos] if not left else np.concatenate(
+            [left[f] if f in left else store[pos[of == f]] for f in range(len(plan.fronts))])
+        return EliminationDag(leftover, plan, tuple(
+            r[x:x + c * w].reshape(c, w) for _, _, _, w, _, _, c, *_, x in plan.fronts))
+
+    def _unproven(self, store, r, vals, filled, k) -> int:
+        """The first front from k that the store and the R rows `r` gathered
+        from it do not prove (the front count when they prove them all). A
+        front is proven when each step has rows enough, its 6-dim blocks pass
+        the batched rank test (made on the fronts before the first one
+        unproven otherwise) and the bound 1e-12 max(1, max |output|) over its
+        dgeqrf output (R and reflectors, so no less than the exact cut) is
+        below every pivot (so no pivot fails and no step-at-a-time reduction
+        is due) and below a coefficient of each product row (so no row is
+        cut). NaN proves nothing."""
+        offsets, (pos, pf), (pairs, lf), src, (p6, s6), _, _, _, dims, front, first = \
+            self.plan.proof
+        e = filled - dims
+        reach = e.cumsum()
+        peak = np.maximum(np.maximum.reduceat(store, offsets), -np.minimum.reduceat(store, offsets))
+        bound = 1e-12 * np.maximum(1.0, peak)
+        np.abs(np.take(store, src, out=vals, mode="clip"), out=vals)
+        bad = np.zeros(len(offsets) + 1, dtype=bool)
+        bad[front[reach < (reach - e)[first]]] = bad[pf[~(np.abs(r[pos]) > bound[pf])]] = True
+        bad[lf[~(np.maximum.reduceat(vals, pairs)[::2] > bound[lf])]] = True
+        bad[:k], bad[-1] = False, True
+        u = bad.argmax()
+        ranked = (front[s6] >= k) & (front[s6] < u)
+        ok = _full_rank(r[p6[ranked]])
+        return u if ok.all() else front[s6[ranked][ok.argmin()]]
+
+    def _redo(self, f, store, filled, left) -> int:
+        """Front f by the exact rule, as the store and the slot it hands to
+        then hold it: a QR of its stack, the cut 1e-12 max(1, max|R|), a
+        reduction a step at a time when a later pivot is at or below the cut
+        (such a pivot may rest on rows cut there, see `_by_steps`), product
+        rows with no coefficient above the cut cut (their rhs to `left[f]`)
+        and the rows the consumer receives recounted in `filled`. Raises
+        RankDeficient for the front's first step whose rows or frontal block
+        do not determine its variable; returns f."""
+        start, stop, o, w, m, _, c, ends, src, dst, to, _ = self.plan.fronts[f]
+        steps, stack, dead = self.plan.steps, self.data[o:o + m * w].reshape(m, w), []
+        r = _r_factor(stack) if m else stack
+        mag = np.abs(r)
+        cut = 1e-12 * max(1.0, mag.max(initial=0.0))
+        if stop - start > 1 and not np.min(mag.diagonal()[steps[start].var.dim:c],
+                                           initial=np.inf) > cut:
+            r, cut = _by_steps(stack, ends, steps, start, filled, dead)
+            mag = np.abs(r)
+        reach = at = 0
+        for k in range(start, stop):
+            v = steps[k].var
+            reach += filled[k]
+            if reach < v.dim:
+                raise RankDeficient(v, f"{reach} constraint rows for {v.dim} dimensions"
+                                    if reach else "no factor constrains this variable")
+            # a 1x1 block's singular value is |entry|, written so NaN fails
+            if not (_full_rank(r[None, at:at + 6, at:at + 6])[0] if v.dim > 1
+                    else (a := abs(r[at, at])) > 1e-9 * a):
+                raise RankDeficient(v, f"frontal block rank below {v.dim}")
+            reach, at = reach - v.dim, at + v.dim
+        # when every row dies the plan's structure stands, and the parents'
+        # columns from it stay zero
+        live = np.max(mag[c:, c:-1], 1, initial=0.0) > cut
+        left[f], n = dead + list(r[c:][~live, -1]), np.count_nonzero(live)
+        out = store[o:o + m * w].reshape(w, m).T
+        out[:c], out[c:, c:] = r[:c], 0.0
+        out[c:c + n, c:] = r[c:][live, c:]
+        if to >= 0:
+            self.data[dst] = store[src]
+            filled[to] += n - max(min(m, w - 1) - c, 0)
+        return f
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
@@ -708,15 +846,18 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     `ordering` is any request `plan_for` takes, usually a key sequence. The
     graph's `flat` listing is scattered into the buffer the plan lays out,
     weighted, so each front's stack holds its input row blocks in the plan's
-    columns. Per front the stacked rows are orthogonally reduced at once,
-    each variable's block rows, kept as they are (`[R_ff | R_fp | d]`), are
-    its conditional, and the rows below, less rows left with no parent
-    coefficient (their right-hand sides go to `leftover`), become a factor
-    over the last step's parents, copied into the stack that consumes it. A
-    front with a later step's pivot at or below that cut is reduced again a
-    step at a time (`_by_steps`): such a pivot may rest on rows cut there.
-    Raises RankDeficient for the first step in plan order whose frontal
-    block does not determine its variable (see `_full_rank`).
+    columns. Every front's stack is orthogonally reduced first, in plan
+    order: each variable's block rows, kept as they are (`[R_ff | R_fp | d]`),
+    are its conditional, and the rows below become a factor over the last
+    step's parents, handed to the stack that consumes it. Then one pass
+    proves, against a bound no lower than the exact dead-row cut, that no
+    row left with no parent coefficient had to be cut (its right-hand side
+    goes to `leftover`) and that no front needed reducing a step at a time
+    (`_by_steps`: a later pivot at or below the cut may rest on rows cut
+    there); the first front it cannot prove is redone by that exact rule,
+    and the fronts after it are reduced again. Raises RankDeficient for the
+    first step in plan order whose rows or frontal block do not determine
+    its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
     return Assembly(plan, scatter(plan, graph.flat)).eliminate()

@@ -40,6 +40,20 @@ def five_bar():
     return load_model("five_bar.urdf")
 
 
+def assert_same_tables(a, b):
+    """Plan tables equal all the way down: tuples item by item, arrays in
+    dtype and value."""
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    elif isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_tables(x, y)
+    else:
+        assert a == b
+
+
 def random_state(rng, n):
     # angles uniform in (-pi, pi), rates uniform in (-1, 1)
     return JointState(rng.uniform(-np.pi, np.pi, n), rng.uniform(-1.0, 1.0, n))

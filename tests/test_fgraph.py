@@ -31,7 +31,7 @@ from dyngraph.transcribe import (
     solve_dynamics,
 )
 
-from conftest import random_state
+from conftest import assert_same_tables, random_state
 
 X = VarKey(Kind.ACCEL, 1)
 Y = VarKey(Kind.ACCEL, 2)
@@ -263,11 +263,8 @@ class TestPlan:
             for a, b in zip(fixed.steps, greedy.steps):
                 assert a._replace(gather=()) == b._replace(gather=())
                 assert np.array_equal(a.gather, b.gather)
-            assert len(fixed.fronts) == len(greedy.fronts)
-            for a, b in zip(fixed.fronts, greedy.fronts):
-                assert a[:6] + a[7:] == b[:6] + b[7:]
-                assert [s[:3] for s in a[6]] == [s[:3] for s in b[6]]
-                assert all(np.array_equal(x[3], y[3]) for x, y in zip(a[6], b[6]))
+            assert_same_tables(fixed.fronts, greedy.fronts)
+            assert_same_tables(fixed.proof, greedy.proof)
 
     def test_one_row_r_factor_is_the_row_lapack_leaves(self):
         # Householder QR of one row reflects nothing (tau = 0), so the
@@ -664,6 +661,207 @@ def test_graph_listed_from_its_factors_is_the_same_bits(case, seed):
         values = back_substitute(dag)
         outcomes.append(({k: v.tobytes() for k, v in values.items()}, dag.leftover.tobytes()))
     assert outcomes[0] == outcomes[1]
+
+
+def reference_eliminate(graph, plan):
+    """The per-front loop that eliminated every graph before the fronts were
+    reduced first and proven after, kept as an oracle for
+    `Assembly.eliminate`: per front in plan order, the live product rows of
+    earlier fronts copied into its slots, one QR, the exact cut
+    1e-12 max(1, max |R|), a reduction a step at a time when a later pivot
+    is at or below the cut, the row and pivot tests step by step, and the
+    product rows with a coefficient above the cut kept for the consumer.
+    Returns the fronts' R rows and the leftover, or raises the first
+    RankDeficient in plan order."""
+    data, steps, n_graph = fgraph.scatter(plan, graph.flat), plan.steps, len(graph.structure)
+    filled = [sum(graph.structure[f][1] for f in st.inputs if f < n_graph) for st in steps]
+    front_of = {k: g for g, front in enumerate(plan.fronts) for k in range(*front[:2])}
+    sources = {}  # per consuming front: (making front, row 0 of its slot, step)
+    for g, (_, _, _, width, _, _, c, _, _, dst, to, _) in enumerate(plan.fronts):
+        if to >= 0:
+            sources.setdefault(front_of[to], []).append((g, dst[:width - c], to))
+    peak, rests, blocks, leftover, frontal, failed = np.maximum.reduce, [], [], [], [], None
+    for f, (start, stop, offset, width, m, _, _, ends, *_) in enumerate(plan.fronts):
+        for at, slot, step in sources.get(f, ()):
+            n = rests[at].shape[0]
+            if n:
+                data[slot + width * np.arange(n)[:, None]] = rests[at]
+            filled[step] += n
+        stack = data[offset:offset + m * width].reshape(m, width)
+        r = fgraph._r_factor(stack) if m else None
+        if m > 1 and (stop - start > 1 or steps[stop - 1].product >= 0):
+            mag = np.abs(r)
+            cut = 1e-12 * max(1.0, peak(mag, None))
+            if stop - start > 1:
+                lo, hi = steps[start].var.dim, width - 1 - len(steps[stop - 1].gather)
+                if not np.minimum.reduce(mag.diagonal()[lo:hi], initial=np.inf) > cut:
+                    r, cut = fgraph._by_steps(stack, ends, steps, start, filled, leftover)
+                    mag = np.abs(r)
+        left = c = 0
+        for k in range(start, stop):
+            v, parents = steps[k].var, steps[k].parents
+            dv, left = v.dim, left + filled[k]
+            if left < dv:
+                failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
+                                       if left else "no factor constrains this variable")
+                break
+            if dv > 1:
+                frontal.append(r[c:c + dv, c:c + dv])
+            elif not (a := abs(r[c, c])) > 1e-9 * a:
+                failed = RankDeficient(v, "frontal block rank below 1")
+                break
+            left, c = left - dv, c + dv
+        if failed:
+            break
+        blocks.append(r[:c])
+        rest = r[c:]
+        if rest.shape[0] and parents:
+            live = peak(mag[c:, c:-1], 1) > cut
+            leftover.extend(rest[~live, -1])
+            rest = rest[live]
+        else:
+            leftover.extend(rest[:, -1])
+        rests.append(rest[:, c:])
+    ok = fgraph._full_rank(np.array(frontal).reshape(-1, 6, 6))
+    if not ok.all():
+        bad = [st.var for st in steps if st.var.dim > 1][np.argmin(ok)]
+        raise RankDeficient(bad, "frontal block rank below 6")
+    if failed:
+        raise failed
+    return tuple(blocks), np.array(leftover, dtype=float)
+
+
+def elimination_outcome(graph, ordering, reduce):
+    """The fronts, leftover and values an elimination gives (`reduce` maps a
+    graph and plan to fronts and leftover), as bytes, or its error's type
+    and message."""
+    plan = fgraph.plan_for(graph, ordering)
+    try:
+        fronts, leftover = reduce(graph, plan)
+    except RankDeficient as e:
+        return type(e).__name__, str(e)
+    got = [[(b.shape, b.tobytes()) for b in fronts], leftover.tobytes()]
+    try:
+        values = back_substitute(fgraph.EliminationDag(leftover, plan, fronts))
+        return got + [{k: v.tobytes() for k, v in values.items()}]
+    except (RankDeficient, ValueError) as e:
+        return got + [(type(e).__name__, str(e))]
+
+
+def reduce_first(graph, plan):
+    dag = fgraph.Assembly(plan, fgraph.scatter(plan, graph.flat)).eliminate()
+    return dag.fronts, dag.leftover
+
+
+@hs.composite
+def hazardous_graphs(draw):
+    """A random structure (see `structures`) with random numbers and one
+    planted hazard, each a way a front's fast reduction can fail its proof:
+    proportional rows (a product row that reduces to rounding), a block at
+    1e-14 (rows and pivots at the cut), a zero column in every block of a
+    variable (a zero 1-dim pivot, a singular 6-dim block or rows short), a
+    NaN, or a right-hand side of 1e13 (a cut above small live rows).
+    Returns the graph and an ordering."""
+    structure, groups = draw(structures())
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    factors = [({k: rng.standard_normal((rows, k.dim)) for k in keys},
+                rng.standard_normal(rows), weight) for keys, rows, weight in structure.structure]
+    blocks, rhs, _ = factors[draw(hs.integers(0, len(factors) - 1))]
+    key = draw(hs.sampled_from(sorted(blocks)))
+    hazard = draw(hs.sampled_from(["none", "proportional", "tiny", "zero", "nan", "rhs"]))
+    if hazard == "proportional":
+        for b in blocks.values():
+            b[-1] = 2.0 * b[0]
+        rhs[-1] = 2.0 * rhs[0] + 1.0
+    elif hazard == "tiny":
+        blocks[key] *= 1e-14
+    elif hazard == "zero":
+        for b, _, _ in factors:
+            if key in b:
+                b[key][:, 0] = 0.0
+    elif hazard == "nan":
+        blocks[key][0, 0] = np.nan
+    elif hazard == "rhs":
+        rhs *= 1e13
+    graph = FactorGraph(LinearFactor(b, r, w) for b, r, w in factors)
+    return graph, plan_elimination(graph, groups).ordering
+
+
+@settings(deadline=None, max_examples=300)
+@given(hazardous_graphs())
+def test_reduce_then_prove_is_the_per_front_loop_bit_for_bit(case):
+    # whatever the proof finds, the fronts, leftover, values and the first
+    # error, by type and message, are those of the per-front loop
+    graph, ordering = case
+    assert elimination_outcome(graph, ordering, reduce_first) == \
+        elimination_outcome(graph, ordering, reference_eliminate)
+
+
+def hazard_cases():
+    """One hand-built graph per way the proof fails, with its ordering."""
+    u, w, x, y, z = (VarKey(Kind.JOINT_ACCEL, i) for i in range(1, 6))
+    f, g = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2)
+    # x's front, after w's, leaves two rows on (y, z) that are dead, and
+    # y's front (over y, z and u) receives none of them
+    dead = FactorGraph([LinearFactor({w: [[1.0]]}, [1.0]),
+                        LinearFactor({w: [[1.0]], x: [[1.0]]}, [2.0]),
+                        LinearFactor({x: [[1.0]], y: [[0.0]], z: [[0.0]]}, [1.0]),
+                        LinearFactor({x: [[2.0]]}, [2.0]),
+                        LinearFactor({y: [[1.0]], u: [[1.0]]}, [2.0]),
+                        LinearFactor({u: [[1.0]]}, [1.0]), LinearFactor({z: [[1.0]]}, [3.0])])
+    # x and y are one front and y's pivot is at the cut: a step at a time
+    cut = FactorGraph([LinearFactor({x: [[1.0]], y: [[1e-14]]}, [1.0]),
+                       LinearFactor({x: [[2.0]], y: [[3e-14]]}, [1002.0]),
+                       LinearFactor({y: [[1e-10]]}, [1e-10])])
+    # the row that x's front leaves on y has a coefficient of 1e-7 and a rhs
+    # of 1e6, so the cut, 1e-6, kills it; the R row kept for x is all of
+    # order 1
+    big_rhs = FactorGraph([LinearFactor({x: [[1.0]], y: [[0.0]]}, [1.0]),
+                           LinearFactor({x: [[0.0]], y: [[1e-7]]}, [1e6]),
+                           LinearFactor({y: [[1.0]], u: [[1.0]]}, [2.0]),
+                           LinearFactor({u: [[1.0]]}, [1.0])])
+    short = FactorGraph([LinearFactor({x: [[1.0]], y: [[1.0]]}, [1.0])])
+    zero = FactorGraph([LinearFactor({x: [[0.0]]}, [1.0])])
+    singular = FactorGraph([LinearFactor({f: np.eye(6)}, np.ones(6)),
+                            LinearFactor({g: np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0]),
+                                          f: np.eye(6)}, np.ones(6))])
+    nan = FactorGraph([LinearFactor({x: [[1.0]], y: [[np.nan]]}, [1.0]),
+                       LinearFactor({y: [[1.0]]}, [1.0])])
+    return {"dead-row": (dead, [w, x, y, z, u]), "pivot-at-cut": (cut, [x, y]),
+            "rhs-sized-cut": (big_rhs, [x, y, u]),
+            "row-shortage": (short, [x, y]), "zero-pivot": (zero, [x]),
+            "singular-6-dim": (singular, [g, f]), "nan": (nan, [x, y])}
+
+
+@pytest.mark.parametrize("name", sorted(hazard_cases()))
+def test_each_proof_failure_is_redone_as_the_per_front_loop(name, monkeypatch):
+    graph, ordering = hazard_cases()[name]
+    redone = []
+    redo = fgraph.Assembly._redo
+    monkeypatch.setattr(fgraph.Assembly, "_redo",
+                        lambda self, f, *a: (redone.append(f), redo(self, f, *a))[1])
+    got = elimination_outcome(graph, ordering, reduce_first)
+    assert redone, "the proof passed"
+    assert got == elimination_outcome(graph, ordering, reference_eliminate)
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), hs.integers(0, 2**32 - 1))
+def test_residual_max_reads_the_listing(case, seed):
+    # soft and hard factors: the residual check makes no factor and gives
+    # the float the weight-1 factors' own residuals give
+    structure, _ = case
+    rng = np.random.default_rng(seed)
+    graph = FactorGraph(LinearFactor({k: rng.standard_normal((rows, k.dim)) for k in keys},
+                                     rng.standard_normal(rows), weight)
+                        for keys, rows, weight in structure.structure)
+    listed = FactorGraph.listed(graph.structure, graph.labels, graph.flat)
+    values = {k: rng.standard_normal(k.dim) for k in graph.variables}
+    got = listed.residual_max(values)
+    assert "factors" not in vars(listed)
+    hard = [f.ab[:, :-1] @ np.concatenate([values[k] for k in f.keys()]) - f.ab[:, -1]
+            for f in graph.factors if f.weight == 1.0]
+    assert got == (float(np.abs(np.concatenate(hard)).max()) if hard else 0.0)
 
 
 def singular_value_rank_test(r) -> bool:

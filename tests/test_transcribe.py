@@ -37,7 +37,7 @@ from dyngraph.transcribe import (
     solve_dynamics,
 )
 
-from conftest import FIXTURES, load_model, random_state
+from conftest import FIXTURES, assert_same_tables, load_model, random_state
 
 GRAVITY_Y = (0.0, -9.81, 0.0)
 
@@ -1146,6 +1146,43 @@ class TestCompiledSolve:
             made.clear()
 
 
+    def test_no_conditional_until_read_and_then_the_public_ones(self, six_r, tree21, five_bar,
+                                                                five_bar_kin, monkeypatch):
+        # solve_dynamics makes no Conditional; its DAG makes them from the
+        # fronts on first read, once, equal to those of the public pipeline,
+        # with every frontal block upper triangular as documented
+        made = []
+
+        class Counted(fgraph.Conditional):
+            def __new__(cls, *args):
+                made.append(1)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(fgraph, "Conditional", Counted)
+        rng = np.random.default_rng(1616)
+        cases = [(six_r, random_state(rng, 6), ProblemSpec.inverse(six_r, rng.uniform(-1, 1, 6)),
+                  "auto"),
+                 (five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2),
+                  ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}},
+                                     min_torque_prior=True, planar_loops={"j5": (0, 0, 1)}),
+                  "auto")]
+        cases += [(tree21, random_state(rng, 21), ProblemSpec.forward(tree21, rng.uniform(-1, 1, 21)),
+                   ordering) for ordering in ("crba", "aba", "md", "nd")]
+        for model, st, spec, ordering in cases:
+            res = solve_dynamics(model, st, spec, ordering)
+            assert made == []
+            want = eliminate(build_graph(model, st, spec), res.ordering).conditionals
+            made.clear()
+            got = res.dag.conditionals
+            assert len(made) == len(got) == len(want) == len(res.dag.plan.steps)
+            assert res.dag.conditionals is got
+            for a, b in zip(got, want):
+                assert (a.frontal, a.parents) == (b.frontal, b.parents)
+                np.testing.assert_array_equal(a.block, b.block)
+                assert not np.tril(a.diag, -1).any()
+            made.clear()
+
+
 def template_cases(six_r, five_bar, five_bar_kin, tree21):
     """(model, state maker, spec maker, orderings) for the template tests:
     inverse, forward, hybrid, the prior, a planar loop, a nonzero base
@@ -1240,12 +1277,8 @@ class TestSolveTemplate:
             for a, b in zip(compiled.steps, public.steps):
                 assert a._replace(gather=()) == b._replace(gather=())
                 np.testing.assert_array_equal(a.gather, b.gather)
-            assert len(compiled.fronts) == len(public.fronts)
-            for a, b in zip(compiled.fronts, public.fronts):
-                assert a[:6] + a[7:] == b[:6] + b[7:]
-                assert [s[:3] for s in a[6]] == [s[:3] for s in b[6]]
-                for x, y in zip(a[6], b[6]):
-                    np.testing.assert_array_equal(x[3], y[3])
+            assert_same_tables(compiled.fronts, public.fronts)
+            assert_same_tables(compiled.proof, public.proof)
             for x, y in zip((compiled.dest, *compiled.scale, *compiled.check),
                             (public.dest, *public.scale, *public.check)):
                 assert x.dtype == y.dtype
