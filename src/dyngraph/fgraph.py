@@ -372,7 +372,7 @@ class EliminationPlan(NamedTuple):
     coefficients and right-hand sides, for the residual check.
 
     `fronts` has per front (start, stop, stack offset, width, rows, first
-    solution entry, ends, frontal columns c, src, dst, consumer step, R
+    solution entry, frontal columns c, ends, src, dst, consumer step, R
     offset): `ends` has per step the end of its rows; the handoff copies
     the store entries `src` (the upper triangular part of the product
     rows, R rows c on) to the buffer positions `dst` in the slot of the
@@ -408,6 +408,13 @@ def _runs(starts, lengths: np.ndarray) -> np.ndarray:
     """range(s, s + n) for each pair (s, n), concatenated."""
     ends = lengths.cumsum()
     return np.arange(ends[-1] if len(ends) else 0) + (starts + lengths - ends).repeat(lengths)
+
+
+def _strided(starts, lengths, steps) -> np.ndarray:
+    """range(s, s + n * d, d) for each (s, n, d), n > 0, concatenated."""
+    out, heads = np.repeat(steps, lengths), lengths.cumsum() - lengths
+    out[heads] = starts - np.append(0, starts + steps * (lengths - 1))[:-1]
+    return np.cumsum(out, out=out)
 
 
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
@@ -593,19 +600,22 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     rows, nf = np.maximum(np.minimum(m, w - 1) - c, 0), len(spans)
     fr, i = np.arange(nf).repeat(rows), _runs(0, rows)
     q = (w - c)[fr] - i
-    live = (np.ravel([q.cumsum() - q, q.cumsum() - 1], "F"), fr)
-    er, ie, j = fr.repeat(q), i.repeat(q), _runs(i, q)
-    src = o[er] + (c[er] + j) * m[er] + c[er] + ie
-    dst = to[er] + ie * cw[er] + columns[cat[er] + j]
-    cut, area = [0, *np.bincount(er, minlength=nf).cumsum().tolist()], c * w
+    at = np.append(0, q.cumsum())
+    live = (np.ravel([at[:-1], at[1:] - 1], "F"), fr)
+    src = _strided(o[fr] + (c[fr] + i) * (m[fr] + 1), q, m[fr])
+    dst = _strided(cat[fr] + i, q, np.ones_like(q))
+    dst = np.take(columns, dst, out=dst, mode="clip")
+    dst += np.repeat(to[fr] + i * cw[fr], q)
+    cut, area = at[np.append(0, rows.cumsum())].tolist(), c * w
     fronts = tuple((*s[:7], e, src[a:b], dst[a:b], s[8], x) for s, e, a, b, x in zip(
         spans, ends_of, cut, cut[1:], (area.cumsum() - area).tolist()))
     # the fronts' R rows, row-major and one front after another (lower
-    # triangles read the zero); in them, per solution entry its pivot
-    # (`fe` its front, `t` its column there), per 6-dim step its R_ff
+    # triangles, and rows past a short front's end, read the zero); in
+    # them, per solution entry its pivot (`fe` its front, `t` its column
+    # there), per 6-dim step its R_ff
     fe, t = np.arange(nf).repeat(c), _runs(0, c)
-    e, i, j = m[fe].repeat(w[fe]), t.repeat(w[fe]), _runs(0, w[fe])
-    gather = np.where((j >= i) & (i < e), (o[fe] + t).repeat(w[fe]) + j * e, offset)
+    gather = _strided(o[fe] + t, w[fe], m[fe])
+    gather[_runs(w[fe].cumsum() - w[fe], np.where(t < m[fe], t, w[fe]))] = offset
     sdim, r, d = dims[[pick[0] for pick in picks]], np.arange(6), (area.cumsum() - area)[fe]
     d += t * (w[fe] + 1)
     six = np.flatnonzero(sdim == 6)
@@ -720,7 +730,8 @@ class Assembly(NamedTuple):
     """The numbers of one solve in the buffer its plan lays out, as
     `scatter` fills it. The plan's tables are only read, so any number
     of assemblies may share it across threads; the buffer, whose slots
-    receive the products, and the store of dgeqrf outputs are per solve.
+    receive the products, is per solve, and the store of dgeqrf outputs
+    is the calling thread's scratch.
     """
 
     plan: EliminationPlan
