@@ -190,8 +190,9 @@ class FactorGraph:
 
     @cached_property
     def factors(self) -> tuple:
-        return tuple(LinearFactor(blocks, rhs, weight, name, knowns) for (blocks, rhs), (_, _, weight),
-                     (name, knowns) in zip(self._blocks(), self.structure, self.labels))
+        return tuple(LinearFactor(blocks, rhs, weight, name, knowns)
+                     for (blocks, rhs), (_, _, weight), (name, knowns)
+                     in zip(self._blocks(), self.structure, self.labels))
 
     @cached_property
     def variables(self) -> tuple:

@@ -1166,8 +1166,9 @@ class TestCompiledSolve:
                   ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}},
                                      min_torque_prior=True, planar_loops={"j5": (0, 0, 1)}),
                   "auto")]
-        cases += [(tree21, random_state(rng, 21), ProblemSpec.forward(tree21, rng.uniform(-1, 1, 21)),
-                   ordering) for ordering in ("crba", "aba", "md", "nd")]
+        cases += [(tree21, random_state(rng, 21),
+                   ProblemSpec.forward(tree21, rng.uniform(-1, 1, 21)), ordering)
+                  for ordering in ("crba", "aba", "md", "nd")]
         for model, st, spec, ordering in cases:
             res = solve_dynamics(model, st, spec, ordering)
             assert made == []
