@@ -749,6 +749,7 @@ def elimination_outcome(graph, ordering, reduce):
 
 
 def reduce_first(graph, plan):
+    """`Assembly.eliminate`'s fronts and leftover."""
     dag = fgraph.Assembly(plan, fgraph.scatter(plan, graph.flat)).eliminate()
     return dag.fronts, dag.leftover
 
