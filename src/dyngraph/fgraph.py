@@ -25,8 +25,9 @@ that layout (`scatter` fills one from `flat`, `transcribe` from a
 template): it reduces every front first, one in-place QR each and one
 gathered copy of its product into the consumer's slot, then proves every
 dead-row cut and pivot at once and redoes by the exact rule only the
-fronts it cannot prove; `back_substitute` then fills the flat vector
-backwards, a front at a time.
+fronts it cannot prove. `back_substitute` then scatters the fronts' R rows
+into one upper triangular system over the flat vector, `size` x (`size` + 1)
+floats with the rhs last, and solves it with one LAPACK `dtrtrs`.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -270,14 +271,20 @@ class Conditional(NamedTuple):
 
 
 class EliminationDag:
-    """Result of eliminating every variable of a graph under one plan: per
-    front its R rows `[R_ff | R_fp | d]` (`fronts`), the rhs of the rows
-    elimination left with no coefficient (`leftover`) and the `plan`; the
-    `conditionals`, one per step of the plan and views into its front's R
-    rows, are made from the fronts on first read."""
+    """Result of eliminating every variable of a graph under one plan: the
+    fronts' R rows `[R_ff | R_fp | d]`, row-major and one front after
+    another (`rows`, laid out as the plan's `proof.gather`), the rhs of the
+    rows elimination left with no coefficient (`leftover`) and the `plan`.
+    Per front its R rows (`fronts`) and the `conditionals`, one per step of
+    the plan and views into its front's R rows, are made on first read."""
 
-    def __init__(self, leftover: np.ndarray, plan: EliminationPlan, fronts: tuple):
-        self.leftover, self.plan, self.fronts = leftover, plan, fronts
+    def __init__(self, leftover: np.ndarray, plan: EliminationPlan, rows: np.ndarray):
+        self.leftover, self.plan, self.rows = leftover, plan, rows
+
+    @cached_property
+    def fronts(self) -> tuple:
+        return tuple(self.rows[x:x + c * w].reshape(c, w)
+                     for _, _, _, w, _, _, c, *_, x in self.plan.fronts)
 
     @cached_property
     def conditionals(self) -> tuple:
@@ -380,6 +387,11 @@ class EliminationPlan(NamedTuple):
     step that consumes the product (-1: none); the R offset is where the
     front's R rows start in `proof.gather`. `proof` holds the tables that
     `Assembly.eliminate` proves its reduction with.
+
+    `system` has per entry of the R rows (`proof.gather`) its position in
+    the column-major `size` x (`size` + 1) upper triangular system that
+    back-substitution solves: row the entry's solution index, column its
+    front's frontal entry, its last step's `gather` entry or `size` (rhs).
     """
 
     ordering: tuple
@@ -394,6 +406,7 @@ class EliminationPlan(NamedTuple):
     check: tuple
     fronts: tuple
     proof: Proof
+    system: np.ndarray
 
 
 def _bits(mask: int) -> list:
@@ -521,7 +534,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
-    flat, scol, pflat, pcol, gvar, steps, spans, maker = [], [], [], [], [], [], [], {}
+    flat, scol, pflat, pcol, gvar, fvar, steps, spans, maker = [], [], [], [], [], [], [], [], {}
     ends_of, grows, at_col, at_entry, offset, inner = [], [], 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
@@ -532,6 +545,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             for p in parents:
                 col[p], c = c, c + dims[p]
             col[n], width, height = c, c + 1, 0
+            fvar += [v, *parents, n]
         row = 0
         for f in fids:
             if f == inner:
@@ -561,8 +575,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             ends_of.append(tuple(ends))
             offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
-    flat, scol, pflat, pcol, gvar = (np.array(a, dtype=np.intp)
-                                     for a in (flat, scol, pflat, pcol, gvar))
+    flat, scol, pflat, pcol, gvar, fvar = (np.array(a, dtype=np.intp)
+                                           for a in (flat, scol, pflat, pcol, gvar, fvar))
     columns[:at_col], entries[:] = _runs(pcol, dims[pflat]), _runs(first[gvar], dims[gvar])
 
     # the assembly map, a group per key block and rhs of each graph factor:
@@ -615,22 +629,30 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # them, per solution entry its pivot (`fe` its front, `t` its column
     # there), per 6-dim step its R_ff
     fe, t = np.arange(nf).repeat(c), _runs(0, c)
-    gather = _strided(o[fe] + t, w[fe], m[fe])
-    gather[_runs(w[fe].cumsum() - w[fe], np.where(t < m[fe], t, w[fe]))] = offset
+    wf = w[fe]
+    gather = _strided(o[fe] + t, wf, m[fe])
+    gather[_runs(wf.cumsum() - wf, np.where(t < m[fe], t, wf))] = offset
     sdim, r, d = dims[[pick[0] for pick in picks]], np.arange(6), (area.cumsum() - area)[fe]
-    d += t * (w[fe] + 1)
+    d += t * (wf + 1)
     six = np.flatnonzero(sdim == 6)
     x = (np.cumsum(sdim) - sdim)[six]
     filled = np.array(grows, dtype=np.intp)
     np.add.at(filled, eat, rows)
     front, last = np.arange(nf).repeat(stop - begin), m >= w
-    proof = Proof(o, (d, fe), live, src, (d[x, None, None] + r[:, None] * w[fe[x], None, None] + r,
+    proof = Proof(o, (d, fe), live, src, (d[x, None, None] + r[:, None] * wf[x, None, None] + r,
                                           six), gather,
                   ((o + (w - 1) * (m + 1))[last], np.flatnonzero(last)), filled, sdim, front,
                   begin[front])
+    # each R row entry's place in the column-major size x (size + 1) system:
+    # row its solution entry, column the solution entry of its stack column
+    # (a front's columns are its first step's variable and parents, in
+    # elimination order), or size for the rhs (whose first entry is -1)
+    system = _runs(first[fvar], dims[fvar]) % (size + 1) * size
+    system = system[_runs(w.cumsum()[fe] - wf, wf)]
+    system += np.arange(size).repeat(wf)
     return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
                            offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
-                           proof)
+                           proof, system)
 
 
 class LruMemo(OrderedDict):
@@ -769,8 +791,7 @@ class Assembly(NamedTuple):
         pos, of = proof.leftover
         leftover = store[pos] if not left else np.concatenate(
             [left[f] if f in left else store[pos[of == f]] for f in range(len(plan.fronts))])
-        return EliminationDag(leftover, plan, tuple(
-            r[x:x + c * w].reshape(c, w) for _, _, _, w, _, _, c, *_, x in plan.fronts))
+        return EliminationDag(leftover, plan, r)
 
     def _unproven(self, store, r, vals, filled, k) -> int:
         """The first front from k that the store and the R rows `r` gathered
@@ -932,35 +953,42 @@ def _full_rank(blocks: np.ndarray) -> np.ndarray:
 
 
 def back_substitute(dag: EliminationDag) -> dict:
-    """Solve for every variable by walking the DAG in reverse order.
+    """Solve for every variable: one triangular solve over the DAG's R rows.
 
     The plan fixes the layout: one flat solution vector with a slice per
-    variable, filled from the last front to the first; each front gathers
-    its last step's parents' entries, forms `d - R_fp @ x_parents` and
-    solves its triangular `R_ff` with LAPACK. Returns {key: view into that vector}.
-    Raises ValueError if the solution is not finite (an infinite or NaN
-    input that the frontal rank test cannot see, such as an infinite rhs).
+    variable, in elimination order, and the place of every R row entry in
+    a `size` x (`size` + 1) upper triangular system, the rhs last (see
+    `_solution`). Returns {key: view into that vector}. Raises
+    RankDeficient naming the first zero pivot in elimination order (only a
+    hand-built DAG has one), and ValueError if the solution is not finite
+    (an infinite or NaN input that the frontal rank test cannot see, such as
+    an infinite rhs), naming its last non-finite entry in elimination
+    order: the source, since a NaN or infinity spreads only to the entries
+    eliminated before it.
     """
     x = _solution(dag)
     return {v: x[s] for v, s in dag.plan.slices.items()}
 
 
-# a non-finite solution raises below, so numpy's warnings about it would only repeat it
-@np.errstate(invalid="ignore", over="ignore")
 def _solution(dag: EliminationDag) -> np.ndarray:
-    """The flat solution vector `back_substitute` hands out views of."""
-    plan = dag.plan
-    x = np.empty(plan.size)
-    for (_, stop, _, _, _, at, *_), block in zip(reversed(plan.fronts), reversed(dag.fronts)):
-        d, last = block.shape[0], plan.steps[stop - 1]
-        rhs = block[:, -1] - block[:, d:-1] @ x[last.gather] if last.parents else block[:, -1]
-        sol, info = dtrtrs(block[:, :d], rhs)
-        if info:
-            bad = next(v for v, s in plan.slices.items() if s.stop >= at + info)
-            raise RankDeficient(bad, f"triangular solve failed (LAPACK info {info})")
-        x[at:at + d] = sol
+    """The flat solution vector `back_substitute` hands out views of: the
+    R rows scattered into a zeroed column-major system (`plan.system`),
+    then one `dtrtrs`, whose cost grows as size^2 whatever the sparsity.
+    Forward dynamics of a serial chain under "md", on a 2-vCPU Xeon: 15 µs
+    at size 78 (6 joints) and 46 µs at 273 (21 joints), where a loop over
+    the fronts (a gather, a matvec and a `dtrtrs` each) took 66 and 222 µs.
+    The two meet near size 1,560 (120 joints, 358 fronts); at 3,120 the
+    dense solve takes 10.4 ms to the loop's 2.8 ms."""
+    plan, n = dag.plan, dag.plan.size
+    system = np.zeros(n * (n + 1))
+    system[plan.system] = dag.rows
+    x, info = dtrtrs(system[:n * n].reshape(n, n).T, system[n * n:]) if n else (system, 0)
+    if info:
+        bad = next(v for v, s in plan.slices.items() if s.stop >= info)
+        raise RankDeficient(bad, f"triangular solve failed (LAPACK info {info})")
     if not np.isfinite(x).all():
-        bad = next(v for v, s in plan.slices.items() if not np.isfinite(x[s]).all())
+        at = np.flatnonzero(~np.isfinite(x))[-1]
+        bad = next(v for v, s in plan.slices.items() if s.stop > at)
         raise ValueError(f"non-finite solution at variable {bad}")
     return x
 

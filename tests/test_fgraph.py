@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from scipy.linalg.lapack import dgeqrf, dgesdd
+from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
 
 from dyngraph import fgraph
 from dyngraph.errors import IncompatibleScheme, RankDeficient
@@ -265,6 +265,7 @@ class TestPlan:
                 assert np.array_equal(a.gather, b.gather)
             assert_same_tables(fixed.fronts, greedy.fronts)
             assert_same_tables(fixed.proof, greedy.proof)
+            assert_same_tables(fixed.system, greedy.system)
 
     def test_one_row_r_factor_is_the_row_lapack_leaves(self):
         # Householder QR of one row reflects nothing (tau = 0), so the
@@ -731,6 +732,41 @@ def reference_eliminate(graph, plan):
     return tuple(blocks), np.array(leftover, dtype=float)
 
 
+def reference_back_substitute(dag):
+    """The per-front loop that back-substituted every DAG before one
+    triangular solve over the plan's system, kept as an oracle for
+    `back_substitute`: from the last front to the first, `d - R_fp @ x_p`
+    over the last step's gather, then `R_ff` solved by LAPACK. A zero pivot
+    names its variable as the loop meets it, a non-finite solution its last
+    non-finite entry in elimination order (the source: a NaN or infinity
+    only spreads to entries eliminated earlier)."""
+    plan = dag.plan
+    x = np.empty(plan.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (_, stop, _, _, _, at, *_), block in zip(reversed(plan.fronts), reversed(dag.fronts)):
+            d, last = block.shape[0], plan.steps[stop - 1]
+            rhs = block[:, -1] - block[:, d:-1] @ x[last.gather] if last.parents else block[:, -1]
+            sol, info = dtrtrs(block[:, :d], rhs)
+            if info:
+                bad = next(v for v, s in plan.slices.items() if s.stop >= at + info)
+                raise RankDeficient(bad, f"triangular solve failed (LAPACK info {info})")
+            x[at:at + d] = sol
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        v = next(v for v, s in plan.slices.items() if s.stop > bad[-1])
+        raise ValueError(f"non-finite solution at variable {v}")
+    return {v: x[s] for v, s in plan.slices.items()}
+
+
+def documented_error(e):
+    """The type and message of an error `back_substitute` documents; any
+    other error (a DAG it cannot read, say) is raised again, so that it
+    cannot pass as the same outcome on both sides of a comparison."""
+    if not (isinstance(e, RankDeficient) or str(e).startswith("non-finite solution at ")):
+        raise e
+    return type(e).__name__, str(e)
+
+
 def elimination_outcome(graph, ordering, reduce):
     """The fronts, leftover and values an elimination gives (`reduce` maps a
     graph and plan to fronts and leftover), as bytes, or its error's type
@@ -741,11 +777,12 @@ def elimination_outcome(graph, ordering, reduce):
     except RankDeficient as e:
         return type(e).__name__, str(e)
     got = [[(b.shape, b.tobytes()) for b in fronts], leftover.tobytes()]
+    rows = np.concatenate([np.zeros(0), *map(np.ravel, fronts)])
     try:
-        values = back_substitute(fgraph.EliminationDag(leftover, plan, fronts))
+        values = back_substitute(fgraph.EliminationDag(leftover, plan, rows))
         return got + [{k: v.tobytes() for k, v in values.items()}]
     except (RankDeficient, ValueError) as e:
-        return got + [(type(e).__name__, str(e))]
+        return got + [documented_error(e)]
 
 
 def reduce_first(graph, plan):
@@ -863,6 +900,86 @@ def test_residual_max_reads_the_listing(case, seed):
     hard = [f.ab[:, :-1] @ np.concatenate([values[k] for k in f.keys()]) - f.ab[:, -1]
             for f in graph.factors if f.weight == 1.0]
     assert got == (float(np.abs(np.concatenate(hard)).max()) if hard else 0.0)
+
+
+def back_substitution_outcome(dag, solve):
+    """The values `solve` gives for a DAG, or its error's type and message."""
+    try:
+        return solve(dag)
+    except (RankDeficient, ValueError) as e:
+        return documented_error(e)
+
+
+@settings(deadline=None, max_examples=200)
+@given(structures(), hs.integers(0, 2**32 - 1),
+       hs.sampled_from(["none", "huge", "inf", "nan"]))
+def test_one_triangular_solve_is_the_per_front_loop(case, seed, hazard):
+    # random numbers, and in one factor maybe a rhs of 1e300 over 1e-10
+    # coefficients (an overflow in back-substitution), an infinite or a NaN
+    # rhs: the values agree to 1e-12 of the largest, and the errors match
+    structure, groups = case
+    rng = np.random.default_rng(seed)
+    factors = [({k: rng.standard_normal((rows, k.dim)) for k in keys},
+                rng.standard_normal(rows), weight) for keys, rows, weight in structure.structure]
+    blocks, rhs, _ = factors[rng.integers(len(factors))]
+    if hazard == "huge":
+        rhs *= 1e300
+        for b in blocks.values():
+            b *= 1e-10
+    elif hazard != "none":
+        rhs[0] = np.inf if hazard == "inf" else np.nan
+    graph = FactorGraph(LinearFactor(b, r, w) for b, r, w in factors)
+    try:
+        dag = eliminate(graph, plan_elimination(graph, groups).ordering)
+    except RankDeficient:
+        return
+    got, want = (back_substitution_outcome(dag, f)
+                 for f in (back_substitute, reference_back_substitute))
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    scale = max((np.abs(v).max() for v in want.values()), default=0.0)
+    for k, v in want.items():
+        np.testing.assert_allclose(got[k], v, rtol=0, atol=1e-12 * scale)
+
+
+def test_non_finite_solution_names_its_source():
+    # c overflows (1e300 / 1e-10). A dense solve spreads NaN (0 x inf) to
+    # every entry eliminated before c, d included; the error names the last
+    # non-finite entry in elimination order, c, as the per-front loop does
+    a, b, c, d = (VarKey(Kind.JOINT_ACCEL, i) for i in range(4))
+    graph = FactorGraph([LinearFactor({a: [[1.0]], b: [[1.0]]}, [0.0]),
+                         LinearFactor({b: [[1.0]], c: [[1e-10]]}, [0.0]),
+                         LinearFactor({c: [[1e-10]]}, [1e300]),
+                         LinearFactor({d: [[1.0]]}, [1.0])])
+    dag = eliminate(graph, [d, a, b, c])
+    for solve_dag in (back_substitute, reference_back_substitute):
+        with pytest.raises(ValueError, match="^non-finite solution at variable qdd2$"):
+            solve_dag(dag)
+
+
+def test_zero_pivot_fails_the_triangular_solve_at_its_variable():
+    # eliminate never leaves a zero pivot (its rank tests fail first), so a
+    # DAG is built by hand: the last pivot of Vd1's block, solution entry 6
+    # after qdd1, made zero. LAPACK's info counts from the first solution
+    # entry (the per-front loop counted from its front's)
+    v, q, t = VarKey(Kind.ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.TORQUE, 1)
+    rng = np.random.default_rng(5)
+    graph = FactorGraph([LinearFactor({q: [[1.0]], v: rng.standard_normal((1, 6))}, [1.0]),
+                         LinearFactor({v: rng.standard_normal((6, 6)), t: np.ones((6, 1))},
+                                      rng.standard_normal(6)),
+                         LinearFactor({t: [[2.0]]}, [1.0])])
+    dag = eliminate(graph, [q, v, t])
+    assert back_substitute(dag)  # solvable as eliminated
+    hand = fgraph.EliminationDag(dag.leftover, dag.plan, dag.rows.copy())
+    at = dag.plan.slices[v].stop - 1
+    f = next(f for f, front in enumerate(dag.plan.fronts) if front[5] <= at < front[5] + front[6])
+    hand.fronts[f][at - dag.plan.fronts[f][5], at - dag.plan.fronts[f][5]] = 0.0
+    with pytest.raises(RankDeficient, match=r"Vd1: triangular solve failed \(LAPACK info 7\)$"):
+        back_substitute(hand)
+    with pytest.raises(RankDeficient) as per_front:
+        reference_back_substitute(hand)
+    assert per_front.value.key == v
 
 
 def singular_value_rank_test(r) -> bool:
