@@ -17,14 +17,14 @@ It fixes every step's input factors and parents, the fronts (runs of steps
 whose parent sets nest, each reduced as one stack, like a supernode), the
 flat solution vector with a slice per variable, the assembly map (where
 each entry of `flat` goes in one flat buffer that holds every front's
-stack), where each front hands its product and the tables that prove a
-reduction. `plan_for` is the one way from an ordering request to a plan,
-memoised by the structure, so graphs that differ only in their numbers
-share it. The numeric phase is one `Assembly` per solve over a buffer of
-that layout (`scatter` fills one from `flat`, `transcribe` from a
-template): it reduces every front first, one in-place QR each and one
-gathered copy of its product into the consumer's slot, then proves every
-dead-row cut and pivot at once and redoes by the exact rule only the
+stack, column-major), where each front hands its product and the tables
+that prove a reduction. `plan_for` is the one way from an ordering request
+to a plan, memoised by the structure, so graphs that differ only in their
+numbers share it. The numeric phase is one `Assembly` per solve over a
+buffer of that layout (`scatter` fills one from `flat`, `transcribe` from a
+template): it reduces every front first, one QR in place in the buffer each
+and one gathered copy of its product into the consumer's slot, then proves
+every dead-row cut and pivot at once and redoes by the exact rule only the
 fronts it cannot prove. `back_substitute` then scatters the fronts' R rows
 into one upper triangular system over the flat vector, `size` x (`size` + 1)
 floats with the rhs last, and solves it with one LAPACK `dtrtrs`.
@@ -42,11 +42,11 @@ from enum import IntEnum
 from functools import cached_property, lru_cache, reduce
 from numbers import Real
 from operator import or_
-from threading import Lock, local
+from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
 
 from .errors import IncompatibleScheme, RankDeficient
 
@@ -322,25 +322,22 @@ class PlanStep(NamedTuple):
     products), over columns `var`, `parents` (by elimination position) and
     the rhs. `product` is the id of the factor it leaves over the parents,
     -1 when the planner's row budget leaves none (see `plan_elimination`).
-    `gather` indexes the parents' entries of the flat solution vector in
-    column order.
     """
 
     var: VarKey
     inputs: tuple
     parents: tuple
     product: int
-    gather: np.ndarray
 
 
 class Proof(NamedTuple):
     """The tables that prove one reduction of a plan's fronts. Positions
-    are in the store: every front's dgeqrf output, column-major, laid out
-    as the buffer, then one zero read for entries off a front's R. Per
-    front its `offsets`; the fronts' R rows `[R_ff | R_fp | d]`, row-major
-    and one front after another (`gather`), and in these per solution
-    entry its pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff`
-    and the step (`six`); reduceat pairs over the entries handed off
+    are in the buffer, where every front's dgeqrf output is left, and its
+    trailing zero is read for entries off a front's R. Per front its
+    `offsets`; the fronts' R rows `[R_ff | R_fp | d]`, row-major and one
+    front after another (`gather`), and in these per solution entry its
+    pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff` and the
+    step (`six`); reduceat pairs over the entries handed off
     (`src`, row by row) that span each product row's coefficients, and the
     row's front (`live`); per front whose R has a row width - 1 (rhs only)
     that rhs and the front (`leftover`); per step the rows its inputs hand
@@ -372,26 +369,27 @@ class EliminationPlan(NamedTuple):
     A front is a run of steps `steps[start:stop]` whose parents are each the
     next step's variable and parents, reduced as one stack in the first
     step's columns: per step its graph rows, then a slot per product from
-    outside the run. One flat buffer of `buffer_size` floats holds every
-    stack: the assembly map. `dest` is the buffer position of each entry of
-    the graph's `flat` listing (see `scatter`), `scale` the (positions,
-    weights) of soft rows' entries, and `check` the (positions, solution
-    entries, hard row numbers, rhs positions) of the weight-1 rows'
+    outside the run. One flat buffer of `buffer_size` floats and a trailing
+    zero holds every stack, column-major as dgeqrf reduces it: the assembly
+    map. `dest` is the buffer position of each entry of the graph's `flat`
+    listing (see `scatter`), `scale` the (positions, weights) of soft rows'
+    entries, and `check` the (positions in `flat`, solution entries, hard
+    row numbers, rhs positions in `flat`) of the weight-1 rows'
     coefficients and right-hand sides, for the residual check.
 
     `fronts` has per front (start, stop, stack offset, width, rows, first
     solution entry, frontal columns c, ends, src, dst, consumer step, R
     offset): `ends` has per step the end of its rows; the handoff copies
-    the store entries `src` (the upper triangular part of the product
-    rows, R rows c on) to the buffer positions `dst` in the slot of the
-    step that consumes the product (-1: none); the R offset is where the
-    front's R rows start in `proof.gather`. `proof` holds the tables that
+    the buffer entries `src` (the upper triangular part of the product
+    rows, R rows c on) to the positions `dst` in the slot of the step that
+    consumes the product (-1: none); the R offset is where the front's R
+    rows start in `proof.gather`. `proof` holds the tables that
     `Assembly.eliminate` proves its reduction with.
 
     `system` has per entry of the R rows (`proof.gather`) its position in
     the column-major `size` x (`size` + 1) upper triangular system that
-    back-substitution solves: row the entry's solution index, column its
-    front's frontal entry, its last step's `gather` entry or `size` (rhs).
+    back-substitution solves: row the entry's solution index, column the
+    solution entry of its stack column or `size` (rhs).
     """
 
     ordering: tuple
@@ -531,14 +529,13 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # entry, frontal columns and its product's slot (buffer position,
     # consuming step, width, first entry of `columns`), and its `ends`; per
     # step its graph rows
-    col, run, base, stride = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
+    col, run, base, home = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
-    entries = np.empty(sum(pick[-1] for pick in picks), dtype=np.intp)
-    flat, scol, pflat, pcol, gvar, fvar, steps, spans, maker = [], [], [], [], [], [], [], [], {}
-    ends_of, grows, at_col, at_entry, offset, inner = [], [], 0, 0, 0, -1
+    flat, scol, pflat, pcol, fvar, steps, spans, maker = [], [], [], [], [], [], [], {}
+    ends_of, grows, at_col, edges, offset, inner = [], [], 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
-        gvar += parents
+        edges += len(parents)
         if inner < 0:
             begin, x0, ends = i, first[v], []
             col[v], c = 0, dims[v]
@@ -550,16 +547,16 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         for f in fids:
             if f == inner:
                 continue
-            ks, at = keys_of[f], offset + height * width
+            ks, at = keys_of[f], offset + height
             if f < n_graph:
-                run[f], base[f], stride[f] = len(flat), at, width
+                run[f], base[f], home[f] = len(flat), at, len(spans)
                 row += rows_of[f]
                 flat += ks
                 scol += map(col.__getitem__, ks)
             else:
                 pflat += ks
                 pcol += map(col.__getitem__, ks)
-                spans[maker[f]][7:] = at, i, width, at_col
+                spans[maker[f]][7:] = at, i, len(spans), at_col
                 at_col += cols_of[f]
             height += rows_of[f]
         ends.append(height)
@@ -568,50 +565,50 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             keys_of.append(parents + [n])
             maker[product] = len(spans)
         steps.append(PlanStep(keys[v], tuple(fids), tuple(map(keys.__getitem__, parents)),
-                              product, entries[at_entry:at_entry + cols]))
-        at_entry, inner = at_entry + cols, product
+                              product))
+        inner = product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
             spans.append([begin, i + 1, offset, width, height, x0, col[n] - cols, 0, -1, 0, 0])
             ends_of.append(tuple(ends))
             offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
-    flat, scol, pflat, pcol, gvar, fvar = (np.array(a, dtype=np.intp)
-                                           for a in (flat, scol, pflat, pcol, gvar, fvar))
-    columns[:at_col], entries[:] = _runs(pcol, dims[pflat]), _runs(first[gvar], dims[gvar])
+    flat, scol, pflat, pcol, fvar = (np.array(a, dtype=np.intp)
+                                     for a in (flat, scol, pflat, pcol, fvar))
+    columns[:at_col] = _runs(pcol, dims[pflat])
+    begin, stop, o, w, m, _, c, to, eat, ct, cat = np.array(
+        spans, dtype=np.intp).reshape(-1, 11).T
 
     # the assembly map, a group per key block and rhs of each graph factor:
-    # `height` rows of `dim` entries from buffer position `start`, `stride`
-    # apart, over solution entries from `sol` (-1: the rhs); weight-1 rows
-    # are numbered from 0 in factor order, from `hard_row`
-    run, base, stride, height = (np.array(a[:n_graph], dtype=np.intp)
-                                 for a in (run, base, stride, rows_of))
+    # `height` rows of `dim` entries from buffer position `start`, columns
+    # `stride` (its front's rows) apart, over solution entries from `sol`
+    # (-1: the rhs); weight-1 rows are numbered from 0 in factor order, from
+    # `hard_row`
+    run, base, home, height = (np.array(a[:n_graph], dtype=np.intp)
+                               for a in (run, base, home, rows_of))
     groups_of = np.array(list(map(len, keys_of[:n_graph])), dtype=np.intp)
     weight = np.array([w for *_, w in structure], dtype=float)
     hard = np.where(weight == 1.0, height, 0)
     at = _runs(run, groups_of)
     key = flat[at]
-    start, dim, sol = base.repeat(groups_of) + scol[at], dims[key], first[key]
     stride, height, weight, hard_row = (a.repeat(groups_of) for a in
-                                        (stride, height, weight, hard.cumsum() - hard))
+                                        (m[home], height, weight, hard.cumsum() - hard))
+    start, dim, sol = base.repeat(groups_of) + scol[at] * stride, dims[key], first[key]
     sizes = height * dim
     row_e, col_e = np.divmod(_runs(0, sizes), dim.repeat(sizes))
-    dest = start.repeat(sizes) + row_e * stride.repeat(sizes) + col_e
+    dest = start.repeat(sizes) + row_e + col_e * stride.repeat(sizes)
     soft, is_rhs = (weight != 1.0).repeat(sizes), (sol < 0).repeat(sizes)
     coef = ~(soft | is_rhs)
-    check = (dest[coef], (sol.repeat(sizes) + col_e)[coef],
-             (hard_row.repeat(sizes) + row_e)[coef], dest[is_rhs & ~soft])
+    check = (np.flatnonzero(coef), (sol.repeat(sizes) + col_e)[coef],
+             (hard_row.repeat(sizes) + row_e)[coef], np.flatnonzero(is_rhs & ~soft))
 
     # the numeric phase's tables over each front's rows m, width w and frontal
-    # columns c, as positions in the store: every front's dgeqrf output,
-    # column-major, laid out as the buffer, then one zero (at `offset`) read
-    # for entries off a front's R. dgeqrf leaves the product in R rows c to
+    # columns c, as buffer positions (one zero at `offset` is read for
+    # entries off a front's R). dgeqrf leaves the product in R rows c to
     # min(m, w - 1) - 1 (the R row w - 1 holds only a rhs, whatever the
     # numbers, and is always cut); a front that leaves some has a consumer.
     # The handoff copies the upper triangular entries of each product row to
     # the consumer's slot, row by row: `live` has reduceat pairs spanning
     # each row's coefficients among them
-    begin, stop, o, w, m, _, c, to, eat, cw, cat = np.array(
-        spans, dtype=np.intp).reshape(-1, 11).T
     rows, nf = np.maximum(np.minimum(m, w - 1) - c, 0), len(spans)
     fr, i = np.arange(nf).repeat(rows), _runs(0, rows)
     q = (w - c)[fr] - i
@@ -620,7 +617,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     src = _strided(o[fr] + (c[fr] + i) * (m[fr] + 1), q, m[fr])
     dst = _strided(cat[fr] + i, q, np.ones_like(q))
     dst = np.take(columns, dst, out=dst, mode="clip")
-    dst += np.repeat(to[fr] + i * cw[fr], q)
+    dst *= np.repeat(m[ct][fr], q)
+    dst += np.repeat(to[fr] + i, q)
     cut, area = at[np.append(0, rows.cumsum())].tolist(), c * w
     fronts = tuple((*s[:7], e, src[a:b], dst[a:b], s[8], x) for s, e, a, b, x in zip(
         spans, ends_of, cut, cut[1:], (area.cumsum() - area).tolist()))
@@ -650,7 +648,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     system = _runs(first[fvar], dims[fvar]) % (size + 1) * size
     system = system[_runs(w.cumsum()[fe] - wf, wf)]
     system += np.arange(size).repeat(wf)
-    return EliminationPlan(tuple(slices), tuple(steps), len(gvar), fill_in, size, slices,
+    return EliminationPlan(tuple(slices), tuple(steps), edges, fill_in, size, slices,
                            offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
                            proof, system)
 
@@ -735,66 +733,52 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
 def scatter(plan: EliminationPlan, flat: np.ndarray) -> np.ndarray:
     """A fresh buffer of the plan's layout holding a graph's `flat` listing
     (`FactorGraph.flat`) at `EliminationPlan.dest`. Soft rows are scaled by
-    their weight; every other entry is zero."""
-    data = np.zeros(plan.buffer_size)
+    their weight; every other entry, the trailing one included, is zero."""
+    data = np.zeros(plan.buffer_size + 1)
     data[plan.dest] = flat
     pos, weight = plan.scale
     data[pos] *= weight
     return data
 
 
-# per thread the scratch of its largest solve (the store, then the entries
-# handed off), kept: a fresh one per solve costs more in page faults than
-# its numbers take to write
-_scratch = local()
-
-
 class Assembly(NamedTuple):
-    """The numbers of one solve in the buffer its plan lays out, as
-    `scatter` fills it. The plan's tables are only read, so any number
-    of assemblies may share it across threads; the buffer, whose slots
-    receive the products, is per solve, and the store of dgeqrf outputs
-    is the calling thread's scratch.
+    """One solve: the buffer its plan lays out, as `scatter` fills it from
+    the graph's `flat` listing. The plan's tables are only read, so any
+    number of assemblies may share it across threads; `data`, which every
+    front is reduced in and whose slots receive the products, is per solve.
     """
 
     plan: EliminationPlan
     data: np.ndarray
+    flat: np.ndarray
 
     def eliminate(self) -> EliminationDag:
         """Reduce every front, then prove the reduction (see `eliminate`).
 
-        Per front in plan order: its stack copied into the store, one
-        dgeqrf there (a one-row stack is its own R) and the handoff of its
-        product. Then one pass over the fronts (`_unproven`) proves what
-        the exact rule decides front by front; the first front it does not
-        prove is redone by that rule (`_redo`) and the loop resumes after
-        it. The R rows come out of the store in one gather."""
+        Per front in plan order: one dgeqrf in place (a one-row stack is its
+        own R) and the handoff of its product. Then one pass over the fronts
+        (`_unproven`) proves what the exact rule decides front by front; the
+        first front it does not prove is redone by that rule (`_redo`) and
+        the loop resumes after it. The R rows come out in one gather."""
         plan, data, k, left = self.plan, self.data, 0, {}
-        proof, n = plan.proof, plan.buffer_size + 1
-        scratch, filled = getattr(_scratch, "buffer", ()), proof.filled.copy()
-        if len(scratch) < n + len(proof.src):
-            scratch = _scratch.buffer = np.empty(n + len(proof.src))
-        store, vals = scratch[:n], scratch[n:n + len(proof.src)]
-        store[-1] = 0.0
+        proof, filled = plan.proof, plan.proof.filled.copy()
         while True:
             for _, _, o, w, m, _, _, _, src, dst, _, _ in plan.fronts[k:]:
-                stack = store[o:o + m * w].reshape(w, m).T
-                stack[...] = data[o:o + m * w].reshape(m, w)
                 if m > 1:
-                    dgeqrf(stack, overwrite_a=1)
-                data[dst] = store[src]
-            r = store[proof.gather]
-            k = self._unproven(store, r, vals, filled, k)
+                    dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
+                data[dst] = data[src]
+            r = data[proof.gather]
+            k = self._unproven(r, filled, k)
             if k == len(plan.fronts):
                 break
-            k = self._redo(k, store, filled, left) + 1
+            k = self._redo(k, filled, left) + 1
         pos, of = proof.leftover
-        leftover = store[pos] if not left else np.concatenate(
-            [left[f] if f in left else store[pos[of == f]] for f in range(len(plan.fronts))])
+        leftover = data[pos] if not left else np.concatenate(
+            [left[f] if f in left else data[pos[of == f]] for f in range(len(plan.fronts))])
         return EliminationDag(leftover, plan, r)
 
-    def _unproven(self, store, r, vals, filled, k) -> int:
-        """The first front from k that the store and the R rows `r` gathered
+    def _unproven(self, r, filled, k) -> int:
+        """The first front from k that the buffer and the R rows `r` gathered
         from it do not prove (the front count when they prove them all). A
         front is proven when each step has rows enough, its 6-dim blocks pass
         the batched rank test (made on the fronts before the first one
@@ -805,31 +789,37 @@ class Assembly(NamedTuple):
         cut). NaN proves nothing."""
         offsets, (pos, pf), (pairs, lf), src, (p6, s6), _, _, _, dims, front, first = \
             self.plan.proof
-        e = filled - dims
+        data, e = self.data, filled - dims
         reach = e.cumsum()
-        peak = np.maximum(np.maximum.reduceat(store, offsets), -np.minimum.reduceat(store, offsets))
+        peak = np.maximum(np.maximum.reduceat(data, offsets), -np.minimum.reduceat(data, offsets))
         bound = 1e-12 * np.maximum(1.0, peak)
-        np.abs(np.take(store, src, out=vals, mode="clip"), out=vals)
         bad = np.zeros(len(offsets) + 1, dtype=bool)
         bad[front[reach < (reach - e)[first]]] = bad[pf[~(np.abs(r[pos]) > bound[pf])]] = True
-        bad[lf[~(np.maximum.reduceat(vals, pairs)[::2] > bound[lf])]] = True
+        bad[lf[~(np.maximum.reduceat(np.abs(data[src]), pairs)[::2] > bound[lf])]] = True
         bad[:k], bad[-1] = False, True
         u = bad.argmax()
         ranked = (front[s6] >= k) & (front[s6] < u)
         ok = _full_rank(r[p6[ranked]])
         return u if ok.all() else front[s6[ranked][ok.argmin()]]
 
-    def _redo(self, f, store, filled, left) -> int:
-        """Front f by the exact rule, as the store and the slot it hands to
-        then hold it: a QR of its stack, the cut 1e-12 max(1, max|R|), a
-        reduction a step at a time when a later pivot is at or below the cut
-        (such a pivot may rest on rows cut there, see `_by_steps`), product
-        rows with no coefficient above the cut cut (their rhs to `left[f]`)
-        and the rows the consumer receives recounted in `filled`. Raises
-        RankDeficient for the front's first step whose rows or frontal block
-        do not determine its variable; returns f."""
-        start, stop, o, w, m, _, c, ends, src, dst, to, _ = self.plan.fronts[f]
-        steps, stack, dead = self.plan.steps, self.data[o:o + m * w].reshape(m, w), []
+    def _redo(self, f, filled, left) -> int:
+        """Front f by the exact rule: fronts f on restored from a fresh
+        `scatter`, with the products earlier fronts hand them, then a QR of
+        f's stack, the cut 1e-12 max(1, max|R|), a reduction a step at a
+        time when a later pivot is at or below the cut (such a pivot may
+        rest on rows cut there, see `_by_steps`), product rows with no
+        coefficient above the cut cut (their rhs to `left[f]`), the R rows
+        and live product rows written back and handed on, and the rows the
+        consumer receives recounted in `filled`. Raises RankDeficient for
+        the front's first step whose rows or frontal block do not determine
+        its variable; returns f."""
+        plan, data = self.plan, self.data
+        start, stop, o, w, m, _, c, ends, src, dst, to, _ = plan.fronts[f]
+        data[o:] = scatter(plan, self.flat)[o:]
+        for *_, s, d, t, _ in plan.fronts[:f]:
+            if t >= start:
+                data[d] = data[s]
+        steps, stack, dead = plan.steps, data[o:o + m * w].reshape(w, m).T, []
         r = _r_factor(stack) if m else stack
         mag = np.abs(r)
         cut = 1e-12 * max(1.0, mag.max(initial=0.0))
@@ -853,11 +843,10 @@ class Assembly(NamedTuple):
         # columns from it stay zero
         live = np.max(mag[c:, c:-1], 1, initial=0.0) > cut
         left[f], n = dead + list(r[c:][~live, -1]), np.count_nonzero(live)
-        out = store[o:o + m * w].reshape(w, m).T
-        out[:c], out[c:, c:] = r[:c], 0.0
-        out[c:c + n, c:] = r[c:][live, c:]
+        stack[:c], stack[c:, c:] = r[:c], 0.0
+        stack[c:c + n, c:] = r[c:][live, c:]
         if to >= 0:
-            self.data[dst] = store[src]
+            data[dst] = data[src]
             filled[to] += n - max(min(m, w - 1) - c, 0)
         return f
 
@@ -865,11 +854,11 @@ class Assembly(NamedTuple):
         """Eliminate, back-substitute and check the hard rows: returns the
         DAG, the flat solution vector `back_substitute` hands out views of,
         and the largest absolute residual of the weight-1 rows, one gathered
-        product over the buffer's graph rows (the plan's `check`)."""
+        product over their entries in `flat` (the plan's `check`)."""
         dag = self.eliminate()
         x = _solution(dag)
         pos, entry, row, rhs = self.plan.check
-        r = np.bincount(row, self.data[pos] * x[entry], minlength=rhs.size) - self.data[rhs]
+        r = np.bincount(row, self.flat[pos] * x[entry], minlength=rhs.size) - self.flat[rhs]
         return dag, x, float(np.abs(r).max(initial=0.0))
 
 
@@ -879,21 +868,22 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     `ordering` is any request `plan_for` takes, usually a key sequence. The
     graph's `flat` listing is scattered into the buffer the plan lays out,
     weighted, so each front's stack holds its input row blocks in the plan's
-    columns. Every front's stack is orthogonally reduced first, in plan
-    order: each variable's block rows, kept as they are (`[R_ff | R_fp | d]`),
-    are its conditional, and the rows below become a factor over the last
-    step's parents, handed to the stack that consumes it. Then one pass
-    proves, against a bound no lower than the exact dead-row cut, that no
-    row left with no parent coefficient had to be cut (its right-hand side
-    goes to `leftover`) and that no front needed reducing a step at a time
-    (`_by_steps`: a later pivot at or below the cut may rest on rows cut
-    there); the first front it cannot prove is redone by that exact rule,
-    and the fronts after it are reduced again. Raises RankDeficient for the
+    columns. Every front's stack is orthogonally reduced first, in place in
+    the buffer and in plan order: each variable's block rows, kept as they
+    are (`[R_ff | R_fp | d]`), are its conditional, and the rows below
+    become a factor over the last step's parents, copied into the slot of
+    the stack that consumes it. Then one pass proves, against a bound no
+    lower than the exact dead-row cut, that no row left with no parent
+    coefficient had to be cut (its right-hand side goes to `leftover`) and
+    that no front needed reducing a step at a time (`_by_steps`: a later
+    pivot at or below the cut may rest on rows cut there); the first front
+    it cannot prove is redone by that exact rule from its stack as scattered
+    and handed, and the fronts after it are reduced again. Raises RankDeficient for the
     first step in plan order whose rows or frontal block do not determine
     its variable (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
-    return Assembly(plan, scatter(plan, graph.flat)).eliminate()
+    return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()
 
 
 @lru_cache(maxsize=256)
@@ -939,12 +929,13 @@ def _by_steps(a, ends, steps, start, filled, leftover) -> tuple:
 def _full_rank(blocks: np.ndarray) -> np.ndarray:
     """Whether each upper triangular 6x6 R has sigma_min > 1e-9 sigma_max (NaN: no).
     ||R||_F ||R^-1||_F < 1e8 proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max
-    > 1e-8), R^-1 being LAPACK's triangular inverse of each finite R with a nonzero
-    diagonal; dgesdd decides the rest."""
+    > 1e-8, a tenfold margin for the inverse's rounding), R^-1 being one batched
+    inverse of the finite Rs with a nonzero diagonal (partial pivoting swaps no row of
+    an upper triangular R); dgesdd decides the rest."""
     with np.errstate(all="ignore"):
         ok = np.isfinite(blocks).all(axis=(1, 2)) & np.diagonal(blocks, 0, 1, 2).all(axis=1)
         r = blocks[ok]
-        inv = np.array([dtrtri(a)[0] for a in r]).reshape(-1, 6, 6)
+        inv = np.linalg.inv(r)
         ok[ok] = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", inv, inv) < 1e16
     for j in np.flatnonzero(~ok):
         sv = dgesdd(blocks[j], compute_uv=0)[1]

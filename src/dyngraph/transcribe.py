@@ -549,8 +549,8 @@ class DynamicsResult:
     only when first read.
     Build time covers kinematics, finding the shape's template (compiling
     it, ordering included, on a shape's first solve), the state terms and
-    filling the buffer; solve time covers elimination, back-substitution
-    and the hard-row residual check."""
+    filling the listing and the buffer; solve time covers elimination,
+    back-substitution and the hard-row residual check."""
 
     values: dict
     torques: dict
@@ -638,10 +638,10 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         tpl = _compile(model, spec, request)
         model.solve_templates.put(tpl, key)
     terms = _state_terms(model, kin, spec, tpl.listing)[tpl.listing.src]
-    data = tpl.base.copy()
+    graph, data = tpl.listing.graph(terms), tpl.base.copy()
     data[tpl.dest] = terms
     t1 = perf_counter()
-    dag, x, residual = Assembly(tpl.plan, data).solve()
+    dag, x, residual = Assembly(tpl.plan, data, graph.flat).solve()
     t2 = perf_counter()
 
     given = [d.value for d in spec.designations]
@@ -658,7 +658,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
         twists=dict(zip(model.topo_order, kin[1])),
         link_accels=link_accels,
         wrenches={name: values[k] for name, k in tpl.wrenches},
-        graph=tpl.listing.graph(terms),
+        graph=graph,
         dag=dag,
         ordering=tpl.plan.ordering,
         residual_max=residual,
