@@ -24,8 +24,9 @@ numbers share it. The numeric phase is one `Assembly` per solve over a
 buffer of that layout (`scatter` fills one from `flat`, `transcribe` from a
 template): it reduces every front first, one QR in place in the buffer each
 and one gathered copy of its product into the consumer's slot, then proves
-every dead-row cut and pivot at once and redoes by the exact rule only the
-fronts it cannot prove. `back_substitute` then scatters the fronts' R rows
+every dead-row cut and pivot at once (a step short of rows leaves a zero
+pivot) and applies the exact rule, to that same QR, only at the fronts it
+cannot prove. `back_substitute` then scatters the fronts' R rows
 into one upper triangular system over the flat vector, `size` x (`size` + 1)
 floats with the rhs last, and solves it with one LAPACK `dtrtrs`.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import IntEnum
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from numbers import Real
 from operator import or_
 from threading import Lock
@@ -336,13 +337,12 @@ class Proof(NamedTuple):
     trailing zero is read for entries off a front's R. Per front its
     `offsets`; the fronts' R rows `[R_ff | R_fp | d]`, row-major and one
     front after another (`gather`), and in these per solution entry its
-    pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff` and the
-    step (`six`); reduceat pairs over the entries handed off
-    (`src`, row by row) that span each product row's coefficients, and the
-    row's front (`live`); per front whose R has a row width - 1 (rhs only)
-    that rhs and the front (`leftover`); per step the rows its inputs hand
-    it when no row is cut (`filled`), its dim, front and front's first
-    step."""
+    pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff` and
+    front (`six`); reduceat pairs over the entries handed off (`src`, row
+    by row) that span each product row's coefficients, and the row's front
+    (`live`); per front whose R has a row width - 1 (rhs only) that rhs and
+    the front (`leftover`); per step the rows its inputs hand it when no
+    row is cut (`filled`), which the exact rule counts."""
 
     offsets: np.ndarray
     pivots: tuple
@@ -352,9 +352,6 @@ class Proof(NamedTuple):
     gather: np.ndarray
     leftover: tuple
     filled: np.ndarray
-    dims: np.ndarray
-    front: np.ndarray
-    first: np.ndarray
 
 
 class EliminationPlan(NamedTuple):
@@ -575,7 +572,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     flat, scol, pflat, pcol, fvar = (np.array(a, dtype=np.intp)
                                      for a in (flat, scol, pflat, pcol, fvar))
     columns[:at_col] = _runs(pcol, dims[pflat])
-    begin, stop, o, w, m, _, c, to, eat, ct, cat = np.array(
+    _, _, o, w, m, _, c, to, eat, ct, cat = np.array(
         spans, dtype=np.intp).reshape(-1, 11).T
 
     # the assembly map, a group per key block and rhs of each graph factor:
@@ -625,22 +622,20 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # the fronts' R rows, row-major and one front after another (lower
     # triangles, and rows past a short front's end, read the zero); in
     # them, per solution entry its pivot (`fe` its front, `t` its column
-    # there), per 6-dim step its R_ff
+    # there), per 6-dim step its R_ff (`x` its first solution entry)
     fe, t = np.arange(nf).repeat(c), _runs(0, c)
     wf = w[fe]
     gather = _strided(o[fe] + t, wf, m[fe])
     gather[_runs(wf.cumsum() - wf, np.where(t < m[fe], t, wf))] = offset
     sdim, r, d = dims[[pick[0] for pick in picks]], np.arange(6), (area.cumsum() - area)[fe]
     d += t * (wf + 1)
-    six = np.flatnonzero(sdim == 6)
-    x = (np.cumsum(sdim) - sdim)[six]
+    x = (np.cumsum(sdim) - sdim)[sdim == 6]
     filled = np.array(grows, dtype=np.intp)
     np.add.at(filled, eat, rows)
-    front, last = np.arange(nf).repeat(stop - begin), m >= w
+    last = m >= w
     proof = Proof(o, (d, fe), live, src, (d[x, None, None] + r[:, None] * wf[x, None, None] + r,
-                                          six), gather,
-                  ((o + (w - 1) * (m + 1))[last], np.flatnonzero(last)), filled, sdim, front,
-                  begin[front])
+                                          fe[x]), gather,
+                  ((o + (w - 1) * (m + 1))[last], np.flatnonzero(last)), filled)
     # each R row entry's place in the column-major size x (size + 1) system:
     # row its solution entry, column the solution entry of its stack column
     # (a front's columns are its first step's variable and parents, in
@@ -756,10 +751,11 @@ class Assembly(NamedTuple):
         """Reduce every front, then prove the reduction (see `eliminate`).
 
         Per front in plan order: one dgeqrf in place (a one-row stack is its
-        own R) and the handoff of its product. Then one pass over the fronts
-        (`_unproven`) proves what the exact rule decides front by front; the
-        first front it does not prove is redone by that rule (`_redo`) and
-        the loop resumes after it. The R rows come out in one gather."""
+        own R, as LAPACK leaves it) and the handoff of its product. Then one
+        pass over the fronts (`_unproven`) proves what the exact rule
+        decides front by front; the first front it does not prove is redone
+        by that rule from this reduction (`_redo`) and the loop resumes
+        after it. The R rows come out in one gather."""
         plan, data, k, left = self.plan, self.data, 0, {}
         proof, filled = plan.proof, plan.proof.filled.copy()
         while True:
@@ -768,7 +764,7 @@ class Assembly(NamedTuple):
                     dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
                 data[dst] = data[src]
             r = data[proof.gather]
-            k = self._unproven(r, filled, k)
+            k = self._unproven(r, k)
             if k == len(plan.fronts):
                 break
             k = self._redo(k, filled, left) + 1
@@ -777,35 +773,39 @@ class Assembly(NamedTuple):
             [left[f] if f in left else data[pos[of == f]] for f in range(len(plan.fronts))])
         return EliminationDag(leftover, plan, r)
 
-    def _unproven(self, r, filled, k) -> int:
+    def _unproven(self, r, k) -> int:
         """The first front from k that the buffer and the R rows `r` gathered
         from it do not prove (the front count when they prove them all). A
-        front is proven when each step has rows enough, its 6-dim blocks pass
-        the batched rank test (made on the fronts before the first one
-        unproven otherwise) and the bound 1e-12 max(1, max |output|) over its
-        dgeqrf output (R and reflectors, so no less than the exact cut) is
-        below every pivot (so no pivot fails and no step-at-a-time reduction
-        is due) and below a coefficient of each product row (so no row is
-        cut). NaN proves nothing."""
-        offsets, (pos, pf), (pairs, lf), src, (p6, s6), _, _, _, dims, front, first = \
-            self.plan.proof
-        data, e = self.data, filled - dims
-        reach = e.cumsum()
+        front is proven when its 6-dim blocks pass the batched rank test
+        (made on the fronts before the first one unproven otherwise) and the
+        bound 1e-12 max(1, max |output|) over its dgeqrf output (R and
+        reflectors, so no less than the exact cut) is below every pivot (so
+        no pivot fails and no step-at-a-time reduction is due) and below a
+        coefficient of each product row (so no row is cut). A step short of
+        rows fails the pivot test: in the columns up to its own, the rows
+        after its rows are structural zeros, so Householder leaves a pivot
+        of exactly 0, or the pivot falls past the stack and reads the
+        buffer's trailing zero. NaN proves nothing."""
+        offsets, (pos, pf), (pairs, lf), src, (p6, f6), *_ = self.plan.proof
+        data = self.data
         peak = np.maximum(np.maximum.reduceat(data, offsets), -np.minimum.reduceat(data, offsets))
         bound = 1e-12 * np.maximum(1.0, peak)
         bad = np.zeros(len(offsets) + 1, dtype=bool)
-        bad[front[reach < (reach - e)[first]]] = bad[pf[~(np.abs(r[pos]) > bound[pf])]] = True
+        bad[pf[~(np.abs(r[pos]) > bound[pf])]] = True
         bad[lf[~(np.maximum.reduceat(np.abs(data[src]), pairs)[::2] > bound[lf])]] = True
         bad[:k], bad[-1] = False, True
         u = bad.argmax()
-        ranked = (front[s6] >= k) & (front[s6] < u)
+        ranked = (f6 >= k) & (f6 < u)
         ok = _full_rank(r[p6[ranked]])
-        return u if ok.all() else front[s6[ranked][ok.argmin()]]
+        return u if ok.all() else f6[ranked][ok.argmin()]
 
     def _redo(self, f, filled, left) -> int:
-        """Front f by the exact rule: fronts f on restored from a fresh
-        `scatter`, with the products earlier fronts hand them, then a QR of
-        f's stack, the cut 1e-12 max(1, max|R|), a reduction a step at a
+        """Front f by the exact rule, decided on the pass's own reduction of
+        f's stack: its R, the upper triangle of the first min(m, w) rows of
+        the dgeqrf output in the buffer (a one-row stack is its own R), is
+        copied before fronts f on are restored from a fresh `scatter`, with
+        the products earlier fronts hand them. Then the cut
+        1e-12 max(1, max|R|), a reduction of the restored stack a step at a
         time when a later pivot is at or below the cut (such a pivot may
         rest on rows cut there, see `_by_steps`), product rows with no
         coefficient above the cut cut (their rhs to `left[f]`), the R rows
@@ -815,13 +815,13 @@ class Assembly(NamedTuple):
         its variable; returns f."""
         plan, data = self.plan, self.data
         start, stop, o, w, m, _, c, ends, src, dst, to, _ = plan.fronts[f]
+        stack = data[o:o + m * w].reshape(w, m).T
+        r = np.triu(stack[:w])
         data[o:] = scatter(plan, self.flat)[o:]
         for *_, s, d, t, _ in plan.fronts[:f]:
             if t >= start:
                 data[d] = data[s]
-        steps, stack, dead = plan.steps, data[o:o + m * w].reshape(w, m).T, []
-        r = _r_factor(stack) if m else stack
-        mag = np.abs(r)
+        steps, dead, mag = plan.steps, [], np.abs(r)
         cut = 1e-12 * max(1.0, mag.max(initial=0.0))
         if stop - start > 1 and not np.min(mag.diagonal()[steps[start].var.dim:c],
                                            initial=np.inf) > cut:
@@ -876,32 +876,25 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     lower than the exact dead-row cut, that no row left with no parent
     coefficient had to be cut (its right-hand side goes to `leftover`) and
     that no front needed reducing a step at a time (`_by_steps`: a later
-    pivot at or below the cut may rest on rows cut there); the first front
-    it cannot prove is redone by that exact rule from its stack as scattered
-    and handed, and the fronts after it are reduced again. Raises RankDeficient for the
-    first step in plan order whose rows or frontal block do not determine
-    its variable (see `_full_rank`).
+    pivot at or below the cut may rest on rows cut there); a step short of
+    rows leaves a zero pivot, so it is never proven. The first front the
+    pass cannot prove is decided by that exact rule on the pass's own QR of
+    its stack (reduced again a step at a time, from the stack as scattered
+    and handed, only when a later pivot falls to the cut), and the fronts
+    after it are reduced again. Raises RankDeficient for the first step in
+    plan order whose rows or frontal block do not determine its variable
+    (see `_full_rank`).
     """
     plan = plan_for(graph, ordering)
     return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()
 
 
-@lru_cache(maxsize=256)
-def _strict_lower(rows: int, cols: int) -> np.ndarray:
-    return np.flatnonzero(np.tri(rows, cols, -1, dtype=bool))
-
-
 def _r_factor(a: np.ndarray) -> np.ndarray:
     """The R of a = QR, min(rows, cols) rows: LAPACK's Householder QR, as
-    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost.
-    LAPACK leaves one row as it is (its reflector is the identity), so a
-    one-row R is a copy of the row."""
-    if a.shape[0] == 1:
-        return a.copy()
-    qr = dgeqrf(a)[0]
-    r = np.array(qr[:min(a.shape)], order="C")
-    r.reshape(-1)[_strict_lower(*r.shape)] = 0.0
-    return r
+    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost. The
+    numeric pass reduces stacks in place; this serves `_by_steps`, which
+    reduces parts of a restored stack."""
+    return np.triu(dgeqrf(a)[0][:min(a.shape)])
 
 
 def _by_steps(a, ends, steps, start, filled, leftover) -> tuple:

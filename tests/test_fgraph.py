@@ -265,9 +265,11 @@ class TestPlan:
             assert_same_tables(fixed.proof, greedy.proof)
             assert_same_tables(fixed.system, greedy.system)
 
-    def test_one_row_r_factor_is_the_row_lapack_leaves(self):
-        # Householder QR of one row reflects nothing (tau = 0), so the
-        # one-row R that skips LAPACK is bit for bit what LAPACK returns
+    def test_one_row_stack_is_the_r_lapack_leaves(self):
+        # Householder QR of one row reflects nothing (tau = 0): the row is
+        # bit for bit what dgeqrf returns, which the numeric pass relies on
+        # when it skips dgeqrf for a one-row stack and when `_redo` reads
+        # such a stack as its R
         rng = np.random.default_rng(71)
         for width in (1, 2, 7, 19):
             for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
@@ -277,8 +279,9 @@ class TestPlan:
                 want = dgeqrf(a)[0]
                 assert got.shape == (1, width) and got.flags.c_contiguous
                 assert not np.shares_memory(got, a)
-                np.testing.assert_array_equal(got, want)
-                assert (np.signbit(got) == np.signbit(want)).all()
+                for row in (got, a):
+                    np.testing.assert_array_equal(row, want)
+                    assert (np.signbit(row) == np.signbit(want)).all()
 
     def test_empty_graph_plans_nothing(self):
         plan = plan_elimination(FactorGraph([]))
@@ -859,6 +862,10 @@ def hazard_cases():
                            LinearFactor({y: [[1.0]], u: [[1.0]]}, [2.0]),
                            LinearFactor({u: [[1.0]]}, [1.0])])
     short = FactorGraph([LinearFactor({x: [[1.0]], y: [[1.0]]}, [1.0])])
+    # x's product row on y dies at the cut, so y's own front, after z's, is
+    # left with no rows, which only its zero pivot flags
+    starved = FactorGraph([LinearFactor({x: [[1.0]], y: [[0.0]]}, [1.0]),
+                           LinearFactor({x: [[2.0]]}, [2.0]), LinearFactor({z: [[1.0]]}, [3.0])])
     zero = FactorGraph([LinearFactor({x: [[0.0]]}, [1.0])])
     singular = FactorGraph([LinearFactor({f: np.eye(6)}, np.ones(6)),
                             LinearFactor({g: np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0]),
@@ -867,7 +874,8 @@ def hazard_cases():
                        LinearFactor({y: [[1.0]]}, [1.0])])
     return {"dead-row": (dead, [w, x, y, z, u]), "pivot-at-cut": (cut, [x, y]),
             "rhs-sized-cut": (big_rhs, [x, y, u]),
-            "row-shortage": (short, [x, y]), "zero-pivot": (zero, [x]),
+            "row-shortage": (short, [x, y]), "starved-consumer": (starved, [x, z, y]),
+            "zero-pivot": (zero, [x]),
             "singular-6-dim": (singular, [g, f]), "nan": (nan, [x, y])}
 
 
