@@ -17,18 +17,17 @@ It fixes every step's input factors and parents, the fronts (runs of steps
 whose parent sets nest, each reduced as one stack, like a supernode), the
 flat solution vector with a slice per variable, the assembly map (where
 each entry of `flat` goes in one flat buffer that holds every front's
-stack, column-major), where each front hands its product and the tables
-that prove a reduction. `plan_for` is the one way from an ordering request
-to a plan, memoised by the structure, so graphs that differ only in their
-numbers share it. The numeric phase is one `Assembly` per solve over a
-buffer of that layout (`scatter` fills one from `flat`, `transcribe` from a
-template): it reduces every front first, one QR in place in the buffer each
-and one gathered copy of its product into the consumer's slot, then proves
-every dead-row cut and pivot at once (a step short of rows leaves a zero
-pivot) and applies the exact rule, to that same QR, only at the fronts it
-cannot prove. `back_substitute` then scatters the fronts' R rows
-into one upper triangular system over the flat vector, `size` x (`size` + 1)
-floats with the rhs last, and solves it with one LAPACK `dtrtrs`.
+stack, column-major), where each front hands its product, where its R rows
+are gathered from, and the first step the rows cannot determine, if any.
+`plan_for` is the one way from an ordering request to a plan, memoised by
+the structure, so graphs that differ only in their numbers share it. The
+numeric phase is one `Assembly` per solve over a buffer of that layout
+(`scatter` fills one from `flat`, `transcribe` from a template): per front
+one QR in place in the buffer and one gathered copy of its product into the
+consumer's slot. The fronts' R rows then go into one upper triangular
+system over the flat vector, `size` x (`size` + 1) floats with the rhs
+last. One condition estimate of that system (LAPACK `dtrcon`) is the gate
+for numerical rank, and one `dtrtrs` solves it.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -47,7 +46,7 @@ from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dtrcon, dtrtrs
 
 from .errors import IncompatibleScheme, RankDeficient
 
@@ -249,7 +248,8 @@ class Conditional(NamedTuple):
 
     `block` is the variable's R rows `[diag | parents | rhs]` in its front's
     R, and `diag`, `parent_blocks` and `rhs` are views into it. `diag` is upper
-    triangular and invertible; parents are ordered by their position in the
+    triangular, and invertible because the whole R passed elimination's
+    condition gate (see `eliminate`); parents are ordered by their position in the
     elimination ordering (all eliminated later), which is also their column
     order in `block`.
     """
@@ -274,13 +274,18 @@ class Conditional(NamedTuple):
 class EliminationDag:
     """Result of eliminating every variable of a graph under one plan: the
     fronts' R rows `[R_ff | R_fp | d]`, row-major and one front after
-    another (`rows`, laid out as the plan's `proof.gather`), the rhs of the
-    rows elimination left with no coefficient (`leftover`) and the `plan`.
-    Per front its R rows (`fronts`) and the `conditionals`, one per step of
-    the plan and views into its front's R rows, are made on first read."""
+    another (`rows`, as the plan's `gather` lays them out: a front's c R
+    rows of its width each, its lower triangle and any rows past a short
+    stack's end zero), the rhs of each front's R row with no coefficient
+    (`leftover`, see `EliminationPlan`), the `plan`, and `rcond`, the gate's
+    estimate of the reciprocal 1-norm condition number of the whole R
+    (LAPACK `dtrcon`; above 1e-9, or elimination raised). Per front its R
+    rows (`fronts`) and the `conditionals`, one per step of the plan and
+    views into its front's R rows, are made on first read."""
 
-    def __init__(self, leftover: np.ndarray, plan: EliminationPlan, rows: np.ndarray):
-        self.leftover, self.plan, self.rows = leftover, plan, rows
+    def __init__(self, leftover: np.ndarray, plan: EliminationPlan, rows: np.ndarray,
+                 rcond: float):
+        self.leftover, self.plan, self.rows, self.rcond = leftover, plan, rows, rcond
 
     @cached_property
     def fronts(self) -> tuple:
@@ -331,29 +336,6 @@ class PlanStep(NamedTuple):
     product: int
 
 
-class Proof(NamedTuple):
-    """The tables that prove one reduction of a plan's fronts. Positions
-    are in the buffer, where every front's dgeqrf output is left, and its
-    trailing zero is read for entries off a front's R. Per front its
-    `offsets`; the fronts' R rows `[R_ff | R_fp | d]`, row-major and one
-    front after another (`gather`), and in these per solution entry its
-    pivot and front (`pivots`) and per 6-dim step its 6x6 `R_ff` and
-    front (`six`); reduceat pairs over the entries handed off (`src`, row
-    by row) that span each product row's coefficients, and the row's front
-    (`live`); per front whose R has a row width - 1 (rhs only) that rhs and
-    the front (`leftover`); per step the rows its inputs hand it when no
-    row is cut (`filled`), which the exact rule counts."""
-
-    offsets: np.ndarray
-    pivots: tuple
-    live: tuple
-    src: np.ndarray
-    six: tuple
-    gather: np.ndarray
-    leftover: tuple
-    filled: np.ndarray
-
-
 class EliminationPlan(NamedTuple):
     """Symbolic elimination: the ordering and every step's bookkeeping.
 
@@ -375,16 +357,25 @@ class EliminationPlan(NamedTuple):
     coefficients and right-hand sides, for the residual check.
 
     `fronts` has per front (start, stop, stack offset, width, rows, first
-    solution entry, frontal columns c, ends, src, dst, consumer step, R
-    offset): `ends` has per step the end of its rows; the handoff copies
-    the buffer entries `src` (the upper triangular part of the product
-    rows, R rows c on) to the positions `dst` in the slot of the step that
-    consumes the product (-1: none); the R offset is where the front's R
-    rows start in `proof.gather`. `proof` holds the tables that
-    `Assembly.eliminate` proves its reduction with.
+    solution entry, frontal columns c, src, dst, consumer step, R
+    offset): the handoff copies the buffer entries `src` (the upper
+    triangular part of the product rows, R rows c on) to the positions
+    `dst` in the slot of the step that consumes the product (-1: none);
+    the R offset is where the front's R rows start in `gather`.
 
-    `system` has per entry of the R rows (`proof.gather`) its position in
-    the column-major `size` x (`size` + 1) upper triangular system that
+    Positions in the buffer, read after every front is reduced: `gather`
+    has the fronts' R rows `[R_ff | R_fp | d]`, row-major and one front
+    after another (entries off a front's R read the buffer's trailing
+    zero), and `leftover` the rhs of R row w - 1, which has no coefficient,
+    of each front whose stack has m >= w rows. `short` is () when every
+    step's rows can determine its variable, else the first step that falls
+    short as (variable, detail) of the RankDeficient every elimination
+    under the plan raises: a step is short when the rows its front has
+    received up to it, as the row budgets count them, are fewer than the
+    dims of the front's variables up to it.
+
+    `system` has per entry of the R rows (`gather`) its position in the
+    column-major `size` x (`size` + 1) upper triangular system that
     back-substitution solves: row the entry's solution index, column the
     solution entry of its stack column or `size` (rhs).
     """
@@ -400,7 +391,9 @@ class EliminationPlan(NamedTuple):
     scale: tuple
     check: tuple
     fronts: tuple
-    proof: Proof
+    gather: np.ndarray
+    leftover: np.ndarray
+    short: tuple
     system: np.ndarray
 
 
@@ -441,7 +434,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     reduce to nothing drop their connections (this happens whenever a
     variable is fully determined by its factors). The budget is also the
     product's room in its consumer's stack: a reduction never leaves more
-    live rows than that. It runs on the rank bitmasks of `graph.numbering`.
+    live rows than that, and the budgets fix the plan's `short`. It runs on
+    the rank bitmasks of `graph.numbering`.
     """
     keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
     n, n_graph, structure = len(keys), len(masks), graph.structure
@@ -524,17 +518,17 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # per graph factor: its first column in `flat`, first row, stride; per
     # front (`spans`) its start, stop, offset, width, rows, first solution
     # entry, frontal columns and its product's slot (buffer position,
-    # consuming step, width, first entry of `columns`), and its `ends`; per
-    # step its graph rows
+    # consuming step, width, first entry of `columns`); per step its graph
+    # rows
     col, run, base, home = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     flat, scol, pflat, pcol, fvar, steps, spans, maker = [], [], [], [], [], [], [], {}
-    ends_of, grows, at_col, edges, offset, inner = [], [], 0, 0, 0, -1
+    grows, at_col, edges, offset, inner = [], 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         edges += len(parents)
         if inner < 0:
-            begin, x0, ends = i, first[v], []
+            begin, x0 = i, first[v]
             col[v], c = 0, dims[v]
             for p in parents:
                 col[p], c = c, c + dims[p]
@@ -556,7 +550,6 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 spans[maker[f]][7:] = at, i, len(spans), at_col
                 at_col += cols_of[f]
             height += rows_of[f]
-        ends.append(height)
         grows.append(row)
         if product >= 0:
             keys_of.append(parents + [n])
@@ -566,13 +559,12 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         inner = product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
             spans.append([begin, i + 1, offset, width, height, x0, col[n] - cols, 0, -1, 0, 0])
-            ends_of.append(tuple(ends))
             offset, inner = offset + height * width, -1
     dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
     flat, scol, pflat, pcol, fvar = (np.array(a, dtype=np.intp)
                                      for a in (flat, scol, pflat, pcol, fvar))
     columns[:at_col] = _runs(pcol, dims[pflat])
-    _, _, o, w, m, _, c, to, eat, ct, cat = np.array(
+    begin, stop, o, w, m, _, c, to, eat, ct, cat = np.array(
         spans, dtype=np.intp).reshape(-1, 11).T
 
     # the assembly map, a group per key block and rhs of each graph factor:
@@ -602,40 +594,41 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # columns c, as buffer positions (one zero at `offset` is read for
     # entries off a front's R). dgeqrf leaves the product in R rows c to
     # min(m, w - 1) - 1 (the R row w - 1 holds only a rhs, whatever the
-    # numbers, and is always cut); a front that leaves some has a consumer.
+    # numbers: the leftover); a front that leaves some has a consumer.
     # The handoff copies the upper triangular entries of each product row to
-    # the consumer's slot, row by row: `live` has reduceat pairs spanning
-    # each row's coefficients among them
+    # the consumer's slot, row by row
     rows, nf = np.maximum(np.minimum(m, w - 1) - c, 0), len(spans)
     fr, i = np.arange(nf).repeat(rows), _runs(0, rows)
     q = (w - c)[fr] - i
     at = np.append(0, q.cumsum())
-    live = (np.ravel([at[:-1], at[1:] - 1], "F"), fr)
     src = _strided(o[fr] + (c[fr] + i) * (m[fr] + 1), q, m[fr])
     dst = _strided(cat[fr] + i, q, np.ones_like(q))
     dst = np.take(columns, dst, out=dst, mode="clip")
     dst *= np.repeat(m[ct][fr], q)
     dst += np.repeat(to[fr] + i, q)
     cut, area = at[np.append(0, rows.cumsum())].tolist(), c * w
-    fronts = tuple((*s[:7], e, src[a:b], dst[a:b], s[8], x) for s, e, a, b, x in zip(
-        spans, ends_of, cut, cut[1:], (area.cumsum() - area).tolist()))
+    fronts = tuple((*s[:7], src[a:b], dst[a:b], s[8], x) for s, a, b, x in zip(
+        spans, cut, cut[1:], (area.cumsum() - area).tolist()))
     # the fronts' R rows, row-major and one front after another (lower
-    # triangles, and rows past a short front's end, read the zero); in
-    # them, per solution entry its pivot (`fe` its front, `t` its column
-    # there), per 6-dim step its R_ff (`x` its first solution entry)
+    # triangles, and rows past a short front's end, read the zero; `fe` is
+    # each row's front, `t` its column there)
     fe, t = np.arange(nf).repeat(c), _runs(0, c)
     wf = w[fe]
     gather = _strided(o[fe] + t, wf, m[fe])
     gather[_runs(wf.cumsum() - wf, np.where(t < m[fe], t, wf))] = offset
-    sdim, r, d = dims[[pick[0] for pick in picks]], np.arange(6), (area.cumsum() - area)[fe]
-    d += t * (wf + 1)
-    x = (np.cumsum(sdim) - sdim)[sdim == 6]
-    filled = np.array(grows, dtype=np.intp)
-    np.add.at(filled, eat, rows)
-    last = m >= w
-    proof = Proof(o, (d, fe), live, src, (d[x, None, None] + r[:, None] * wf[x, None, None] + r,
-                                          fe[x]), gather,
-                  ((o + (w - 1) * (m + 1))[last], np.flatnonzero(last)), filled)
+    # per step the rows its graph factors and the products handed to it
+    # bring, less its dim, summed over its front up to it: below zero, the
+    # step is short
+    spare = np.array(grows, dtype=np.intp) - dims[[pick[0] for pick in picks]]
+    np.add.at(spare, eat, rows)
+    spare = spare.cumsum()
+    spare -= np.append(0, spare)[begin].repeat(stop - begin)
+    short, k = (), np.flatnonzero(spare < 0)[:1]
+    if k.size:
+        v = steps[k[0]].var
+        reach = int(spare[k[0]]) + v.dim
+        short = (v, f"{reach} constraint rows for {v.dim} dimensions" if reach
+                 else "no factor constrains this variable")
     # each R row entry's place in the column-major size x (size + 1) system:
     # row its solution entry, column the solution entry of its stack column
     # (a front's columns are its first step's variable and parents, in
@@ -645,7 +638,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     system += np.arange(size).repeat(wf)
     return EliminationPlan(tuple(slices), tuple(steps), edges, fill_in, size, slices,
                            offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
-                           proof, system)
+                           gather, (o + (w - 1) * (m + 1))[m >= w], short, system)
 
 
 class LruMemo(OrderedDict):
@@ -747,116 +740,32 @@ class Assembly(NamedTuple):
     data: np.ndarray
     flat: np.ndarray
 
-    def eliminate(self) -> EliminationDag:
-        """Reduce every front, then prove the reduction (see `eliminate`).
+    def eliminate(self) -> tuple:
+        """Reduce every front and gate the result (see `eliminate`): the DAG
+        and the triangular system its R rows make (see `_system`).
 
-        Per front in plan order: one dgeqrf in place (a one-row stack is its
-        own R, as LAPACK leaves it) and the handoff of its product. Then one
-        pass over the fronts (`_unproven`) proves what the exact rule
-        decides front by front; the first front it does not prove is redone
-        by that rule from this reduction (`_redo`) and the loop resumes
-        after it. The R rows come out in one gather."""
-        plan, data, k, left = self.plan, self.data, 0, {}
-        proof, filled = plan.proof, plan.proof.filled.copy()
-        while True:
-            for _, _, o, w, m, _, _, _, src, dst, _, _ in plan.fronts[k:]:
-                if m > 1:
-                    dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
-                data[dst] = data[src]
-            r = data[proof.gather]
-            k = self._unproven(r, k)
-            if k == len(plan.fronts):
-                break
-            k = self._redo(k, filled, left) + 1
-        pos, of = proof.leftover
-        leftover = data[pos] if not left else np.concatenate(
-            [left[f] if f in left else data[pos[of == f]] for f in range(len(plan.fronts))])
-        return EliminationDag(leftover, plan, r)
-
-    def _unproven(self, r, k) -> int:
-        """The first front from k that the buffer and the R rows `r` gathered
-        from it do not prove (the front count when they prove them all). A
-        front is proven when its 6-dim blocks pass the batched rank test
-        (made on the fronts before the first one unproven otherwise) and the
-        bound 1e-12 max(1, max |output|) over its dgeqrf output (R and
-        reflectors, so no less than the exact cut) is below every pivot (so
-        no pivot fails and no step-at-a-time reduction is due) and below a
-        coefficient of each product row (so no row is cut). A step short of
-        rows fails the pivot test: in the columns up to its own, the rows
-        after its rows are structural zeros, so Householder leaves a pivot
-        of exactly 0, or the pivot falls past the stack and reads the
-        buffer's trailing zero. NaN proves nothing."""
-        offsets, (pos, pf), (pairs, lf), src, (p6, f6), *_ = self.plan.proof
-        data = self.data
-        peak = np.maximum(np.maximum.reduceat(data, offsets), -np.minimum.reduceat(data, offsets))
-        bound = 1e-12 * np.maximum(1.0, peak)
-        bad = np.zeros(len(offsets) + 1, dtype=bool)
-        bad[pf[~(np.abs(r[pos]) > bound[pf])]] = True
-        bad[lf[~(np.maximum.reduceat(np.abs(data[src]), pairs)[::2] > bound[lf])]] = True
-        bad[:k], bad[-1] = False, True
-        u = bad.argmax()
-        ranked = (f6 >= k) & (f6 < u)
-        ok = _full_rank(r[p6[ranked]])
-        return u if ok.all() else f6[ranked][ok.argmin()]
-
-    def _redo(self, f, filled, left) -> int:
-        """Front f by the exact rule, decided on the pass's own reduction of
-        f's stack: its R, the upper triangle of the first min(m, w) rows of
-        the dgeqrf output in the buffer (a one-row stack is its own R), is
-        copied before fronts f on are restored from a fresh `scatter`, with
-        the products earlier fronts hand them. Then the cut
-        1e-12 max(1, max|R|), a reduction of the restored stack a step at a
-        time when a later pivot is at or below the cut (such a pivot may
-        rest on rows cut there, see `_by_steps`), product rows with no
-        coefficient above the cut cut (their rhs to `left[f]`), the R rows
-        and live product rows written back and handed on, and the rows the
-        consumer receives recounted in `filled`. Raises RankDeficient for
-        the front's first step whose rows or frontal block do not determine
-        its variable; returns f."""
+        The plan's `short` raises before any number is read. Then per front
+        in plan order: one dgeqrf in place (a one-row stack is its own R, as
+        LAPACK leaves it) and the handoff of its product. The R rows and the
+        leftover come out in one gather each."""
         plan, data = self.plan, self.data
-        start, stop, o, w, m, _, c, ends, src, dst, to, _ = plan.fronts[f]
-        stack = data[o:o + m * w].reshape(w, m).T
-        r = np.triu(stack[:w])
-        data[o:] = scatter(plan, self.flat)[o:]
-        for *_, s, d, t, _ in plan.fronts[:f]:
-            if t >= start:
-                data[d] = data[s]
-        steps, dead, mag = plan.steps, [], np.abs(r)
-        cut = 1e-12 * max(1.0, mag.max(initial=0.0))
-        if stop - start > 1 and not np.min(mag.diagonal()[steps[start].var.dim:c],
-                                           initial=np.inf) > cut:
-            r, cut = _by_steps(stack, ends, steps, start, filled, dead)
-            mag = np.abs(r)
-        reach = at = 0
-        for k in range(start, stop):
-            v = steps[k].var
-            reach += filled[k]
-            if reach < v.dim:
-                raise RankDeficient(v, f"{reach} constraint rows for {v.dim} dimensions"
-                                    if reach else "no factor constrains this variable")
-            # a 1x1 block's singular value is |entry|, written so NaN fails
-            if not (_full_rank(r[None, at:at + 6, at:at + 6])[0] if v.dim > 1
-                    else (a := abs(r[at, at])) > 1e-9 * a):
-                raise RankDeficient(v, f"frontal block rank below {v.dim}")
-            reach, at = reach - v.dim, at + v.dim
-        # when every row dies the plan's structure stands, and the parents'
-        # columns from it stay zero
-        live = np.max(mag[c:, c:-1], 1, initial=0.0) > cut
-        left[f], n = dead + list(r[c:][~live, -1]), np.count_nonzero(live)
-        stack[:c], stack[c:, c:] = r[:c], 0.0
-        stack[c:c + n, c:] = r[c:][live, c:]
-        if to >= 0:
+        if plan.short:
+            raise RankDeficient(*plan.short)
+        for _, _, o, w, m, _, _, src, dst, _, _ in plan.fronts:
+            if m > 1:
+                dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
             data[dst] = data[src]
-            filled[to] += n - max(min(m, w - 1) - c, 0)
-        return f
+        rows = data[plan.gather]
+        system = _system(plan, rows)
+        return EliminationDag(data[plan.leftover], plan, rows, _gate(plan, system)), system
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
         DAG, the flat solution vector `back_substitute` hands out views of,
         and the largest absolute residual of the weight-1 rows, one gathered
         product over their entries in `flat` (the plan's `check`)."""
-        dag = self.eliminate()
-        x = _solution(dag)
+        dag, system = self.eliminate()
+        x = _solution(self.plan, system)
         pos, entry, row, rhs = self.plan.check
         r = np.bincount(row, self.flat[pos] * x[entry], minlength=rhs.size) - self.flat[rhs]
         return dag, x, float(np.abs(r).max(initial=0.0))
@@ -868,72 +777,64 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     `ordering` is any request `plan_for` takes, usually a key sequence. The
     graph's `flat` listing is scattered into the buffer the plan lays out,
     weighted, so each front's stack holds its input row blocks in the plan's
-    columns. Every front's stack is orthogonally reduced first, in place in
-    the buffer and in plan order: each variable's block rows, kept as they
-    are (`[R_ff | R_fp | d]`), are its conditional, and the rows below
-    become a factor over the last step's parents, copied into the slot of
-    the stack that consumes it. Then one pass proves, against a bound no
-    lower than the exact dead-row cut, that no row left with no parent
-    coefficient had to be cut (its right-hand side goes to `leftover`) and
-    that no front needed reducing a step at a time (`_by_steps`: a later
-    pivot at or below the cut may rest on rows cut there); a step short of
-    rows leaves a zero pivot, so it is never proven. The first front the
-    pass cannot prove is decided by that exact rule on the pass's own QR of
-    its stack (reduced again a step at a time, from the stack as scattered
-    and handed, only when a later pivot falls to the cut), and the fronts
-    after it are reduced again. Raises RankDeficient for the first step in
-    plan order whose rows or frontal block do not determine its variable
-    (see `_full_rank`).
+    columns. Every front's stack is orthogonally reduced, in place in the
+    buffer and in plan order: each variable's block rows, kept as they are
+    (`[R_ff | R_fp | d]`), are its conditional, and the rows below become a
+    factor over the last step's parents, copied into the slot of the stack
+    that consumes it. No row is cut: a front's R row with no coefficient
+    only holds a right-hand side, which goes to `leftover`.
+
+    Raises RankDeficient, before any number is read, for the first step in
+    plan order whose rows cannot determine its variable (the plan's
+    `short`: "no factor constrains this variable" or "k constraint rows for
+    d dimensions"). Numerical rank is decided once, on the whole R: the gate
+    raises RankDeficient when LAPACK `dtrcon`'s estimate of its reciprocal
+    1-norm condition number is not above 1e-9 (`dense_solve`'s rcond; NaN
+    fails), naming the variables a near-null vector touches (see `_gate`).
     """
     plan = plan_for(graph, ordering)
-    return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()
+    return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()[0]
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    """The R of a = QR, min(rows, cols) rows: LAPACK's Householder QR, as
-    np.linalg.qr(a, mode="r") computes it, without that wrapper's cost. The
-    numeric pass reduces stacks in place; this serves `_by_steps`, which
-    reduces parts of a restored stack."""
-    return np.triu(dgeqrf(a)[0][:min(a.shape)])
+def _system(plan: EliminationPlan, rows: np.ndarray) -> np.ndarray:
+    """The R rows scattered into a zeroed column-major `size` x (`size` + 1)
+    upper triangular system, the rhs last (`plan.system`)."""
+    n = plan.size
+    system = np.zeros(n * (n + 1))
+    system[plan.system] = rows
+    return system
 
 
-def _by_steps(a, ends, steps, start, filled, leftover) -> tuple:
-    """Front stack `a` (from `steps[start]`) reduced a step at a time, dead rows
-    cut between steps (rhs to `leftover`): its R rows as one QR lays them out and
-    the last step's cut; `filled` is set so the rows reaching each step count."""
-    out, rest, c, h, prev, cut = np.zeros_like(a), a[:0], 0, 0, 0, 0.0
-    for k, end in enumerate(ends, start):
-        dv, reach = steps[k].var.dim, len(rest) + filled[k]
-        filled[k], prev = reach - prev, reach - dv
-        if reach < dv:  # the step fails on its row count
-            return out, cut
-        s = _r_factor(np.vstack((a[h:end, c:], rest)))
-        mag = np.abs(s)
-        out[c:c + dv, c:], rest, cut = s[:dv], s[dv:], 1e-12 * max(1.0, mag.max())
-        if k + 1 < start + len(ends):
-            live = np.maximum.reduce(mag[dv:, dv:-1], 1) > cut
-            leftover.extend(rest[~live, -1])
-            rest = rest[live, dv:]
-        c, h = c + dv, end
-    out[c:c + len(rest), c - dv:] = rest
-    return out[:c + len(rest)], cut
-
-
-def _full_rank(blocks: np.ndarray) -> np.ndarray:
-    """Whether each upper triangular 6x6 R has sigma_min > 1e-9 sigma_max (NaN: no).
-    ||R||_F ||R^-1||_F < 1e8 proves it (||.||_2 <= ||.||_F gives sigma_min / sigma_max
-    > 1e-8, a tenfold margin for the inverse's rounding), R^-1 being one batched
-    inverse of the finite Rs with a nonzero diagonal (partial pivoting swaps no row of
-    an upper triangular R); dgesdd decides the rest."""
+def _gate(plan: EliminationPlan, system: np.ndarray) -> float:
+    """The reciprocal 1-norm condition estimate of the system's R (Hager's
+    estimator as LAPACK `dtrcon` runs it: a lower bound on ||R^-1||_1, so
+    an estimate at or above the true reciprocal condition). Raises
+    RankDeficient when it is not above 1e-9, as `dense_solve` names its
+    failures: one step of inverse iteration on R^T R (a solve with R^T,
+    then one with R) from a fixed pseudo-random start, with R's non-finite
+    entries zeroed and its pivots raised to eps max|R|, gives a near-null
+    vector. A plain solve with R from all ones misses the null vector of
+    an R whose row with a zero pivot repeats a later row (its left null
+    vector is orthogonal to the ones). Every variable whose entries
+    in the vector are above 1e-6 of its largest finite one (or not finite)
+    is touched, and the last touched in `graph.variables` order is the
+    key."""
+    n = plan.size
+    r = system[:n * n].reshape(n, n).T
+    rcond = dtrcon(r, norm="1")[0]
+    if rcond > 1e-9:
+        return rcond
     with np.errstate(all="ignore"):
-        ok = np.isfinite(blocks).all(axis=(1, 2)) & np.diagonal(blocks, 0, 1, 2).all(axis=1)
-        r = blocks[ok]
-        inv = np.linalg.inv(r)
-        ok[ok] = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", inv, inv) < 1e16
-    for j in np.flatnonzero(~ok):
-        sv = dgesdd(blocks[j], compute_uv=0)[1]
-        ok[j] = sv[-1] > 1e-9 * sv[0]
-    return ok
+        r = np.where(np.isfinite(r), r, 0.0)
+        floor = np.finfo(float).eps * (np.abs(r).max() or 1.0)
+        d = r.diagonal()
+        np.fill_diagonal(r, np.where(np.abs(d) < floor, floor, d))
+        z = dtrtrs(r, np.random.default_rng(0).uniform(0.5, 1.5, n), trans=1)[0]
+        z = np.abs(dtrtrs(r, z)[0])
+        touched = ~(z <= 1e-6 * np.max(z, where=np.isfinite(z), initial=0.0))
+    keys = sorted(v for v, s in plan.slices.items() if touched[s].any())
+    raise RankDeficient(keys[-1], f"reciprocal condition estimate {rcond:.2g}, not above 1e-9",
+                        keys=keys)
 
 
 def back_substitute(dag: EliminationDag) -> dict:
@@ -942,30 +843,34 @@ def back_substitute(dag: EliminationDag) -> dict:
     The plan fixes the layout: one flat solution vector with a slice per
     variable, in elimination order, and the place of every R row entry in
     a `size` x (`size` + 1) upper triangular system, the rhs last (see
-    `_solution`). Returns {key: view into that vector}. Raises
-    RankDeficient naming the first zero pivot in elimination order (only a
-    hand-built DAG has one), and ValueError if the solution is not finite
-    (an infinite or NaN input that the frontal rank test cannot see, such as
-    an infinite rhs), naming its last non-finite entry in elimination
-    order: the source, since a NaN or infinity spreads only to the entries
-    eliminated before it.
+    `_solution`). Returns {key: view into that vector}. The DAG's R passed
+    the gate when it was eliminated, so it has no zero pivot; a hand-built
+    DAG may, and then RankDeficient names the first zero pivot in
+    elimination order. ValueError if the solution is not finite (an
+    infinite or NaN rhs, which the gate does not read, or an overflow),
+    naming its last non-finite entry in elimination order: the source,
+    since a NaN or infinity spreads only to the entries eliminated before
+    it.
     """
-    x = _solution(dag)
+    x = _solution(dag.plan, _system(dag.plan, dag.rows))
     return {v: x[s] for v, s in dag.plan.slices.items()}
 
 
-def _solution(dag: EliminationDag) -> np.ndarray:
-    """The flat solution vector `back_substitute` hands out views of: the
-    R rows scattered into a zeroed column-major system (`plan.system`),
-    then one `dtrtrs`, whose cost grows as size^2 whatever the sparsity.
-    Forward dynamics of a serial chain under "md", on a 2-vCPU Xeon: 15 µs
-    at size 78 (6 joints) and 46 µs at 273 (21 joints), where a loop over
-    the fronts (a gather, a matvec and a `dtrtrs` each) took 66 and 222 µs.
-    The two meet near size 1,560 (120 joints, 358 fronts); at 3,120 the
-    dense solve takes 10.4 ms to the loop's 2.8 ms."""
-    plan, n = dag.plan, dag.plan.size
-    system = np.zeros(n * (n + 1))
-    system[plan.system] = dag.rows
+def _solution(plan: EliminationPlan, system: np.ndarray) -> np.ndarray:
+    """The flat solution vector `back_substitute` hands out views of: one
+    `dtrtrs` over the system (see `_system`), whose cost grows as size^2
+    whatever the sparsity. Forward dynamics of a serial chain under "md",
+    on a 2-vCPU Xeon: 15 µs at size 78 (6 joints) and 46 µs at 273 (21
+    joints), where a loop over the fronts (a gather, a matvec and a
+    `dtrtrs` each) took 66 and 222 µs. The two meet near size 1,560 (120
+    joints, 358 fronts); at 3,120 the dense solve takes 10.4 ms to the
+    loop's 2.8 ms.
+
+    Errors, first to last: the gate ran before (`Assembly.eliminate`, so a
+    solve raises its RankDeficient and never gets here); then LAPACK's
+    info, a zero pivot that only a hand-built DAG has, as RankDeficient;
+    then a non-finite solution as ValueError."""
+    n = plan.size
     x, info = dtrtrs(system[:n * n].reshape(n, n).T, system[n * n:]) if n else (system, 0)
     if info:
         bad = next(v for v, s in plan.slices.items() if s.stop >= info)

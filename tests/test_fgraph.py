@@ -1,10 +1,12 @@
 """Factor graph elimination: conditionals, orderings, fill-in, DOT export."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
-from scipy.linalg.lapack import dgeqrf, dgesdd, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from dyngraph import fgraph
 from dyngraph.errors import IncompatibleScheme, RankDeficient
@@ -114,12 +116,14 @@ class TestEliminate:
         assert "F5" in str(err.value)
 
     def test_non_finite_input_fails(self):
-        # a NaN in a frontal block fails the rank test; an infinite rhs
-        # leaves the blocks finite and shows only in the solution, here in
-        # X's value and, through back-substitution, in Y's
+        # a NaN in a coefficient fails the condition gate, which LAPACK's
+        # estimate of a NaN R fails; an infinite rhs leaves the coefficients
+        # finite and shows only in the solution, here in X's value and,
+        # through back-substitution, in Y's
         a = np.eye(6)
         a[2, 3] = np.nan
-        with pytest.raises(RankDeficient, match="Vd1: frontal block rank below 6"):
+        with pytest.raises(RankDeficient, match="^rank-deficient system at variable Vd1: "
+                                                "reciprocal condition estimate 0, not above 1e-9$"):
             solve(FactorGraph([LinearFactor({X: a}, np.ones(6))]), [X])
         rhs = np.array([1.0, 2.0, np.inf, 0.0, 0.0, 0.0])
         chain = FactorGraph([LinearFactor({X: np.eye(6)}, rhs),
@@ -262,26 +266,23 @@ class TestPlan:
             assert (fixed.size, fixed.slices) == (greedy.size, greedy.slices)
             assert fixed.steps == greedy.steps
             assert_same_tables(fixed.fronts, greedy.fronts)
-            assert_same_tables(fixed.proof, greedy.proof)
+            assert_same_tables((fixed.gather, fixed.leftover, fixed.short),
+                               (greedy.gather, greedy.leftover, greedy.short))
             assert_same_tables(fixed.system, greedy.system)
 
     def test_one_row_stack_is_the_r_lapack_leaves(self):
         # Householder QR of one row reflects nothing (tau = 0): the row is
         # bit for bit what dgeqrf returns, which the numeric pass relies on
-        # when it skips dgeqrf for a one-row stack and when `_redo` reads
-        # such a stack as its R
+        # when it skips dgeqrf for a one-row stack
         rng = np.random.default_rng(71)
         for width in (1, 2, 7, 19):
             for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
                 a = rng.standard_normal((1, width)) * scale
                 a[0, rng.integers(width)] = -0.0
-                got = fgraph._r_factor(a)
-                want = dgeqrf(a)[0]
-                assert got.shape == (1, width) and got.flags.c_contiguous
-                assert not np.shares_memory(got, a)
-                for row in (got, a):
-                    np.testing.assert_array_equal(row, want)
-                    assert (np.signbit(row) == np.signbit(want)).all()
+                want, tau = dgeqrf(a)[:2]
+                assert want.shape == (1, width) and not tau.any()
+                np.testing.assert_array_equal(a, want)
+                assert (np.signbit(a) == np.signbit(want)).all()
 
     def test_empty_graph_plans_nothing(self):
         plan = plan_elimination(FactorGraph([]))
@@ -289,57 +290,74 @@ class TestPlan:
         assert back_substitute(eliminate(FactorGraph([]), [])) == {}
 
     def test_one_by_one_rank_check(self):
+        # a zero or NaN 1x1 R fails the gate; any other is perfectly
+        # conditioned, however small
         q = VarKey(Kind.JOINT_ACCEL, 1)
         for entry in (0.0, np.nan):
-            with pytest.raises(RankDeficient, match="qdd1: frontal block rank below 1"):
+            with pytest.raises(RankDeficient, match="qdd1: reciprocal condition estimate 0,"):
                 eliminate(FactorGraph([LinearFactor({q: [[entry]]}, [1.0])]), [q])
         sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
         np.testing.assert_allclose(sol[q], [3.0])
 
-    def test_first_singular_frontal_named_before_later_row_shortage(self):
-        # Vd2's block is singular and F3 is left with one row, but 6-dim
-        # blocks are tested after the loop: the row shortage found at F3
-        # waits for them, and Vd2, the first failure in plan order, is the
-        # one named, with the message the rank test gives
+    def test_row_shortage_named_before_any_number_is_read(self):
+        # Vd2's block is singular and F3 is left with one row. The plan
+        # counts F3's rows, so every elimination under it names F3, even
+        # with a NaN in the numbers; with F3's six rows the gate names Vd2.
+        # The arbiter finds each variable named in its null space
         x, y, f = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.WRENCH, 3)
         singular = np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0])
-        g = FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
-                         LinearFactor({y: singular, f: np.eye(6)}, np.ones(6)),
-                         LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
-        with pytest.raises(RankDeficient) as err:
-            eliminate(g, [x, y, f])
-        assert str(err.value) == "rank-deficient system at variable Vd2: frontal block rank below 6"
-        assert err.value.key == y
-        # with the shortage first in plan order, the shortage is named
+        poisoned = singular.copy()
+        poisoned[0, 1] = np.nan
+        shortage = "F3: 1 constraint rows for 6 dimensions"
+        cases = []
+        for block in (singular, poisoned):
+            for rows in (np.ones((1, 6)), np.eye(6)):
+                g = FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
+                                 LinearFactor({y: block, f: np.eye(6)}, np.ones(6)),
+                                 LinearFactor({f: rows}, np.ones(len(rows)))])
+                cases.append((g, [x, y, f], shortage if len(rows) == 1 else
+                              "Vd2: reciprocal condition estimate 0, not above 1e-9"))
         apart = FactorGraph([LinearFactor({y: singular}, np.ones(6)),
                              LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
-        for order, message in (([y, f], "Vd2: frontal block rank below 6"),
-                               ([f, y], "F3: 1 constraint rows for 6 dimensions")):
+        cases += [(apart, [y, f], shortage), (apart, [f, y], shortage)]
+        for g, order, message in cases:
             with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
-                                                    f"{message}$"):
-                eliminate(apart, order)
+                                                    f"{re.escape(message)}$") as err:
+                eliminate(g, order)
+            if np.isfinite(g.flat).all():
+                with pytest.raises(RankDeficient) as arbiter:
+                    dense_solve(g)
+                assert err.value.key in arbiter.value.keys
 
-    def test_singular_second_step_of_a_front_named_before_later_row_shortage(self):
-        # x, y and z are one front, reduced by one QR; y's block is singular
-        # and F4, in the next front, is left with one row: the rank test
-        # names y, the first failure in plan order, as step by step
+    def test_singular_second_step_of_a_front_named_by_the_gate(self):
+        # x, y and z are one front, reduced by one QR; y's block is singular.
+        # With F4, in the next front, left with one row, the plan names F4
+        # first; with six rows for F4 the gate names y, and the arbiter
+        # finds x and y in its null space
         x, y, z, f = (VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3),
                       VarKey(Kind.WRENCH, 4))
         eye, zero = np.eye(6), np.zeros((6, 6))
-        for diag, message in (([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], "Vd2: frontal block rank below 6"),
-                              ([1.0] * 6, "F4: 1 constraint rows for 6 dimensions")):
+        for diag, rows, message, keys in (
+                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], np.ones((1, 6)),
+                 "F4: 1 constraint rows for 6 dimensions", (f,)),
+                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], eye,
+                 "Vd2: reciprocal condition estimate 0, not above 1e-9", (x, y)),
+                ([1.0] * 6, np.ones((1, 6)), "F4: 1 constraint rows for 6 dimensions", (f,))):
             g = FactorGraph([
                 LinearFactor({x: np.vstack([eye, zero]), y: np.vstack([eye, np.diag(diag)]),
                               z: np.zeros((12, 6))}, np.ones(12)),
                 LinearFactor({y: zero, z: eye}, np.ones(6)),
                 LinearFactor({z: eye}, np.ones(6)),
-                LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
+                LinearFactor({f: rows}, np.ones(len(rows)))])
             assert [front[:2] for front in fgraph.plan_for(g, [x, y, z, f]).fronts] == \
                 [(0, 3), (3, 4)]
             with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
                                                     f"{message}$") as err:
                 eliminate(g, [x, y, z, f])
-            assert err.value.key == (y if diag[2] == 0.0 else f)
+            assert err.value.keys == keys
+            with pytest.raises(RankDeficient) as arbiter:
+                dense_solve(g)
+            assert err.value.key in arbiter.value.keys
 
     def test_fronts_are_maximal_nesting_runs(self, tree21, six_r):
         # a front is a maximal run of steps, each leaving its product to the
@@ -397,8 +415,8 @@ class TestPlan:
     def test_row_dead_on_the_way_through_a_front_is_no_pivot(self, kind):
         # x and y are one front; the rows that eliminating x leaves on y have
         # rounding-level coefficients, rows that die on the way: y has
-        # nothing else to constrain it and is named as a step on its own
-        # names it, not solved to 1e14
+        # nothing else to constrain it, so the gate names it, as the arbiter
+        # does, rather than solve it to 1e14
         rng = np.random.default_rng(3)
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(kind, 2)
         rows = y.dim + 1
@@ -407,26 +425,33 @@ class TestPlan:
                                       rng.standard_normal(rows))])
         assert [front[:2] for front in fgraph.plan_for(g, [x, y]).fronts] == [(0, 2)]
         with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable {y}: "
-                                                "no factor constrains this variable$"):
+                                                "reciprocal condition estimate") as err:
             eliminate(g, [x, y])
-        with pytest.raises(RankDeficient, match=str(y)):
+        assert err.value.keys == (y,)
+        with pytest.raises(RankDeficient, match=str(y)) as arbiter:
             dense_solve(g)
+        assert arbiter.value.keys == (y,)
 
-    def test_front_with_pivot_at_the_cut_is_reduced_step_by_step(self):
-        # x and y are one front. The row that eliminating x leaves on y is
-        # dead (coefficient 4e-15, rhs 447), and y's own row (1e-10 y = 1e-10)
-        # is below the cut too, so one QR would solve y to 2e8 off that dead
-        # row; step by step the dead row is cut, as it always was: y = 1 and
-        # the dead row's rhs is the one leftover
+    def test_front_with_pivot_below_the_gate_raises_as_the_arbiter(self):
+        # x and y are one front. The row that eliminating x leaves on y has a
+        # coefficient of 4e-15 and a rhs of 447, and y's own row is
+        # 1e-10 y = 1e-10: the whole system's condition is 2e10, and in
+        # either order the gate names y, as the arbiter does, rather than
+        # solve it off a row of rounding
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
         g = FactorGraph([LinearFactor({x: [[1.0]], y: [[1e-14]]}, [1.0]),
                          LinearFactor({x: [[2.0]], y: [[3e-14]]}, [1002.0]),
                          LinearFactor({y: [[1e-10]]}, [1e-10])])
         assert [front[:2] for front in fgraph.plan_for(g, [x, y]).fronts] == [(0, 2)]
-        dag = eliminate(g, [x, y])
-        sol = back_substitute(dag)
-        np.testing.assert_allclose([sol[x][0], sol[y][0]], [401.0, 1.0], rtol=1e-12)
-        np.testing.assert_allclose(np.abs(dag.leftover), [1000.0 / np.sqrt(5.0)], rtol=1e-12)
+        for order in ([x, y], [y, x]):
+            with pytest.raises(RankDeficient, match="^rank-deficient system at variable qdd2: "
+                                                    "reciprocal condition estimate 4.5e-11, "
+                                                    "not above 1e-9$") as err:
+                eliminate(g, order)
+            assert err.value.keys == (y,)
+        with pytest.raises(RankDeficient) as arbiter:
+            dense_solve(g)
+        assert arbiter.value.keys == (y,)
 
     @pytest.mark.parametrize("ordering,message", [
         ([1, 2], r"^ordering\[0\] must be a VarKey or its text, got 1$"),
@@ -665,75 +690,6 @@ def test_graph_listed_from_its_factors_is_the_same_bits(case, seed):
     assert outcomes[0] == outcomes[1]
 
 
-def reference_eliminate(graph, plan):
-    """The per-front loop that eliminated every graph before the fronts were
-    reduced first and proven after, kept as an oracle for
-    `Assembly.eliminate`: per front in plan order, the live product rows of
-    earlier fronts copied into its slots, one QR, the exact cut
-    1e-12 max(1, max |R|), a reduction a step at a time when a later pivot
-    is at or below the cut, the row and pivot tests step by step, and the
-    product rows with a coefficient above the cut kept for the consumer.
-    Returns the fronts' R rows and the leftover, or raises the first
-    RankDeficient in plan order."""
-    data, steps, n_graph = fgraph.scatter(plan, graph.flat), plan.steps, len(graph.structure)
-    filled = [sum(graph.structure[f][1] for f in st.inputs if f < n_graph) for st in steps]
-    front_of = {k: g for g, front in enumerate(plan.fronts) for k in range(*front[:2])}
-    sources = {}  # per consuming front: (making front, row 0 of its slot, step)
-    for g, (_, _, _, width, _, _, c, _, _, dst, to, _) in enumerate(plan.fronts):
-        if to >= 0:
-            sources.setdefault(front_of[to], []).append((g, dst[:width - c], to))
-    peak, rests, blocks, leftover, frontal, failed = np.maximum.reduce, [], [], [], [], None
-    for f, (start, stop, offset, width, m, _, _, ends, *_) in enumerate(plan.fronts):
-        for at, slot, step in sources.get(f, ()):
-            n = rests[at].shape[0]
-            if n:
-                data[slot + np.arange(n)[:, None]] = rests[at]
-            filled[step] += n
-        stack = data[offset:offset + m * width].reshape(width, m).T
-        r = fgraph._r_factor(stack) if m else None
-        if m > 1 and (stop - start > 1 or steps[stop - 1].product >= 0):
-            mag = np.abs(r)
-            cut = 1e-12 * max(1.0, peak(mag, None))
-            if stop - start > 1:
-                lo = steps[start].var.dim
-                hi = width - 1 - sum(p.dim for p in steps[stop - 1].parents)
-                if not np.minimum.reduce(mag.diagonal()[lo:hi], initial=np.inf) > cut:
-                    r, cut = fgraph._by_steps(stack, ends, steps, start, filled, leftover)
-                    mag = np.abs(r)
-        left = c = 0
-        for k in range(start, stop):
-            v, parents = steps[k].var, steps[k].parents
-            dv, left = v.dim, left + filled[k]
-            if left < dv:
-                failed = RankDeficient(v, f"{left} constraint rows for {dv} dimensions"
-                                       if left else "no factor constrains this variable")
-                break
-            if dv > 1:
-                frontal.append(r[c:c + dv, c:c + dv])
-            elif not (a := abs(r[c, c])) > 1e-9 * a:
-                failed = RankDeficient(v, "frontal block rank below 1")
-                break
-            left, c = left - dv, c + dv
-        if failed:
-            break
-        blocks.append(r[:c])
-        rest = r[c:]
-        if rest.shape[0] and parents:
-            live = peak(mag[c:, c:-1], 1) > cut
-            leftover.extend(rest[~live, -1])
-            rest = rest[live]
-        else:
-            leftover.extend(rest[:, -1])
-        rests.append(rest[:, c:])
-    ok = fgraph._full_rank(np.array(frontal).reshape(-1, 6, 6))
-    if not ok.all():
-        bad = [st.var for st in steps if st.var.dim > 1][np.argmin(ok)]
-        raise RankDeficient(bad, "frontal block rank below 6")
-    if failed:
-        raise failed
-    return tuple(blocks), np.array(leftover, dtype=float)
-
-
 def reference_back_substitute(dag):
     """The per-front loop that back-substituted every DAG before one
     triangular solve over the plan's system, kept as an oracle for
@@ -770,39 +726,86 @@ def documented_error(e):
     return type(e).__name__, str(e)
 
 
-def elimination_outcome(graph, ordering, reduce):
-    """The fronts, leftover and values an elimination gives (`reduce` maps a
-    graph and plan to fronts and leftover), as bytes, or its error's type
-    and message."""
-    plan = fgraph.plan_for(graph, ordering)
+def stacked(graph):
+    """The weighted rows of every factor as one dense matrix, its columns
+    the variables' entries in `graph.variables` order, as `dense_solve`
+    stacks them."""
+    at = np.cumsum([0] + [v.dim for v in graph.variables])
+    col = dict(zip(graph.variables, at))
+    a = np.zeros((graph.total_rows(), at[-1]))
+    r = 0
+    for f in graph.factors:
+        for k, block in f.blocks.items():
+            a[r:r + f.rows, col[k]:col[k] + k.dim] = f.weight * block
+        r += f.rows
+    return a
+
+
+def arbiter_contract(graph, ordering):
+    """One elimination held to the dense arbiter, returning "solved" or
+    "rank". The values agree with `dense_solve` to 1e-8 of its largest
+    entry (or to the accuracy the graph's conditioning allows, see below),
+    or the solve raises, and never returns values where the arbiter
+    raises. A row shortage, which the plan finds from the row counts alone,
+    leaves an exactly zero pivot, so the arbiter raises too; the variable
+    named is where the ordering runs out of rows, which need not be in the
+    arbiter's null space (when a variable that few rows touch is handed
+    fill rows, its rank falls short and a later step is counted short).
+    The gate's key is among the arbiter's `keys` when it raises too; when
+    the arbiter solves, the graph must be within the gate's reach of its
+    rank rule: the gate raises only when R's estimated reciprocal 1-norm
+    condition is at most 1e-9, and kappa_1 >= kappa_2 / size, so
+    sigma_min / sigma_max of the weighted rows is at most size * 1e-9. A
+    graph with a non-finite number, which the arbiter's SVD cannot take,
+    raises RankDeficient or the documented non-finite ValueError."""
+    finite = np.isfinite(graph.flat).all()
+    want = None
+    if finite:
+        try:
+            want = dense_solve(graph)
+        except RankDeficient as e:
+            want = e
     try:
-        fronts, leftover = reduce(graph, plan)
+        got = back_substitute(eliminate(graph, ordering))
     except RankDeficient as e:
-        return type(e).__name__, str(e)
-    got = [[(b.shape, b.tobytes()) for b in fronts], leftover.tobytes()]
-    rows = np.concatenate([np.zeros(0), *map(np.ravel, fronts)])
-    try:
-        values = back_substitute(fgraph.EliminationDag(leftover, plan, rows))
-        return got + [{k: v.tobytes() for k, v in values.items()}]
-    except (RankDeficient, ValueError) as e:
-        return got + [documented_error(e)]
-
-
-def reduce_first(graph, plan):
-    """`Assembly.eliminate`'s fronts and leftover."""
-    dag = fgraph.Assembly(plan, fgraph.scatter(plan, graph.flat), graph.flat).eliminate()
-    return dag.fronts, dag.leftover
+        assert e.key in graph.variables
+        if "reciprocal condition estimate" not in str(e):
+            assert want is None or isinstance(want, RankDeficient), str(e)
+        elif isinstance(want, RankDeficient):
+            assert e.key in want.keys, (str(e), want.keys)
+        elif finite:
+            a = stacked(graph)
+            sv = np.linalg.svd(a, compute_uv=False)
+            assert sv[-1] <= a.shape[1] * 1e-9 * sv[0], (str(e), sv[-1] / sv[0])
+        return "rank"
+    except ValueError as e:
+        assert not finite and str(e).startswith("non-finite solution at variable "), str(e)
+        return "rank"
+    assert finite and not isinstance(want, RankDeficient), "solved what the arbiter refuses"
+    # 1e-8 of the largest entry, or the first-order forward error bound of
+    # a backward stable least-squares solve where that is larger: an
+    # inconsistent graph with kappa = 7e5 cannot be solved to 1e-8, and
+    # there the arbiter is 4e-9 off the exact answer and elimination 3e-8
+    a, x = stacked(graph), np.concatenate([want[v] for v in graph.variables])
+    b = np.concatenate([f.weight * f.rhs for f in graph.factors])
+    sv = np.linalg.svd(a, compute_uv=False)
+    kappa, size = sv[0] / sv[-1], np.linalg.norm(x)
+    bound = np.finfo(float).eps * (kappa + kappa**2 * np.linalg.norm(a @ x - b) / (sv[0] * size))
+    scale = max(np.abs(v).max() for v in want.values())
+    for k, v in want.items():
+        np.testing.assert_allclose(got[k], v, rtol=0, atol=max(1e-8 * scale, bound * size))
+    return "solved"
 
 
 @hs.composite
 def hazardous_graphs(draw):
     """A random structure (see `structures`) with random numbers and one
-    planted hazard, each a way a front's fast reduction can fail its proof:
+    planted hazard, each a way a front's reduction can go wrong:
     proportional rows (a product row that reduces to rounding), a block at
-    1e-14 (rows and pivots at the cut), a zero column in every block of a
-    variable (a zero 1-dim pivot, a singular 6-dim block or rows short), a
-    NaN, or a right-hand side of 1e13 (a cut above small live rows).
-    Returns the graph and an ordering."""
+    1e-14 (rows and pivots near zero against the rest), a zero column in
+    every block of a variable (a zero 1-dim pivot, a singular 6-dim block
+    or rows short), a NaN, or a right-hand side of 1e13 (small live rows
+    under a large rhs). Returns the graph and an ordering."""
     structure, groups = draw(structures())
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     factors = [({k: rng.standard_normal((rows, k.dim)) for k in keys},
@@ -830,16 +833,15 @@ def hazardous_graphs(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(hazardous_graphs())
-def test_reduce_then_prove_is_the_per_front_loop_bit_for_bit(case):
-    # whatever the proof finds, the fronts, leftover, values and the first
-    # error, by type and message, are those of the per-front loop
-    graph, ordering = case
-    assert elimination_outcome(graph, ordering, reduce_first) == \
-        elimination_outcome(graph, ordering, reference_eliminate)
+def test_reduce_then_gate_agrees_with_the_arbiter(case):
+    # whatever the hazard, the values are the arbiter's or the solve
+    # raises as `arbiter_contract` allows
+    arbiter_contract(*case)
 
 
 def hazard_cases():
-    """One hand-built graph per way the proof fails, with its ordering."""
+    """One hand-built graph per way a front's reduction can go wrong, with
+    its ordering and the outcome `arbiter_contract` returns for it."""
     u, w, x, y, z = (VarKey(Kind.JOINT_ACCEL, i) for i in range(1, 6))
     f, g = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2)
     # x's front, after w's, leaves two rows on (y, z) that are dead, and
@@ -850,20 +852,20 @@ def hazard_cases():
                         LinearFactor({x: [[2.0]]}, [2.0]),
                         LinearFactor({y: [[1.0]], u: [[1.0]]}, [2.0]),
                         LinearFactor({u: [[1.0]]}, [1.0]), LinearFactor({z: [[1.0]]}, [3.0])])
-    # x and y are one front and y's pivot is at the cut: a step at a time
+    # x and y are one front and y's pivot is tiny: the graph is rank 1 to
+    # the arbiter
     cut = FactorGraph([LinearFactor({x: [[1.0]], y: [[1e-14]]}, [1.0]),
                        LinearFactor({x: [[2.0]], y: [[3e-14]]}, [1002.0]),
                        LinearFactor({y: [[1e-10]]}, [1e-10])])
     # the row that x's front leaves on y has a coefficient of 1e-7 and a rhs
-    # of 1e6, so the cut, 1e-6, kills it; the R row kept for x is all of
-    # order 1
+    # of 1e6; the R row kept for x is all of order 1
     big_rhs = FactorGraph([LinearFactor({x: [[1.0]], y: [[0.0]]}, [1.0]),
                            LinearFactor({x: [[0.0]], y: [[1e-7]]}, [1e6]),
                            LinearFactor({y: [[1.0]], u: [[1.0]]}, [2.0]),
                            LinearFactor({u: [[1.0]]}, [1.0])])
     short = FactorGraph([LinearFactor({x: [[1.0]], y: [[1.0]]}, [1.0])])
-    # x's product row on y dies at the cut, so y's own front, after z's, is
-    # left with no rows, which only its zero pivot flags
+    # x's product row on y is exactly zero, so y's own front, after z's,
+    # has one row and a zero pivot
     starved = FactorGraph([LinearFactor({x: [[1.0]], y: [[0.0]]}, [1.0]),
                            LinearFactor({x: [[2.0]]}, [2.0]), LinearFactor({z: [[1.0]]}, [3.0])])
     zero = FactorGraph([LinearFactor({x: [[0.0]]}, [1.0])])
@@ -872,23 +874,20 @@ def hazard_cases():
                                           f: np.eye(6)}, np.ones(6))])
     nan = FactorGraph([LinearFactor({x: [[1.0]], y: [[np.nan]]}, [1.0]),
                        LinearFactor({y: [[1.0]]}, [1.0])])
-    return {"dead-row": (dead, [w, x, y, z, u]), "pivot-at-cut": (cut, [x, y]),
-            "rhs-sized-cut": (big_rhs, [x, y, u]),
-            "row-shortage": (short, [x, y]), "starved-consumer": (starved, [x, z, y]),
-            "zero-pivot": (zero, [x]),
-            "singular-6-dim": (singular, [g, f]), "nan": (nan, [x, y])}
+    return {"dead-row": (dead, [w, x, y, z, u], "solved"), "pivot-at-cut": (cut, [x, y], "rank"),
+            "rhs-sized-cut": (big_rhs, [x, y, u], "solved"),
+            "row-shortage": (short, [x, y], "rank"), "starved-consumer": (starved, [x, z, y], "rank"),
+            "zero-pivot": (zero, [x], "rank"),
+            "singular-6-dim": (singular, [g, f], "rank"), "nan": (nan, [x, y], "rank")}
 
 
 @pytest.mark.parametrize("name", sorted(hazard_cases()))
-def test_each_proof_failure_is_redone_as_the_per_front_loop(name, monkeypatch):
-    graph, ordering = hazard_cases()[name]
-    redone = []
-    redo = fgraph.Assembly._redo
-    monkeypatch.setattr(fgraph.Assembly, "_redo",
-                        lambda self, f, *a: (redone.append(f), redo(self, f, *a))[1])
-    got = elimination_outcome(graph, ordering, reduce_first)
-    assert redone, "the proof passed"
-    assert got == elimination_outcome(graph, ordering, reference_eliminate)
+def test_each_proof_failure_is_redone_as_the_per_front_loop(name):
+    # each hazard solves as the arbiter does, or raises as it allows. The
+    # name is kept so the test ids stay stable: these are the hazards a
+    # proof pass once failed on and redid by an exact rule, both deleted
+    graph, ordering, outcome = hazard_cases()[name]
+    assert arbiter_contract(graph, ordering) == outcome
 
 
 @settings(deadline=None, max_examples=150)
@@ -952,13 +951,14 @@ def test_one_triangular_solve_is_the_per_front_loop(case, seed, hazard):
 
 
 def test_non_finite_solution_names_its_source():
-    # c overflows (1e300 / 1e-10). A dense solve spreads NaN (0 x inf) to
-    # every entry eliminated before c, d included; the error names the last
-    # non-finite entry in elimination order, c, as the per-front loop does
+    # c overflows (1e305 / 1e-5; the system's condition, 1e5, passes the
+    # gate). A dense solve spreads NaN (0 x inf) to every entry eliminated
+    # before c, d included; the error names the last non-finite entry in
+    # elimination order, c, as the per-front loop does
     a, b, c, d = (VarKey(Kind.JOINT_ACCEL, i) for i in range(4))
     graph = FactorGraph([LinearFactor({a: [[1.0]], b: [[1.0]]}, [0.0]),
-                         LinearFactor({b: [[1.0]], c: [[1e-10]]}, [0.0]),
-                         LinearFactor({c: [[1e-10]]}, [1e300]),
+                         LinearFactor({b: [[1.0]], c: [[1e-5]]}, [0.0]),
+                         LinearFactor({c: [[1e-5]]}, [1e305]),
                          LinearFactor({d: [[1.0]]}, [1.0])])
     dag = eliminate(graph, [d, a, b, c])
     for solve_dag in (back_substitute, reference_back_substitute):
@@ -967,7 +967,7 @@ def test_non_finite_solution_names_its_source():
 
 
 def test_zero_pivot_fails_the_triangular_solve_at_its_variable():
-    # eliminate never leaves a zero pivot (its rank tests fail first), so a
+    # eliminate never leaves a zero pivot (the gate fails first), so a
     # DAG is built by hand: the last pivot of Vd1's block, solution entry 6
     # after qdd1, made zero. LAPACK's info counts from the first solution
     # entry (the per-front loop counted from its front's)
@@ -979,7 +979,7 @@ def test_zero_pivot_fails_the_triangular_solve_at_its_variable():
                          LinearFactor({t: [[2.0]]}, [1.0])])
     dag = eliminate(graph, [q, v, t])
     assert back_substitute(dag)  # solvable as eliminated
-    hand = fgraph.EliminationDag(dag.leftover, dag.plan, dag.rows.copy())
+    hand = fgraph.EliminationDag(dag.leftover, dag.plan, dag.rows.copy(), dag.rcond)
     at = dag.plan.slices[v].stop - 1
     f = next(f for f, front in enumerate(dag.plan.fronts) if front[5] <= at < front[5] + front[6])
     hand.fronts[f][at - dag.plan.fronts[f][5], at - dag.plan.fronts[f][5]] = 0.0
@@ -988,38 +988,6 @@ def test_zero_pivot_fails_the_triangular_solve_at_its_variable():
     with pytest.raises(RankDeficient) as per_front:
         reference_back_substitute(hand)
     assert per_front.value.key == v
-
-
-def singular_value_rank_test(r) -> bool:
-    """The frontal rank test on the singular values alone."""
-    sv = dgesdd(r, compute_uv=0)[1]
-    return bool(sv[-1] > 1e-9 * sv[0])
-
-
-@hs.composite
-def triangular_blocks(draw):
-    """An upper triangular 6x6 R with condition number 10**c, c in [0, 13],
-    at a scale from 1e-120 to 1e120; sometimes with a zero, NaN or infinite
-    diagonal entry."""
-    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
-    u, v = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
-    sv = np.logspace(0.0, -draw(hs.floats(0.0, 13.0)), 6) * 10.0 ** draw(hs.floats(-120, 120))
-    r = np.linalg.qr((u * sv) @ v.T, mode="r")
-    special = draw(hs.sampled_from([None, None, 0.0, np.nan, np.inf, -np.inf]))
-    if special is not None:
-        i = draw(hs.integers(0, 5))
-        r[i, i] = special
-    return r
-
-
-@settings(deadline=None, max_examples=300)
-@given(hs.lists(triangular_blocks(), min_size=1, max_size=5))
-def test_batched_rank_test_decides_as_singular_values_do(blocks):
-    # the Frobenius bound passes a block only where sigma_min / sigma_max
-    # > 1e-8, and every other block is tested on its singular values, so
-    # the batched decision is the per-block dgesdd decision
-    want = [singular_value_rank_test(r) for r in blocks]
-    assert fgraph._full_rank(np.array(blocks)).tolist() == want
 
 
 class TestTree21:
