@@ -17,8 +17,8 @@ It fixes every step's input factors and parents, the fronts (runs of steps
 whose parent sets nest, each reduced as one stack, like a supernode), the
 flat solution vector with a slice per variable, the assembly map (where
 each entry of `flat` goes in one flat buffer that holds every front's
-stack, column-major), where each front hands its product, where its R rows
-are gathered from, and the first step the rows cannot determine, if any.
+stack, column-major), where each front hands its product and where its R
+rows are gathered from.
 `plan_for` is the one way from an ordering request to a plan, memoised by
 the structure, so graphs that differ only in their numbers share it. The
 numeric phase is one `Assembly` per solve over a buffer of that layout
@@ -27,7 +27,7 @@ one QR in place in the buffer and one gathered copy of its product into the
 consumer's slot. The fronts' R rows then go into one upper triangular
 system over the flat vector, `size` x (`size` + 1) floats with the rhs
 last. One condition estimate of that system (LAPACK `dtrcon`) is the gate
-for numerical rank, and one `dtrtrs` solves it.
+for rank, structural or numerical, and one `dtrtrs` solves it.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -279,9 +279,9 @@ class EliminationDag:
     stack's end zero), the rhs of each front's R row with no coefficient
     (`leftover`, see `EliminationPlan`), the `plan`, and `rcond`, the gate's
     estimate of the reciprocal 1-norm condition number of the whole R
-    (LAPACK `dtrcon`; above 1e-9, or elimination raised). Per front its R
-    rows (`fronts`) and the `conditionals`, one per step of the plan and
-    views into its front's R rows, are made on first read."""
+    (LAPACK `dtrcon`; above `size` x 1e-9, or elimination raised). Per
+    front its R rows (`fronts`) and the `conditionals`, one per step of the
+    plan and views into its front's R rows, are made on first read."""
 
     def __init__(self, leftover: np.ndarray, plan: EliminationPlan, rows: np.ndarray,
                  rcond: float):
@@ -367,12 +367,7 @@ class EliminationPlan(NamedTuple):
     has the fronts' R rows `[R_ff | R_fp | d]`, row-major and one front
     after another (entries off a front's R read the buffer's trailing
     zero), and `leftover` the rhs of R row w - 1, which has no coefficient,
-    of each front whose stack has m >= w rows. `short` is () when every
-    step's rows can determine its variable, else the first step that falls
-    short as (variable, detail) of the RankDeficient every elimination
-    under the plan raises: a step is short when the rows its front has
-    received up to it, as the row budgets count them, are fewer than the
-    dims of the front's variables up to it.
+    of each front whose stack has m >= w rows.
 
     `system` has per entry of the R rows (`gather`) its position in the
     column-major `size` x (`size` + 1) upper triangular system that
@@ -393,7 +388,6 @@ class EliminationPlan(NamedTuple):
     fronts: tuple
     gather: np.ndarray
     leftover: np.ndarray
-    short: tuple
     system: np.ndarray
 
 
@@ -434,8 +428,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     reduce to nothing drop their connections (this happens whenever a
     variable is fully determined by its factors). The budget is also the
     product's room in its consumer's stack: a reduction never leaves more
-    live rows than that, and the budgets fix the plan's `short`. It runs on
-    the rank bitmasks of `graph.numbering`.
+    live rows than that. It runs on the rank bitmasks of `graph.numbering`.
     """
     keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
     n, n_graph, structure = len(keys), len(masks), graph.structure
@@ -518,12 +511,11 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # per graph factor: its first column in `flat`, first row, stride; per
     # front (`spans`) its start, stop, offset, width, rows, first solution
     # entry, frontal columns and its product's slot (buffer position,
-    # consuming step, width, first entry of `columns`); per step its graph
-    # rows
+    # consuming step, width, first entry of `columns`)
     col, run, base, home = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
     columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
     flat, scol, pflat, pcol, fvar, steps, spans, maker = [], [], [], [], [], [], [], {}
-    grows, at_col, edges, offset, inner = [], 0, 0, 0, -1
+    at_col, edges, offset, inner = 0, 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         edges += len(parents)
@@ -534,14 +526,12 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 col[p], c = c, c + dims[p]
             col[n], width, height = c, c + 1, 0
             fvar += [v, *parents, n]
-        row = 0
         for f in fids:
             if f == inner:
                 continue
             ks, at = keys_of[f], offset + height
             if f < n_graph:
                 run[f], base[f], home[f] = len(flat), at, len(spans)
-                row += rows_of[f]
                 flat += ks
                 scol += map(col.__getitem__, ks)
             else:
@@ -550,7 +540,6 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 spans[maker[f]][7:] = at, i, len(spans), at_col
                 at_col += cols_of[f]
             height += rows_of[f]
-        grows.append(row)
         if product >= 0:
             keys_of.append(parents + [n])
             maker[product] = len(spans)
@@ -564,7 +553,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     flat, scol, pflat, pcol, fvar = (np.array(a, dtype=np.intp)
                                      for a in (flat, scol, pflat, pcol, fvar))
     columns[:at_col] = _runs(pcol, dims[pflat])
-    begin, stop, o, w, m, _, c, to, eat, ct, cat = np.array(
+    _, _, o, w, m, _, c, to, _, ct, cat = np.array(
         spans, dtype=np.intp).reshape(-1, 11).T
 
     # the assembly map, a group per key block and rhs of each graph factor:
@@ -616,19 +605,6 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     wf = w[fe]
     gather = _strided(o[fe] + t, wf, m[fe])
     gather[_runs(wf.cumsum() - wf, np.where(t < m[fe], t, wf))] = offset
-    # per step the rows its graph factors and the products handed to it
-    # bring, less its dim, summed over its front up to it: below zero, the
-    # step is short
-    spare = np.array(grows, dtype=np.intp) - dims[[pick[0] for pick in picks]]
-    np.add.at(spare, eat, rows)
-    spare = spare.cumsum()
-    spare -= np.append(0, spare)[begin].repeat(stop - begin)
-    short, k = (), np.flatnonzero(spare < 0)[:1]
-    if k.size:
-        v = steps[k[0]].var
-        reach = int(spare[k[0]]) + v.dim
-        short = (v, f"{reach} constraint rows for {v.dim} dimensions" if reach
-                 else "no factor constrains this variable")
     # each R row entry's place in the column-major size x (size + 1) system:
     # row its solution entry, column the solution entry of its stack column
     # (a front's columns are its first step's variable and parents, in
@@ -638,7 +614,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     system += np.arange(size).repeat(wf)
     return EliminationPlan(tuple(slices), tuple(steps), edges, fill_in, size, slices,
                            offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
-                           gather, (o + (w - 1) * (m + 1))[m >= w], short, system)
+                           gather, (o + (w - 1) * (m + 1))[m >= w], system)
 
 
 class LruMemo(OrderedDict):
@@ -744,13 +720,10 @@ class Assembly(NamedTuple):
         """Reduce every front and gate the result (see `eliminate`): the DAG
         and the triangular system its R rows make (see `_system`).
 
-        The plan's `short` raises before any number is read. Then per front
-        in plan order: one dgeqrf in place (a one-row stack is its own R, as
-        LAPACK leaves it) and the handoff of its product. The R rows and the
-        leftover come out in one gather each."""
+        Per front in plan order: one dgeqrf in place (a one-row stack is its
+        own R, as LAPACK leaves it) and the handoff of its product. The R rows
+        and the leftover come out in one gather each."""
         plan, data = self.plan, self.data
-        if plan.short:
-            raise RankDeficient(*plan.short)
         for _, _, o, w, m, _, _, src, dst, _, _ in plan.fronts:
             if m > 1:
                 dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
@@ -784,13 +757,11 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     that consumes it. No row is cut: a front's R row with no coefficient
     only holds a right-hand side, which goes to `leftover`.
 
-    Raises RankDeficient, before any number is read, for the first step in
-    plan order whose rows cannot determine its variable (the plan's
-    `short`: "no factor constrains this variable" or "k constraint rows for
-    d dimensions"). Numerical rank is decided once, on the whole R: the gate
-    raises RankDeficient when LAPACK `dtrcon`'s estimate of its reciprocal
-    1-norm condition number is not above 1e-9 (`dense_solve`'s rcond; NaN
-    fails), naming the variables a near-null vector touches (see `_gate`).
+    Rank is decided once, on the whole R: the gate raises RankDeficient
+    when LAPACK `dtrcon`'s estimate of its reciprocal 1-norm condition
+    number is not above `size` x 1e-9 (NaN fails), naming the variables a
+    near-null vector touches (see `_gate`). A step that its rows cannot
+    determine leaves an exactly zero pivot, whose estimate is 0.
     """
     plan = plan_for(graph, ordering)
     return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()[0]
@@ -809,20 +780,24 @@ def _gate(plan: EliminationPlan, system: np.ndarray) -> float:
     """The reciprocal 1-norm condition estimate of the system's R (Hager's
     estimator as LAPACK `dtrcon` runs it: a lower bound on ||R^-1||_1, so
     an estimate at or above the true reciprocal condition). Raises
-    RankDeficient when it is not above 1e-9, as `dense_solve` names its
-    failures: one step of inverse iteration on R^T R (a solve with R^T,
-    then one with R) from a fixed pseudo-random start, with R's non-finite
-    entries zeroed and its pivots raised to eps max|R|, gives a near-null
-    vector. A plain solve with R from all ones misses the null vector of
-    an R whose row with a zero pivot repeats a later row (its left null
-    vector is orthogonal to the ones). Every variable whose entries
-    in the vector are above 1e-6 of its largest finite one (or not finite)
-    is touched, and the last touched in `graph.variables` order is the
-    key."""
+    RankDeficient when it is not above n x 1e-9, n being `size`. The
+    arbiter, `dense_solve`, refuses a graph whose sigma_min / sigma_max is
+    at most 1e-9 (its rcond), and kappa_1 >= kappa_2 / n, so every graph it
+    refuses has a reciprocal 1-norm condition at most n x 1e-9.
+
+    The failure is named as `dense_solve` names its failures: one step of
+    inverse iteration on R^T R (a solve with R^T, then one with R) from a
+    fixed pseudo-random start, with R's non-finite entries zeroed and its
+    pivots raised to eps max|R|, gives a near-null vector. A plain solve
+    with R from all ones misses the null vector of an R whose row with a
+    zero pivot repeats a later row (its left null vector is orthogonal to
+    the ones). Every variable whose entries in the vector are above 1e-6 of
+    its largest finite one (or not finite) is touched, and the last touched
+    in `graph.variables` order is the key."""
     n = plan.size
     r = system[:n * n].reshape(n, n).T
     rcond = dtrcon(r, norm="1")[0]
-    if rcond > 1e-9:
+    if rcond > n * 1e-9:
         return rcond
     with np.errstate(all="ignore"):
         r = np.where(np.isfinite(r), r, 0.0)
@@ -833,8 +808,8 @@ def _gate(plan: EliminationPlan, system: np.ndarray) -> float:
         z = np.abs(dtrtrs(r, z)[0])
         touched = ~(z <= 1e-6 * np.max(z, where=np.isfinite(z), initial=0.0))
     keys = sorted(v for v, s in plan.slices.items() if touched[s].any())
-    raise RankDeficient(keys[-1], f"reciprocal condition estimate {rcond:.2g}, not above 1e-9",
-                        keys=keys)
+    raise RankDeficient(keys[-1], f"reciprocal condition estimate {rcond:.2g}, "
+                        f"not above {n} x 1e-9", keys=keys)
 
 
 def back_substitute(dag: EliminationDag) -> dict:

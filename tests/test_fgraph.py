@@ -1,5 +1,6 @@
 """Factor graph elimination: conditionals, orderings, fill-in, DOT export."""
 
+import itertools
 import re
 
 import numpy as np
@@ -123,7 +124,7 @@ class TestEliminate:
         a = np.eye(6)
         a[2, 3] = np.nan
         with pytest.raises(RankDeficient, match="^rank-deficient system at variable Vd1: "
-                                                "reciprocal condition estimate 0, not above 1e-9$"):
+                                                "reciprocal condition estimate 0, not above 6 x 1e-9$"):
             solve(FactorGraph([LinearFactor({X: a}, np.ones(6))]), [X])
         rhs = np.array([1.0, 2.0, np.inf, 0.0, 0.0, 0.0])
         chain = FactorGraph([LinearFactor({X: np.eye(6)}, rhs),
@@ -266,8 +267,7 @@ class TestPlan:
             assert (fixed.size, fixed.slices) == (greedy.size, greedy.slices)
             assert fixed.steps == greedy.steps
             assert_same_tables(fixed.fronts, greedy.fronts)
-            assert_same_tables((fixed.gather, fixed.leftover, fixed.short),
-                               (greedy.gather, greedy.leftover, greedy.short))
+            assert_same_tables((fixed.gather, fixed.leftover), (greedy.gather, greedy.leftover))
             assert_same_tables(fixed.system, greedy.system)
 
     def test_one_row_stack_is_the_r_lapack_leaves(self):
@@ -299,27 +299,28 @@ class TestPlan:
         sol = solve(FactorGraph([LinearFactor({q: [[1e-300]]}, [3e-300])]), [q])
         np.testing.assert_allclose(sol[q], [3.0])
 
-    def test_row_shortage_named_before_any_number_is_read(self):
-        # Vd2's block is singular and F3 is left with one row. The plan
-        # counts F3's rows, so every elimination under it names F3, even
-        # with a NaN in the numbers; with F3's six rows the gate names Vd2.
-        # The arbiter finds each variable named in its null space
+    def test_first_singular_frontal_named_before_later_row_shortage(self):
+        # Vd2's block is singular, and F3 has one row or six. A row shortage
+        # leaves exactly zero pivots, so the gate decides it with the rest:
+        # it names Vd2 either way, and a NaN among the numbers fails it too.
+        # With the two apart, F3 is named in both orders. Each name is a
+        # variable the arbiter finds in its null space
         x, y, f = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.WRENCH, 3)
         singular = np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0])
         poisoned = singular.copy()
         poisoned[0, 1] = np.nan
-        shortage = "F3: 1 constraint rows for 6 dimensions"
         cases = []
         for block in (singular, poisoned):
             for rows in (np.ones((1, 6)), np.eye(6)):
                 g = FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
                                  LinearFactor({y: block, f: np.eye(6)}, np.ones(6)),
                                  LinearFactor({f: rows}, np.ones(len(rows)))])
-                cases.append((g, [x, y, f], shortage if len(rows) == 1 else
-                              "Vd2: reciprocal condition estimate 0, not above 1e-9"))
+                cases.append((g, [x, y, f], "Vd2: reciprocal condition estimate 0, "
+                                            "not above 18 x 1e-9"))
         apart = FactorGraph([LinearFactor({y: singular}, np.ones(6)),
                              LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
-        cases += [(apart, [y, f], shortage), (apart, [f, y], shortage)]
+        cases += [(apart, order, "F3: reciprocal condition estimate 0, not above 12 x 1e-9")
+                  for order in ([y, f], [f, y])]
         for g, order, message in cases:
             with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
                                                     f"{re.escape(message)}$") as err:
@@ -330,19 +331,17 @@ class TestPlan:
                 assert err.value.key in arbiter.value.keys
 
     def test_singular_second_step_of_a_front_named_by_the_gate(self):
-        # x, y and z are one front, reduced by one QR; y's block is singular.
-        # With F4, in the next front, left with one row, the plan names F4
-        # first; with six rows for F4 the gate names y, and the arbiter
-        # finds x and y in its null space
+        # x, y and z are one front, reduced by one QR; y's block is singular
+        # or not, and F4, in the next front, has one row or six. The gate
+        # names the last variable its near-null vector touches, with the
+        # keys the arbiter finds in its null space
         x, y, z, f = (VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3),
                       VarKey(Kind.WRENCH, 4))
         eye, zero = np.eye(6), np.zeros((6, 6))
-        for diag, rows, message, keys in (
-                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], np.ones((1, 6)),
-                 "F4: 1 constraint rows for 6 dimensions", (f,)),
-                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], eye,
-                 "Vd2: reciprocal condition estimate 0, not above 1e-9", (x, y)),
-                ([1.0] * 6, np.ones((1, 6)), "F4: 1 constraint rows for 6 dimensions", (f,))):
+        for diag, rows, name, keys in (
+                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], np.ones((1, 6)), "F4", (x, y, f)),
+                ([1.0, 2.0, 0.0, 1.0, 1.0, 1.0], eye, "Vd2", (x, y)),
+                ([1.0] * 6, np.ones((1, 6)), "F4", (f,))):
             g = FactorGraph([
                 LinearFactor({x: np.vstack([eye, zero]), y: np.vstack([eye, np.diag(diag)]),
                               z: np.zeros((12, 6))}, np.ones(12)),
@@ -351,13 +350,33 @@ class TestPlan:
                 LinearFactor({f: rows}, np.ones(len(rows)))])
             assert [front[:2] for front in fgraph.plan_for(g, [x, y, z, f]).fronts] == \
                 [(0, 3), (3, 4)]
-            with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable "
-                                                    f"{message}$") as err:
+            with pytest.raises(RankDeficient, match=f"^rank-deficient system at variable {name}: "
+                                                    "reciprocal condition estimate 0, "
+                                                    "not above 24 x 1e-9$") as err:
                 eliminate(g, [x, y, z, f])
-            assert err.value.keys == keys
             with pytest.raises(RankDeficient) as arbiter:
                 dense_solve(g)
-            assert err.value.key in arbiter.value.keys
+            assert err.value.keys == arbiter.value.keys == keys
+
+    def test_rank_deficiency_named_in_the_arbiters_null_space(self):
+        # Vd3's block in the one big factor has rank 1 and one more row
+        # touches it, so the null space is in Vd3 alone, whatever the
+        # ordering. A count of rows misplaces it: after Vd1, Vd3 is handed
+        # seven rows and looks full, and Vd2, left two, looks short
+        x, y, z = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3)
+        rng = np.random.default_rng(4)
+        g = FactorGraph([LinearFactor({x: rng.standard_normal((13, 6)),
+                                       z: rng.standard_normal((13, 1)) @ rng.standard_normal((1, 6)),
+                                       y: rng.standard_normal((13, 6))}, rng.standard_normal(13)),
+                         LinearFactor({z: rng.standard_normal((1, 6))}, rng.standard_normal(1))])
+        with pytest.raises(RankDeficient) as arbiter:
+            dense_solve(g)
+        assert arbiter.value.keys == (z,)
+        for order in itertools.permutations([x, y, z]):
+            with pytest.raises(RankDeficient, match="^rank-deficient system at variable Vd3: ") \
+                    as err:
+                eliminate(g, order)
+            assert err.value.keys == (z,)
 
     def test_fronts_are_maximal_nesting_runs(self, tree21, six_r):
         # a front is a maximal run of steps, each leaving its product to the
@@ -386,10 +405,13 @@ class TestPlan:
         # eliminating x uses up the one row, so no product reaches y
         x, y = VarKey(Kind.JOINT_ACCEL, 1), VarKey(Kind.JOINT_ACCEL, 2)
         g = FactorGraph([LinearFactor({x: [[1.0]], y: [[1.0]]}, [1.0])])
-        with pytest.raises(RankDeficient,
-                           match="qdd2: no factor constrains this variable") as err:
+        with pytest.raises(RankDeficient, match="^rank-deficient system at variable qdd2: "
+                                                "reciprocal condition estimate 0, "
+                                                "not above 2 x 1e-9$") as err:
             eliminate(g, [x, y])
-        assert err.value.key == y
+        with pytest.raises(RankDeficient) as arbiter:
+            dense_solve(g)
+        assert err.value.keys == arbiter.value.keys == (x, y)
 
     def test_numerically_dead_product_keeps_plan(self):
         # x's two factors are proportional, so the product that eliminating
@@ -446,7 +468,7 @@ class TestPlan:
         for order in ([x, y], [y, x]):
             with pytest.raises(RankDeficient, match="^rank-deficient system at variable qdd2: "
                                                     "reciprocal condition estimate 4.5e-11, "
-                                                    "not above 1e-9$") as err:
+                                                    "not above 2 x 1e-9$") as err:
                 eliminate(g, order)
             assert err.value.keys == (y,)
         with pytest.raises(RankDeficient) as arbiter:
@@ -743,21 +765,24 @@ def stacked(graph):
 
 def arbiter_contract(graph, ordering):
     """One elimination held to the dense arbiter, returning "solved" or
-    "rank". The values agree with `dense_solve` to 1e-8 of its largest
-    entry (or to the accuracy the graph's conditioning allows, see below),
-    or the solve raises, and never returns values where the arbiter
-    raises. A row shortage, which the plan finds from the row counts alone,
-    leaves an exactly zero pivot, so the arbiter raises too; the variable
-    named is where the ordering runs out of rows, which need not be in the
-    arbiter's null space (when a variable that few rows touch is handed
-    fill rows, its rank falls short and a later step is counted short).
-    The gate's key is among the arbiter's `keys` when it raises too; when
-    the arbiter solves, the graph must be within the gate's reach of its
-    rank rule: the gate raises only when R's estimated reciprocal 1-norm
-    condition is at most 1e-9, and kappa_1 >= kappa_2 / size, so
-    sigma_min / sigma_max of the weighted rows is at most size * 1e-9. A
-    graph with a non-finite number, which the arbiter's SVD cannot take,
-    raises RankDeficient or the documented non-finite ValueError."""
+    "rank". The solve never returns values where the arbiter raises.
+
+    Values agree with `dense_solve` to 1e-8 of its largest entry, or, where
+    it is larger and at most 1e-6 of it, to the first-order forward error
+    bound of a backward stable least-squares solve, eps (kappa + kappa^2
+    |r| / (sigma_max |x|)) |x|: on inconsistent graphs of kappa 1e3 to 1e6
+    (6 of 50,000 random `hazardous_graphs`) either side can be off the
+    exact answer by more than 1e-8, elimination by up to 3e-8 and the
+    arbiter by up to 2.5e-7.
+
+    A raise names a key among the arbiter's `keys` when the arbiter raises
+    too. Where the arbiter solves, the graph must be within the gate's
+    reach: the gate raises only when R's estimated reciprocal 1-norm
+    condition is at most size x 1e-9, the estimate is at or above the true
+    one, and kappa_1 <= size x kappa_2, so sigma_min / sigma_max of the
+    weighted rows is at most size^2 x 1e-9. A graph with a non-finite
+    number, which the arbiter's SVD cannot take, raises RankDeficient or
+    the documented non-finite ValueError."""
     finite = np.isfinite(graph.flat).all()
     want = None
     if finite:
@@ -769,31 +794,26 @@ def arbiter_contract(graph, ordering):
         got = back_substitute(eliminate(graph, ordering))
     except RankDeficient as e:
         assert e.key in graph.variables
-        if "reciprocal condition estimate" not in str(e):
-            assert want is None or isinstance(want, RankDeficient), str(e)
-        elif isinstance(want, RankDeficient):
+        if isinstance(want, RankDeficient):
             assert e.key in want.keys, (str(e), want.keys)
         elif finite:
             a = stacked(graph)
             sv = np.linalg.svd(a, compute_uv=False)
-            assert sv[-1] <= a.shape[1] * 1e-9 * sv[0], (str(e), sv[-1] / sv[0])
+            assert sv[-1] <= a.shape[1] ** 2 * 1e-9 * sv[0], (str(e), sv[-1] / sv[0])
         return "rank"
     except ValueError as e:
         assert not finite and str(e).startswith("non-finite solution at variable "), str(e)
         return "rank"
     assert finite and not isinstance(want, RankDeficient), "solved what the arbiter refuses"
-    # 1e-8 of the largest entry, or the first-order forward error bound of
-    # a backward stable least-squares solve where that is larger: an
-    # inconsistent graph with kappa = 7e5 cannot be solved to 1e-8, and
-    # there the arbiter is 4e-9 off the exact answer and elimination 3e-8
     a, x = stacked(graph), np.concatenate([want[v] for v in graph.variables])
     b = np.concatenate([f.weight * f.rhs for f in graph.factors])
     sv = np.linalg.svd(a, compute_uv=False)
     kappa, size = sv[0] / sv[-1], np.linalg.norm(x)
     bound = np.finfo(float).eps * (kappa + kappa**2 * np.linalg.norm(a @ x - b) / (sv[0] * size))
     scale = max(np.abs(v).max() for v in want.values())
+    atol = max(1e-8 * scale, min(bound * size, 1e-6 * scale))
     for k, v in want.items():
-        np.testing.assert_allclose(got[k], v, rtol=0, atol=max(1e-8 * scale, bound * size))
+        np.testing.assert_allclose(got[k], v, rtol=0, atol=atol)
     return "solved"
 
 
@@ -840,8 +860,10 @@ def test_reduce_then_gate_agrees_with_the_arbiter(case):
 
 
 def hazard_cases():
-    """One hand-built graph per way a front's reduction can go wrong, with
-    its ordering and the outcome `arbiter_contract` returns for it."""
+    """One hand-built graph per way a front's reduction can go wrong, and
+    one of random numbers at the edge of the accuracy `arbiter_contract`
+    allows for, each with its ordering and the outcome the contract
+    returns for it."""
     u, w, x, y, z = (VarKey(Kind.JOINT_ACCEL, i) for i in range(1, 6))
     f, g = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2)
     # x's front, after w's, leaves two rows on (y, z) that are dead, and
@@ -874,20 +896,45 @@ def hazard_cases():
                                           f: np.eye(6)}, np.ones(6))])
     nan = FactorGraph([LinearFactor({x: [[1.0]], y: [[np.nan]]}, [1.0]),
                        LinearFactor({y: [[1.0]]}, [1.0])])
+    # random numbers with kappa 7.3e5 whose rows, a weight-1e-3 prior among
+    # them, leave a residual of 1.2
+    v1, v2, v3, f1 = (VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3),
+                      VarKey(Kind.WRENCH, 1))
+    rng = np.random.default_rng(0)
+    ill = FactorGraph(LinearFactor({k: rng.standard_normal((rows, k.dim)) for k in keys},
+                                   rng.standard_normal(rows), weight)
+                      for keys, rows, weight in [
+                          ((v1,), 1, 1.0), ((v1, v2, v3, f1), 3, 1.0), ((v1,), 1, 1.0),
+                          ((v2,), 1, 1.0), ((v2,), 1, 1.0), ((v1, f1), 3, 1.0), ((v1,), 1, 1.0),
+                          ((v1, v2, v3), 4, 1.0), ((v1,), 5, 1.0), ((v3,), 5, 1.0),
+                          ((v2,), 1, 1e-3)])
     return {"dead-row": (dead, [w, x, y, z, u], "solved"), "pivot-at-cut": (cut, [x, y], "rank"),
             "rhs-sized-cut": (big_rhs, [x, y, u], "solved"),
             "row-shortage": (short, [x, y], "rank"), "starved-consumer": (starved, [x, z, y], "rank"),
             "zero-pivot": (zero, [x], "rank"),
-            "singular-6-dim": (singular, [g, f], "rank"), "nan": (nan, [x, y], "rank")}
+            "singular-6-dim": (singular, [g, f], "rank"), "nan": (nan, [x, y], "rank"),
+            "ill-conditioned-inconsistent": (ill, [v1, v2, v3, f1], "solved")}
 
 
 @pytest.mark.parametrize("name", sorted(hazard_cases()))
 def test_each_proof_failure_is_redone_as_the_per_front_loop(name):
-    # each hazard solves as the arbiter does, or raises as it allows. The
-    # name is kept so the test ids stay stable: these are the hazards a
-    # proof pass once failed on and redid by an exact rule, both deleted
+    # each hazard solves as the arbiter does, or raises as it allows
     graph, ordering, outcome = hazard_cases()[name]
     assert arbiter_contract(graph, ordering) == outcome
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="elimination is 3.2e-8 of the largest entry off the arbiter on this "
+                          "ill-conditioned inconsistent graph")
+def test_ill_conditioned_inconsistent_graph_agrees_with_the_arbiter_to_1e_8():
+    # the arbiter is 4.4e-9 off the exact answer (60-digit normal
+    # equations) and elimination 2.7e-8, both inside the forward error
+    # bound, 9.9e-8, that `arbiter_contract` allows for
+    graph, ordering, _ = hazard_cases()["ill-conditioned-inconsistent"]
+    want, got = dense_solve(graph), solve(graph, ordering)
+    scale = max(np.abs(v).max() for v in want.values())
+    for k, v in want.items():
+        np.testing.assert_allclose(got[k], v, rtol=0, atol=1e-8 * scale)
 
 
 @settings(deadline=None, max_examples=150)
@@ -1055,6 +1102,34 @@ class TestTree21:
                 for step, (inputs, parents, product) in zip(plan.steps, steps):
                     assert (step.inputs, step.product) == (inputs, product)
                     assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+
+    def test_planted_condition_below_the_arbiters_rcond_raises(self, tree21):
+        # a forward graph at the workload's size (273 unknowns) with Vd21's
+        # columns scaled until sigma_min / sigma_max of its rows is 0.98e-9,
+        # just below the arbiter's rcond. The 1-norm estimate there is close
+        # to 1e-9 (1.01e-9 under "md"); the gate's size x 1e-9 still raises,
+        # as the arbiter does, under every ordering
+        rng = np.random.default_rng(0)
+        base = build_graph(tree21, random_state(rng, 21),
+                           ProblemSpec.forward(tree21, rng.standard_normal(21)))
+        v = VarKey(Kind.ACCEL, 21)
+
+        def planted(s):
+            return FactorGraph(LinearFactor({k: b * s if k == v else b for k, b in f.blocks.items()},
+                                            f.rhs, f.weight) for f in base.factors)
+
+        def ratio(graph):
+            sv = np.linalg.svd(stacked(graph), compute_uv=False)
+            return sv[-1] / sv[0]
+
+        s = 1e-7
+        for _ in range(4):  # sigma_min is near linear in the scale here
+            s *= 0.98e-9 / ratio(planted(s))
+        graph = planted(s)
+        assert 0.97e-9 < ratio(graph) < 1e-9 and stacked(graph).shape[1] == 273
+        for ordering in ("md", "nd", "aba", "crba"):
+            assert arbiter_contract(graph, resolve_ordering(graph, ordering, tree21)) == "rank"
 
 
 class TestVarKeyProperties:

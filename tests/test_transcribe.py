@@ -1250,8 +1250,8 @@ class TestSolveTemplate:
             assert compiled[2:5] == public[2:5] and compiled.buffer_size == public.buffer_size
             assert compiled.steps == public.steps
             assert_same_tables(compiled.fronts, public.fronts)
-            assert_same_tables((compiled.gather, compiled.leftover, compiled.short),
-                               (public.gather, public.leftover, public.short))
+            assert_same_tables((compiled.gather, compiled.leftover),
+                               (public.gather, public.leftover))
             assert_same_tables(compiled.system, public.system)
             for x, y in zip((compiled.dest, *compiled.scale, *compiled.check),
                             (public.dest, *public.scale, *public.check)):
