@@ -124,7 +124,8 @@ class TestEliminate:
         a = np.eye(6)
         a[2, 3] = np.nan
         with pytest.raises(RankDeficient, match="^rank-deficient system at variable Vd1: "
-                                                "reciprocal condition estimate 0, not above 6 x 1e-9$"):
+                                                "reciprocal condition estimate 0, "
+                                                "not above 6 x 1e-9$"):
             solve(FactorGraph([LinearFactor({X: a}, np.ones(6))]), [X])
         rhs = np.array([1.0, 2.0, np.inf, 0.0, 0.0, 0.0])
         chain = FactorGraph([LinearFactor({X: np.eye(6)}, rhs),
@@ -365,8 +366,8 @@ class TestPlan:
         # seven rows and looks full, and Vd2, left two, looks short
         x, y, z = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.ACCEL, 3)
         rng = np.random.default_rng(4)
-        g = FactorGraph([LinearFactor({x: rng.standard_normal((13, 6)),
-                                       z: rng.standard_normal((13, 1)) @ rng.standard_normal((1, 6)),
+        rank_one = rng.standard_normal((13, 1)) @ rng.standard_normal((1, 6))
+        g = FactorGraph([LinearFactor({x: rng.standard_normal((13, 6)), z: rank_one,
                                        y: rng.standard_normal((13, 6))}, rng.standard_normal(13)),
                          LinearFactor({z: rng.standard_normal((1, 6))}, rng.standard_normal(1))])
         with pytest.raises(RankDeficient) as arbiter:
@@ -1103,7 +1104,6 @@ class TestTree21:
                     assert (step.inputs, step.product) == (inputs, product)
                     assert step.parents == tuple(sorted(parents, key=position.__getitem__))
 
-
     def test_planted_condition_below_the_arbiters_rcond_raises(self, tree21):
         # a forward graph at the workload's size (273 unknowns) with Vd21's
         # columns scaled until sigma_min / sigma_max of its rows is 0.98e-9,
@@ -1116,8 +1116,9 @@ class TestTree21:
         v = VarKey(Kind.ACCEL, 21)
 
         def planted(s):
-            return FactorGraph(LinearFactor({k: b * s if k == v else b for k, b in f.blocks.items()},
-                                            f.rhs, f.weight) for f in base.factors)
+            return FactorGraph(
+                LinearFactor({k: b * s if k == v else b for k, b in f.blocks.items()},
+                             f.rhs, f.weight) for f in base.factors)
 
         def ratio(graph):
             sv = np.linalg.svd(stacked(graph), compute_uv=False)
