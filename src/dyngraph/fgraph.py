@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from enum import IntEnum
 from functools import cached_property, reduce
+from itertools import accumulate, chain, islice
 from numbers import Real
 from operator import or_
 from threading import Lock
@@ -336,14 +337,34 @@ class PlanStep(NamedTuple):
     product: int
 
 
-class EliminationPlan(NamedTuple):
+class _PlanFields(NamedTuple):
+    ordering: tuple
+    picks: tuple
+    edge_count: int
+    fill_in: int
+    size: int
+    slices: dict
+    buffer_size: int
+    dest: np.ndarray
+    scale: tuple
+    check: tuple
+    fronts: tuple
+    gather: np.ndarray
+    leftover: np.ndarray
+    system: np.ndarray
+
+
+class EliminationPlan(_PlanFields):
     """Symbolic elimination: the ordering and every step's bookkeeping.
 
     It depends only on each factor's keys, row count and weight (the
     graph's `structure`) and on the ordering, so one plan serves every
     graph of the same structure, whatever its numbers. `slices` maps each
     variable to its entries of the flat solution vector of length `size`,
-    laid out in elimination order.
+    laid out in elimination order. `picks` lists every step as plain ints
+    (its input count and ids, its parent count and parents as ranks in
+    `sorted(ordering)`, its product), and the `PlanStep`s are made from it
+    on first read of `steps`: a solve reads none of them.
 
     A front is a run of steps `steps[start:stop]` whose parents are each the
     next step's variable and parents, reduced as one stack in the first
@@ -375,20 +396,12 @@ class EliminationPlan(NamedTuple):
     solution entry of its stack column or `size` (rhs).
     """
 
-    ordering: tuple
-    steps: tuple
-    edge_count: int
-    fill_in: int
-    size: int
-    slices: dict
-    buffer_size: int
-    dest: np.ndarray
-    scale: tuple
-    check: tuple
-    fronts: tuple
-    gather: np.ndarray
-    leftover: np.ndarray
-    system: np.ndarray
+    @cached_property
+    def steps(self) -> tuple:
+        keys, it = sorted(self.ordering), iter(self.picks)
+        return tuple(PlanStep(v, tuple(islice(it, next(it))),
+                              tuple(keys[p] for p in islice(it, next(it))), next(it))
+                     for v in self.ordering)
 
 
 def _bits(mask: int) -> list:
@@ -400,17 +413,14 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _runs(starts, lengths: np.ndarray) -> np.ndarray:
-    """range(s, s + n) for each pair (s, n), concatenated."""
+def _runs(starts, lengths: np.ndarray, steps=None) -> np.ndarray:
+    """range(s, s + n * d, d) for each (s, n, d), concatenated, d 1 unless
+    `steps` are given: one arange and a repeat or two, no cumsum per entry."""
     ends = lengths.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) + (starts + lengths - ends).repeat(lengths)
-
-
-def _strided(starts, lengths, steps) -> np.ndarray:
-    """range(s, s + n * d, d) for each (s, n, d), n > 0, concatenated."""
-    out, heads = np.repeat(steps, lengths), lengths.cumsum() - lengths
-    out[heads] = starts - np.append(0, starts + steps * (lengths - 1))[:-1]
-    return np.cumsum(out, out=out)
+    at = np.arange(ends[-1] if len(ends) else 0)
+    if steps is None:
+        return at + (starts + lengths - ends).repeat(lengths)
+    return at * steps.repeat(lengths) + (starts + (lengths - ends) * steps).repeat(lengths)
 
 
 def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
@@ -430,7 +440,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     product's room in its consumer's stack: a reduction never leaves more
     live rows than that. It runs on the rank bitmasks of `graph.numbering`.
     """
-    keys, rank, dims, keys_of, cols_of, masks, neighbors, live = graph.numbering
+    keys, rank, dims, keys_of, _, masks, neighbors, live = graph.numbering
     n, n_graph, structure = len(keys), len(masks), graph.structure
     every = (1 << n) - 1
     bad = "ordering is not a permutation of the graph's variables: {} {}".format
@@ -445,8 +455,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
         pools[-1] ^= seen
     if seen != every:
         raise ValueError(bad(keys[(~seen & seen + 1).bit_length() - 1], "is missing"))
-    # per factor id, graph's then products': [A | b] columns (n for b), their count, key set, rows
-    keys_of, cols_of, masks = list(keys_of), list(cols_of), list(masks)
+    # per factor id, graph's then products': key set, rows
+    masks = list(masks)
     nb, live, rows_of = list(neighbors), list(live), [rows for _, rows, _ in structure]
     position, first, slices, picks, size, fill_in = [0] * n, [0] * n, {}, [], 0, 0
     by_degree = [0] * n  # bit r of by_degree[d] is set while pool member r has degree d
@@ -500,121 +510,109 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                 masks.append(parents)
                 # the most rows an orthogonal reduction leaves on the parents
                 rows_of.append(rows - dims[v] if rows - dims[v] < cols else cols)
-                cols_of.append(cols + 1)
             picks.append((v, fids, plist, product, rows, parents, cols))
 
     # parents are ordered by elimination position, known once every pick is; a
     # step whose variable and parents are the last step's parents joins its
-    # front (taking its product, `inner`). Gathers are views into `entries`,
-    # and `columns` (stack columns of outside products' columns) is filled
-    # last from those columns as ranks (`pflat`) and stack columns (`pcol`);
-    # per graph factor: its first column in `flat`, first row, stride; per
-    # front (`spans`) its start, stop, offset, width, rows, first solution
-    # entry, frontal columns and its product's slot (buffer position,
-    # consuming step, width, first entry of `columns`)
-    col, run, base, home = [0] * (n + 1), [0] * n_graph, [0] * n_graph, [0] * n_graph
-    columns = np.empty(sum(cols_of[n_graph:]), dtype=np.intp)
-    flat, scol, pflat, pcol, fvar, steps, spans, maker = [], [], [], [], [], [], [], {}
-    at_col, edges, offset, inner = 0, 0, 0, -1
+    # front (taking its product, `inner`). Per graph factor its first row in
+    # the buffer (`base`) and its front (`home`); per front (`spans`) its
+    # start, stop, offset, width, rows, first solution entry, frontal columns
+    # and its product's slot (buffer position, consuming step and front), and
+    # its columns' variables in `fvar`, each front's closed by n (the rhs)
+    base, home, fvar, record, spans, maker = [0] * n_graph, [0] * n_graph, [], [], [], {}
+    edges, offset, inner = 0, 0, -1
     for i, (v, fids, plist, product, rows, mask, cols) in enumerate(picks):
         parents = sorted(plist, key=position.__getitem__) if len(plist) > 1 else plist
         edges += len(parents)
         if inner < 0:
-            begin, x0 = i, first[v]
-            col[v], c = 0, dims[v]
-            for p in parents:
-                col[p], c = c, c + dims[p]
-            col[n], width, height = c, c + 1, 0
+            begin, x0, width, height = i, first[v], dims[v] + cols + 1, 0
             fvar += [v, *parents, n]
         for f in fids:
             if f == inner:
                 continue
-            ks, at = keys_of[f], offset + height
             if f < n_graph:
-                run[f], base[f], home[f] = len(flat), at, len(spans)
-                flat += ks
-                scol += map(col.__getitem__, ks)
+                base[f], home[f] = offset + height, len(spans)
             else:
-                pflat += ks
-                pcol += map(col.__getitem__, ks)
-                spans[maker[f]][7:] = at, i, len(spans), at_col
-                at_col += cols_of[f]
+                spans[maker[f]][7:] = offset + height, i, len(spans)
             height += rows_of[f]
         if product >= 0:
-            keys_of.append(parents + [n])
             maker[product] = len(spans)
-        steps.append(PlanStep(keys[v], tuple(fids), tuple(map(keys.__getitem__, parents)),
-                              product))
+        record += (len(fids), *fids, len(parents), *parents, product)
         inner = product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
-            spans.append([begin, i + 1, offset, width, height, x0, col[n] - cols, 0, -1, 0, 0])
+            spans.append([begin, i + 1, offset, width, height, x0, width - 1 - cols, 0, -1, 0])
             offset, inner = offset + height * width, -1
-    dims, first = np.array(dims, dtype=np.intp), np.array(first + [-1], dtype=np.intp)
-    flat, scol, pflat, pcol, fvar = (np.array(a, dtype=np.intp)
-                                     for a in (flat, scol, pflat, pcol, fvar))
-    columns[:at_col] = _runs(pcol, dims[pflat])
-    _, _, o, w, m, _, c, to, _, ct, cat = np.array(
-        spans, dtype=np.intp).reshape(-1, 11).T
+    dims, first, fvar, base, home, height = (np.array(a, dtype=np.intp) for a in (
+        dims, first + [-1], fvar, base, home, rows_of[:n_graph]))
+    _, _, o, w, m, _, c, to, _, ct = np.array(spans, dtype=np.intp).reshape(-1, 10).T
+    nf, ws = len(spans), w.cumsum() - w
 
-    # the assembly map, a group per key block and rhs of each graph factor:
-    # `height` rows of `dim` entries from buffer position `start`, columns
-    # `stride` (its front's rows) apart, over solution entries from `sol`
-    # (-1: the rhs); weight-1 rows are numbered from 0 in factor order, from
-    # `hard_row`
-    run, base, home, height = (np.array(a[:n_graph], dtype=np.intp)
-                               for a in (run, base, home, rows_of))
-    groups_of = np.array(list(map(len, keys_of[:n_graph])), dtype=np.intp)
-    weight = np.array([w for *_, w in structure], dtype=float)
+    # every front's columns, expanded once: per column its front `fc`, its
+    # variable `rk` and its entry `wi` in that variable; `colmap` has each
+    # front's first stack column of each of its variables
+    ends = fvar == n
+    fv, lens = ends.cumsum() - ends, dims[fvar]
+    fc, rk, wi = fv.repeat(lens), fvar.repeat(lens), _runs(0, lens)
+    colmap = np.zeros((nf, n + 1), dtype=np.intp)
+    colmap[fv, fvar] = lens.cumsum() - lens - ws[fv]
+
+    # the assembly map, a group per key block and rhs of each graph factor
+    # (`key` its variable, n for the rhs; `g` its factor) over solution
+    # entries from `sol` (-1: the rhs), and a row per group row: `r` its row
+    # in the group, `dim` entries from `head` in `flat` and from `start` in
+    # the buffer, `stride` (its front's rows) apart. Weight-1 rows are
+    # numbered from 0 in factor order, from `hard_row`
+    key = np.fromiter(chain.from_iterable(keys_of[:n_graph]), dtype=np.intp)
+    ends = key == n
+    g = ends.cumsum() - ends
+    weight = np.array([s[2] for s in structure], dtype=float)
     hard = np.where(weight == 1.0, height, 0)
-    at = _runs(run, groups_of)
-    key = flat[at]
-    stride, height, weight, hard_row = (a.repeat(groups_of) for a in
-                                        (m[home], height, weight, hard.cumsum() - hard))
-    start, dim, sol = base.repeat(groups_of) + scol[at] * stride, dims[key], first[key]
-    sizes = height * dim
-    row_e, col_e = np.divmod(_runs(0, sizes), dim.repeat(sizes))
-    dest = start.repeat(sizes) + row_e + col_e * stride.repeat(sizes)
-    soft, is_rhs = (weight != 1.0).repeat(sizes), (sol < 0).repeat(sizes)
-    coef = ~(soft | is_rhs)
-    check = (np.flatnonzero(coef), (sol.repeat(sizes) + col_e)[coef],
-             (hard_row.repeat(sizes) + row_e)[coef], np.flatnonzero(is_rhs & ~soft))
+    height, home = height[g], home[g]
+    r, sizes = _runs(0, height), height * dims[key]
+    start, stride, weight, hard_row, sol, dim = (a.repeat(height) for a in (
+        base[g] + colmap[home, key] * m[home], m[home], weight[g], (hard.cumsum() - hard)[g],
+        first[key], dims[key]))
+    head = (sizes.cumsum() - sizes).repeat(height) + r * dim
+    dest = _runs(start + r, dim, stride)
+    soft, rhs = weight != 1.0, sol < 0
+    coef = ~(soft | rhs)
+    pos = _runs(head[coef], dim[coef])
+    check = (pos, pos + (sol - head)[coef].repeat(dim[coef]),
+             (hard_row + r)[coef].repeat(dim[coef]), head[rhs & ~soft])
 
     # the numeric phase's tables over each front's rows m, width w and frontal
     # columns c, as buffer positions (one zero at `offset` is read for
     # entries off a front's R). dgeqrf leaves the product in R rows c to
     # min(m, w - 1) - 1 (the R row w - 1 holds only a rhs, whatever the
     # numbers: the leftover); a front that leaves some has a consumer.
-    # The handoff copies the upper triangular entries of each product row to
-    # the consumer's slot, row by row
-    rows, nf = np.maximum(np.minimum(m, w - 1) - c, 0), len(spans)
+    # The handoff copies the upper triangular entries of each product row
+    # (`i` its row in the product, `q` its entries) to the consumer's slot,
+    # row by row: stack column c + i + k goes to row i of the slot, in the
+    # consumer's column of the same variable entry (`slot`, per column)
+    rows = np.maximum(np.minimum(m, w - 1) - c, 0)
     fr, i = np.arange(nf).repeat(rows), _runs(0, rows)
-    q = (w - c)[fr] - i
-    at = np.append(0, q.cumsum())
-    src = _strided(o[fr] + (c[fr] + i) * (m[fr] + 1), q, m[fr])
-    dst = _strided(cat[fr] + i, q, np.ones_like(q))
-    dst = np.take(columns, dst, out=dst, mode="clip")
-    dst *= np.repeat(m[ct][fr], q)
-    dst += np.repeat(to[fr] + i, q)
-    cut, area = at[np.append(0, rows.cumsum())].tolist(), c * w
-    fronts = tuple((*s[:7], src[a:b], dst[a:b], s[8], x) for s, a, b, x in zip(
-        spans, cut, cut[1:], (area.cumsum() - area).tolist()))
+    q, mr = (w - c)[fr] - i, m[fr]
+    src = _runs(o[fr] + (c[fr] + i) * (mr + 1), q, mr)
+    slot = (colmap[ct[fc], rk] + wi) * m[ct][fc] + to[fc]
+    dst = slot[_runs((ws + c)[fr] + i, q)] + i.repeat(q)
+    cut = list(accumulate((rows * (w - c) - rows * (rows - 1) // 2).tolist(), initial=0))
+    fronts = tuple((s[0], s[1], s[2], s[3], s[4], s[5], s[6], src[a:b], dst[a:b], s[8], x)
+                   for s, a, b, x in zip(spans, cut, cut[1:], accumulate((c * w).tolist(), initial=0)))
     # the fronts' R rows, row-major and one front after another (lower
     # triangles, and rows past a short front's end, read the zero; `fe` is
     # each row's front, `t` its column there)
     fe, t = np.arange(nf).repeat(c), _runs(0, c)
-    wf = w[fe]
-    gather = _strided(o[fe] + t, wf, m[fe])
-    gather[_runs(wf.cumsum() - wf, np.where(t < m[fe], t, wf))] = offset
+    wf, mf = w[fe], m[fe]
+    gather = _runs(o[fe] + t, wf, mf)
+    gather[_runs(wf.cumsum() - wf, np.where(t < mf, t, wf))] = offset
     # each R row entry's place in the column-major size x (size + 1) system:
-    # row its solution entry, column the solution entry of its stack column
-    # (a front's columns are its first step's variable and parents, in
-    # elimination order), or size for the rhs (whose first entry is -1)
-    system = _runs(first[fvar], dims[fvar]) % (size + 1) * size
-    system = system[_runs(w.cumsum()[fe] - wf, wf)]
+    # row its solution entry, column the solution entry of its stack column,
+    # or size for the rhs (whose first entry is -1)
+    system = ((first[rk] + wi) % (size + 1) * size)[_runs(ws[fe], wf)]
     system += np.arange(size).repeat(wf)
-    return EliminationPlan(tuple(slices), tuple(steps), edges, fill_in, size, slices,
-                           offset, dest, (dest[soft], weight.repeat(sizes)[soft]), check, fronts,
-                           gather, (o + (w - 1) * (m + 1))[m >= w], system)
+    return EliminationPlan(tuple(slices), tuple(record), edges, fill_in, size, slices, offset,
+                           dest, (dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])),
+                           check, fronts, gather, (o + (w - 1) * (m + 1))[m >= w], system)
 
 
 class LruMemo(OrderedDict):

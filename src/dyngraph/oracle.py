@@ -184,7 +184,9 @@ def dense_solve(graph: FactorGraph) -> dict:
     The arbiter for the elimination solver: one dense rank-revealing
     factorization, no orderings, no sparsity. Raises RankDeficient (naming
     the largest variable touched by the null space) when the stacked
-    system does not determine every variable.
+    system does not determine every variable, and ValueError naming the
+    first factor and key (or its rhs) with a non-finite weighted entry,
+    which LAPACK's least squares never returns on.
     """
     variables = graph.variables
     offs = {}
@@ -202,6 +204,10 @@ def dense_solve(graph: FactorGraph) -> dict:
             a[r:r + m, offs[k]:offs[k] + k.dim] = f.weight * blk
         b[r:r + m] = f.weight * f.rhs
         r += m
+    bad = [(i, f.name, k) for i, f in enumerate(graph.factors)
+           for k, blk in (*f.blocks.items(), ("rhs", f.rhs)) if not np.isfinite(f.weight * blk).all()]
+    if bad:
+        raise ValueError("factor %d %r: non-finite entry in %s" % bad[0])
 
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=1e-9)
     if rank < n:
