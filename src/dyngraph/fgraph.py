@@ -202,30 +202,28 @@ class FactorGraph:
 
     @cached_property
     def numbering(self) -> tuple:
-        """(keys, rank, dims, columns, sizes, masks, neighbors, incidence) over
-        key ranks in `variables`, a set being the int with bit r for rank r:
-        per rank its dim (then 1 for b); per factor its [A | b] columns as
-        ranks (len(variables) for b), their count and key set; per variable
-        the set it shares a factor with and the factor ids holding it."""
+        """(keys, rank, dims, columns, masks, neighbors, incidence) over key
+        ranks in `variables`, a set being the int with bit r for rank r: per
+        rank its dim (then 1 for b); per factor its [A | b] columns as ranks
+        (len(variables) for b) and its key set; per variable the set it
+        shares a factor with and the factor ids holding it."""
         keys = self.variables
         n = len(keys)
         rank, dims = dict(zip(keys, range(n))), [KIND_DIM[kind] for kind, _ in keys] + [1]
-        columns, sizes, masks, neighbors, incidence = [], [], [], [0] * n, [0] * n
+        columns, masks, neighbors, incidence = [], [], [0] * n, [0] * n
         bit = 1  # the factor's id as a set
         for ks, _, _ in self.structure:
-            ranks, m, c = list(map(rank.__getitem__, ks)), 0, 1
+            ranks, m = list(map(rank.__getitem__, ks)), 0
             for r in ranks:
                 m |= 1 << r
-                c += dims[r]
             for r in ranks:
                 neighbors[r] |= m
                 incidence[r] |= bit
             bit <<= 1
             ranks.append(n)
             columns.append(ranks)
-            sizes.append(c)
             masks.append(m)
-        return (keys, rank, dims, columns, sizes, masks,
+        return (keys, rank, dims, columns, masks,
                 [m & ~(1 << r) for r, m in enumerate(neighbors)], incidence)
 
     def __len__(self) -> int:
@@ -440,7 +438,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     product's room in its consumer's stack: a reduction never leaves more
     live rows than that. It runs on the rank bitmasks of `graph.numbering`.
     """
-    keys, rank, dims, keys_of, _, masks, neighbors, live = graph.numbering
+    keys, rank, dims, keys_of, masks, neighbors, live = graph.numbering
     n, n_graph, structure = len(keys), len(masks), graph.structure
     every = (1 << n) - 1
     bad = "ordering is not a permutation of the graph's variables: {} {}".format

@@ -918,7 +918,7 @@ def hazard_cases():
 
 
 @pytest.mark.parametrize("name", sorted(hazard_cases()))
-def test_each_proof_failure_is_redone_as_the_per_front_loop(name):
+def test_each_hazard_meets_the_arbiter_contract(name):
     # each hazard solves as the arbiter does, or raises as it allows
     graph, ordering, outcome = hazard_cases()[name]
     assert arbiter_contract(graph, ordering) == outcome
@@ -1103,6 +1103,29 @@ class TestTree21:
                 for step, (inputs, parents, product) in zip(plan.steps, steps):
                     assert (step.inputs, step.product) == (inputs, product)
                     assert step.parents == tuple(sorted(parents, key=position.__getitem__))
+
+    def test_a_fresh_split_makes_no_plan_step_until_steps_are_read(self, tree21, monkeypatch):
+        # a fresh hybrid split compiles a template and plans it, and a solve
+        # reads no PlanStep, so none is made; read afterwards, `steps` are
+        # the frozenset reference's, made once
+        made, step = [], fgraph.PlanStep
+        monkeypatch.setattr(fgraph, "PlanStep", lambda *a: made.append(a) or step(*a))
+        rng = np.random.default_rng(2222)
+        names = [j.name for j in tree21.movable_joints]
+        spec = ProblemSpec.hybrid(tree21, {
+            name: {"accel" if a else "torque": x}
+            for name, a, x in zip(names, rng.random(21) < 0.5, rng.uniform(-1, 1, 21))})
+        fgraph._plans.clear()
+        tree21.solve_templates.clear()
+        res = solve_dynamics(tree21, random_state(rng, 21), spec)
+        assert made == []
+        order, steps, _, _ = reference_plan(res.graph, [res.graph.variables])
+        position = {v: i for i, v in enumerate(order)}
+        assert list(res.dag.plan.ordering) == order
+        assert [(st.inputs, st.parents, st.product) for st in res.dag.plan.steps] == [
+            (inputs, tuple(sorted(parents, key=position.__getitem__)), product)
+            for inputs, parents, product in steps]
+        assert len(made) == 63 and res.dag.plan.steps is res.dag.plan.steps and len(made) == 63
 
     def test_planted_condition_below_the_arbiters_rcond_raises(self, tree21):
         # a forward graph at the workload's size (273 unknowns) with Vd21's
