@@ -595,7 +595,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     dst = slot[_runs((ws + c)[fr] + i, q)] + i.repeat(q)
     cut = list(accumulate((rows * (w - c) - rows * (rows - 1) // 2).tolist(), initial=0))
     fronts = tuple((s[0], s[1], s[2], s[3], s[4], s[5], s[6], src[a:b], dst[a:b], s[8], x)
-                   for s, a, b, x in zip(spans, cut, cut[1:], accumulate((c * w).tolist(), initial=0)))
+                   for s, a, b, x in zip(spans, cut, cut[1:],
+                                         accumulate((c * w).tolist(), initial=0)))
     # the fronts' R rows, row-major and one front after another (lower
     # triangles, and rows past a short front's end, read the zero; `fe` is
     # each row's front, `t` its column there)
@@ -608,9 +609,10 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # or size for the rhs (whose first entry is -1)
     system = ((first[rk] + wi) % (size + 1) * size)[_runs(ws[fe], wf)]
     system += np.arange(size).repeat(wf)
+    scale = dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])
     return EliminationPlan(tuple(slices), tuple(record), edges, fill_in, size, slices, offset,
-                           dest, (dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])),
-                           check, fronts, gather, (o + (w - 1) * (m + 1))[m >= w], system)
+                           dest, scale, check, fronts, gather, (o + (w - 1) * (m + 1))[m >= w],
+                           system)
 
 
 class LruMemo(OrderedDict):

@@ -204,10 +204,11 @@ def dense_solve(graph: FactorGraph) -> dict:
             a[r:r + m, offs[k]:offs[k] + k.dim] = f.weight * blk
         b[r:r + m] = f.weight * f.rhs
         r += m
-    bad = [(i, f.name, k) for i, f in enumerate(graph.factors)
-           for k, blk in (*f.blocks.items(), ("rhs", f.rhs)) if not np.isfinite(f.weight * blk).all()]
-    if bad:
-        raise ValueError("factor %d %r: non-finite entry in %s" % bad[0])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("factor %d %r: non-finite entry in %s" % next(
+            (i, f.name, k) for i, f in enumerate(graph.factors)
+            for k, blk in (*f.blocks.items(), ("rhs", f.rhs))
+            if not np.isfinite(f.weight * blk).all()))
 
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=1e-9)
     if rank < n:
