@@ -577,6 +577,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     pos = _runs(head[coef], dim[coef])
     check = (pos, pos + (sol - head)[coef].repeat(dim[coef]),
              (hard_row + r)[coef].repeat(dim[coef]), head[rhs & ~soft])
+    scale = dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])
 
     # the numeric phase's tables over each front's rows m, width w and frontal
     # columns c, as buffer positions (one zero at `offset` is read for
@@ -609,7 +610,6 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # or size for the rhs (whose first entry is -1)
     system = ((first[rk] + wi) % (size + 1) * size)[_runs(ws[fe], wf)]
     system += np.arange(size).repeat(wf)
-    scale = dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])
     return EliminationPlan(tuple(slices), tuple(record), edges, fill_in, size, slices, offset,
                            dest, scale, check, fronts, gather, (o + (w - 1) * (m + 1))[m >= w],
                            system)

@@ -1121,11 +1121,13 @@ class TestTree21:
         assert made == []
         order, steps, _, _ = reference_plan(res.graph, [res.graph.variables])
         position = {v: i for i, v in enumerate(order)}
-        assert list(res.dag.plan.ordering) == order
-        assert [(st.inputs, st.parents, st.product) for st in res.dag.plan.steps] == [
+        plan = res.dag.plan
+        assert list(plan.ordering) == order
+        assert [(st.inputs, st.parents, st.product) for st in plan.steps] == [
             (inputs, tuple(sorted(parents, key=position.__getitem__)), product)
             for inputs, parents, product in steps]
-        assert len(made) == 63 and res.dag.plan.steps is res.dag.plan.steps and len(made) == 63
+        assert len(made) == 63
+        assert plan.steps is plan.steps and len(made) == 63
 
     def test_planted_condition_below_the_arbiters_rcond_raises(self, tree21):
         # a forward graph at the workload's size (273 unknowns) with Vd21's
