@@ -574,9 +574,10 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     dest = _runs(start + r, dim, stride)
     soft, rhs = weight != 1.0, sol < 0
     coef = ~(soft | rhs)
-    pos = _runs(head[coef], dim[coef])
-    check = (pos, pos + (sol - head)[coef].repeat(dim[coef]),
-             (hard_row + r)[coef].repeat(dim[coef]), head[rhs & ~soft])
+    n_coef = dim[coef]
+    pos = _runs(head[coef], n_coef)
+    check = (pos, pos + (sol - head)[coef].repeat(n_coef), (hard_row + r)[coef].repeat(n_coef),
+             head[rhs & ~soft])
     scale = dest[_runs(head[soft], dim[soft])], weight[soft].repeat(dim[soft])
 
     # the numeric phase's tables over each front's rows m, width w and frontal
