@@ -229,21 +229,22 @@ class TestDenseSolve:
 
     @pytest.mark.parametrize("where", ["coefficient", "rhs"])
     def test_non_finite_entry_is_named_before_lapack(self, where):
-        # LAPACK's least squares does not return on a NaN coefficient; the
-        # arbiter names the first factor and key holding one, or the rhs
+        # LAPACK's least squares never returns on the lone factor with a NaN
+        # coefficient; the arbiter names the first factor and key holding a
+        # non-finite entry, or its rhs, before it calls LAPACK
         x, y = VarKey(Kind.ACCEL, 1), VarKey(Kind.TORQUE, 2)
         a, b = np.eye(6), np.ones(6)
         if where == "coefficient":
             a[2, 3] = np.nan
+            factors = [LinearFactor({x: a}, b, name="bad")]
+            want = "factor 0 'bad': non-finite entry in Vd1"
         else:
             b[4] = np.inf
-        g = FactorGraph([
-            LinearFactor({y: np.ones((1, 1))}, np.array([1.0]), name="prior"),
-            LinearFactor({y: np.ones((6, 1)), x: a}, b, name="bad"),
-        ])
-        key = "Vd1" if where == "coefficient" else "rhs"
-        with pytest.raises(ValueError, match=f"^factor 1 'bad': non-finite entry in {key}$"):
-            dense_solve(g)
+            factors = [LinearFactor({y: np.ones((1, 1))}, np.array([1.0]), name="prior"),
+                       LinearFactor({y: np.ones((6, 1)), x: a}, b, name="bad")]
+            want = "factor 1 'bad': non-finite entry in rhs"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            dense_solve(FactorGraph(factors))
 
     def test_weighted_rows_respected(self):
         # two soft pulls of different weights on the same scalar
