@@ -152,6 +152,7 @@ def cmd_solve(args) -> int:
         "fillIn": res.dag.fill_in,
         "residualMax": res.residual_max,
         "leftoverMax": float(np.abs(res.dag.leftover).max(initial=0.0)),
+        "rcond": res.dag.rcond,
         "elapsedMicros": res.solve_micros,
         "buildMicros": res.build_micros,
     }

@@ -26,8 +26,11 @@ numeric phase is one `Assembly` per solve over a buffer of that layout
 one QR in place in the buffer and one gathered copy of its product into the
 consumer's slot. The fronts' R rows then go into one upper triangular
 system over the flat vector, `size` x (`size` + 1) floats with the rhs
-last. One condition estimate of that system (LAPACK `dtrcon`) is the gate
-for rank, structural or numerical, and one `dtrtrs` solves it.
+last; one of 128 KiB or more is borrowed zeroed from a pool per size and
+zeroed again when given back (at most one per concurrent solve for each
+of the 8 most recently used sizes). One condition estimate of that system
+(LAPACK `dtrcon`) is the gate for rank, structural or numerical, and one
+`dtrtrs` solves it.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -708,16 +711,19 @@ class Assembly(NamedTuple):
     """One solve: the buffer its plan lays out, as `scatter` fills it from
     the graph's `flat` listing. The plan's tables are only read, so any
     number of assemblies may share it across threads; `data`, which every
-    front is reduced in and whose slots receive the products, is per solve.
+    front is reduced in and whose slots receive the products, is per solve,
+    and so is the triangular system, made or borrowed from a pool that
+    threads may share (see `_with_system`).
     """
 
     plan: EliminationPlan
     data: np.ndarray
     flat: np.ndarray
 
-    def eliminate(self) -> tuple:
-        """Reduce every front and gate the result (see `eliminate`): the DAG
-        and the triangular system its R rows make (see `_system`).
+    def eliminate(self, *then) -> list:
+        """Reduce every front and gate the result (see `eliminate`): the DAG,
+        then what each of `then` (`_solution`) gives on the triangular
+        system its R rows make (see `_with_system`).
 
         Per front in plan order: one dgeqrf in place (a one-row stack is its
         own R, as LAPACK leaves it) and the handoff of its product. The R rows
@@ -728,16 +734,16 @@ class Assembly(NamedTuple):
                 dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
             data[dst] = data[src]
         rows = data[plan.gather]
-        system = _system(plan, rows)
-        return EliminationDag(data[plan.leftover], plan, rows, _gate(plan, system)), system
+        out = _with_system(plan, rows, _gate, *then)
+        out[0] = EliminationDag(data[plan.leftover], plan, rows, out[0])
+        return out
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
         DAG, the flat solution vector `back_substitute` hands out views of,
         and the largest absolute residual of the weight-1 rows, one gathered
         product over their entries in `flat` (the plan's `check`)."""
-        dag, system = self.eliminate()
-        x = _solution(self.plan, system)
+        dag, x = self.eliminate(_solution)
         pos, entry, row, rhs = self.plan.check
         r = np.bincount(row, self.flat[pos] * x[entry], minlength=rhs.size) - self.flat[rhs]
         return dag, x, float(np.abs(r).max(initial=0.0))
@@ -766,13 +772,45 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()[0]
 
 
-def _system(plan: EliminationPlan, rows: np.ndarray) -> np.ndarray:
-    """The R rows scattered into a zeroed column-major `size` x (`size` + 1)
-    upper triangular system, the rhs last (`plan.system`)."""
-    n = plan.size
-    system = np.zeros(n * (n + 1))
+_SYSTEM_POOL_SIZES = 8
+_POOLED_FLOATS = 1 << 14  # 128 KiB, glibc's default mmap threshold
+_systems = LruMemo(_SYSTEM_POOL_SIZES)
+
+
+def _with_system(plan: EliminationPlan, rows: np.ndarray, *steps) -> list:
+    """What each of `steps` (`_gate`, `_solution`) gives on the R rows
+    scattered into a zeroed column-major `size` x (`size` + 1) upper
+    triangular system, the rhs last (`plan.system`).
+
+    A system of `_POOLED_FLOATS` floats or more is borrowed from a pool of
+    zeroed ones of its size, or made when that is empty, and on every path,
+    an error included, zeroed again at `plan.system` (the steps only read
+    it) and given back: the pool holds the systems of its
+    `_SYSTEM_POOL_SIZES` most recently used sizes, of each as many as
+    solves of that size have run at once. Every plan of one size shares
+    them, so such a solve pays no allocation and no page faults (a fresh
+    tree21 system, 585 KiB, faulted about 150 pages on crba and aba
+    requests). A smaller system is made fresh, which measured cheaper:
+    pooling every size made arm6_control and fivebar_loop (48 and 28 KiB
+    systems) 1.2% and 2.4% slower in `solve_rel_p50`, more than zeroing in
+    place costs, most likely because a pooled system goes cold in cache
+    between solves."""
+    n, out, pool = plan.size, [], None
+    if n * (n + 1) >= _POOLED_FLOATS and (pool := _systems.get(n)) is None:
+        _systems.put(pool := [], n)
+    try:
+        system = pool.pop() if pool else np.zeros(n * (n + 1))
+    except IndexError:  # another thread took the last one since the test
+        system = np.zeros(n * (n + 1))
     system[plan.system] = rows
-    return system
+    try:
+        for step in steps:  # a loop costs less than a comprehension here
+            out.append(step(plan, system))
+        return out
+    finally:
+        if pool is not None:
+            system[plan.system] = 0.0
+            pool.append(system)
 
 
 def _gate(plan: EliminationPlan, system: np.ndarray) -> float:
@@ -826,13 +864,13 @@ def back_substitute(dag: EliminationDag) -> dict:
     since a NaN or infinity spreads only to the entries eliminated before
     it.
     """
-    x = _solution(dag.plan, _system(dag.plan, dag.rows))
+    x, = _with_system(dag.plan, dag.rows, _solution)
     return {v: x[s] for v, s in dag.plan.slices.items()}
 
 
 def _solution(plan: EliminationPlan, system: np.ndarray) -> np.ndarray:
     """The flat solution vector `back_substitute` hands out views of: one
-    `dtrtrs` over the system (see `_system`), whose cost grows as size^2
+    `dtrtrs` over the system (see `_with_system`), whose cost grows as size^2
     whatever the sparsity. Forward dynamics of a serial chain under "md",
     on a 2-vCPU Xeon: 15 µs at size 78 (6 joints) and 46 µs at 273 (21
     joints), where a loop over the fronts (a gather, a matvec and a

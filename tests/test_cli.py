@@ -18,7 +18,7 @@ FIVE_BAR = str(FIXTURES / "five_bar.urdf")
 
 SOLVE_KEYS = {
     "solution", "ordering", "fillIn", "edgeCount",
-    "residualMax", "leftoverMax", "elapsedMicros", "buildMicros",
+    "residualMax", "leftoverMax", "rcond", "elapsedMicros", "buildMicros",
 }
 
 FIVE_BAR_STATE = [
@@ -44,6 +44,8 @@ class TestSolve:
         assert set(doc) == SOLVE_KEYS
         assert all(abs(v) < 1e-12 for v in doc["solution"]["torques"].values())
         assert doc["residualMax"] < 1e-10
+        # the gate's evidence: above size x 1e-9 (39 unknowns), at most 1
+        assert 39 * 1e-9 < doc["rcond"] <= 1.0
 
     def test_pendulum_static_torque(self, capsys):
         code, out, _ = run(
