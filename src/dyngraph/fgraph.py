@@ -26,11 +26,10 @@ numeric phase is one `Assembly` per solve over a buffer of that layout
 one QR in place in the buffer and one gathered copy of its product into the
 consumer's slot. The fronts' R rows then go into one upper triangular
 system over the flat vector, `size` x (`size` + 1) floats with the rhs
-last; one of 128 KiB or more is borrowed zeroed from a pool per size and
-zeroed again when given back (at most one per concurrent solve for each
-of the 8 most recently used sizes). One condition estimate of that system
-(LAPACK `dtrcon`) is the gate for rank, structural or numerical, and one
-`dtrtrs` solves it.
+last, which is the zeroed one the last solve gave back when that has the
+same size (the module keeps at most one). One condition estimate of that
+system (LAPACK `dtrcon`) is the gate for rank, structural or numerical,
+and one `dtrtrs` solves it.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -40,7 +39,7 @@ only on the null space they leave.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from enum import IntEnum
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
@@ -712,18 +711,17 @@ class Assembly(NamedTuple):
     the graph's `flat` listing. The plan's tables are only read, so any
     number of assemblies may share it across threads; `data`, which every
     front is reduced in and whose slots receive the products, is per solve,
-    and so is the triangular system, made or borrowed from a pool that
-    threads may share (see `_with_system`).
+    and so is the triangular system while the solve holds it (see
+    `_with_system`).
     """
 
     plan: EliminationPlan
     data: np.ndarray
     flat: np.ndarray
 
-    def eliminate(self, *then) -> list:
-        """Reduce every front and gate the result (see `eliminate`): the DAG,
-        then what each of `then` (`_solution`) gives on the triangular
-        system its R rows make (see `_with_system`).
+    def eliminate(self, solve: bool = False) -> tuple:
+        """Reduce every front and gate the result (see `eliminate`): the DAG
+        and, if `solve`, the flat solution (see `_solution`), else None.
 
         Per front in plan order: one dgeqrf in place (a one-row stack is its
         own R, as LAPACK leaves it) and the handoff of its product. The R rows
@@ -734,16 +732,15 @@ class Assembly(NamedTuple):
                 dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
             data[dst] = data[src]
         rows = data[plan.gather]
-        out = _with_system(plan, rows, _gate, *then)
-        out[0] = EliminationDag(data[plan.leftover], plan, rows, out[0])
-        return out
+        rcond, x = _with_system(plan, rows, True, solve)
+        return EliminationDag(data[plan.leftover], plan, rows, rcond), x
 
     def solve(self) -> tuple:
         """Eliminate, back-substitute and check the hard rows: returns the
         DAG, the flat solution vector `back_substitute` hands out views of,
         and the largest absolute residual of the weight-1 rows, one gathered
         product over their entries in `flat` (the plan's `check`)."""
-        dag, x = self.eliminate(_solution)
+        dag, x = self.eliminate(solve=True)
         pos, entry, row, rhs = self.plan.check
         r = np.bincount(row, self.flat[pos] * x[entry], minlength=rhs.size) - self.flat[rhs]
         return dag, x, float(np.abs(r).max(initial=0.0))
@@ -772,45 +769,38 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()[0]
 
 
-_SYSTEM_POOL_SIZES = 8
-_POOLED_FLOATS = 1 << 14  # 128 KiB, glibc's default mmap threshold
-_systems = LruMemo(_SYSTEM_POOL_SIZES)
+_spare = deque(maxlen=1)  # the last system given back, zeroed
 
 
-def _with_system(plan: EliminationPlan, rows: np.ndarray, *steps) -> list:
-    """What each of `steps` (`_gate`, `_solution`) gives on the R rows
-    scattered into a zeroed column-major `size` x (`size` + 1) upper
+def _with_system(plan: EliminationPlan, rows: np.ndarray, gate: bool, solve: bool) -> tuple:
+    """The gate's reciprocal condition estimate (`_gate`) if `gate` and the
+    flat solution (`_solution`) if `solve`, each None otherwise, on the R
+    rows scattered into a zeroed column-major `size` x (`size` + 1) upper
     triangular system, the rhs last (`plan.system`).
 
-    A system of `_POOLED_FLOATS` floats or more is borrowed from a pool of
-    zeroed ones of its size, or made when that is empty, and on every path,
-    an error included, zeroed again at `plan.system` (the steps only read
-    it) and given back: the pool holds the systems of its
-    `_SYSTEM_POOL_SIZES` most recently used sizes, of each as many as
-    solves of that size have run at once. Every plan of one size shares
-    them, so such a solve pays no allocation and no page faults (a fresh
-    tree21 system, 585 KiB, faulted about 150 pages on crba and aba
-    requests). A smaller system is made fresh, which measured cheaper:
-    pooling every size made arm6_control and fivebar_loop (48 and 28 KiB
-    systems) 1.2% and 2.4% slower in `solve_rel_p50`, more than zeroing in
-    place costs, most likely because a pooled system goes cold in cache
-    between solves."""
-    n, out, pool = plan.size, [], None
-    if n * (n + 1) >= _POOLED_FLOATS and (pool := _systems.get(n)) is None:
-        _systems.put(pool := [], n)
+    The system is the spare one if that has this size, else a new one. On
+    every path, an error included, it is zeroed again at `plan.system` (the
+    steps only read it) and kept as the spare, which drops the one before:
+    the module keeps one system, 8 `size` (`size` + 1) bytes for the last
+    size solved (585 KiB at tree21's 273 unknowns, 78 MB at 3,120). Each
+    benchmark workload solves a single size, so its solves pay no
+    allocation and no page faults (a new tree21 system faulted about 150
+    pages on crba and aba requests). Threads that solve at once take the
+    spare or make their own."""
+    n = plan.size
     try:
-        system = pool.pop() if pool else np.zeros(n * (n + 1))
-    except IndexError:  # another thread took the last one since the test
+        system = _spare.pop()
+    except IndexError:  # none spare, or another thread took it
+        system = None
+    if system is None or system.size != n * (n + 1):
         system = np.zeros(n * (n + 1))
     system[plan.system] = rows
     try:
-        for step in steps:  # a loop costs less than a comprehension here
-            out.append(step(plan, system))
-        return out
+        rcond = _gate(plan, system) if gate else None
+        return rcond, _solution(plan, system) if solve else None
     finally:
-        if pool is not None:
-            system[plan.system] = 0.0
-            pool.append(system)
+        system[plan.system] = 0.0
+        _spare.append(system)
 
 
 def _gate(plan: EliminationPlan, system: np.ndarray) -> float:
@@ -864,7 +854,7 @@ def back_substitute(dag: EliminationDag) -> dict:
     since a NaN or infinity spreads only to the entries eliminated before
     it.
     """
-    x, = _with_system(dag.plan, dag.rows, _solution)
+    x = _with_system(dag.plan, dag.rows, False, True)[1]
     return {v: x[s] for v, s in dag.plan.slices.items()}
 
 

@@ -1068,52 +1068,53 @@ def test_non_finite_solution_names_its_source():
             solve_dag(dag)
 
 
-def test_pooled_systems_are_zeroed_after_errors_and_alias_no_result(three_r, tree21):
+def test_the_spare_system_is_zeroed_after_errors_and_aliases_no_result(three_r, tree21):
     # a gate failure (a singular Vd2 block, with and without a NaN) and a
     # non-finite solution each give their system back all zeros, and so do
-    # a public solve and a compiled one; no system is pooled twice, and no
-    # result is a view of one. Each graph has 22 independent Vd blocks more,
-    # eliminated first, so its system is large enough to be pooled; a small
-    # one (three_r's 39 unknowns) is made fresh
-    pad = [VarKey(Kind.ACCEL, i) for i in range(10, 32)]
-    padded = [LinearFactor({v: np.eye(6)}, np.ones(6)) for v in pad]
+    # a public solve and a compiled one; the one system kept is of the last
+    # size solved, and no result is a view of it
     x, y, f = VarKey(Kind.ACCEL, 1), VarKey(Kind.ACCEL, 2), VarKey(Kind.WRENCH, 3)
     singular = np.diag([1.0, 2.0, 0.0, 1.0, 1.0, 1.0])
     poisoned = singular.copy()
     poisoned[0, 1] = np.nan
     a, b, c, d = (VarKey(Kind.JOINT_ACCEL, i) for i in range(4))
-    overflow = FactorGraph([*padded, LinearFactor({a: [[1.0]], b: [[1.0]]}, [0.0]),
+    overflow = FactorGraph([LinearFactor({a: [[1.0]], b: [[1.0]]}, [0.0]),
                             LinearFactor({b: [[1.0]], c: [[1e-5]]}, [0.0]),
                             LinearFactor({c: [[1e-5]]}, [1e305]),
                             LinearFactor({d: [[1.0]]}, [1.0])])
-    fgraph._systems.clear()
+    results = []
+
+    def spare_is_zeroed(size):
+        spare, = fgraph._spare
+        assert spare.size == size * (size + 1) and spare.tobytes() == bytes(spare.nbytes)
+        assert not any(np.shares_memory(spare, r) for r in results)
+
+    fgraph._spare.clear()
     for block in (singular, poisoned):
-        g = FactorGraph([*padded, LinearFactor({x: np.eye(6)}, np.ones(6)),
+        g = FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
                          LinearFactor({y: block, f: np.eye(6)}, np.ones(6)),
                          LinearFactor({f: np.ones((1, 6))}, np.ones(1))])
         with pytest.raises(RankDeficient, match="Vd2: reciprocal condition estimate 0"):
-            eliminate(g, [*pad, x, y, f])
-    assert [s.size for s in fgraph._systems[150]] == [150 * 151]
-    dag = eliminate(overflow, [*pad, d, a, b, c])
+            eliminate(g, [x, y, f])
+        spare_is_zeroed(18)
+    dag = eliminate(overflow, [d, a, b, c])
     with pytest.raises(ValueError, match="^non-finite solution at variable qdd2$"):
         back_substitute(dag)
-    solved = eliminate(FactorGraph([*padded, LinearFactor({x: np.eye(6)}, np.ones(6)),
+    results += [dag.rows, dag.leftover]
+    spare_is_zeroed(4)
+    solved = eliminate(FactorGraph([LinearFactor({x: np.eye(6)}, np.ones(6)),
                                     LinearFactor({y: np.eye(6), x: np.eye(6)}, np.ones(6))]),
-                       [*pad, y, x])
-    tree = solve_dynamics(tree21, random_state(np.random.default_rng(0), 21),
-                          ProblemSpec.forward(tree21, np.ones(21)))
+                       [y, x])
+    results += [solved.rows, solved.leftover, *back_substitute(solved).values()]
+    spare_is_zeroed(12)
+    res = solve_dynamics(tree21, random_state(np.random.default_rng(0), 21),
+                         ProblemSpec.forward(tree21, np.ones(21)))
+    results += [res.dag.rows, res.dag.leftover, *res.values.values()]
+    spare_is_zeroed(273)
     st = JointState(np.array([0.3, -0.5, 0.8]), np.array([0.1, 0.2, -0.1]))
-    small = solve_dynamics(three_r, st, ProblemSpec.forward(three_r, np.array([1.0, -0.5, 0.2])))
-    results = [dag.rows, dag.leftover, solved.rows, solved.leftover,
-               *back_substitute(solved).values()]
-    for res in (tree, small):
-        results += [res.dag.rows, res.dag.leftover, *res.values.values()]
-    pooled = [s for pool in fgraph._systems.values() for s in pool]
-    assert sorted(s.size for s in pooled) == [n * (n + 1) for n in (136, 144, 150, 273)]
-    assert len({id(s) for s in pooled}) == len(pooled)
-    for s in pooled:
-        assert s.tobytes() == bytes(s.nbytes)
-        assert not any(np.shares_memory(s, r) for r in results)
+    res = solve_dynamics(three_r, st, ProblemSpec.forward(three_r, np.array([1.0, -0.5, 0.2])))
+    results += [res.dag.rows, res.dag.leftover, *res.values.values()]
+    spare_is_zeroed(39)
 
 
 def test_zero_pivot_fails_the_triangular_solve_at_its_variable():
@@ -1231,9 +1232,9 @@ class TestTree21:
         assert len(made) == 63
         assert plan.steps is plan.steps and len(made) == 63
 
-    def test_pooled_systems_leak_nothing_between_plans(self, tree21):
+    def test_the_spare_system_leaks_nothing_between_plans(self, tree21):
         # forward solves under crba, aba, md and nd interleaved with hybrid
-        # splits, all of size 273, share the pooled triangular systems; each
+        # splits, all of size 273, share the spare triangular system; each
         # comes out bit for bit as it does on a system made for it alone
         rng = np.random.default_rng(2323)
         names = [j.name for j in tree21.movable_joints]
@@ -1253,21 +1254,22 @@ class TestTree21:
             return ({k: v.tobytes() for k, v in res.values.items()}, res.dag.rows.tobytes(),
                     res.dag.leftover.tobytes(), res.residual_max, res.dag.plan.size)
 
-        fgraph._systems.clear()
-        pooled = [outcome(solve_dynamics(tree21, *p)) for p in problems]
-        assert len(fgraph._systems[273]) == 1
+        fgraph._spare.clear()
+        kept = [outcome(solve_dynamics(tree21, *p)) for p in problems]
+        spare, = fgraph._spare
+        assert spare.size == 273 * 274
         alone = []
         for p in problems:
-            fgraph._systems.clear()
+            fgraph._spare.clear()
             alone.append(outcome(solve_dynamics(tree21, *p)))
-        assert pooled == alone
-        assert {o[-1] for o in pooled} == {273}
+        assert kept == alone
+        assert {o[-1] for o in kept} == {273}
 
-    def test_threads_sharing_the_pool_give_serial_answers(self, tree21):
+    def test_threads_sharing_the_spare_give_serial_answers(self, tree21):
         # four threads on two cores solve forward dynamics under the four
-        # orderings, borrowing size-273 systems from one pool while the
-        # others hold theirs: every answer is the serial one bit for bit, and
-        # the pool ends with zeroed systems, none twice
+        # orderings, taking the spare size-273 system or making their own
+        # while the others hold theirs: every answer is the serial one bit
+        # for bit, and the one system kept at the end is zeroed
         rng = np.random.default_rng(2424)
         problems = [(random_state(rng, 21), ProblemSpec.forward(tree21, rng.uniform(-1, 1, 21)),
                      ("crba", "aba", "md", "nd")[i % 4]) for i in range(80)]
@@ -1282,7 +1284,7 @@ class TestTree21:
             for i in range(t, len(problems), 4):
                 out[i] = outcome(solve_dynamics(tree21, *problems[i]))
 
-        fgraph._systems.clear()
+        fgraph._spare.clear()
         threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1295,9 +1297,8 @@ class TestTree21:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert out == serial
-        pooled = fgraph._systems[273]
-        assert 1 <= len(pooled) <= 4 and len({id(s) for s in pooled}) == len(pooled)
-        assert all(s.tobytes() == bytes(s.nbytes) for s in pooled)
+        spare, = fgraph._spare
+        assert spare.size == 273 * 274 and spare.tobytes() == bytes(spare.nbytes)
 
     def test_planted_condition_below_the_arbiters_rcond_raises(self, tree21):
         # a forward graph at the workload's size (273 unknowns) with Vd21's
