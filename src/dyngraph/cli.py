@@ -1,9 +1,10 @@
 """Command line front end: solve, benchmark, export, describe.
 
 solve prints one JSON object with the solution and elimination statistics.
-benchmark times repeated solves of random states under several orderings
-(cross-checking that they all agree first). export writes Graphviz DOT for
-the factor graph or the eliminated DAG. describe dumps the parsed model.
+benchmark times repeated `solve_dynamics` calls on random states under
+several orderings (cross-checking that they all agree first). export writes
+Graphviz DOT for the factor graph or the DAG a solve eliminates. describe
+dumps the parsed model.
 
 Exit codes: 0 success, 1 any dynamics/usage error, 2 output I/O error.
 """
@@ -20,15 +21,9 @@ from time import perf_counter
 import numpy as np
 
 from .errors import DynamicsError
-from .fgraph import back_substitute, eliminate, export_dot
+from .fgraph import export_dot
 from .model import parse_urdf
-from .transcribe import (
-    JointState,
-    ProblemSpec,
-    build_graph,
-    resolve_ordering,
-    solve_dynamics,
-)
+from .transcribe import JointState, ProblemSpec, build_graph, solve_dynamics
 
 
 def _csv(text: str, what: str, sep: str | None = ",") -> np.ndarray:
@@ -190,39 +185,30 @@ def cmd_benchmark(args) -> int:
     if not names:
         raise ValueError("--orderings is empty")
 
-    # one probe state: fix each ordering's key sequence and cross-check
-    # that every ordering solves to the same values
+    # one probe state: cross-check that every ordering solves to the same
+    # values; each ordering's DAG gives its edge and fill counts
+    orderings = {name: _ordering_arg(name) for name in names}
     state, spec = _random_problem(model, args, rng)
-    graph = build_graph(model, state, spec)
-    keyseqs = {}
-    dags = {}
-    sols = {}
-    for name in names:
-        keys = resolve_ordering(graph, _ordering_arg(name), model)
-        keyseqs[name] = keys
-        dags[name] = eliminate(graph, keys)
-        sols[name] = back_substitute(dags[name])
-    ref = names[0]
+    probe = {name: solve_dynamics(model, state, spec, orderings[name]) for name in names}
+    ref = probe[names[0]].values
     for name in names[1:]:
-        worst = max(float(np.max(np.abs(sols[name][v] - sols[ref][v])))
-                    for v in graph.variables)
+        worst = max(float(np.max(np.abs(probe[name].values[v] - x))) for v, x in ref.items())
         if worst > 1e-10:
             raise DynamicsError(
-                f"orderings {ref!r} and {name!r} disagree by {worst:.3e}")
+                f"orderings {names[0]!r} and {name!r} disagree by {worst:.3e}")
 
     times = {name: [] for name in names}
     for _ in range(args.trials):
         state, spec = _random_problem(model, args, rng)
-        graph = build_graph(model, state, spec)
         for name in names:
             t0 = perf_counter()
-            back_substitute(eliminate(graph, keyseqs[name]))
+            solve_dynamics(model, state, spec, orderings[name])
             times[name].append((perf_counter() - t0) * 1e6)
 
     rows = [{
         "ordering": name,
-        "edgeCount": dags[name].edge_count,
-        "fillIn": dags[name].fill_in,
+        "edgeCount": probe[name].dag.edge_count,
+        "fillIn": probe[name].dag.fill_in,
         "meanMicros": mean(times[name]),
         "medianMicros": median(times[name]),
     } for name in names]
@@ -241,12 +227,10 @@ def cmd_export(args) -> int:
     model = _load(args)
     state = _make_state(model, args)
     spec = _make_spec(model, args)
-    graph = build_graph(model, state, spec)
     if args.what == "graph":
-        dot = export_dot(graph)
+        dot = export_dot(build_graph(model, state, spec))
     else:
-        keys = resolve_ordering(graph, _ordering_arg(args.ordering), model)
-        dot = export_dot(eliminate(graph, keys))
+        dot = export_dot(solve_dynamics(model, state, spec, _ordering_arg(args.ordering)).dag)
     if args.out:
         try:
             Path(args.out).write_text(dot)

@@ -21,15 +21,16 @@ stack, column-major), where each front hands its product and where its R
 rows are gathered from.
 `plan_for` is the one way from an ordering request to a plan, memoised by
 the structure, so graphs that differ only in their numbers share it. The
-numeric phase is one `Assembly` per solve over a buffer of that layout
-(`scatter` fills one from `flat`, `transcribe` from a template): per front
-one QR in place in the buffer and one gathered copy of its product into the
-consumer's slot. The fronts' R rows then go into one upper triangular
-system over the flat vector, `size` x (`size` + 1) floats with the rhs
-last, which is the zeroed one the last solve gave back when that has the
-same size (the module keeps at most one). One condition estimate of that
-system (LAPACK `dtrcon`) is the gate for rank, structural or numerical,
-and one `dtrtrs` solves it.
+numeric phase runs on one buffer of that layout per solve (`scatter` fills
+one from `flat`, `transcribe` from a template): per front one QR in place
+in the buffer and one gathered copy of its product into the consumer's
+slot. The fronts' R rows then go into one upper triangular system over the
+flat vector, `size` x (`size` + 1) floats with the rhs last, which is the
+zeroed one the last solve gave back when that has the same size (the
+module keeps at most one). One condition estimate of that system (LAPACK
+`dtrcon`) is the gate for rank, structural or numerical, and one `dtrtrs`
+solves it. The hard-row residual is one gathered product over `flat` at
+that solution.
 
 Weights scale factor rows, and elimination is plain weighted least squares
 over all rows at once: a soft prior (weight below 1) that conflicts with the
@@ -378,11 +379,11 @@ class EliminationPlan(_PlanFields):
     coefficients and right-hand sides, for the residual check.
 
     `fronts` has per front (start, stop, stack offset, width, rows, first
-    solution entry, frontal columns c, src, dst, consumer step, R
-    offset): the handoff copies the buffer entries `src` (the upper
-    triangular part of the product rows, R rows c on) to the positions
-    `dst` in the slot of the step that consumes the product (-1: none);
-    the R offset is where the front's R rows start in `gather`.
+    solution entry, frontal columns c, src, dst, R offset): the handoff
+    copies the buffer entries `src` (the upper triangular part of the
+    product rows, R rows c on) to the positions `dst` in the slot of the
+    step that consumes the product (both empty when no step does); the R
+    offset is where the front's R rows start in `gather`.
 
     Positions in the buffer, read after every front is reduced: `gather`
     has the fronts' R rows `[R_ff | R_fp | d]`, row-major and one front
@@ -517,7 +518,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     # front (taking its product, `inner`). Per graph factor its first row in
     # the buffer (`base`) and its front (`home`); per front (`spans`) its
     # start, stop, offset, width, rows, first solution entry, frontal columns
-    # and its product's slot (buffer position, consuming step and front), and
+    # and its product's slot (buffer position and consuming front), and
     # its columns' variables in `fvar`, each front's closed by n (the rhs)
     base, home, fvar, record, spans, maker = [0] * n_graph, [0] * n_graph, [], [], [], {}
     edges, offset, inner = 0, 0, -1
@@ -533,18 +534,18 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
             if f < n_graph:
                 base[f], home[f] = offset + height, len(spans)
             else:
-                spans[maker[f]][7:] = offset + height, i, len(spans)
+                spans[maker[f]][7:] = offset + height, len(spans)
             height += rows_of[f]
         if product >= 0:
             maker[product] = len(spans)
         record += (len(fids), *fids, len(parents), *parents, product)
         inner = product
         if product < 0 or i + 1 == len(picks) or mask != picks[i + 1][5] | 1 << picks[i + 1][0]:
-            spans.append([begin, i + 1, offset, width, height, x0, width - 1 - cols, 0, -1, 0])
+            spans.append([begin, i + 1, offset, width, height, x0, width - 1 - cols, 0, 0])
             offset, inner = offset + height * width, -1
     dims, first, fvar, base, home, height = (np.array(a, dtype=np.intp) for a in (
         dims, first + [-1], fvar, base, home, rows_of[:n_graph]))
-    _, _, o, w, m, _, c, to, _, ct = np.array(spans, dtype=np.intp).reshape(-1, 10).T
+    _, _, o, w, m, _, c, to, ct = np.array(spans, dtype=np.intp).reshape(-1, 9).T
     nf, ws = len(spans), w.cumsum() - w
 
     # every front's columns, expanded once: per column its front `fc`, its
@@ -598,7 +599,7 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
     slot = (colmap[ct[fc], rk] + wi) * m[ct][fc] + to[fc]
     dst = slot[_runs((ws + c)[fr] + i, q)] + i.repeat(q)
     cut = list(accumulate((rows * (w - c) - rows * (rows - 1) // 2).tolist(), initial=0))
-    fronts = tuple((s[0], s[1], s[2], s[3], s[4], s[5], s[6], src[a:b], dst[a:b], s[8], x)
+    fronts = tuple((*s[:7], src[a:b], dst[a:b], x)
                    for s, a, b, x in zip(spans, cut, cut[1:],
                                          accumulate((c * w).tolist(), initial=0)))
     # the fronts' R rows, row-major and one front after another (lower
@@ -674,16 +675,16 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     minimum degree over every variable but `deferred`, then over
     `deferred`; "nd" is minimum degree inside `nested_dissection_groups`;
     any other name or a key sequence is the fixed ordering of
-    `classic_ordering`. The plan is memoised under (structure hash, request,
-    deferred), the structure hashed once per call and compared on a hit, and
-    under its own key sequence, so eliminating with the ordering it resolved
-    to reuses it; the memo keeps the most recently used _PLAN_MEMO_SIZE entries.
+    `classic_ordering`. The plan is memoised under (structure, request,
+    deferred) and under its own key sequence, so eliminating with the
+    ordering it resolved to reuses it; the memo keeps the most recently used
+    _PLAN_MEMO_SIZE entries.
     """
     structure, request, deferred = graph.structure, ordering_request(ordering), tuple(deferred)
-    key = (hash(structure), request, deferred)
+    key = (structure, request, deferred)
     hit = _plans.get(key)
-    if hit is not None and hit[0] == structure:
-        return hit[1]
+    if hit is not None:
+        return hit
     if request == "md":
         groups = [set(graph.variables) - set(deferred), deferred] if deferred else None
     elif request == "nd":
@@ -691,7 +692,7 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     else:
         groups = [(v,) for v in classic_ordering(graph, request)]
     plan = plan_elimination(graph, groups)
-    _plans.put((structure, plan), key, (key[0], plan.ordering, ()))
+    _plans.put(plan, key, (structure, plan.ordering, ()))
     return plan
 
 
@@ -706,44 +707,33 @@ def scatter(plan: EliminationPlan, flat: np.ndarray) -> np.ndarray:
     return data
 
 
-class Assembly(NamedTuple):
-    """One solve: the buffer its plan lays out, as `scatter` fills it from
-    the graph's `flat` listing. The plan's tables are only read, so any
-    number of assemblies may share it across threads; `data`, which every
-    front is reduced in and whose slots receive the products, is per solve,
-    and so is the triangular system while the solve holds it (see
-    `_with_system`).
-    """
+def _eliminate_buffer(plan: EliminationPlan, data: np.ndarray, solve: bool = False) -> tuple:
+    """Reduce every front of a buffer of the plan's layout, as `scatter`
+    fills one, and gate the result (see `eliminate`): the DAG and, if
+    `solve`, the flat solution (see `_solution`), else None.
 
-    plan: EliminationPlan
-    data: np.ndarray
-    flat: np.ndarray
+    Per front in plan order: one dgeqrf in place (a one-row stack is its
+    own R, as LAPACK leaves it) and the handoff of its product. The R rows
+    and the leftover come out in one gather each. The plan's tables are
+    only read, so any number of solves may share it across threads; the
+    buffer is the caller's, and so is the triangular system while the solve
+    holds it (see `_with_system`)."""
+    for _, _, o, w, m, _, _, src, dst, _ in plan.fronts:
+        if m > 1:
+            dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
+        data[dst] = data[src]
+    rows = data[plan.gather]
+    rcond, x = _with_system(plan, rows, True, solve)
+    return EliminationDag(data[plan.leftover], plan, rows, rcond), x
 
-    def eliminate(self, solve: bool = False) -> tuple:
-        """Reduce every front and gate the result (see `eliminate`): the DAG
-        and, if `solve`, the flat solution (see `_solution`), else None.
 
-        Per front in plan order: one dgeqrf in place (a one-row stack is its
-        own R, as LAPACK leaves it) and the handoff of its product. The R rows
-        and the leftover come out in one gather each."""
-        plan, data = self.plan, self.data
-        for _, _, o, w, m, _, _, src, dst, _, _ in plan.fronts:
-            if m > 1:
-                dgeqrf(data[o:o + m * w].reshape(w, m).T, overwrite_a=1)
-            data[dst] = data[src]
-        rows = data[plan.gather]
-        rcond, x = _with_system(plan, rows, True, solve)
-        return EliminationDag(data[plan.leftover], plan, rows, rcond), x
-
-    def solve(self) -> tuple:
-        """Eliminate, back-substitute and check the hard rows: returns the
-        DAG, the flat solution vector `back_substitute` hands out views of,
-        and the largest absolute residual of the weight-1 rows, one gathered
-        product over their entries in `flat` (the plan's `check`)."""
-        dag, x = self.eliminate(solve=True)
-        pos, entry, row, rhs = self.plan.check
-        r = np.bincount(row, self.flat[pos] * x[entry], minlength=rhs.size) - self.flat[rhs]
-        return dag, x, float(np.abs(r).max(initial=0.0))
+def _hard_residual(plan: EliminationPlan, flat: np.ndarray, x: np.ndarray) -> float:
+    """The largest absolute residual of the weight-1 rows of the graph whose
+    listing is `flat`, at the flat solution `x`: one gathered product over
+    their entries in `flat` (the plan's `check`)."""
+    pos, entry, row, rhs = plan.check
+    r = np.bincount(row, flat[pos] * x[entry], minlength=rhs.size) - flat[rhs]
+    return float(np.abs(r).max(initial=0.0))
 
 
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
@@ -766,7 +756,7 @@ def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     determine leaves an exactly zero pivot, whose estimate is 0.
     """
     plan = plan_for(graph, ordering)
-    return Assembly(plan, scatter(plan, graph.flat), graph.flat).eliminate()[0]
+    return _eliminate_buffer(plan, scatter(plan, graph.flat))[0]
 
 
 _spare = deque(maxlen=1)  # the last system given back, zeroed
@@ -868,7 +858,7 @@ def _solution(plan: EliminationPlan, system: np.ndarray) -> np.ndarray:
     joints, 358 fronts); at 3,120 the dense solve takes 10.4 ms to the
     loop's 2.8 ms.
 
-    Errors, first to last: the gate ran before (`Assembly.eliminate`, so a
+    Errors, first to last: the gate ran before (`_eliminate_buffer`, so a
     solve raises its RankDeficient and never gets here); then LAPACK's
     info, a zero pivot that only a hand-built DAG has, as RankDeficient;
     then a non-finite solution as ValueError."""

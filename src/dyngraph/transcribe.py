@@ -35,8 +35,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InconsistentLoopState
-from .fgraph import (Assembly, FactorGraph, Kind, LinearFactor, VarKey, _runs,
-                     ordering_request, plan_for, scatter)
+from .fgraph import (FactorGraph, Kind, LinearFactor, VarKey, _eliminate_buffer,
+                     _hard_residual, _runs, ordering_request, plan_for, scatter)
 from .model import RobotModel
 from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
@@ -358,8 +358,9 @@ class _Pieces(SimpleNamespace):
     `structure` and `labels` entries, its parts flattened in `flat` from
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
     it; per state term, `term` (piece, start in the state vector, offset in
-    the piece, width); `planar` maps loop joint names to their pieces;
-    `names`, `links` and `wrenches` are every `_Template`'s."""
+    the piece, width); `planar` maps loop joint names to their pieces. What
+    `solve_dynamics` sorts a result by: the movable joints' `names`, and
+    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -584,9 +585,8 @@ def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
 class _Template(SimpleNamespace):
     """A compiled shape: `listing`, `plan`, `base` (the read-only buffer of
     the weighted constant parts), `dest` (the buffer place of each state
-    term entry); what sorts a result: the movable joints' `names`, the
-    (names, solution entries) of the solved `torques` and `accels`, and
-    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
+    term entry), and the (names, solution entries) of the solved `torques`
+    and `accels`."""
 
 
 def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
@@ -602,10 +602,8 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
                 np.array([plan.slices[VarKey(kind, j.index)].start for j in joints],
                          dtype=np.intp))
     des = tuple(zip(model.movable_joints, spec.designations))
-    pc = model.factor_pieces
     tpl = _Template(
-        listing=listing, plan=plan, base=scatter(plan, listing.flat),
-        dest=plan.dest[listing.at], names=pc.names, links=pc.links, wrenches=pc.wrenches,
+        listing=listing, plan=plan, base=scatter(plan, listing.flat), dest=plan.dest[listing.at],
         torques=solved(Kind.TORQUE, [j for j, d in des if isinstance(d, GivenAccel)]),
         accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]))
     for a in (tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1]):
@@ -641,23 +639,24 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     graph, data = tpl.listing.graph(terms), tpl.base.copy()
     data[tpl.dest] = terms
     t1 = perf_counter()
-    dag, x, residual = Assembly(tpl.plan, data, graph.flat).solve()
+    dag, x = _eliminate_buffer(tpl.plan, data, solve=True)
+    residual = _hard_residual(tpl.plan, graph.flat, x)
     t2 = perf_counter()
 
-    given = [d.value for d in spec.designations]
-    torques, accels = dict(zip(tpl.names, given)), dict(zip(tpl.names, given))
+    pc, given = model.factor_pieces, [d.value for d in spec.designations]
+    torques, accels = dict(zip(pc.names, given)), dict(zip(pc.names, given))
     for out, (solved, at) in ((torques, tpl.torques), (accels, tpl.accels)):
         out.update(zip(solved, x[at].tolist()))
     values = dict(zip(tpl.plan.slices, map(x.__getitem__, tpl.plan.slices.values())))
     link_accels = {model.base: spec.base_accel}
-    link_accels.update((name, values[k]) for name, k in tpl.links)
+    link_accels.update((name, values[k]) for name, k in pc.links)
     return DynamicsResult(
         values=values,
         torques=torques,
         accels=accels,
         twists=dict(zip(model.topo_order, kin[1])),
         link_accels=link_accels,
-        wrenches={name: values[k] for name, k in tpl.wrenches},
+        wrenches={name: values[k] for name, k in pc.wrenches},
         graph=graph,
         dag=dag,
         ordering=tpl.plan.ordering,

@@ -40,6 +40,13 @@ def five_bar():
     return load_model("five_bar.urdf")
 
 
+@pytest.fixture(scope="session")
+def fixed_bracket():
+    # two revolute joints, a tilted fixed bracket between them and a fixed
+    # tool flange at the tip
+    return load_model("fixed_bracket.urdf")
+
+
 def assert_same_tables(a, b):
     """Plan tables equal all the way down: tuples item by item, arrays in
     dtype and value."""

@@ -1,4 +1,4 @@
-"""Command-line interface: solve, benchmark, export, exit codes."""
+"""Command-line interface: solve, benchmark, export, describe, exit codes."""
 
 import json
 import pathlib
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dyngraph.cli import main
+from dyngraph.model import parse_urdf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PENDULUM = str(FIXTURES / "pendulum.urdf")
@@ -335,6 +336,16 @@ class TestExport:
             ("Vd3", "Vd2"), ("Vd2", "Vd1"),
         }
 
+    @pytest.mark.parametrize("what", ["graph", "dag"])
+    def test_stdout_is_what_out_writes(self, capsys, tmp_path, what):
+        args = ["export", "--urdf", SIX_R, "--type", "forward", "--q", "0.1,0.2,0.3,0.4,0.5,0.6",
+                "--tau", "1,0,0,0,0,-1", "--what", what, "--ordering", "nd"]
+        out_path = tmp_path / "x.dot"
+        assert run(capsys, *args, "--out", str(out_path)) == (0, "", "")
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        assert out == out_path.read_text() and out.endswith("}\n")
+
     def test_unwritable_path_exits_two(self, capsys):
         code, _, err = run(
             capsys, "export", "--urdf", THREE_R, "--type", "inverse",
@@ -343,6 +354,14 @@ class TestExport:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("urdf", [THREE_R, FIVE_BAR])
+    def test_prints_the_model_json(self, capsys, urdf):
+        code, out, err = run(capsys, "describe", "--urdf", urdf)
+        assert (code, err) == (0, "")
+        assert out == parse_urdf(pathlib.Path(urdf).read_text()).to_json() + "\n"
 
 
 class TestEntryPoint:

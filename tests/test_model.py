@@ -259,3 +259,47 @@ def test_non_number_inertial_fails_at_parse_naming_link(old, new, where):
     assert MINIMAL.count(old) == 1
     with pytest.raises(MalformedDescription, match=where):
         parse_urdf(MINIMAL.replace(old, new))
+
+
+def _joint(name, kind, parent, child):
+    return (f'<joint name="{name}" type="{kind}"><parent link="{parent}"/>'
+            f'<child link="{child}"/><axis xyz="0 0 1"/></joint>')
+
+
+STRUCTURAL = {
+    "duplicate-link": ('<link name="base"/>', '<link name="base"/><link name="base"/>',
+                       MalformedDescription, "duplicate link names"),
+    "duplicate-joint": ("</robot>", _joint("j", "fixed", "arm", "base") + "</robot>",
+                        MalformedDescription, "duplicate joint names"),
+    "no-links": (MINIMAL, '<robot name="empty"/>', MalformedDescription, "no links"),
+    "self-joint": ('<child link="arm"/>', '<child link="base"/>', GraphError,
+                   "joint j connects link base to itself"),
+    "fixed-loop": ('type="revolute"', 'type="fixed" loop="true"', MalformedDescription,
+                   "loop joint j must be revolute"),
+    "two-parents": ("</robot>", _joint("k", "fixed", "base", "arm") + "</robot>", GraphError,
+                    "link arm has two parent joints"),
+    "detached-cycle": ("</robot>", '<link name="a"/><link name="b"/>'
+                       + _joint("ab", "fixed", "a", "b") + _joint("ba", "fixed", "b", "a")
+                       + "</robot>", GraphError,
+                       r"links not reachable from base base: \['a', 'b'\]"),
+    "no-inertia": ("</robot>", '<link name="hand"/>' + _joint("k", "revolute", "arm", "hand")
+                   + "</robot>", InvalidInertia, "moving link hand has no inertia"),
+    "missing-attribute": ('<parent link="base"/>', "<parent/>", MalformedDescription,
+                          "joint j parent is missing required attribute 'link'"),
+    "not-a-boolean": ('type="revolute"', 'type="revolute" actuated="maybe"',
+                      MalformedDescription, "attribute actuated='maybe' is not a boolean"),
+    "root-element": ("robot", "model", MalformedDescription,
+                     "root element is <model>, expected <robot>"),
+    "unsupported-type": ('type="revolute"', 'type="prismatic"', MalformedDescription,
+                         "joint j: unsupported type 'prismatic'"),
+    "no-child": ('<child link="arm"/>', "", MalformedDescription,
+                 "joint j needs parent and child links"),
+}
+
+
+@pytest.mark.parametrize("old,new,error,where", STRUCTURAL.values(), ids=STRUCTURAL.keys())
+def test_structural_error_fails_at_parse_naming_element(old, new, error, where):
+    # every occurrence is replaced: the root element's name opens and closes it
+    assert old in MINIMAL
+    with pytest.raises(error, match=where):
+        parse_urdf(MINIMAL.replace(old, new))

@@ -9,9 +9,8 @@ import pytest
 
 from dyngraph import fgraph
 from dyngraph import model as model_module
-from dyngraph.errors import InconsistentLoopState, RankDeficient
+from dyngraph.errors import IncompatibleScheme, InconsistentLoopState, RankDeficient
 from dyngraph.fgraph import (
-    Assembly,
     Kind,
     LinearFactor,
     VarKey,
@@ -21,7 +20,7 @@ from dyngraph.fgraph import (
     scatter,
 )
 from dyngraph.model import Joint, parse_urdf
-from dyngraph.oracle import dense_solve, rnea_full, rnea_torques
+from dyngraph.oracle import dense_solve, forward_accel, rnea_full, rnea_torques
 from dyngraph.spatial import Pose, big_adjoint
 from dyngraph.transcribe import (
     GivenAccel,
@@ -409,6 +408,19 @@ class TestFiveBar:
         with pytest.raises(error, match=message):
             solve_dynamics(model, st, spec)
 
+    @pytest.mark.parametrize("q,error,message", [
+        pytest.param(np.full(5, 0.3), InconsistentLoopState,
+                     "^loop joint j5: closure violated at position level", id="position-closure"),
+        pytest.param(np.full(3, 0.3), ValueError, "^state has 3 entries for 5 movable joints",
+                     id="state-length"),
+    ])
+    def test_bad_angles_fail_in_kinematics(self, five_bar, q, error, message):
+        # angles that do not close the loop, or too few of them, stop at
+        # kinematics, before any factor is built
+        with pytest.raises(error, match=message):
+            solve_dynamics(five_bar, JointState(q, np.zeros_like(q)),
+                           self.forward_spec(five_bar))
+
     def test_unreachable_state_rejected(self, five_bar, five_bar_kin):
         # bar tips 0.7 apart cannot meet with 0.25 bars: no real closure
         with np.errstate(invalid="ignore"), \
@@ -685,6 +697,34 @@ PARALLELOGRAM = """
   </joint>
 </robot>
 """
+
+
+class TestFixedJoints:
+    @pytest.mark.parametrize("tool", [False, True], ids=["no-tool-wrench", "tool-wrench"])
+    @pytest.mark.parametrize("kind", ["inverse", "forward"])
+    @pytest.mark.parametrize("ordering", ["auto", "rnea", "crba", "aba", "md", "nd"])
+    def test_solves_match_the_recursive_sweep(self, fixed_bracket, kind, ordering, tool):
+        # a fixed joint mid-chain (tilted) and at the tip: its acceleration
+        # factor has no joint acceleration, and its wrench carries the
+        # child's load through to the parent's balance
+        model, rng = fixed_bracket, np.random.default_rng(1616)
+        kw = {"gravity": GRAVITY_Y,
+              "tool_wrench": rng.uniform(-2, 2, 6) if tool else np.zeros(6)}
+        problems = [(random_state(rng, 2), rng.uniform(-1, 1, 2)) for _ in range(20)]
+        if ordering in {"inverse": ("crba", "aba"), "forward": ("rnea",)}[kind]:
+            with pytest.raises(IncompatibleScheme):
+                solve_dynamics(model, problems[0][0],
+                               getattr(ProblemSpec, kind)(model, problems[0][1], **kw), ordering)
+            return
+        for st, given in problems:
+            res = solve_dynamics(model, st, getattr(ProblemSpec, kind)(model, given, **kw),
+                                 ordering)
+            assert {"accel[bracket]", "accel[flange]"} <= {n for n, _ in res.graph.labels}
+            if kind == "inverse":
+                want, got = rnea_torques(model, st, given, **kw), res.torques
+            else:
+                want, got = forward_accel(model, st, given, **kw), res.accels
+            np.testing.assert_allclose([got["j1"], got["j2"]], want, rtol=0, atol=1e-9)
 
 
 class TestLoopClosingOnBase:
@@ -1208,7 +1248,8 @@ class TestSolveTemplate:
                 graph = build_graph(model, st, spec)
                 dag = eliminate(graph, resolve_ordering(graph, ordering, model))
                 values = back_substitute(dag)
-                residual = Assembly(dag.plan, scatter(dag.plan, graph.flat), graph.flat).solve()[2]
+                x = fgraph._eliminate_buffer(dag.plan, scatter(dag.plan, graph.flat), True)[1]
+                residual = fgraph._hard_residual(dag.plan, graph.flat, x)
                 for res in (miss, hit):
                     assert res.ordering == dag.ordering
                     assert res.graph.structure == graph.structure
