@@ -6,13 +6,15 @@ several orderings (cross-checking that they all agree first). export writes
 Graphviz DOT for the factor graph or the DAG a solve eliminates. describe
 dumps the parsed model.
 
-Exit codes: 0 success, 1 any dynamics/usage error, 2 output I/O error.
+Exit codes: 0 success, 1 any dynamics/usage error, 2 output I/O error
+(an unwritable --out, or a standard output closed early).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from statistics import mean, median
@@ -129,7 +131,7 @@ def _jsonable(d: dict) -> dict:
     return {k: (list(map(float, v)) if np.ndim(v) else float(v)) for k, v in d.items()}
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> str:
     model = _load(args)
     state = _make_state(model, args)
     spec = _make_spec(model, args)
@@ -151,8 +153,7 @@ def cmd_solve(args) -> int:
         "elapsedMicros": res.solve_micros,
         "buildMicros": res.build_micros,
     }
-    print(json.dumps(doc, indent=2))
-    return 0
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _random_problem(model, args, rng):
@@ -173,7 +174,7 @@ def _random_problem(model, args, rng):
     return state, spec
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> str:
     model = _load(args)
     if model.loop_joints:
         raise ValueError("benchmark generates random states and needs a tree "
@@ -213,38 +214,25 @@ def cmd_benchmark(args) -> int:
         "medianMicros": median(times[name]),
     } for name in names]
     if args.json:
-        print(json.dumps({"trials": args.trials, "seed": args.seed, "rows": rows},
-                         indent=2))
-    else:
-        print(f"{'ordering':<12} {'edges':>6} {'fill':>6} {'mean us':>10} {'median us':>10}")
-        for r in rows:
-            print(f"{r['ordering']:<12} {r['edgeCount']:>6} {r['fillIn']:>6} "
-                  f"{r['meanMicros']:>10.1f} {r['medianMicros']:>10.1f}")
-    return 0
+        return json.dumps({"trials": args.trials, "seed": args.seed, "rows": rows},
+                          indent=2) + "\n"
+    lines = [f"{'ordering':<12} {'edges':>6} {'fill':>6} {'mean us':>10} {'median us':>10}"]
+    lines += [f"{r['ordering']:<12} {r['edgeCount']:>6} {r['fillIn']:>6} "
+              f"{r['meanMicros']:>10.1f} {r['medianMicros']:>10.1f}" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> str:
     model = _load(args)
     state = _make_state(model, args)
     spec = _make_spec(model, args)
     if args.what == "graph":
-        dot = export_dot(build_graph(model, state, spec))
-    else:
-        dot = export_dot(solve_dynamics(model, state, spec, _ordering_arg(args.ordering)).dag)
-    if args.out:
-        try:
-            Path(args.out).write_text(dot)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
-    else:
-        print(dot, end="")
-    return 0
+        return export_dot(build_graph(model, state, spec))
+    return export_dot(solve_dynamics(model, state, spec, _ordering_arg(args.ordering)).dag)
 
 
-def cmd_describe(args) -> int:
-    print(_load(args).to_json())
-    return 0
+def cmd_describe(args) -> str:
+    return _load(args).to_json() + "\n"
 
 
 def main(argv=None) -> int:
@@ -288,10 +276,23 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        text = args.fn(args)
     except (DynamicsError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    out = getattr(args, "out", None)
+    try:
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        if not out:  # so that the interpreter's flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {out or 'standard output'}: {e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -619,29 +619,21 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                            system)
 
 
-class LruMemo(OrderedDict):
-    """A map that keeps its `size` most recently used entries, read with
-    `get` and written with `put` under one lock, so threads may share it."""
+class BoundedMemo(OrderedDict):
+    """A map that keeps the `size` keys added last. `get` is the map's own,
+    one lookup that reorders nothing; `put` adds keys and drops the oldest."""
 
     def __init__(self, size: int):
         super().__init__()
         self.size = size
         self.lock = Lock()
 
-    def get(self, key):
-        with self.lock:
-            value = super().get(key)
-            if value is not None:
-                self.move_to_end(key)
-            return value
-
     def put(self, value, *keys):
+        # locked: two unlocked puts could each pop one over-full map until it
+        # is empty. popitem(last=False) drops a key without hashing it again
         with self.lock:
             for key in keys:
-                size = len(self)
                 self[key] = value
-                if len(self) == size:  # a fresh key is added last, a held one moves there
-                    self.move_to_end(key)
             while len(self) > self.size:
                 self.popitem(last=False)
 
@@ -667,7 +659,7 @@ def ordering_request(ordering):
 
 
 _PLAN_MEMO_SIZE = 64
-_plans = LruMemo(_PLAN_MEMO_SIZE)
+_plans = BoundedMemo(_PLAN_MEMO_SIZE)
 
 
 def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
@@ -677,8 +669,8 @@ def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
     any other name or a key sequence is the fixed ordering of
     `classic_ordering`. The plan is memoised under (structure, request,
     deferred) and under its own key sequence, so eliminating with the
-    ordering it resolved to reuses it; the memo keeps the most recently used
-    _PLAN_MEMO_SIZE entries.
+    ordering it resolved to reuses it; the memo keeps the _PLAN_MEMO_SIZE
+    keys put last, whatever was read since (see `BoundedMemo`).
     """
     structure, request, deferred = graph.structure, ordering_request(ordering), tuple(deferred)
     key = (structure, request, deferred)

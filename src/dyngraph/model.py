@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GraphError, InvalidInertia, MalformedDescription
-from .fgraph import LruMemo
+from .fgraph import BoundedMemo
 from .spatial import (
     Pose,
     ScrewAxis,
@@ -149,8 +149,8 @@ class RobotModel:
     needs of each joint, derived here once. Transcription keeps two things
     beside the model, neither holding state of any solve: `factor_pieces`,
     every factor its problems can have (listed on the first
-    transcription), and `solve_templates`, the bounded memo of compiled
-    problem shapes `transcribe.solve_dynamics` reuses.
+    transcription), and `solve_templates`, the last `_SOLVE_TEMPLATES`
+    problem shapes `transcribe.solve_dynamics` compiled, kept for reuse.
     """
 
     def __init__(self, links, joints):
@@ -249,7 +249,7 @@ class RobotModel:
         self.tool_link = leaves[0] if len(leaves) == 1 else None
         self.joint_constants = _joint_constants(self)
         self.factor_pieces = None
-        self.solve_templates = LruMemo(_SOLVE_TEMPLATES)
+        self.solve_templates = BoundedMemo(_SOLVE_TEMPLATES)
 
     @property
     def n_links(self) -> int:

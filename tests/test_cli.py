@@ -1,6 +1,7 @@
 """Command-line interface: solve, benchmark, export, describe, exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 from dyngraph.cli import main
 from dyngraph.model import parse_urdf
+from dyngraph.oracle import rnea_torques
+from dyngraph.transcribe import JointState
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PENDULUM = str(FIXTURES / "pendulum.urdf")
@@ -155,6 +158,21 @@ class TestSolve:
         assert torques["j2"] == torques["j4"] == torques["j5"] == 0.0
         assert abs(torques["j1"]) > 0.1 and abs(torques["j3"]) > 0.1
 
+    def test_tool_wrench_matches_the_recursive_oracle(self, capsys):
+        q, qd, qdd = [0.3, -0.7, 1.1], [0.2, 0.5, -0.4], [0.9, -0.3, 0.6]
+        wrench = [0.1, -0.2, 0.3, 1.5, -2.0, 0.7]
+        code, out, _ = run(capsys, "solve", "--urdf", THREE_R, "--type", "inverse",
+                           *(f"--{flag}={','.join(map(str, v))}" for flag, v in (
+                               ("q", q), ("qd", qd), ("qdd", qdd), ("tool-wrench", wrench))))
+        assert code == 0
+        torques = json.loads(out)["solution"]["torques"]
+        model, state = parse_urdf(pathlib.Path(THREE_R).read_text()), JointState(q, qd)
+        want = rnea_torques(model, state, qdd, tool_wrench=wrench)
+        np.testing.assert_allclose([torques[j] for j in ("j1", "j2", "j3")], want,
+                                   rtol=0, atol=1e-9)
+        # the wrench moves every torque, so a flag left unread would fail
+        assert np.all(np.abs(want - rnea_torques(model, state, qdd)) > 1e-3)
+
     def test_leftover_max_shows_prior_conflict(self, capsys):
         # the redundantly driven five-bar leaves dead rows; they are
         # consistent without the prior and carry its conflict with it
@@ -294,6 +312,37 @@ def test_unparsable_vector_names_its_flag(capsys, flag, args):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}")
 
 
+INVERSE = ["solve", "--urdf", THREE_R, "--type", "inverse"]
+USAGE_ERROR = {
+    "gravity-length": ("--gravity: expected 3", [*INVERSE, "--qdd", "0,0,0",
+                                                 "--gravity", "0 -9.81"]),
+    "q-length": ("--q/--qd must have 3 entries", [*INVERSE, "--qdd", "0,0,0", "--q", "0,0"]),
+    "qd-length": ("--q/--qd must have 3 entries", [*INVERSE, "--qdd", "0,0,0",
+                                                   "--qd", "0,0,0,0"]),
+    "planar-loop-colon": ("--planar-loop: expected JOINT:NX NY NZ", [
+        *INVERSE, "--qdd", "0,0,0", "--planar-loop", "j5 0 0 1"]),
+    "missing-qdd": ("--type inverse requires --qdd", INVERSE),
+    "missing-tau": ("--type forward requires --tau", ["solve", "--urdf", THREE_R,
+                                                      "--type", "forward"]),
+    "missing-mixed": ("--type hybrid requires --mixed", ["solve", "--urdf", THREE_R,
+                                                         "--type", "hybrid"]),
+    "mixed-not-json": ("--mixed is not valid JSON", ["solve", "--urdf", THREE_R, "--type",
+                                                     "hybrid", "--mixed", "{j1: accel}"]),
+    "benchmark-loop": ("benchmark generates random states and needs a tree", [
+        "benchmark", "--urdf", FIVE_BAR, "--type", "inverse", "--orderings", "md"]),
+    "orderings-empty": ("--orderings is empty", ["benchmark", "--urdf", THREE_R, "--type",
+                                                 "inverse", "--orderings", " , "]),
+}
+
+
+@pytest.mark.parametrize("message,args", USAGE_ERROR.values(), ids=USAGE_ERROR.keys())
+def test_usage_error_names_its_flag(capsys, message, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 def test_benchmark_zero_trials_is_a_usage_error(capsys):
     code, _, err = run(capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",
                        "--orderings", "rnea", "--trials", "0")
@@ -365,6 +414,25 @@ class TestDescribe:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("args", [
+        ["solve", "--urdf", THREE_R, "--type", "inverse", "--qdd", "0,0,0"],
+        ["benchmark", "--urdf", THREE_R, "--type", "inverse", "--orderings", "md",
+         "--trials", "1"],
+        ["export", "--urdf", THREE_R, "--type", "inverse", "--qdd", "0,0,0", "--what", "dag"],
+        ["describe", "--urdf", THREE_R],
+    ], ids=lambda args: args[0])
+    def test_closed_standard_output_exits_two(self, args):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dyngraph", *args], stdout=write,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write standard output:")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dyngraph", "solve", "--urdf", PENDULUM,

@@ -39,6 +39,27 @@ from dyngraph.transcribe import (
 
 from conftest import assert_same_tables, random_state
 
+
+@pytest.mark.parametrize("error,match,make", [
+    pytest.param(ValueError, r"^cannot parse variable key 'x1'",
+                 lambda g: VarKey.parse("x1"), id="key-text"),
+    pytest.param(ValueError, r"^factor 'f' has no variable blocks",
+                 lambda g: LinearFactor({}, [0.0], name="f"), id="factor-no-blocks"),
+    pytest.param(ValueError, r"^factor 'f': block for qdd1 has shape \(2, 2\), expected \(2, 1\)",
+                 lambda g: LinearFactor({VarKey(Kind.JOINT_ACCEL, 1): np.zeros((2, 2))},
+                                        [0.0, 0.0], name="f"), id="factor-block-shape"),
+    pytest.param(IncompatibleScheme, r"^unknown ordering scheme 'bogus'",
+                 lambda g: classic_ordering(g, "bogus"), id="ordering-scheme"),
+    pytest.param(TypeError, r"^cannot export int as DOT", lambda g: export_dot(42),
+                 id="export-type"),
+])
+def test_bad_input_names_what_is_wrong(three_r, error, match, make):
+    graph = build_graph(three_r, JointState(np.zeros(3), np.zeros(3)),
+                        ProblemSpec.inverse(three_r, np.zeros(3)))
+    with pytest.raises(error, match=match):
+        make(graph)
+
+
 X = VarKey(Kind.ACCEL, 1)
 Y = VarKey(Kind.ACCEL, 2)
 

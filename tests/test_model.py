@@ -109,6 +109,15 @@ class TestParse:
         with pytest.warns(UserWarning, match="visual"):
             parse_urdf(decorated)
 
+    @pytest.mark.parametrize("old,new,where", [
+        ('<axis xyz="0 0 1"/>', '<axis xyz="0 0 1"/><limit effort="1"/>', "joint j"),
+        ("</robot>", '<material name="m"/></robot>', "robot"),
+    ], ids=["joint", "robot"])
+    def test_unsupported_tag_warns_naming_where(self, old, new, where):
+        with pytest.warns(UserWarning, match=rf"^ignoring unsupported tag <\w+> in {where}$"):
+            model = parse_urdf(MINIMAL.replace(old, new))
+        assert [j.name for j in model.joints] == ["j"]
+
     def test_fixed_joint(self):
         fixed = MINIMAL.replace('type="revolute"', 'type="fixed"')
         m = parse_urdf(fixed)

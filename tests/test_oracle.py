@@ -10,6 +10,7 @@ from dyngraph.oracle import (
     forward_accel,
     hybrid_three_pass,
     mass_matrix,
+    rnea_full,
     rnea_torques,
 )
 from dyngraph.transcribe import (
@@ -26,6 +27,19 @@ GRAVITY_Y = (0.0, -9.81, 0.0)
 # pendulum fixture constants: rod of mass m with center at l, hinge on z
 M, L, I_COM = 1.2, 0.45, 0.02025
 I_PIVOT = I_COM + M * L * L
+
+
+@pytest.mark.parametrize("match,call", [
+    pytest.param(r"^expected 3 joint accelerations", lambda m, st: rnea_full(
+        m, st, np.zeros(2)), id="rnea-qdd"),
+    pytest.param(r"^state has 2 entries for 3 movable joints", lambda m, st: rnea_full(
+        m, JointState(np.zeros(2), np.zeros(2)), np.zeros(3)), id="rnea-state"),
+    pytest.param(r"^expected 3 torques", lambda m, st: forward_accel(m, st, np.zeros(2)),
+                 id="forward-tau"),
+])
+def test_wrong_length_names_the_quantity(three_r, match, call):
+    with pytest.raises(ValueError, match=match):
+        call(three_r, JointState(np.zeros(3), np.zeros(3)))
 
 
 class TestRneaTorques:

@@ -208,6 +208,13 @@ class TestRpy:
             r = rpy_matrix(*rpy)
             np.testing.assert_allclose(rotation_to_rpy(r), rpy, atol=1e-10)
 
+    @pytest.mark.parametrize("pitch", [np.pi / 2, -np.pi / 2])
+    def test_gimbal_lock_folds_roll_into_yaw(self, pitch):
+        r = rpy_matrix(0.3, pitch, -0.4)
+        roll, back, yaw = rotation_to_rpy(r)
+        assert (back, yaw) == (pitch, 0.0)
+        np.testing.assert_allclose(rpy_matrix(roll, back, yaw), r, rtol=0, atol=1e-15)
+
 
 class TestSpatialInertia:
     def test_block_diagonal_spd(self):

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -162,6 +163,32 @@ class TestInputValidation:
     def test_non_finite_input_names_field(self, three_r, field, make):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b.*finite"):
             make(three_r)
+
+    @pytest.mark.parametrize("match,make", [
+        pytest.param(r"^q and qd must be 1-d arrays of equal length",
+                     lambda m, o: JointState(np.zeros(3), np.zeros(2)), id="state-lengths"),
+        pytest.param(r"^planar loop j5: zero normal", lambda m, o: ProblemSpec.forward(
+            m, np.zeros(3), planar_loops={"j5": (0.0, 0.0, 0.0)}), id="zero-normal"),
+        pytest.param(r"^expected 3 torques, got \(2,\)",
+                     lambda m, o: ProblemSpec.forward(m, np.zeros(2)), id="forward-count"),
+        pytest.param(r"^designations for unknown joints: \['j9'\]",
+                     lambda m, o: ProblemSpec.hybrid(m, {f"j{i}": GivenAccel(0.0)
+                                                         for i in (1, 2, 3, 9)}),
+                     id="hybrid-unknown-joint"),
+        pytest.param(r"^no designation for joint j2", lambda m, o: ProblemSpec.hybrid(
+            m, {"j1": GivenAccel(0.0), "j3": GivenTorque(0.0)}), id="hybrid-missing-joint"),
+        pytest.param(r"^spec has 3 designations for 6 movable joints",
+                     lambda m, o: ProblemSpec.inverse(m, np.zeros(3)).by_joint(o),
+                     id="by-joint-other-model"),
+        pytest.param(r"^planar factors name non-loop joints: \['j2'\]",
+                     lambda m, o: build_graph(m, JointState(np.zeros(3), np.zeros(3)),
+                                              ProblemSpec.inverse(m, np.zeros(3), planar_loops={
+                                                  "j2": (0.0, 0.0, 1.0)})),
+                     id="planar-non-loop-joint"),
+    ])
+    def test_inconsistent_input_names_field(self, three_r, six_r, match, make):
+        with pytest.raises(ValueError, match=match):
+            make(three_r, six_r)
 
     def test_malformed_planar_loops_names_field(self, three_r):
         with pytest.raises(ValueError, match=r"^planar_loops must map"):
@@ -1317,6 +1344,28 @@ class TestSolveTemplate:
             solve_dynamics(model, st, spec)
             assert len(memo) <= memo.size
         assert len(memo) == memo.size
+
+    def test_a_hit_leaves_the_eviction_order(self, fresh_plans):
+        # both memos read with the map's own get, which reorders nothing, so
+        # the oldest shape stays the next one dropped however often it is hit
+        model = chain_model(10)
+        memo = model.solve_templates
+        for m in (memo, fgraph._plans):
+            assert type(m).get is OrderedDict.get
+        st = JointState(np.full(10, 0.3), np.full(10, -0.2))
+        specs = [ProblemSpec.hybrid(model, {
+            f"j{i + 1}": GivenAccel(0.1) if pattern >> i & 1 else GivenTorque(0.1)
+            for i in range(10)}) for pattern in range(memo.size + 1)]
+        for spec in specs[:-1]:
+            solve_dynamics(model, st, spec)
+        order = list(memo)
+        oldest = memo[order[0]]
+        for _ in range(3):
+            assert solve_dynamics(model, st, specs[0]).dag.plan is oldest.plan
+        assert list(memo) == order
+        solve_dynamics(model, st, specs[-1])
+        assert list(memo)[:-1] == order[1:]
+        assert oldest not in memo.values()
 
     def test_template_is_read_only(self, six_r):
         rng = np.random.default_rng(1313)
