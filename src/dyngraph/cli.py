@@ -185,6 +185,9 @@ def cmd_benchmark(args) -> str:
     names = [t.strip() for t in args.orderings.split(",") if t.strip()]
     if not names:
         raise ValueError("--orderings is empty")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"--orderings names {name!r} twice")
 
     # one probe state: cross-check that every ordering solves to the same
     # values; each ordering's DAG gives its edge and fill counts

@@ -640,11 +640,11 @@ class BoundedMemo(OrderedDict):
 
 def ordering_request(ordering):
     """An ordering request as `plan_for` keys it: a scheme name in lower
-    case, or a tuple of VarKeys parsed from VarKeys or their text (e.g.
-    "qdd1"). ValueError names a request that is neither, or its first bad
-    item."""
+    case ("auto" is "md"), or a tuple of VarKeys parsed from VarKeys or
+    their text (e.g. "qdd1"). ValueError names a request that is neither,
+    or its first bad item."""
     if isinstance(ordering, str):
-        return ordering.lower()
+        return "md" if ordering.lower() == "auto" else ordering.lower()
     try:
         items = enumerate(ordering)
     except TypeError:
@@ -662,29 +662,28 @@ _PLAN_MEMO_SIZE = 64
 _plans = BoundedMemo(_PLAN_MEMO_SIZE)
 
 
-def plan_for(graph: FactorGraph, ordering, deferred=()) -> EliminationPlan:
+def plan_for(graph: FactorGraph, ordering) -> EliminationPlan:
     """The plan for an ordering request (see `ordering_request`). "md" is
-    minimum degree over every variable but `deferred`, then over
-    `deferred`; "nd" is minimum degree inside `nested_dissection_groups`;
+    minimum degree; "nd" is minimum degree inside `nested_dissection_groups`;
     any other name or a key sequence is the fixed ordering of
-    `classic_ordering`. The plan is memoised under (structure, request,
-    deferred) and under its own key sequence, so eliminating with the
-    ordering it resolved to reuses it; the memo keeps the _PLAN_MEMO_SIZE
-    keys put last, whatever was read since (see `BoundedMemo`).
+    `classic_ordering`. The plan is memoised under (structure, request) and
+    under its own key sequence, so eliminating with the ordering it resolved
+    to reuses it; the memo keeps the _PLAN_MEMO_SIZE keys put last, whatever
+    was read since (see `BoundedMemo`).
     """
-    structure, request, deferred = graph.structure, ordering_request(ordering), tuple(deferred)
-    key = (structure, request, deferred)
+    structure, request = graph.structure, ordering_request(ordering)
+    key = (structure, request)
     hit = _plans.get(key)
     if hit is not None:
         return hit
     if request == "md":
-        groups = [set(graph.variables) - set(deferred), deferred] if deferred else None
+        groups = None
     elif request == "nd":
         groups = nested_dissection_groups(graph)
     else:
         groups = [(v,) for v in classic_ordering(graph, request)]
     plan = plan_elimination(graph, groups)
-    _plans.put(plan, key, (structure, plan.ordering, ()))
+    _plans.put(plan, key, (structure, plan.ordering))
     return plan
 
 

@@ -167,7 +167,10 @@ class ProblemSpec:
         joint in declaration order; free joints get zero torque."""
         des = cls._free_designations(model)
         actuated = [j for j in model.movable_joints if j.actuated]
-        values = np.atleast_1d(np.asarray(values, dtype=float))
+        try:
+            values = np.atleast_1d(np.asarray(values, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{what} must be finite numbers, got {values!r}") from None
         if values.shape != (len(actuated),):
             raise ValueError(f"expected {len(actuated)} {what}, got {values.shape}")
         for j, x in zip(actuated, values):
@@ -567,19 +570,10 @@ class DynamicsResult:
     solve_micros: float = 0.0
 
 
-def _plan(graph: FactorGraph, ordering, model: RobotModel):
-    deferred = ()
-    if isinstance(ordering, str) and ordering.lower() == "auto":
-        ordering = "md"
-        deferred = tuple(VarKey(Kind.WRENCH, l.index) for l in model.loop_joints)
-    return plan_for(graph, ordering, deferred)
-
-
 def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
-    """The VarKey list `fgraph.plan_for` resolves an ordering request to,
-    with the one rule that needs the model: "auto" is "md" with the model's
-    loop wrenches deferred to the end."""
-    return list(_plan(graph, ordering, model).ordering)
+    """The VarKey list `fgraph.plan_for` resolves an ordering request to.
+    `model` is not read; it stays for callers that pass it."""
+    return list(plan_for(graph, ordering).ordering)
 
 
 class _Template(SimpleNamespace):
@@ -594,8 +588,7 @@ def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
     terms sit in weight-1 factors only (the prior rows are constant), so
     weighting the base weights every soft entry."""
     listing = _transcribe(model, spec)
-    plan = _plan(FactorGraph.listed(listing.structure, listing.labels, listing.flat),
-                 request, model)
+    plan = plan_for(FactorGraph.listed(listing.structure, listing.labels, listing.flat), request)
 
     def solved(kind, joints):
         return (tuple(j.name for j in joints),
@@ -619,10 +612,10 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     The first solve of a problem shape compiles its template; each solve
     copies the template's buffer and puts its state terms in it and in a
     copy of the shape's listing, the result's `graph`. No LinearFactor is
-    made unless that graph's factors are read. The default ordering is
-    minimum-degree with loop wrenches deferred to the end, so an
-    underdetermined loop (no planar factor) surfaces as RankDeficient at the
-    loop wrench itself rather than at an arbitrary variable upstream.
+    made unless that graph's factors are read. `ordering` is any request
+    `fgraph.plan_for` takes; the default "auto" is minimum degree ("md").
+    An underdetermined graph, such as a loop with no planar factor, raises
+    RankDeficient naming the same variable under every ordering.
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)

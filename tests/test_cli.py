@@ -1,5 +1,6 @@
 """Command-line interface: solve, benchmark, export, describe, exit codes."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from dyngraph import cli
 from dyngraph.cli import main
 from dyngraph.model import parse_urdf
 from dyngraph.oracle import rnea_torques
@@ -332,6 +334,8 @@ USAGE_ERROR = {
         "benchmark", "--urdf", FIVE_BAR, "--type", "inverse", "--orderings", "md"]),
     "orderings-empty": ("--orderings is empty", ["benchmark", "--urdf", THREE_R, "--type",
                                                  "inverse", "--orderings", " , "]),
+    "orderings-repeated": ("--orderings names 'md' twice", [
+        "benchmark", "--urdf", THREE_R, "--type", "inverse", "--orderings", "md,md,aba"]),
 }
 
 
@@ -341,6 +345,24 @@ def test_usage_error_names_its_flag(capsys, message, args):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
+def test_benchmark_orderings_that_disagree_exit_1(capsys, monkeypatch):
+    # "nd"'s values are shifted, so the probe's cross-check names the pair
+    solve = cli.solve_dynamics
+
+    def shifted(model, state, spec, ordering):
+        res = solve(model, state, spec, ordering)
+        if ordering != "nd":
+            return res
+        return dataclasses.replace(res, values={k: v + 1e-6 for k, v in res.values.items()})
+
+    monkeypatch.setattr(cli, "solve_dynamics", shifted)
+    code, out, err = run(capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",
+                         "--orderings", "md,nd", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: orderings 'md' and 'nd' disagree by 1.0")
+    assert len(err.splitlines()) == 1
 
 
 def test_benchmark_zero_trials_is_a_usage_error(capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dyngraph.errors import RankDeficient, UnsupportedTopology
+from dyngraph import oracle
+from dyngraph.errors import RankDeficient, SingularMass, UnsupportedTopology
 from dyngraph.fgraph import FactorGraph, Kind, LinearFactor, VarKey, solve
 from dyngraph.oracle import (
     dense_solve,
@@ -39,6 +40,18 @@ I_PIVOT = I_COM + M * L * L
 ])
 def test_wrong_length_names_the_quantity(three_r, match, call):
     with pytest.raises(ValueError, match=match):
+        call(three_r, JointState(np.zeros(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, st: forward_accel(m, st, np.zeros(3)), id="forward"),
+    pytest.param(lambda m, st: hybrid_three_pass(m, st, ProblemSpec.forward(m, np.zeros(3))),
+                 id="hybrid"),
+])
+def test_mass_matrix_without_cholesky_factor_raises_singular_mass(three_r, monkeypatch,
+                                                                  call):
+    monkeypatch.setattr(oracle, "mass_matrix", lambda model, state: np.zeros((3, 3)))
+    with pytest.raises(SingularMass):
         call(three_r, JointState(np.zeros(3), np.zeros(3)))
 
 

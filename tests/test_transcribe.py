@@ -159,6 +159,15 @@ class TestInputValidation:
                      id="designations-list"),
         pytest.param("designations", lambda m: ProblemSpec(designations=(GivenAccel(1 + 2j),)),
                      id="designations-complex"),
+        pytest.param("accelerations", lambda m: ProblemSpec.inverse(m, ["a", 0, 0]),
+                     id="factory-text"),
+        pytest.param("torques", lambda m: ProblemSpec.forward(m, object()), id="factory-object"),
+        pytest.param("torques", lambda m: ProblemSpec.forward(m, {"j1": 0.0}),
+                     id="factory-dict"),
+        pytest.param("torques", lambda m: ProblemSpec.forward(m, [0, 0, 1j]),
+                     id="factory-complex"),
+        pytest.param("accelerations", lambda m: ProblemSpec.inverse(m, [0, 10**400, 0]),
+                     id="factory-overflow"),
     ])
     def test_non_finite_input_names_field(self, three_r, field, make):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b.*finite"):
@@ -524,13 +533,48 @@ class TestFiveBar:
         planar = [f for f in unary if f.blocks[f5].shape[0] == 3]
         assert len(planar) == 1
 
-    def test_auto_orders_loop_wrench_last(self, five_bar, five_bar_kin):
-        # plain min-degree eliminates F5 mid-sequence; "auto" defers it
+    def test_auto_is_md_on_a_loop(self, five_bar, five_bar_kin):
+        # "auto" is a plain alias of minimum degree, loop or not
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
         g = build_graph(five_bar, st, self.forward_spec(five_bar))
+        assert fgraph.plan_for(g, "auto") is fgraph.plan_for(g, "md")
+
+    def test_eliminate_takes_auto(self, five_bar, five_bar_kin):
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        g = build_graph(five_bar, st, self.forward_spec(five_bar))
+        want = dense_solve(g)
+        x = back_substitute(eliminate(g, "auto"))
+        for key, v in want.items():
+            np.testing.assert_allclose(x[key], v, rtol=0, atol=1e-9)
+
+    def test_auto_then_md_leaves_one_template(self, five_bar, five_bar_kin):
+        five_bar.solve_templates.clear()
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        spec = self.forward_spec(five_bar)
+        auto = solve_dynamics(five_bar, st, spec, "auto")
+        md = solve_dynamics(five_bar, st, spec, "md")
+        assert len(five_bar.solve_templates) == 1
+        assert auto.dag.plan is md.dag.plan
+
+    def test_underdetermined_loop_names_f5_under_every_ordering(self, five_bar,
+                                                                 five_bar_kin):
+        # with no planar factor the loop wrench's out-of-plane part is free;
+        # the gate names the last variable a near-null vector touches, so
+        # the error does not depend on the ordering
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
         f5 = VarKey(Kind.WRENCH, 5)
-        assert resolve_ordering(g, "md", five_bar)[-1] != f5
-        assert resolve_ordering(g, "auto", five_bar)[-1] == f5
+        cases = [(ProblemSpec.forward(five_bar, np.array([0.5, -0.3])),
+                  ("auto", "md", "nd", "crba", "aba")),
+                 (ProblemSpec.hybrid(five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}}),
+                  ("auto", "md", "nd"))]
+        for spec, orderings in cases:
+            seen = set()
+            for ordering in orderings:
+                with pytest.raises(RankDeficient) as err:
+                    solve_dynamics(five_bar, st, spec, ordering)
+                assert err.value.key == f5
+                seen.add(err.value.keys)
+            assert len(seen) == 1 and f5 in seen.pop()
 
     def test_forward_accels_satisfy_closure(self, five_bar, five_bar_kin):
         # solved accelerations must be differentiations of the loop closure
@@ -898,7 +942,7 @@ class TestPlanMemo:
         variants = [
             ({"j1": {"torque": 0.7}, "j3": {"accel": -0.4}}, False, planar, "auto"),
             (base[0], True, planar, "auto"),
-            (base[0], False, planar, "md"),
+            (base[0], False, planar, "nd"),
             (base[0], False, (), "auto"),
         ]
         def problem(mapping, prior, loops, ordering):
@@ -922,10 +966,10 @@ class TestPlanMemo:
                 (before.graph.structure, before.ordering)
             assert_same_solution(res, *fresh_solution(five_bar, st, vspec, vordering))
 
-    def test_one_plan_per_request(self, three_r, five_bar, five_bar_kin, fresh_plans):
-        # on a tree "auto" is "md" with nothing deferred; the plan is filed
-        # under the request and under its own key sequence, which a key
-        # sequence request, given as VarKeys or as text, finds again
+    def test_one_plan_per_request(self, three_r, fresh_plans):
+        # "auto" is "md"; the plan is filed under the request and under its
+        # own key sequence, which a key sequence request, given as VarKeys or
+        # as text, finds again
         st = JointState(np.full(3, 0.2), np.full(3, 0.1))
         graph = build_graph(three_r, st, ProblemSpec.forward(three_r, np.zeros(3)))
         keys = resolve_ordering(graph, "auto", three_r)
@@ -936,13 +980,6 @@ class TestPlanMemo:
         assert fgraph.plan_for(graph, [str(k) for k in keys]) is plan
         assert eliminate(graph, keys).plan is plan
         assert len(fgraph._plans) == 2
-        # on a loop, "auto" defers the loop wrench and gets its own entry
-        loop = build_graph(five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2),
-                           ProblemSpec.forward(five_bar, np.zeros(2),
-                                               planar_loops={"j5": (0.0, 0.0, 1.0)}))
-        f5 = VarKey(Kind.WRENCH, 5)
-        assert fgraph.plan_for(loop, "md", (f5,)).ordering[-1] == f5
-        assert fgraph.plan_for(loop, "md", (f5,)) is not fgraph.plan_for(loop, "md")
 
     def test_memo_stays_bounded(self, fresh_plans):
         model = chain_model(10)
@@ -1311,8 +1348,7 @@ class TestSolveTemplate:
             model.solve_templates.clear()
             compiled = solve_dynamics(model, st, spec).dag.plan
             fgraph._plans.clear()
-            deferred = tuple(VarKey(Kind.WRENCH, l.index) for l in model.loop_joints)
-            public = fgraph.plan_for(build_graph(model, st, spec), "md", deferred)
+            public = fgraph.plan_for(build_graph(model, st, spec), "md")
             assert compiled is not public
             assert compiled.ordering == public.ordering and compiled.slices == public.slices
             assert compiled[2:5] == public[2:5] and compiled.buffer_size == public.buffer_size
