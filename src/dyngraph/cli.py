@@ -182,7 +182,10 @@ def cmd_benchmark(args) -> str:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    names = [t.strip() for t in args.orderings.split(",") if t.strip()]
+    names = [t.strip() for t in args.orderings.split(",")]
+    # a custom ordering takes every key after it, so it comes last
+    custom = next((i for i, t in enumerate(names) if t.startswith("custom:")), len(names))
+    names = [t for t in names[:custom] + [",".join(names[custom:])] if t]
     if not names:
         raise ValueError("--orderings is empty")
     for i, name in enumerate(names):
@@ -258,7 +261,8 @@ def main(argv=None) -> int:
     p.add_argument("--mixed", default=None)
     p.add_argument("--gravity", default="0 0 -9.81")
     p.add_argument("--orderings", required=True,
-                   help="comma list, e.g. rnea,md,nd")
+                   help="comma list, e.g. rnea,md,nd; a custom:<comma-keys> item "
+                        "takes every key after it, so it must come last")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

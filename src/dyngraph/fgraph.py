@@ -19,10 +19,11 @@ flat solution vector with a slice per variable, the assembly map (where
 each entry of `flat` goes in one flat buffer that holds every front's
 stack, column-major), where each front hands its product and where its R
 rows are gathered from.
-`plan_for` is the one way from an ordering request to a plan, memoised by
-the structure, so graphs that differ only in their numbers share it. The
-numeric phase runs on one buffer of that layout per solve (`scatter` fills
-one from `flat`, `transcribe` from a template): per front one QR in place
+`plan_for` is the one way from an ordering request to a plan. It plans on
+every call; graphs that differ only in their numbers can share one plan,
+and `transcribe.solve_dynamics` keeps one per problem shape. The numeric
+phase runs on one buffer of that layout per solve (`scatter` fills one
+from `flat`, `transcribe` from a template): per front one QR in place
 in the buffer and one gathered copy of its product into the consumer's
 slot. The fronts' R rows then go into one upper triangular system over the
 flat vector, `size` x (`size` + 1) floats with the rhs last, which is the
@@ -40,13 +41,12 @@ only on the null space they leave.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from enum import IntEnum
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
 from numbers import Real
 from operator import or_
-from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
@@ -619,27 +619,8 @@ def plan_elimination(graph: FactorGraph, groups=None) -> EliminationPlan:
                            system)
 
 
-class BoundedMemo(OrderedDict):
-    """A map that keeps the `size` keys added last. `get` is the map's own,
-    one lookup that reorders nothing; `put` adds keys and drops the oldest."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-        self.lock = Lock()
-
-    def put(self, value, *keys):
-        # locked: two unlocked puts could each pop one over-full map until it
-        # is empty. popitem(last=False) drops a key without hashing it again
-        with self.lock:
-            for key in keys:
-                self[key] = value
-            while len(self) > self.size:
-                self.popitem(last=False)
-
-
 def ordering_request(ordering):
-    """An ordering request as `plan_for` keys it: a scheme name in lower
+    """An ordering request as `plan_for` reads it: a scheme name in lower
     case ("auto" is "md"), or a tuple of VarKeys parsed from VarKeys or
     their text (e.g. "qdd1"). ValueError names a request that is neither,
     or its first bad item."""
@@ -658,33 +639,21 @@ def ordering_request(ordering):
     return tuple(request)
 
 
-_PLAN_MEMO_SIZE = 64
-_plans = BoundedMemo(_PLAN_MEMO_SIZE)
-
-
 def plan_for(graph: FactorGraph, ordering) -> EliminationPlan:
     """The plan for an ordering request (see `ordering_request`). "md" is
     minimum degree; "nd" is minimum degree inside `nested_dissection_groups`;
     any other name or a key sequence is the fixed ordering of
-    `classic_ordering`. The plan is memoised under (structure, request) and
-    under its own key sequence, so eliminating with the ordering it resolved
-    to reuses it; the memo keeps the _PLAN_MEMO_SIZE keys put last, whatever
-    was read since (see `BoundedMemo`).
+    `classic_ordering`. Each call plans afresh; `transcribe.solve_dynamics`
+    keeps the plan of each problem shape in its model's solve templates.
     """
-    structure, request = graph.structure, ordering_request(ordering)
-    key = (structure, request)
-    hit = _plans.get(key)
-    if hit is not None:
-        return hit
+    request = ordering_request(ordering)
     if request == "md":
         groups = None
     elif request == "nd":
         groups = nested_dissection_groups(graph)
     else:
         groups = [(v,) for v in classic_ordering(graph, request)]
-    plan = plan_elimination(graph, groups)
-    _plans.put(plan, key, (structure, plan.ordering))
-    return plan
+    return plan_elimination(graph, groups)
 
 
 def scatter(plan: EliminationPlan, flat: np.ndarray) -> np.ndarray:
@@ -730,15 +699,16 @@ def _hard_residual(plan: EliminationPlan, flat: np.ndarray, x: np.ndarray) -> fl
 def eliminate(graph: FactorGraph, ordering) -> EliminationDag:
     """Eliminate every variable under the plan for `ordering`, producing a DAG.
 
-    `ordering` is any request `plan_for` takes, usually a key sequence. The
-    graph's `flat` listing is scattered into the buffer the plan lays out,
-    weighted, so each front's stack holds its input row blocks in the plan's
-    columns. Every front's stack is orthogonally reduced, in place in the
-    buffer and in plan order: each variable's block rows, kept as they are
-    (`[R_ff | R_fp | d]`), are its conditional, and the rows below become a
-    factor over the last step's parents, copied into the slot of the stack
-    that consumes it. No row is cut: a front's R row with no coefficient
-    only holds a right-hand side, which goes to `leftover`.
+    `ordering` is any request `plan_for` takes, usually a key sequence, and
+    is planned afresh on each call. The graph's `flat` listing is scattered
+    into the buffer the plan lays out, weighted, so each front's stack holds
+    its input row blocks in the plan's columns. Every front's stack is
+    orthogonally reduced, in place in the buffer and in plan order: each
+    variable's block rows, kept as they are (`[R_ff | R_fp | d]`), are its
+    conditional, and the rows below become a factor over the last step's
+    parents, copied into the slot of the stack that consumes it. No row is
+    cut: a front's R row with no coefficient only holds a right-hand side,
+    which goes to `leftover`.
 
     Rank is decided once, on the whole R: the gate raises RankDeficient
     when LAPACK `dtrcon`'s estimate of its reciprocal 1-norm condition

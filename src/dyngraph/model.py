@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GraphError, InvalidInertia, MalformedDescription
-from .fgraph import BoundedMemo
 from .spatial import (
     Pose,
     ScrewAxis,
@@ -139,6 +140,24 @@ def _unit(v, what: str) -> np.ndarray:
     return v / n
 
 
+class BoundedMemo(OrderedDict):
+    """A map that keeps the `size` keys added last. `get` is the map's own,
+    one lookup that reorders nothing; `put` adds a key and drops the oldest."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.lock = Lock()
+
+    def put(self, key, value):
+        # locked: two unlocked puts could each pop one over-full map until it
+        # is empty. popitem(last=False) drops a key without hashing it again
+        with self.lock:
+            self[key] = value
+            while len(self) > self.size:
+                self.popitem(last=False)
+
+
 class RobotModel:
     """Validated link/joint structure.
 
@@ -149,8 +168,10 @@ class RobotModel:
     needs of each joint, derived here once. Transcription keeps two things
     beside the model, neither holding state of any solve: `factor_pieces`,
     every factor its problems can have (listed on the first
-    transcription), and `solve_templates`, the last `_SOLVE_TEMPLATES`
-    problem shapes `transcribe.solve_dynamics` compiled, kept for reuse.
+    transcription), and `solve_templates`, a `BoundedMemo` of the last
+    `_SOLVE_TEMPLATES` problem shapes `transcribe.solve_dynamics` compiled,
+    kept for reuse. It is the only cache of plans: `fgraph.plan_for` makes
+    one per call.
     """
 
     def __init__(self, links, joints):

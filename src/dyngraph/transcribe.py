@@ -571,8 +571,9 @@ class DynamicsResult:
 
 
 def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
-    """The VarKey list `fgraph.plan_for` resolves an ordering request to.
-    `model` is not read; it stays for callers that pass it."""
+    """The VarKey list `fgraph.plan_for` resolves an ordering request to,
+    planned afresh. `model` is not read; it stays only for existing callers
+    that pass it."""
     return list(plan_for(graph, ordering).ordering)
 
 
@@ -627,7 +628,7 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     tpl = model.solve_templates.get(key)
     if tpl is None:
         tpl = _compile(model, spec, request)
-        model.solve_templates.put(tpl, key)
+        model.solve_templates.put(key, tpl)
     terms = _state_terms(model, kin, spec, tpl.listing)[tpl.listing.src]
     graph, data = tpl.listing.graph(terms), tpl.base.copy()
     data[tpl.dest] = terms

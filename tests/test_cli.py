@@ -259,6 +259,22 @@ class TestBenchmark:
 
         assert snapshot() == snapshot()
 
+    def test_custom_ordering_takes_the_keys_after_it(self, capsys):
+        keys = "tau3,tau2,tau1,F1,F2,F3,Vd1,Vd2,Vd3"
+        code, out, _ = run(
+            capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",
+            "--orderings", f"md,custom:{keys}", "--trials", "2",
+        )
+        assert code == 0
+        rows = [l.split() for l in out.splitlines()[1:] if l.strip()]
+        assert [r[0] for r in rows] == ["md", f"custom:{keys}"]
+        code, out, _ = run(
+            capsys, "solve", "--urdf", THREE_R, "--type", "inverse",
+            "--q", "0,0,0", "--qdd", "0,0,0", "--ordering", f"custom:{keys}",
+        )
+        assert code == 0
+        assert int(rows[1][1]) == json.loads(out)["edgeCount"]
+
 
     def test_hybrid_random_problems(self, capsys):
         mixed = json.dumps({"j1": {"accel": 0.0}, "j2": {"torque": 0.0},

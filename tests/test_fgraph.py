@@ -1239,7 +1239,6 @@ class TestTree21:
         spec = ProblemSpec.hybrid(tree21, {
             name: {"accel" if a else "torque": x}
             for name, a, x in zip(names, rng.random(21) < 0.5, rng.uniform(-1, 1, 21))})
-        fgraph._plans.clear()
         tree21.solve_templates.clear()
         res = solve_dynamics(tree21, random_state(rng, 21), spec)
         assert made == []

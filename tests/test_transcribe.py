@@ -1,8 +1,10 @@
 """Graph construction from robot state: twists, factors, loops, priors."""
 
+import gc
 import re
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -537,7 +539,9 @@ class TestFiveBar:
         # "auto" is a plain alias of minimum degree, loop or not
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
         g = build_graph(five_bar, st, self.forward_spec(five_bar))
-        assert fgraph.plan_for(g, "auto") is fgraph.plan_for(g, "md")
+        auto, md = fgraph.plan_for(g, "auto"), fgraph.plan_for(g, "md")
+        assert auto.ordering == md.ordering
+        assert_same_tables(auto, md)
 
     def test_eliminate_takes_auto(self, five_bar, five_bar_kin):
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -863,18 +867,9 @@ def chain_model(n):
     return parse_urdf(f'<robot name="chain">{links}{joints}</robot>')
 
 
-@pytest.fixture
-def fresh_plans():
-    """Empty plan memo before and after the test."""
-    fgraph._plans.clear()
-    yield
-    fgraph._plans.clear()
-
-
 def fresh_solution(model, state, spec, ordering):
-    """The public pipeline with no memoised plan: ordering, plan and
-    elimination all computed afresh."""
-    fgraph._plans.clear()
+    """The public pipeline: ordering, plan and elimination all computed
+    afresh."""
     graph = build_graph(model, state, spec)
     dag = eliminate(graph, resolve_ordering(graph, ordering, model))
     return dag, back_substitute(dag)
@@ -921,7 +916,7 @@ class TestPlanMemo:
         return [random_state(rng, len(model.movable_joints)) for _ in range(count)]
 
     def test_memoised_solve_matches_fresh_pipeline(self, three_r, six_r, five_bar,
-                                                   five_bar_kin, fresh_plans):
+                                                   five_bar_kin):
         rng = np.random.default_rng(404)
         for model, make_spec, orderings in fixture_cases(three_r, six_r, five_bar,
                                                          five_bar_kin):
@@ -932,8 +927,7 @@ class TestPlanMemo:
                 res = solve_dynamics(model, st, spec, ordering)
                 assert_same_solution(res, *fresh_solution(model, st, spec, ordering))
 
-    def test_changed_structure_input_gets_its_own_plan(self, five_bar, five_bar_kin,
-                                                       fresh_plans):
+    def test_changed_structure_input_gets_its_own_plan(self, five_bar, five_bar_kin):
         # each variant changes one input that fixes the structure; solved
         # right after the base filled the memo, it must match a fresh solve
         st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
@@ -952,7 +946,6 @@ class TestPlanMemo:
         spec, ordering = problem(*base)
         before = solve_dynamics(five_bar, st, spec, ordering)
         for variant in variants:
-            fgraph._plans.clear()
             solve_dynamics(five_bar, st, spec, ordering)
             vspec, vordering = problem(*variant)
             if not variant[2]:
@@ -966,33 +959,35 @@ class TestPlanMemo:
                 (before.graph.structure, before.ordering)
             assert_same_solution(res, *fresh_solution(five_bar, st, vspec, vordering))
 
-    def test_one_plan_per_request(self, three_r, fresh_plans):
-        # "auto" is "md"; the plan is filed under the request and under its
-        # own key sequence, which a key sequence request, given as VarKeys or
-        # as text, finds again
+    def test_one_plan_per_request(self, three_r):
+        # "auto" is "md", and the key sequence it resolves to, given as
+        # VarKeys or as text, plans the same plan again
         st = JointState(np.full(3, 0.2), np.full(3, 0.1))
         graph = build_graph(three_r, st, ProblemSpec.forward(three_r, np.zeros(3)))
         keys = resolve_ordering(graph, "auto", three_r)
         plan = fgraph.plan_for(graph, "md")
-        assert len(fgraph._plans) == 2
-        assert resolve_ordering(graph, "MD", three_r) == keys
-        assert fgraph.plan_for(graph, keys) is plan
-        assert fgraph.plan_for(graph, [str(k) for k in keys]) is plan
-        assert eliminate(graph, keys).plan is plan
-        assert len(fgraph._plans) == 2
+        assert resolve_ordering(graph, "MD", three_r) == keys == list(plan.ordering)
+        for again in (fgraph.plan_for(graph, keys),
+                      fgraph.plan_for(graph, [str(k) for k in keys]),
+                      eliminate(graph, keys).plan):
+            assert again.ordering == plan.ordering
+            assert_same_tables(again, plan)
 
-    def test_memo_stays_bounded(self, fresh_plans):
-        model = chain_model(10)
-        st = JointState(np.full(10, 0.3), np.full(10, -0.2))
-        for pattern in range(1000):
-            spec = ProblemSpec.hybrid(model, {
-                f"j{i + 1}": GivenAccel(0.1) if pattern >> i & 1 else GivenTorque(0.1)
-                for i in range(10)})
-            resolve_ordering(build_graph(model, st, spec), "auto", model)
-            assert len(fgraph._plans) <= fgraph._PLAN_MEMO_SIZE
+    def test_no_plan_outlives_its_last_user(self, five_bar, five_bar_kin):
+        # the model's solve templates are the only cache of plans: once the
+        # result and the templates let go of a plan, its tables are freed
+        st = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        spec = ProblemSpec.forward(five_bar, np.array([0.5, -0.3]),
+                                   planar_loops={"j5": (0.0, 0.0, 1.0)})
+        res = solve_dynamics(five_bar, st, spec)
+        system = weakref.ref(res.dag.plan.system)
+        del res
+        five_bar.solve_templates.clear()
+        gc.collect()
+        assert system() is None
 
     def test_rank_deficient_names_loop_wrench_on_every_solve(self, five_bar,
-                                                             five_bar_kin, fresh_plans):
+                                                             five_bar_kin):
         # the first solve makes the plan, the second reuses it; the loop
         # wrench's rows are there but say nothing of its out-of-plane part,
         # so the gate names it, as the arbiter does
@@ -1084,7 +1079,7 @@ class TestCompiledSolve:
     plan's buffer; it must give what the public pipeline gives."""
 
     def test_matches_public_pipeline(self, pendulum, three_r, six_r, five_bar,
-                                     five_bar_kin, fresh_plans):
+                                     five_bar_kin):
         rng = np.random.default_rng(909)
         errors = 0
         for model, make_state, make_spec, orderings in compiled_cases(
@@ -1112,7 +1107,7 @@ class TestCompiledSolve:
         # the classic schemes that do not fit a problem fail the same way
         assert errors > 0
 
-    def test_threads_sharing_one_plan_give_serial_answers(self, six_r, fresh_plans):
+    def test_threads_sharing_one_plan_give_serial_answers(self, six_r):
         rng = np.random.default_rng(910)
         problems = [(random_state(rng, 6), ProblemSpec.inverse(six_r, rng.uniform(-1, 1, 6)))
                     for _ in range(400)]
@@ -1143,8 +1138,7 @@ class TestCompiledSolve:
             assert res.torques == want.torques
             assert res.residual_max == want.residual_max
 
-    def test_threads_sharing_a_tree_plan_give_serial_answers_bit_for_bit(self, tree21,
-                                                                        fresh_plans):
+    def test_threads_sharing_a_tree_plan_give_serial_answers_bit_for_bit(self, tree21):
         # the tree's md plan under the prior has products and rows that die
         # on the way; two threads sharing it must match the serial solves
         rng = np.random.default_rng(2121)
@@ -1327,8 +1321,7 @@ class TestSolveTemplate:
                 for f, g in zip(hit.graph.factors, graph.factors):
                     np.testing.assert_array_equal(f.ab, g.ab)
 
-    def test_compiled_plan_equals_public_plan(self, tree21, five_bar, five_bar_kin,
-                                              fresh_plans):
+    def test_compiled_plan_equals_public_plan(self, tree21, five_bar, five_bar_kin):
         # solve_dynamics plans the structure it picks from the model's pieces,
         # the public path the built graph's factors: the plans must be equal
         rng = np.random.default_rng(1515)
@@ -1344,10 +1337,8 @@ class TestSolveTemplate:
                                                     min_torque_prior=prior, **planar))
                   for prior in (False, True)]
         for model, st, spec in cases:
-            fgraph._plans.clear()
             model.solve_templates.clear()
             compiled = solve_dynamics(model, st, spec).dag.plan
-            fgraph._plans.clear()
             public = fgraph.plan_for(build_graph(model, st, spec), "md")
             assert compiled is not public
             assert compiled.ordering == public.ordering and compiled.slices == public.slices
@@ -1381,13 +1372,12 @@ class TestSolveTemplate:
             assert len(memo) <= memo.size
         assert len(memo) == memo.size
 
-    def test_a_hit_leaves_the_eviction_order(self, fresh_plans):
-        # both memos read with the map's own get, which reorders nothing, so
+    def test_a_hit_leaves_the_eviction_order(self):
+        # the memo reads with the map's own get, which reorders nothing, so
         # the oldest shape stays the next one dropped however often it is hit
         model = chain_model(10)
         memo = model.solve_templates
-        for m in (memo, fgraph._plans):
-            assert type(m).get is OrderedDict.get
+        assert type(memo).get is OrderedDict.get
         st = JointState(np.full(10, 0.3), np.full(10, -0.2))
         specs = [ProblemSpec.hybrid(model, {
             f"j{i + 1}": GivenAccel(0.1) if pattern >> i & 1 else GivenTorque(0.1)
