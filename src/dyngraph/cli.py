@@ -64,7 +64,8 @@ def _problem_flags(p: argparse.ArgumentParser):
                    help="external tool wrench, CSV of 6 (moment; force)")
     p.add_argument("--planar-loop", action="append", default=[],
                    metavar="JOINT:NX NY NZ",
-                   help='planar loop joint and its plane normal, e.g. "j5:0 0 1"')
+                   help='planar loop joint and its plane normal, e.g. "j5:0 0 1"; '
+                        'each joint at most once')
     p.add_argument("--min-torque-prior", action="store_true",
                    help="add weak zero-torque priors on unknown torques")
 
@@ -94,12 +95,12 @@ def _make_spec(model, args) -> ProblemSpec:
     }
     if args.tool_wrench:
         kw["tool_wrench"] = _csv(args.tool_wrench, "--tool-wrench")
-    planar = {}
+    planar = []   # a loop named twice is the spec's error
     for entry in args.planar_loop:
         name, _, rest = entry.partition(":")
         if not rest:
             raise ValueError(f"--planar-loop: expected JOINT:NX NY NZ, got {entry!r}")
-        planar[name] = _vec(rest, 3, "--planar-loop normal")
+        planar.append((name, _vec(rest, 3, "--planar-loop normal")))
     kw["planar_loops"] = planar
     if args.type == "inverse":
         if args.qdd is None:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 from time import perf_counter
 from types import SimpleNamespace
@@ -41,6 +42,7 @@ from .model import RobotModel
 from .spatial import Pose, ad_product, ad_transpose_product, big_adjoint, skew
 
 _LOOP_TOL = 1e-6
+_DEFAULT_ZERO6 = (0.0,) * 6   # default base_accel and tool_wrench, read as _ZERO6
 
 
 def _finite(value, what: str, n: int | None = None) -> np.ndarray:
@@ -48,7 +50,7 @@ def _finite(value, what: str, n: int | None = None) -> np.ndarray:
     reshaped to (n,) when `n` is given. The ValueError for a wrong size, a
     non-number or a non-finite entry names `what`."""
     try:
-        a = np.atleast_1d(np.array(value, dtype=float))
+        a = np.array(value, dtype=float, ndmin=1)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be finite numbers, got {value!r}") from None
     if n is not None:
@@ -99,21 +101,23 @@ class ProblemSpec:
     order. Unactuated joints (including loop joints) move freely, so the
     factories designate them GivenTorque(0). `base_accel` (in the base
     frame) and `tool_wrench` (in the tool link's URDF frame; nonzero only
-    on a model with a single tool link) are 6-vectors (angular; linear).
-    `planar_loops` maps loop joint names to plane normals expressed in the
-    base body frame. Every value must be finite.
+    on a model with a single tool link) are 6-vectors (angular; linear);
+    left out, each is one read-only zero array shared by every spec.
+    `planar_loops` maps loop joint names, each named once, to plane normals
+    expressed in the base body frame. Every value must be finite.
     """
 
     designations: tuple
-    base_accel: np.ndarray = (0.0,) * 6
-    tool_wrench: np.ndarray = (0.0,) * 6
+    base_accel: np.ndarray = _DEFAULT_ZERO6
+    tool_wrench: np.ndarray = _DEFAULT_ZERO6
     gravity: np.ndarray = (0.0, 0.0, -9.81)
     min_torque_prior: bool = False
     planar_loops: tuple = ()
 
     def __post_init__(self):
         for what, n in (("gravity", 3), ("base_accel", 6), ("tool_wrench", 6)):
-            object.__setattr__(self, what, _finite(getattr(self, what), what, n))
+            v = getattr(self, what)
+            object.__setattr__(self, what, _ZERO6 if v is _DEFAULT_ZERO6 else _finite(v, what, n))
         if not isinstance(self.min_torque_prior, (bool, np.bool_)):
             raise ValueError(f"min_torque_prior must be a bool, got {self.min_torque_prior!r}")
         object.__setattr__(self, "min_torque_prior", bool(self.min_torque_prior))
@@ -127,14 +131,21 @@ class ProblemSpec:
                 raise ValueError(f"designations[{i}] must be GivenAccel or "
                                  f"GivenTorque, got {d!r}")
             # an exact comparison, so NaN and ints too large for a float fail
-            if not (isinstance(d.value, Real) and abs(d.value) <= sys.float_info.max):
+            v = d.value
+            if not ((type(v) is float or isinstance(v, Real)) and abs(v) <= sys.float_info.max):
                 raise ValueError(f"designations[{i}].value must be a finite real "
-                                 f"number, got {d.value!r}")
+                                 f"number, got {v!r}")
+        given = self.planar_loops
         try:
-            planar = dict(self.planar_loops)
+            pairs = tuple(given.items() if isinstance(given, Mapping) else given)
+            planar = dict(pairs)
         except (TypeError, ValueError):
             raise ValueError(f"planar_loops must map loop joint names to normals, "
-                             f"got {self.planar_loops!r}") from None
+                             f"got {given!r}") from None
+        if len(planar) < len(pairs):
+            names = [name for name, _ in pairs]
+            twice = next(name for name in planar if names.count(name) > 1)
+            raise ValueError(f"planar loop {twice} is named more than once")
         loops = []
         for name, normal in planar.items():
             n = _finite(normal, f"planar loop {name} normal", 3)
@@ -331,13 +342,15 @@ _EYE1 = np.ones(1)
 _NEG_EYE1 = -_EYE1
 _ZERO1 = np.zeros(1)
 _ZERO3 = np.zeros(3)
+_ZERO6 = np.zeros(6)
 _EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
 _SKEW = np.stack([skew(e) for e in np.eye(3)]).reshape(3, 9)   # p @ _SKEW is skew(p)
 # the sources of state terms (see `_state_terms`), and one row of each as zeros
 _NEG_AD, _AD_T, _ACCEL_RHS, _BALANCE_RHS, _GIVEN, _PLANAR = range(6)
 _ROW_ZEROS = tuple(map(np.zeros, (36, 36, 6, 6, 1, 18)))
-for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _EYE3, _EYE4, _SKEW, *_ROW_ZEROS):
+for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6, _EYE3, _EYE4, _SKEW,
+           *_ROW_ZEROS):
     _a.setflags(write=False)
 
 
@@ -550,24 +563,46 @@ class DynamicsResult:
     """Solved dynamics at one state: per-joint and per-link quantities,
     plus the graph and DAG they came from. `graph` is the same graph as
     `build_graph(model, state, spec)`, a listing whose factors are made
-    only when first read.
+    only when first read. So are `values` (per variable a view into the
+    flat solution), `twists`, `link_accels` and `wrenches`: a solve builds
+    none of them, and the first read of each costs what building it did.
     Build time covers kinematics, finding the shape's template (compiling
     it, ordering included, on a shape's first solve), the state terms and
     filling the listing and the buffer; solve time covers elimination,
     back-substitution and the hard-row residual check."""
 
-    values: dict
     torques: dict
     accels: dict
-    twists: dict
-    link_accels: dict
-    wrenches: dict
     graph: FactorGraph
     dag: object
     ordering: tuple
     residual_max: float
     build_micros: float = 0.0
     solve_micros: float = 0.0
+    # (model, spec, flat solution, twist array): what the fields below read
+    _solved: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def values(self) -> dict:
+        x, slices = self._solved[2], self.dag.plan.slices
+        return dict(zip(slices, map(x.__getitem__, slices.values())))
+
+    @cached_property
+    def twists(self) -> dict:
+        model, _, _, twists = self._solved
+        return dict(zip(model.topo_order, twists))
+
+    @cached_property
+    def link_accels(self) -> dict:
+        model, spec, _, _ = self._solved
+        values, out = self.values, {model.base: spec.base_accel}
+        out.update((name, values[k]) for name, k in model.factor_pieces.links)
+        return out
+
+    @cached_property
+    def wrenches(self) -> dict:
+        values = self.values
+        return {name: values[k] for name, k in self._solved[0].factor_pieces.wrenches}
 
 
 def resolve_ordering(graph: FactorGraph, ordering, model: RobotModel) -> list:
@@ -637,24 +672,18 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     residual = _hard_residual(tpl.plan, graph.flat, x)
     t2 = perf_counter()
 
-    pc, given = model.factor_pieces, [d.value for d in spec.designations]
-    torques, accels = dict(zip(pc.names, given)), dict(zip(pc.names, given))
+    names, given = model.factor_pieces.names, [d.value for d in spec.designations]
+    torques, accels = dict(zip(names, given)), dict(zip(names, given))
     for out, (solved, at) in ((torques, tpl.torques), (accels, tpl.accels)):
         out.update(zip(solved, x[at].tolist()))
-    values = dict(zip(tpl.plan.slices, map(x.__getitem__, tpl.plan.slices.values())))
-    link_accels = {model.base: spec.base_accel}
-    link_accels.update((name, values[k]) for name, k in pc.links)
     return DynamicsResult(
-        values=values,
         torques=torques,
         accels=accels,
-        twists=dict(zip(model.topo_order, kin[1])),
-        link_accels=link_accels,
-        wrenches={name: values[k] for name, k in pc.wrenches},
         graph=graph,
         dag=dag,
         ordering=tpl.plan.ordering,
         residual_max=residual,
         build_micros=(t1 - t0) * 1e6,
         solve_micros=(t2 - t1) * 1e6,
+        _solved=(model, spec, x, kin[1]),
     )

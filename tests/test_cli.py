@@ -1,6 +1,5 @@
 """Command-line interface: solve, benchmark, export, describe, exit codes."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -339,6 +338,9 @@ USAGE_ERROR = {
                                                    "--qd", "0,0,0,0"]),
     "planar-loop-colon": ("--planar-loop: expected JOINT:NX NY NZ", [
         *INVERSE, "--qdd", "0,0,0", "--planar-loop", "j5 0 0 1"]),
+    "planar-loop-twice": ("planar loop j5 is named more than once", [
+        "solve", "--urdf", FIVE_BAR, "--type", "forward", *FIVE_BAR_STATE, "--tau", "1.0,0.5",
+        "--planar-loop", "j5:0 0 1", "--planar-loop", "j5:1 0 0"]),
     "missing-qdd": ("--type inverse requires --qdd", INVERSE),
     "missing-tau": ("--type forward requires --tau", ["solve", "--urdf", THREE_R,
                                                       "--type", "forward"]),
@@ -371,7 +373,9 @@ def test_benchmark_orderings_that_disagree_exit_1(capsys, monkeypatch):
         res = solve(model, state, spec, ordering)
         if ordering != "nd":
             return res
-        return dataclasses.replace(res, values={k: v + 1e-6 for k, v in res.values.items()})
+        # `values` is made on first read, so the shifted dict takes its place
+        object.__setattr__(res, "values", {k: v + 1e-6 for k, v in res.values.items()})
+        return res
 
     monkeypatch.setattr(cli, "solve_dynamics", shifted)
     code, out, err = run(capsys, "benchmark", "--urdf", THREE_R, "--type", "inverse",

@@ -6,6 +6,8 @@ import sys
 import threading
 import weakref
 from collections import OrderedDict
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +206,48 @@ class TestInputValidation:
     def test_malformed_planar_loops_names_field(self, three_r):
         with pytest.raises(ValueError, match=r"^planar_loops must map"):
             ProblemSpec.forward(three_r, np.zeros(3), planar_loops=[1, 2])
+
+    def test_planar_loop_named_twice_names_the_loop(self, five_bar):
+        # a mapping cannot repeat a key, so only a sequence of pairs can
+        # name a loop twice; no normal may be dropped silently
+        with pytest.raises(ValueError, match=r"^planar loop j5 is named more than once"):
+            ProblemSpec.forward(five_bar, np.zeros(2),
+                                planar_loops=[("j5", (0, 0, 1)), ("j5", (1, 0, 0))])
+        for once in ([("j5", (0, 0, 2))], {"j5": (0, 0, 2)}):
+            (name, normal), = ProblemSpec.forward(five_bar, np.zeros(2),
+                                                  planar_loops=once).planar_loops
+            assert name == "j5" and normal.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("value", [
+        0.5, 2, True, np.float64(0.5), np.int64(2), Fraction(1, 3),
+        # comparing it with the largest float casts that to float32 and warns
+        pytest.param(np.float32(0.5), marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered in cast:RuntimeWarning"))])
+    def test_real_designation_values_accepted(self, value):
+        spec = ProblemSpec(designations=(GivenAccel(value), GivenTorque(value)))
+        assert [d.value for d in spec.designations] == [value, value]
+
+    @pytest.mark.parametrize("value", [
+        NAN, INF, -INF, 10**400, Decimal("1"), "1.0", None, 1j])
+    def test_other_designation_values_rejected(self, value):
+        message = f"designations[1].value must be a finite real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemSpec(designations=(GivenTorque(0.0), GivenAccel(value)))
+
+    def test_default_vectors_are_one_read_only_zero_array(self, three_r):
+        spec = ProblemSpec.inverse(three_r, np.zeros(3))
+        assert spec.base_accel is spec.tool_wrench
+        assert spec.base_accel is ProblemSpec.forward(three_r, np.zeros(3)).base_accel
+        for vector in (spec.base_accel, spec.tool_wrench):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+        assert spec.base_accel.tolist() == [0.0] * 6
+        for zeros in ((0.0,) * 6, [0.0] * 6, np.zeros(6), [0] * 6):
+            given = ProblemSpec.inverse(three_r, np.zeros(3), base_accel=zeros,
+                                        tool_wrench=zeros)
+            for vector in (given.base_accel, given.tool_wrench):
+                assert vector is not spec.base_accel and not vector.flags.writeable
+                assert vector.dtype == float and np.array_equal(vector, spec.base_accel)
 
     def test_short_base_accel_names_field(self, three_r):
         with pytest.raises(ValueError, match=r"^base_accel must have 6 entries"):
@@ -644,6 +688,67 @@ class TestSolveDynamics:
         assert res.residual_max < 1e-8
         assert len(res.ordering) == len(res.graph.variables)
         assert res.solve_micros > 0 and res.build_micros > 0
+
+    @staticmethod
+    def lazy_cases(three_r, six_r, five_bar, five_bar_kin, tree21):
+        """(model, state, spec): inverse, forward, a loop's hybrid with the
+        prior and a tree's hybrid split."""
+        rng = np.random.default_rng(28)
+        yield three_r, random_state(rng, 3), ProblemSpec.inverse(three_r, rng.uniform(-1, 1, 3))
+        yield six_r, random_state(rng, 6), ProblemSpec.forward(six_r, rng.uniform(-1, 1, 6))
+        yield five_bar, five_bar_kin.state(1.9, 1.2, 0.3, -0.2), ProblemSpec.hybrid(
+            five_bar, {"j1": {"accel": 0.7}, "j3": {"accel": -0.4}}, min_torque_prior=True,
+            base_accel=rng.uniform(-1, 1, 6), planar_loops={"j5": (0.0, 0.0, 1.0)})
+        names = [j.name for j in tree21.movable_joints]
+        yield tree21, random_state(rng, 21), ProblemSpec.hybrid(tree21, {
+            name: {"accel" if a else "torque": x}
+            for name, a, x in zip(names, rng.random(21) < 0.5, rng.uniform(-1, 1, 21))})
+
+    def test_fields_made_on_first_read(self, three_r, six_r, five_bar, five_bar_kin, tree21):
+        # values, twists, link_accels and wrenches are made from what the
+        # result keeps, after the solve, and are what the solve's own
+        # dag, kinematics and model give; the link and joint entries are
+        # the same views as the values
+        for model, state, spec in self.lazy_cases(three_r, six_r, five_bar, five_bar_kin,
+                                                  tree21):
+            res = solve_dynamics(model, state, spec)
+            model.solve_templates.clear()
+            values = back_substitute(res.dag)
+            assert list(res.values) == list(values)
+            for k, v in values.items():
+                assert np.array_equal(res.values[k], v)
+            twists = compute_twists(model, state)
+            assert list(res.twists) == list(twists)
+            for name, v in twists.items():
+                assert np.array_equal(res.twists[name], v)
+            assert res.link_accels[model.base] is spec.base_accel
+            links = [(l.name, VarKey(Kind.ACCEL, l.index)) for l in model.links if l.index]
+            assert list(res.link_accels) == [model.base] + [name for name, _ in links]
+            for name, k in links:
+                assert res.link_accels[name] is res.values[k]
+            assert list(res.wrenches) == [j.name for j in model.joints]
+            for j in model.joints:
+                assert res.wrenches[j.name] is res.values[VarKey(Kind.WRENCH, j.index)]
+            for field in ("values", "twists", "link_accels", "wrenches"):
+                assert type(getattr(res, field)) is dict
+                assert getattr(res, field) is getattr(res, field)
+
+    def test_fields_survive_a_later_solve(self, three_r, six_r, five_bar, five_bar_kin,
+                                          tree21):
+        # the triangular system is one spare that every solve of its size
+        # takes, so a result's solution must not be a view of it
+        for model, state, spec in self.lazy_cases(three_r, six_r, five_bar, five_bar_kin,
+                                                  tree21):
+            first = solve_dynamics(model, state, spec)
+            solved = {k: v.copy() for k, v in back_substitute(first.dag).items()}
+            other = JointState(state.q + 0.01, state.qd)
+            if model is five_bar:
+                other = five_bar_kin.state(1.8, 1.1, -0.1, 0.2)
+            second = solve_dynamics(model, other, spec)
+            assert not np.array_equal(second.values[first.ordering[0]],
+                                      solved[first.ordering[0]])
+            for k, v in solved.items():
+                assert np.array_equal(first.values[k], v)
 
     def test_result_carries_the_gate_estimate(self, six_r):
         # the condition gate's estimate rides on the DAG: on six_r's
