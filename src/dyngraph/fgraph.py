@@ -90,9 +90,11 @@ class VarKey(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "VarKey":
-        for tag in sorted(_TAG_KIND, key=len, reverse=True):
-            if text.startswith(tag) and text[len(tag):].isdigit():
-                return cls(_TAG_KIND[tag], int(text[len(tag):]))
+        """The key that prints as `text`; ValueError for any other text."""
+        for tag, kind in _TAG_KIND.items():
+            digits = text[len(tag):]
+            if text.startswith(tag) and digits.isdecimal() and str(int(digits)) == digits:
+                return cls(kind, int(digits))
         raise ValueError(f"cannot parse variable key {text!r}")
 
 
@@ -237,12 +239,22 @@ class FactorGraph:
 
     def residual_max(self, values: dict) -> float:
         """Largest absolute residual over the weight-1 factors, read from the
-        listing: no factor is made."""
+        listing: no factor is made. ValueError naming a variable that
+        `values` lacks or holds in a shape other than (dim,)."""
         hard = [np.concatenate(list(blocks.values()), axis=1) @ np.concatenate(
-            [values[k] for k in blocks]) - rhs for (blocks, rhs), (_, _, weight) in zip(
+            [_value(values, k) for k in blocks]) - rhs for (blocks, rhs), (_, _, weight) in zip(
                 self._blocks(), self.structure) if weight == 1.0]
         r = np.concatenate(hard) if hard else np.empty(0)
         return float(np.abs(r).max()) if r.size else 0.0
+
+
+def _value(values, key: VarKey):
+    """`values[key]`, which must be a vector of `key.dim` entries."""
+    x = values.get(key)
+    if np.shape(x) != (key.dim,):
+        raise ValueError(f"values[{key}] must have shape ({key.dim},), got "
+                         + ("no value" if x is None else f"shape {np.shape(x)}"))
+    return x
 
 
 class Conditional(NamedTuple):

@@ -20,11 +20,12 @@ from .errors import RankDeficient, SingularMass, UnsupportedTopology
 from .fgraph import FactorGraph
 from .model import RobotModel
 from .spatial import big_adjoint, little_adjoint
-from .transcribe import GivenAccel, GivenTorque, JointState, ProblemSpec
+from .transcribe import (GivenAccel, GivenTorque, JointState, ProblemSpec, _check_tool_wrench,
+                         _finite)
 
 
-def _as6(w) -> np.ndarray:
-    return np.zeros(6) if w is None else np.asarray(w, dtype=float).reshape(6)
+def _as6(w, what: str) -> np.ndarray:
+    return np.zeros(6) if w is None else _finite(w, what, 6)
 
 
 def _check_tree(model: RobotModel):
@@ -40,13 +41,13 @@ def rnea_full(model: RobotModel, state: JointState, qdd,
     Outward pass propagates twists and accelerations from the base, inward
     pass accumulates wrenches from the leaves; torques are the screw-axis
     projections of the wrenches. `qdd` has one entry per movable joint in
-    declaration order. A nonzero `tool_wrench` needs a model with a single
-    tool link (ValueError otherwise, as for `ProblemSpec`). Returns torques
-    plus all intermediate quantities.
+    declaration order. Inputs must be finite, and a nonzero `tool_wrench`
+    needs a single tool link (ValueError otherwise, as for `ProblemSpec`).
+    Returns torques plus all intermediate quantities.
     """
     _check_tree(model)
     movable = model.movable_joints
-    qdd = np.atleast_1d(np.asarray(qdd, dtype=float))
+    qdd = _finite(qdd, "qdd")
     if qdd.shape != (len(movable),):
         raise ValueError(f"expected {len(movable)} joint accelerations")
     if state.q.shape != (len(movable),):
@@ -54,14 +55,12 @@ def rnea_full(model: RobotModel, state: JointState, qdd,
     q = {j.name: float(a) for j, a in zip(movable, state.q)}
     qd = {j.name: float(r) for j, r in zip(movable, state.qd)}
     acc_of = {j.name: a for j, a in zip(movable, qdd)}
-    gravity = np.asarray(gravity, dtype=float).reshape(3)
-    ft = _as6(tool_wrench)
-    if model.tool_link is None and np.any(ft):
-        raise ValueError(f"tool_wrench must be zero: the model has no single tool "
-                         f"link to apply {ft} to")
+    gravity = _finite(gravity, "gravity", 3)
+    ft = _as6(tool_wrench, "tool_wrench")
+    _check_tool_wrench(model, ft)
 
     twist = {model.base: np.zeros(6)}
-    accel = {model.base: _as6(base_accel)}
+    accel = {model.base: _as6(base_accel, "base_accel")}
     rot = {model.base: np.eye(3)}
     for name in model.topo_order[1:]:
         j = model.parent_joint[name]
@@ -128,7 +127,7 @@ def forward_accel(model: RobotModel, state: JointState, tau,
     where the bias is the zero-acceleration torque vector."""
     _check_tree(model)
     n = len(model.movable_joints)
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    tau = _finite(tau, "tau")
     if tau.shape != (n,):
         raise ValueError(f"expected {n} torques")
     bias = rnea_torques(model, state, np.zeros(n), gravity, tool_wrench, base_accel)

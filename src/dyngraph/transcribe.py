@@ -14,9 +14,9 @@ the gravity wrench and, for the tool link, the external tool wrench. A
 planar loop additionally gets a unary factor zeroing the wrench components
 a planar mechanism cannot transmit.
 
-Which factors a problem has depends only on its shape (what is known, the
-prior, the planar loops, whether a tool wrench acts). Every factor a
-model's problems can have is listed once per model, each part a constant
+Which factors a problem has depends only on its shape (`_shape`: what is
+known, the prior, the planar loops); the tool wrench is data. Every factor
+a model's problems can have is listed once per model, each part a constant
 or a state term computed per solve for all joints or links at once, and a
 shape picks its factors from that list. `solve_dynamics` compiles each
 shape and ordering once into a template: the plan, a buffer holding the
@@ -228,10 +228,14 @@ class ProblemSpec:
         if len(self.designations) != len(movable):
             raise ValueError(f"spec has {len(self.designations)} designations "
                              f"for {len(movable)} movable joints")
-        if model.tool_link is None and np.any(self.tool_wrench):
-            raise ValueError(f"tool_wrench must be zero: the model has no single tool "
-                             f"link to apply {self.tool_wrench} to")
+        _check_tool_wrench(model, self.tool_wrench)
         return {j.name: d for j, d in zip(movable, self.designations)}
+
+
+def _check_tool_wrench(model: RobotModel, wrench):
+    if model.tool_link is None and np.any(wrench):
+        raise ValueError(f"tool_wrench must be zero: the model has no single tool "
+                         f"link to apply {wrench} to")
 
 
 def _kinematics(model: RobotModel, state: JointState) -> tuple:
@@ -354,14 +358,19 @@ for _a in (_EYE6, _NEG_EYE6, _EYE1, _NEG_EYE1, _ZERO1, _ZERO3, _ZERO6, _EYE3, _E
     _a.setflags(write=False)
 
 
+def _shape(spec: ProblemSpec) -> tuple:
+    """All a template is built from: the accel-given mask, prior, sorted planar loops."""
+    return (tuple(isinstance(d, GivenAccel) for d in spec.designations),
+            spec.min_torque_prior, tuple(sorted(name for name, _ in spec.planar_loops)))
+
+
 class _Listing(SimpleNamespace):
     """One problem shape's factors as a `FactorGraph` lists them
     (`structure`, `labels`, and `flat` with zeros where a state term goes),
     and per state term entry its state vector index (`src`) and place in
     `flat` (`at`); `graph(values)` is its graph with those entries. For
     `_state_terms`: the sweep rows whose acceleration is given
-    (`accel_given`), the tool wrench's `topo_order` row (`tool_row`, -1:
-    none) and each planar loop's position among the loop joints."""
+    (`accel_given`)."""
 
     def graph(self, values: np.ndarray) -> FactorGraph:
         flat = self.flat.copy()
@@ -374,9 +383,10 @@ class _Pieces(SimpleNamespace):
     `structure` and `labels` entries, its parts flattened in `flat` from
     `start`, `size` long, and `cond`, the flag of `_transcribe` that takes
     it; per state term, `term` (piece, start in the state vector, offset in
-    the piece, width); `planar` maps loop joint names to their pieces. What
-    `solve_dynamics` sorts a result by: the movable joints' `names`, and
-    (name, variable) per link acceleration (`links`) and joint `wrenches`."""
+    the piece, width); the tool link's `topo_order` row and Ad(com)^T
+    (`tool`, empty: no single tool link). What `solve_dynamics` sorts a
+    result by: the movable joints' `names`, and (name, variable) per link
+    acceleration (`links`) and joint `wrenches`."""
 
 
 def _list_pieces(model: RobotModel) -> _Pieces:
@@ -389,9 +399,9 @@ def _list_pieces(model: RobotModel) -> _Pieces:
     topo = {name: row for row, name in enumerate(model.topo_order)}
     slot = {j.name: m for m, j in enumerate(model.movable_joints)}
     # flags: per movable joint its acceleration given, its torque given and
-    # the prior on it; then these
+    # the prior on it; per loop joint its planar factor; then one always set
     n = len(slot)
-    tool, no_tool, always, never = range(3 * n, 3 * n + 4)
+    always = 3 * n + len(model.loop_joints)
     # where each source of state terms starts in the state vector
     counts = (len(sweep),) * 3 + (len(topo), n, len(model.loop_joints))
     first = np.cumsum([0] + [k * len(z) for k, z in zip(counts, _ROW_ZEROS)]).tolist()
@@ -452,10 +462,8 @@ def _list_pieces(model: RobotModel) -> _Pieces:
         blocks = balance[link.name]
         if link.inertia is not None:
             blocks[VarKey(Kind.ACCEL, link.index)] = link.inertia.matrix().ravel()
-        rhs, name = (_BALANCE_RHS, topo[link.name]), f"balance[{link.name}]"
-        if link.name == model.tool_link:
-            add(tool, blocks, rhs, name, ("Ft",))
-        add(no_tool if link.name == model.tool_link else always, blocks, rhs, name)
+        add(always, blocks, (_BALANCE_RHS, topo[link.name]), f"balance[{link.name}]",
+            ("Ft",) if link.name == model.tool_link else ())
 
     # torque factor per movable joint: A' F - tau = 0; the soft prior
     # pulls an unknown torque towards zero
@@ -467,55 +475,52 @@ def _list_pieces(model: RobotModel) -> _Pieces:
         add(2 * n + m, {VarKey(Kind.TORQUE, j.index): _EYE1}, _ZERO1, f"prior[{j.name}]",
             weight=1e-3)
     for i, l in enumerate(model.loop_joints):
-        add(never, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
+        add(3 * n + i, {VarKey(Kind.WRENCH, l.index): (_PLANAR, i)}, _ZERO3, f"planar[{l.name}]")
 
     size = np.array(sizes, dtype=np.intp)
+    tool = () if model.tool_link is None else (
+        topo[model.tool_link], big_adjoint(model.link_map[model.tool_link].com_offset).T)
     pieces = _Pieces(
         names=tuple(slot), links=tuple((l.name, VarKey(Kind.ACCEL, l.index))
                                        for l in model.links if l.index > 0),
         wrenches=tuple((j.name, VarKey(Kind.WRENCH, j.index)) for j in model.joints),
         structure=structure, labels=labels, cond=np.array(conds, dtype=np.intp),
         flat=np.concatenate(parts) if parts else np.zeros(0), start=np.cumsum(size) - size,
-        size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4),
-        planar={l.name: len(conds) - len(model.loop_joints) + i
-                for i, l in enumerate(model.loop_joints)})
-    for a in (pieces.cond, pieces.flat, pieces.start, pieces.size, pieces.term):
+        size=size, term=np.array(terms, dtype=np.intp).reshape(-1, 4), tool=tool)
+    for a in (pieces.cond, pieces.flat, pieces.start, pieces.size, pieces.term, *tool[1:]):
         a.setflags(write=False)
     return pieces
 
 
-def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
-    """The listing of the shape of `spec`, picked from the model's pieces
-    (listed on its first transcription). ValueError for a spec that does
-    not fit the model or names a planar loop that is no loop joint."""
-    spec.by_joint(model)
+def _transcribe(model: RobotModel, shape: tuple) -> _Listing:
+    """The listing of a `_shape`, picked from the model's pieces (listed on
+    its first transcription). ValueError for a shape that does not fit the
+    model's movable joints or names a planar loop that is no loop joint."""
+    given, prior, planar = shape
+    if len(given) != len(model.movable_joints):
+        raise ValueError(f"spec has {len(given)} designations "
+                         f"for {len(model.movable_joints)} movable joints")
     pc = model.factor_pieces
     if pc is None:
         pc = model.factor_pieces = _list_pieces(model)
-    planar = [name for name, _ in spec.planar_loops]
-    if not set(planar) <= set(pc.planar):
-        raise ValueError(f"planar factors name non-loop joints: "
-                         f"{sorted(set(planar) - set(pc.planar))}")
-    given = np.array([isinstance(d, GivenAccel) for d in spec.designations], dtype=np.intp)
-    tool = int(np.any(spec.tool_wrench))
-    # the flags of `_list_pieces`, in its order; planar pieces follow the spec
-    flags = np.concatenate((given, 1 - given, given * spec.min_torque_prior,
-                            (tool, 1 - tool, 1, 0)))
-    picked = np.concatenate((np.flatnonzero(flags[pc.cond]),
-                             np.array([pc.planar[name] for name in planar], dtype=np.intp)))
+    loops = [l.name for l in model.loop_joints]
+    if stray := [name for name in planar if name not in loops]:
+        raise ValueError(f"planar factors name non-loop joints: {stray}")
+    given = np.array(given, dtype=np.intp)
+    # the flags of `_list_pieces`, in its order
+    flags = np.concatenate((given, 1 - given, given * prior,
+                            (*[name in planar for name in loops], 1)))
+    picked = np.flatnonzero(flags[pc.cond])
     sizes = pc.size[picked]
     start = np.full(len(pc.size), -1)
     start[picked] = np.cumsum(sizes) - sizes
     piece, src, offset, width = pc.term[start[pc.term[:, 0]] >= 0].T
-    loops = list(pc.planar)
     listing = _Listing(
         structure=tuple(map(pc.structure.__getitem__, picked.tolist())),
         labels=tuple(map(pc.labels.__getitem__, picked.tolist())),
         flat=pc.flat[_runs(pc.start[picked], sizes)],
         src=_runs(src, width), at=_runs(start[piece] + offset, width),
-        accel_given=np.append(given, 0)[model.joint_constants.slots] > 0,
-        tool_row=model.topo_order.index(model.tool_link) if tool else -1,
-        planar=tuple(map(loops.index, planar)))
+        accel_given=np.append(given, 0)[model.joint_constants.slots] > 0)
     for a in (listing.flat, listing.src, listing.at, listing.accel_given):
         a.setflags(write=False)
     return listing
@@ -524,10 +529,10 @@ def _transcribe(model: RobotModel, spec: ProblemSpec) -> _Listing:
 def _state_terms(model: RobotModel, kin, spec: ProblemSpec, listing: _Listing) -> np.ndarray:
     """The state vector: each source of state terms flattened, computed for all
     joints or links at once by the scalar expressions, in the order, of a
-    factor-by-factor transcription. Per joint -Ad, Ad^T, and the
-    acceleration bias [V_child, A qd] with the base acceleration and given
-    A qdd folded in; per link the balance bias ad_V^T G V plus gravity,
-    less the tool wrench; the given values; per loop its planar rows."""
+    factor-by-factor transcription. Per joint -Ad, Ad^T, and the acceleration
+    bias [V_child, A qd] with the base acceleration and given A qdd folded in;
+    per link the balance bias ad_V^T G V plus gravity, less the tool wrench
+    (ValueError with no tool link); the given values; per loop its planar rows."""
     frames, twists, ad, motion = kin
     c = model.joint_constants
     given = np.array([d.value for d in spec.designations], dtype=float)
@@ -540,21 +545,23 @@ def _state_terms(model: RobotModel, kin, spec: ProblemSpec, listing: _Listing) -
     accel[rows] += c.screws[rows] * given[c.slots[rows], None]
     bal = ad_transpose_product(twists, (c.inertias @ twists[:, :, None])[:, :, 0])
     bal[:, 3:] += c.masses[:, None] * (frames[:, :, :3] @ spec.gravity)
-    if listing.tool_row >= 0:
-        com = model.link_map[model.tool_link].com_offset
-        bal[listing.tool_row] = bal[listing.tool_row] - big_adjoint(com).T @ spec.tool_wrench
+    if spec.tool_wrench.any():   # a zero one would leave every value as it is
+        _check_tool_wrench(model, spec.tool_wrench)
+        row, ad_t = model.factor_pieces.tool
+        bal[row] = bal[row] - ad_t @ spec.tool_wrench
     # loop joints close the sweep order, so loop i is sweep joint i - loops
-    loops = len(model.loop_joints)
-    planar = np.zeros((loops, 3, 6))
-    for i, (_, normal) in zip(listing.planar, spec.planar_loops):
-        planar[i] = _planar_rows(frames[c.children[i - loops]][:, :3] @ normal)
+    loops, normals = model.loop_joints, dict(spec.planar_loops)
+    planar = np.zeros((len(loops), 3, 6))
+    for i, l in enumerate(loops):
+        if l.name in normals:
+            planar[i] = _planar_rows(frames[c.children[i - len(loops)]][:, :3] @ normals[l.name])
     return np.concatenate((-ad, ad.transpose(0, 2, 1), accel, bal, given, planar), axis=None)
 
 
 def build_graph(model: RobotModel, state: JointState, spec: ProblemSpec) -> FactorGraph:
     """Factor graph of the dynamics constraints at one state."""
     kin = _kinematics(model, state)
-    listing = _transcribe(model, spec)
+    listing = _transcribe(model, _shape(spec))
     return listing.graph(_state_terms(model, kin, spec, listing)[listing.src])
 
 
@@ -619,22 +626,20 @@ class _Template(SimpleNamespace):
     and `accels`."""
 
 
-def _compile(model: RobotModel, spec: ProblemSpec, request) -> _Template:
-    """The template of the shape of `spec` under an ordering request. State
-    terms sit in weight-1 factors only (the prior rows are constant), so
-    weighting the base weights every soft entry."""
-    listing = _transcribe(model, spec)
+def _compile(model: RobotModel, shape: tuple, request) -> _Template:
+    """The template of a `_shape` under an ordering request, made from the
+    shape alone. State terms sit in weight-1 factors only (the prior rows
+    are constant), so weighting the base weights every soft entry."""
+    listing = _transcribe(model, shape)
     plan = plan_for(FactorGraph.listed(listing.structure, listing.labels, listing.flat), request)
 
-    def solved(kind, joints):
+    def solved(kind, accel_given):
+        joints = [j for j, g in zip(model.movable_joints, shape[0]) if g == accel_given]
         return (tuple(j.name for j in joints),
-                np.array([plan.slices[VarKey(kind, j.index)].start for j in joints],
-                         dtype=np.intp))
-    des = tuple(zip(model.movable_joints, spec.designations))
+                np.array([plan.slices[VarKey(kind, j.index)].start for j in joints], np.intp))
     tpl = _Template(
         listing=listing, plan=plan, base=scatter(plan, listing.flat), dest=plan.dest[listing.at],
-        torques=solved(Kind.TORQUE, [j for j, d in des if isinstance(d, GivenAccel)]),
-        accels=solved(Kind.JOINT_ACCEL, [j for j, d in des if isinstance(d, GivenTorque)]))
+        torques=solved(Kind.TORQUE, True), accels=solved(Kind.JOINT_ACCEL, False))
     for a in (tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1]):
         a.setflags(write=False)
     return tpl
@@ -645,24 +650,21 @@ def solve_dynamics(model: RobotModel, state: JointState, spec: ProblemSpec,
     """Transcribe the dynamics at one state, eliminate, back-substitute, and
     sort the solution into named per-joint / per-link quantities.
 
-    The first solve of a problem shape compiles its template; each solve
-    copies the template's buffer and puts its state terms in it and in a
-    copy of the shape's listing, the result's `graph`. No LinearFactor is
-    made unless that graph's factors are read. `ordering` is any request
-    `fgraph.plan_for` takes; the default "auto" is minimum degree ("md").
-    An underdetermined graph, such as a loop with no planar factor, raises
-    RankDeficient naming the same variable under every ordering.
+    The first solve of a `_shape` and ordering compiles its template from
+    the shape alone; each solve copies the template's buffer and puts its
+    state terms in it and in a copy of the shape's listing, the result's
+    `graph`. No LinearFactor is made unless that graph's factors are read.
+    `ordering` is any request `fgraph.plan_for` takes; the default "auto"
+    is minimum degree ("md"). An underdetermined graph, such as a loop with
+    no planar factor, raises RankDeficient naming the same variable under
+    every ordering.
     """
     t0 = perf_counter()
     kin = _kinematics(model, state)
-    # the shape: no number in it can change a plan
-    request = ordering_request(ordering)
-    key = (tuple(isinstance(d, GivenAccel) for d in spec.designations),
-           spec.min_torque_prior, tuple(name for name, _ in spec.planar_loops),
-           bool(spec.tool_wrench.any()), request)
+    key = (_shape(spec), ordering_request(ordering))
     tpl = model.solve_templates.get(key)
     if tpl is None:
-        tpl = _compile(model, spec, request)
+        tpl = _compile(model, *key)
         model.solve_templates.put(key, tpl)
     terms = _state_terms(model, kin, spec, tpl.listing)[tpl.listing.src]
     graph, data = tpl.listing.graph(terms), tpl.base.copy()

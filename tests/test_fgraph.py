@@ -43,6 +43,20 @@ from conftest import assert_same_tables, random_state
 @pytest.mark.parametrize("error,match,make", [
     pytest.param(ValueError, r"^cannot parse variable key 'x1'",
                  lambda g: VarKey.parse("x1"), id="key-text"),
+    # only text that a key prints parses: no leading zero, no digit other
+    # than 0-9, and no int() message of its own
+    pytest.param(ValueError, r"^cannot parse variable key 'qdd01'",
+                 lambda g: VarKey.parse("qdd01"), id="key-leading-zero"),
+    pytest.param(ValueError, r"^cannot parse variable key 'F\u0663'",
+                 lambda g: VarKey.parse("F\u0663"), id="key-arabic-indic-digit"),
+    pytest.param(ValueError, r"^cannot parse variable key 'tau\u00b2'",
+                 lambda g: VarKey.parse("tau\u00b2"), id="key-superscript-digit"),
+    pytest.param(ValueError, r"^values\[tau1\] must have shape \(1,\), got no value",
+                 lambda g: g.residual_max({k: np.zeros(k.dim) for k in g.variables
+                                           if str(k) != "tau1"}), id="residual-missing-value"),
+    pytest.param(ValueError, r"^values\[F3\] must have shape \(6,\), got shape \(6, 1\)",
+                 lambda g: g.residual_max({k: np.zeros((k.dim, 1) if str(k) == "F3" else k.dim)
+                                           for k in g.variables}), id="residual-value-shape"),
     pytest.param(ValueError, r"^factor 'f' has no variable blocks",
                  lambda g: LinearFactor({}, [0.0], name="f"), id="factor-no-blocks"),
     pytest.param(ValueError, r"^factor 'f': block for qdd1 has shape \(2, 2\), expected \(2, 1\)",

@@ -43,6 +43,30 @@ def test_wrong_length_names_the_quantity(three_r, match, call):
         call(three_r, JointState(np.zeros(3), np.zeros(3)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("oracle_fn", [rnea_full, rnea_torques, forward_accel])
+@pytest.mark.parametrize("match,vector,kw", [
+    pytest.param(r"^gravity must be finite, got \[ 0\.  0\. nan\]", np.zeros(3),
+                 {"gravity": [0.0, 0.0, NAN]}, id="gravity"),
+    pytest.param(r"^tool_wrench must be finite", np.zeros(3),
+                 {"tool_wrench": [0.0, 0.0, 0.0, 0.0, 0.0, NAN]}, id="tool-wrench-nan"),
+    pytest.param(r"^tool_wrench must be finite", np.zeros(3),
+                 {"tool_wrench": [INF, 0.0, 0.0, 0.0, 0.0, 0.0]}, id="tool-wrench-inf"),
+    pytest.param(r"^base_accel must be finite", np.zeros(3),
+                 {"base_accel": [0.0, NAN, 0.0, 0.0, 0.0, 0.0]}, id="base-accel"),
+    pytest.param(r"^VECTOR must be finite, got \[ 0\. nan  0\.\]", [0.0, NAN, 0.0], {},
+                 id="qdd-or-tau"),
+])
+def test_non_finite_input_names_the_field(three_r, oracle_fn, match, vector, kw):
+    # as ProblemSpec does: never a NaN answer, a RuntimeWarning or scipy's
+    # own message. VECTOR is the oracle's third argument
+    match = match.replace("VECTOR", "tau" if oracle_fn is forward_accel else "qdd")
+    with pytest.raises(ValueError, match=match):
+        oracle_fn(three_r, JointState(np.zeros(3), np.zeros(3)), vector, **kw)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda m, st: forward_accel(m, st, np.zeros(3)), id="forward"),
     pytest.param(lambda m, st: hybrid_three_pass(m, st, ProblemSpec.forward(m, np.zeros(3))),

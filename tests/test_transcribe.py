@@ -1,5 +1,6 @@
 """Graph construction from robot state: twists, factors, loops, priors."""
 
+import dataclasses
 import gc
 import re
 import sys
@@ -24,7 +25,7 @@ from dyngraph.fgraph import (
     export_dot,
     scatter,
 )
-from dyngraph.model import Joint, parse_urdf
+from dyngraph.model import Joint, RobotModel, parse_urdf
 from dyngraph.oracle import dense_solve, forward_accel, rnea_full, rnea_torques
 from dyngraph.spatial import Pose, big_adjoint
 from dyngraph.transcribe import (
@@ -1508,7 +1509,7 @@ class TestSolveTemplate:
         listing, pieces = tpl.listing, six_r.factor_pieces
         arrays = [tpl.base, tpl.dest, tpl.torques[1], tpl.accels[1], listing.flat,
                   listing.src, listing.at, listing.accel_given, pieces.cond, pieces.flat,
-                  pieces.start, pieces.size, pieces.term]
+                  pieces.start, pieces.size, pieces.term, pieces.tool[1]]
         assert all(not a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             tpl.base[0] = 1.0
@@ -1559,3 +1560,57 @@ class TestSolveTemplate:
             for k, v in want.values.items():
                 np.testing.assert_array_equal(res.values[k], v)
             assert res.residual_max == want.residual_max
+
+
+class TestOneShape:
+    """A template is compiled from the problem's shape alone: which joints
+    have their acceleration given, the prior and the set of planar loops.
+    The tool wrench is data, and planar loops may be named in any order."""
+
+    def test_zero_and_nonzero_tool_wrench_share_one_template(self, six_r):
+        rng = np.random.default_rng(3001)
+        st, qdd, wrench = random_state(rng, 6), rng.uniform(-1, 1, 6), rng.uniform(-2, 2, 6)
+        six_r.solve_templates.clear()
+        solve_dynamics(six_r, st, ProblemSpec.inverse(six_r, qdd, gravity=GRAVITY_Y))
+        pushed = ProblemSpec.inverse(six_r, qdd, gravity=GRAVITY_Y, tool_wrench=wrench)
+        hit = solve_dynamics(six_r, st, pushed)
+        assert len(six_r.solve_templates) == 1
+        six_r.solve_templates.clear()
+        miss = solve_dynamics(six_r, st, pushed)
+        assert hit.dag.plan is not miss.dag.plan
+        assert hit.torques == miss.torques and hit.residual_max == miss.residual_max
+        assert hit.graph.flat.tobytes() == miss.graph.flat.tobytes()
+        for k, v in miss.values.items():
+            assert hit.values[k].tobytes() == v.tobytes()
+        ref = rnea_torques(six_r, st, qdd, gravity=GRAVITY_Y, tool_wrench=wrench)
+        np.testing.assert_allclose([hit.torques[j.name] for j in six_r.movable_joints], ref,
+                                   rtol=0, atol=1e-9)
+
+    def test_planar_loops_in_either_order_share_one_template(self, five_bar, five_bar_kin):
+        # a second loop joint copied from j5 closes wherever j5 does; the two
+        # loops then split one wrench in any proportion, so both namings
+        # raise the same RankDeficient, from one template
+        j5 = next(j for j in five_bar.joints if j.name == "j5")
+        model = RobotModel(five_bar.links, [*five_bar.joints, dataclasses.replace(j5, name="j6")])
+        closed = five_bar_kin.state(1.9, 1.2, 0.3, -0.2)
+        st = JointState(np.append(closed.q, closed.q[4]), np.append(closed.qd, closed.qd[4]))
+        errors = []
+        for loops in ({"j5": (0, 0, 1), "j6": (0, 0, 1)}, {"j6": (0, 0, 1), "j5": (0, 0, 1)}):
+            with pytest.raises(RankDeficient) as err:
+                solve_dynamics(model, st, ProblemSpec.forward(model, [0.5, -0.3],
+                                                              planar_loops=loops))
+            errors.append((str(err.value), err.value.keys))
+        assert len(model.solve_templates) == 1
+        assert errors[0] == errors[1]
+        assert errors[0][1][-1] == VarKey(Kind.WRENCH, 6)
+
+    def test_tool_balance_always_lists_the_tool_wrench(self, three_r):
+        # the tool wrench is folded into the tool link's balance whatever its
+        # value, as the base acceleration is into the base-side factors
+        st = JointState(np.array([0.3, -0.4, 0.8]), np.zeros(3))
+        for wrench in (np.zeros(6), np.ones(6)):
+            labels = dict(build_graph(three_r, st, ProblemSpec.inverse(
+                three_r, np.zeros(3), tool_wrench=wrench)).labels)
+            assert labels[f"balance[{three_r.tool_link}]"] == ("Ft",)
+            assert [name for name, knowns in labels.items() if "Ft" in knowns] == \
+                [f"balance[{three_r.tool_link}]"]

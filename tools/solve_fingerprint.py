@@ -7,9 +7,17 @@ versions of `dyngraph` can be shown to give bit-identical answers.
 
 The grid is the first 40 seed-7 requests of each perfbench workload, each
 solved under the request's own ordering ("own") and under auto, md, nd,
-crba, aba and rnea: 40 x 7 x 4 = 1,120 cells. `dyngraph` is imported from
-PYTHONPATH, so one copy of this script fingerprints any checkout; the
-requests come from this repository's perfbench/workloads.py, read only.
+crba, aba and rnea: 40 x 7 x 4 = 1,120 cells. No workload sets a tool
+wrench or a base acceleration, so a seeded grid of fixture cells follows:
+three_r, six_r and fixed_bracket, each with a nonzero tool wrench, a zero
+one and a nonzero base acceleration, each as an inverse, a forward and a
+hybrid problem (every other movable joint, from the first, given its
+acceleration), two seeded states each, solved under auto, md, nd and the
+classic schemes that apply (rnea; crba and aba): 3 x 3 x 2 x (4 + 5 + 3) =
+216 cells.
+`dyngraph` is imported from PYTHONPATH, so one copy of this script
+fingerprints any checkout; the requests come from this repository's
+perfbench/workloads.py and the models from tests/fixtures, read only.
 
 Each cell is one JSON line. A solve that raises gives the error type and
 message. Otherwise the cell holds a sha256 over the values, torques and
@@ -38,6 +46,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("arm6_control", "tree21_orderings", "tree21_hybrid", "fivebar_loop")
 ORDERINGS = ("own", "auto", "md", "nd", "crba", "aba", "rnea")
 SEED, REQUESTS = 7, 40
+FIXTURES = ("three_r", "six_r", "fixed_bracket")
+BOUNDARIES = ("tool", "zero_tool", "base_accel")
+PROBLEMS = {"inverse": ("rnea",), "forward": ("crba", "aba"), "hybrid": ()}
+DRAWS = 2
 
 
 def _digest(res) -> str:
@@ -54,6 +66,47 @@ def _digest(res) -> str:
     return h.hexdigest()
 
 
+def _cell(out, dyngraph, where, model, make, ordering) -> None:
+    """Solve `make()`'s (state, spec) under `ordering` and write its cell,
+    keyed by `where`: (workload, request, ordering label)."""
+    cell = dict(zip(("workload", "request", "ordering"), where))
+    try:
+        res = dyngraph.solve_dynamics(model, *make(), ordering)
+    except Exception as err:  # noqa: BLE001 -- every failure is part of the print
+        cell.update(error=type(err).__name__, message=str(err))
+    else:
+        cell.update(sha256=_digest(res), rcond=float(res.dag.rcond))
+    out.write(json.dumps(cell) + "\n")
+
+
+def _fixture_cells(out, dyngraph) -> None:
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    for name in FIXTURES:
+        model = dyngraph.parse_urdf((ROOT / "tests" / "fixtures" / f"{name}.urdf").read_text())
+        names = [j.name for j in model.movable_joints]
+        n = len(names)
+        for boundary in BOUNDARIES:
+            for problem, classic in PROBLEMS.items():
+                for draw in range(DRAWS):
+                    state = dyngraph.JointState(rng.uniform(-np.pi, np.pi, n),
+                                                rng.uniform(-1, 1, n))
+                    given, wrench = rng.uniform(-1, 1, n), rng.uniform(-1, 1, 6)
+                    kw = {"tool": {"tool_wrench": wrench},
+                          "zero_tool": {"tool_wrench": np.zeros(6)},
+                          "base_accel": {"base_accel": wrench}}[boundary]
+                    if problem == "hybrid":
+                        mapping = {j: {"torque" if k % 2 else "accel": float(x)}
+                                   for k, (j, x) in enumerate(zip(names, given))}
+                        spec = dyngraph.ProblemSpec.hybrid(model, mapping, **kw)
+                    else:
+                        spec = getattr(dyngraph.ProblemSpec, problem)(model, given, **kw)
+                    for ordering in ("auto", "md", "nd", *classic):
+                        _cell(out, dyngraph, (f"{name}/{boundary}/{problem}", draw, ordering),
+                              model, lambda: (state, spec), ordering)
+
+
 def fingerprint(out) -> None:
     import dyngraph
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -65,16 +118,10 @@ def fingerprint(out) -> None:
         driven = driven_names(wl.model)
         for i, raw in enumerate(wl.requests[:REQUESTS]):
             for ordering in ORDERINGS:
-                cell = {"workload": name, "request": i, "ordering": ordering}
-                try:
-                    state, spec = make_problem(wl.model, driven, raw)
-                    res = dyngraph.solve_dynamics(
-                        wl.model, state, spec, raw.ordering if ordering == "own" else ordering)
-                except Exception as err:  # noqa: BLE001 -- every failure is part of the print
-                    cell.update(error=type(err).__name__, message=str(err))
-                else:
-                    cell.update(sha256=_digest(res), rcond=float(res.dag.rcond))
-                out.write(json.dumps(cell) + "\n")
+                _cell(out, dyngraph, (name, i, ordering), wl.model,
+                      lambda: make_problem(wl.model, driven, raw),
+                      raw.ordering if ordering == "own" else ordering)
+    _fixture_cells(out, dyngraph)
 
 
 def _read(path) -> dict:
